@@ -40,11 +40,15 @@ class BfimBlocks:
             raise ValueError(f"a must be positive and finite, got {self.a}")
         if not np.allclose(d, np.swapaxes(d, 1, 2), rtol=0.0, atol=0.0):
             raise ValueError("every channel block must be exactly symmetric")
-        for k in range(d.shape[0]):
-            try:
-                np.linalg.cholesky(d[k])
-            except np.linalg.LinAlgError:
-                raise ValueError(f"channel block {k} is not positive definite") from None
+        try:
+            np.linalg.cholesky(d)
+        except np.linalg.LinAlgError:
+            # the batched factorization does not say which block failed
+            for k in range(d.shape[0]):
+                try:
+                    np.linalg.cholesky(d[k])
+                except np.linalg.LinAlgError:
+                    raise ValueError(f"channel block {k} is not positive definite") from None
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "d", d)
 
@@ -100,35 +104,19 @@ def assemble_bfim(scenario: Scenario, method=Quadrature()) -> BfimBlocks:
     return BfimBlocks(a=a, b=b, d=d)
 
 
-def _structured_quadratic(b_k: np.ndarray, d_k: np.ndarray) -> float | None:
-    """b^T d^{-1} b when d = [[p I2, q I2], [q I2, p I2]]; None if unstructured."""
-    p = d_k[0, 0]
-    q = d_k[0, 2]
-    pattern = np.array([
-        [p, 0.0, q, 0.0],
-        [0.0, p, 0.0, q],
-        [q, 0.0, p, 0.0],
-        [0.0, q, 0.0, p],
-    ])
-    if not np.array_equal(d_k, pattern):
-        return None
-    det = p * p - q * q
-    quad = p * float(b_k @ b_k) - 2.0 * q * float(b_k[0] * b_k[2] + b_k[1] * b_k[3])
-    return quad / det
+def _schur_coupling(b: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """sum_k b_k^T d_k^{-1} b_k over the tone axis, batched over any leading axes.
+
+    b has shape (..., L, 4) and d shape (..., L, 4, 4); the result has shape (...).
+    """
+    x = np.linalg.solve(d, b[..., None])[..., 0]
+    return np.sum(b * x, axis=(-2, -1))
 
 
 def bcrb_from_blocks(blocks: BfimBlocks) -> float:
-    """Bound via the Schur complement of the channel blocks.
-
-    Structured blocks are reduced in closed form; anything else falls back to
-    a dense 4x4 solve per subcarrier.
-    """
-    coupling_sum = 0.0
-    for k in range(blocks.count):
-        val = _structured_quadratic(blocks.b[k], blocks.d[k])
-        if val is None:
-            val = float(blocks.b[k] @ np.linalg.solve(blocks.d[k], blocks.b[k]))
-        coupling_sum += val
+    """Bound via the Schur complement of the channel blocks, one 4x4 solve per
+    subcarrier batched into a single call."""
+    coupling_sum = float(_schur_coupling(blocks.b, blocks.d))
     denom = blocks.a - coupling_sum
     if denom <= 0.0:
         raise ArithmeticError(

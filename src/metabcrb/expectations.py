@@ -74,13 +74,19 @@ class McEstimate:
     samples: int
 
 
-MC_CHUNK = 2048
+MC_CHUNK = 512  # small enough that chunk means make a usable bootstrap population
 
 
 def chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
     """Counter-style generator for one chunk; identical under any execution order."""
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(chunk_index,))
     return np.random.Generator(np.random.Philox(ss))
+
+
+def _chunks(seed: int, samples: int):
+    """Yield (generator, size) for each MC_CHUNK-draw chunk of `samples` draws."""
+    for idx, start in enumerate(range(0, samples, MC_CHUNK)):
+        yield chunk_rng(seed, idx), min(MC_CHUNK, samples - start)
 
 
 def _gh_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
@@ -145,12 +151,9 @@ def expect_over_prior(fn, prior: SensingPrior, method=Quadrature()):
 
 def _mc_expect(fn, prior: SensingPrior, method: MonteCarlo) -> McEstimate:
     n = method.samples
-    n_chunks = (n + MC_CHUNK - 1) // MC_CHUNK
     sums = np.zeros(2)
     sums_sq = np.zeros(2)
-    for idx in range(n_chunks):
-        size = min(MC_CHUNK, n - idx * MC_CHUNK)
-        rng = chunk_rng(method.seed, idx)
+    for rng, size in _chunks(method.seed, n):
         c = prior.mean + prior.std * rng.standard_normal(size)
         vals = np.asarray(fn(c), dtype=complex)
         sums += [np.sum(vals.real), np.sum(vals.imag)]

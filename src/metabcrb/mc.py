@@ -14,11 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bcrb import bcrb_closed_form
-from .expectations import McEstimate, chunk_rng
+from .bcrb import _schur_coupling, bcrb_closed_form
+from .expectations import MC_CHUNK, McEstimate, _chunks
 from .scenario import Scenario
 
-MC_CHUNK = 512  # small enough that chunk means make a usable bootstrap population
 BOOTSTRAP_RESAMPLES = 200
 _BOOT_KEY = 0x626F6F74  # distinct stream for bootstrap resampling
 
@@ -135,20 +134,24 @@ def _chunk_block_means(scenario: Scenario, c, h_r, h_t):
 
 
 def mc_blocks(scenario: Scenario, samples: int, seed: int = 0) -> McBlocks:
-    """Monte Carlo estimate of the information blocks, prior terms included."""
+    """Monte Carlo estimate of the information blocks, prior terms included.
+
+    The standard errors come from the spread of chunk means, so the draws
+    must fill at least two chunks of MC_CHUNK.
+    """
     if scenario.channel.deterministic_los:
         raise ValueError("deterministic LoS has no channel blocks to estimate")
-    if samples < 2:
-        raise ValueError("need at least 2 samples")
+    if samples <= MC_CHUNK:
+        raise ValueError(f"need at least {MC_CHUNK + 1} samples (two chunks of {MC_CHUNK}) "
+                         f"to estimate the Monte Carlo error, got {samples}")
     count = scenario.grid.count
     n_chunks = (samples + MC_CHUNK - 1) // MC_CHUNK
     chunk_a = np.zeros(n_chunks)
     chunk_b = np.zeros((n_chunks, count, 4))
     chunk_d = np.zeros((n_chunks, count, 4, 4))
     sizes = np.zeros(n_chunks)
-    for idx in range(n_chunks):
-        size = min(MC_CHUNK, samples - idx * MC_CHUNK)
-        c, h_r, h_t = draw_samples(scenario, size, chunk_rng(seed, idx))
+    for idx, (rng, size) in enumerate(_chunks(seed, samples)):
+        c, h_r, h_t = draw_samples(scenario, size, rng)
         chunk_a[idx], chunk_b[idx], chunk_d[idx] = _chunk_block_means(scenario, c, h_r, h_t)
         sizes[idx] = size
 
@@ -159,8 +162,8 @@ def mc_blocks(scenario: Scenario, samples: int, seed: int = 0) -> McBlocks:
     d_mean = np.einsum("i,iklm->klm", weights, chunk_d)
 
     # spread of chunk means gives the standard error of the weighted mean
-    a_se = float(np.sqrt(np.sum(weights**2 * (chunk_a - a_mean) ** 2) * n_chunks / max(n_chunks - 1, 1)))
-    b_se = np.sqrt(np.einsum("i,ikj->kj", weights**2, (chunk_b - b_mean) ** 2) * n_chunks / max(n_chunks - 1, 1))
+    a_se = float(np.sqrt(np.sum(weights**2 * (chunk_a - a_mean) ** 2) * n_chunks / (n_chunks - 1)))
+    b_se = np.sqrt(np.einsum("i,ikj->kj", weights**2, (chunk_b - b_mean) ** 2) * n_chunks / (n_chunks - 1))
 
     info = scenario.channel.prior_info_per_coordinate()
     d_full = two_over * d_mean
@@ -179,16 +182,14 @@ def mc_blocks(scenario: Scenario, samples: int, seed: int = 0) -> McBlocks:
     )
 
 
-def _bound_from_avg(scenario: Scenario, a_mean: float, b_mean: np.ndarray, d_mean: np.ndarray) -> float:
+def _bound_from_avg(scenario: Scenario, blocks: McBlocks, weights: np.ndarray) -> np.ndarray:
+    """Bounds from the chunk means averaged with each row of `weights` (R, n_chunks)."""
     two_over = 2.0 / scenario.noise.variance
-    a = two_over * a_mean + scenario.prior.curvature()
-    b = two_over * b_mean
-    d = two_over * d_mean
-    d[:, np.arange(4), np.arange(4)] += scenario.channel.prior_info_per_coordinate()
-    coupling = 0.0
-    for k in range(b.shape[0]):
-        coupling += float(b[k] @ np.linalg.solve(d[k], b[k]))
-    return 1.0 / (a - coupling)
+    a = two_over * np.sum(weights * blocks.chunk_a, axis=1) + scenario.prior.curvature()
+    b = two_over * np.einsum("ri,ikj->rkj", weights, blocks.chunk_b)
+    d = two_over * np.einsum("ri,iklm->rklm", weights, blocks.chunk_d)
+    d[..., np.arange(4), np.arange(4)] += scenario.channel.prior_info_per_coordinate()
+    return 1.0 / (a - _schur_coupling(b, d))
 
 
 def mc_bound(scenario: Scenario, samples: int, seed: int = 0) -> McEstimate:
@@ -196,7 +197,8 @@ def mc_bound(scenario: Scenario, samples: int, seed: int = 0) -> McEstimate:
 
     Standard error comes from a block bootstrap over chunk means (the bound
     is a nonlinear function of the averaged entries, so the uncertainty must
-    be propagated through the inversion). Deterministic LoS has no sampling
+    be propagated through the inversion); random channels therefore need the
+    two-chunk minimum of mc_blocks. Deterministic LoS has no sampling
     dimension left that the bound actually depends on beyond the condition
     average, which is evaluated by quadrature: the estimate is exact and the
     standard error is zero.
@@ -204,27 +206,17 @@ def mc_bound(scenario: Scenario, samples: int, seed: int = 0) -> McEstimate:
     if scenario.channel.deterministic_los:
         return McEstimate(value=bcrb_closed_form(scenario).bound, std_err=0.0, samples=samples)
     blocks = mc_blocks(scenario, samples, seed)
-    n_chunks = blocks.chunk_a.size
-    value = _bound_from_avg(
-        scenario,
-        float(np.sum(blocks.chunk_sizes / samples * blocks.chunk_a)),
-        np.einsum("i,ikj->kj", blocks.chunk_sizes / samples, blocks.chunk_b),
-        np.einsum("i,iklm->klm", blocks.chunk_sizes / samples, blocks.chunk_d),
-    )
+    sizes = blocks.chunk_sizes
     rng = np.random.Generator(np.random.Philox(
         np.random.SeedSequence(entropy=seed, spawn_key=(_BOOT_KEY,))))
-    resampled = np.empty(BOOTSTRAP_RESAMPLES)
-    for r in range(BOOTSTRAP_RESAMPLES):
-        pick = rng.integers(0, n_chunks, size=n_chunks)
-        w = blocks.chunk_sizes[pick]
-        w = w / np.sum(w)
-        resampled[r] = _bound_from_avg(
-            scenario,
-            float(np.sum(w * blocks.chunk_a[pick])),
-            np.einsum("i,ikj->kj", w, blocks.chunk_b[pick]),
-            np.einsum("i,iklm->klm", w, blocks.chunk_d[pick]),
-        )
-    return McEstimate(value=value, std_err=float(np.std(resampled, ddof=1)), samples=samples)
+    picks = rng.integers(0, sizes.size, size=(BOOTSTRAP_RESAMPLES, sizes.size))
+    # each resample weighs a chunk by its size times how often it was picked
+    resampled = np.zeros(picks.shape)
+    np.add.at(resampled, (np.arange(BOOTSTRAP_RESAMPLES)[:, None], picks), sizes[picks])
+    resampled /= np.sum(resampled, axis=1, keepdims=True)
+    bounds = _bound_from_avg(scenario, blocks, np.vstack([sizes / samples, resampled]))
+    return McEstimate(value=float(bounds[0]), std_err=float(np.std(bounds[1:], ddof=1)),
+                      samples=samples)
 
 
 def posterior_mean_mse(scenario: Scenario, trials: int, grid_points: int = 2000,
@@ -250,11 +242,7 @@ def posterior_mean_mse(scenario: Scenario, trials: int, grid_points: int = 2000,
 
     total_sq = 0.0
     total_q = 0.0
-    n_chunks = (trials + 512 - 1) // 512
-    done = 0
-    for idx in range(n_chunks):
-        size = min(512, trials - done)
-        rng = chunk_rng(seed, idx)
+    for rng, size in _chunks(seed, trials):
         c_true = prior.mean + prior.std * rng.standard_normal(size)
         clean = scenario.sensor.reflection(freqs[None, :], c_true[:, None])
         noise = math.sqrt(noise_var / 2.0) * (
@@ -271,7 +259,6 @@ def posterior_mean_mse(scenario: Scenario, trials: int, grid_points: int = 2000,
         sq = (est - c_true) ** 2
         total_sq += float(np.sum(sq))
         total_q += float(np.sum(sq**2))
-        done += size
 
     mse = total_sq / trials
     var = max(total_q - trials * mse**2, 0.0) / (trials - 1)

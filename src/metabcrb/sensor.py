@@ -13,18 +13,8 @@ model is invariant under a common translation of f, offset and shift_rate * c.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Protocol, runtime_checkable
 
 import numpy as np
-
-
-@runtime_checkable
-class ReflectionModel(Protocol):
-    """Anything that can evaluate a reflection coefficient and its condition slope."""
-
-    def reflection(self, f, c): ...
-
-    def reflection_dc(self, f, c): ...
 
 
 @dataclass(frozen=True)

@@ -59,8 +59,15 @@ def test_structured_block_reduction_equals_generic_solve():
         d = np.array([[p, 0, q, 0], [0, p, 0, q], [q, 0, p, 0], [0, q, 0, p]])
         bv = rng.normal(size=4)
         blocks = BfimBlocks(a=1000.0, b=bv[None], d=d[None])
-        direct = float(bv @ np.linalg.solve(d, bv))
-        assert 1.0 / bcrb_from_blocks(blocks) == pytest.approx(1000.0 - direct, rel=1e-12)
+        closed = (p * bv @ bv - 2.0 * q * (bv[0] * bv[2] + bv[1] * bv[3])) / (p * p - q * q)
+        assert 1.0 / bcrb_from_blocks(blocks) == pytest.approx(1000.0 - closed, rel=1e-12)
+    # unstructured SPD blocks over several tones take the same batched solve
+    for _ in range(20):
+        m = rng.normal(size=(5, 4, 4))
+        d = m @ np.swapaxes(m, 1, 2) + np.eye(4)
+        d = 0.5 * (d + np.swapaxes(d, 1, 2))  # exactly symmetric
+        blocks = BfimBlocks(a=1000.0, b=rng.normal(size=(5, 4)), d=d)
+        assert bcrb_from_blocks(blocks) == pytest.approx(bcrb_from_dense(blocks), rel=1e-12)
 
 
 def test_blocks_validation():
@@ -77,6 +84,10 @@ def test_blocks_validation():
         BfimBlocks(a=1.0, b=np.zeros((1, 4)), d=asym[None])
     with pytest.raises(ValueError):
         BfimBlocks(a=1.0, b=np.zeros((1, 4)), d=-np.eye(4)[None])
+    # the batched check still names the first failing block
+    stack = np.stack([np.eye(4), -np.eye(4), np.eye(4)])
+    with pytest.raises(ValueError, match="channel block 1 "):
+        BfimBlocks(a=1.0, b=np.zeros((3, 4)), d=stack)
 
 
 def test_nonpositive_information_raises():

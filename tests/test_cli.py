@@ -171,6 +171,13 @@ def test_validate_biased_oracle_exits_2(cfg, tmp_path, monkeypatch):
     assert rc == 2
 
 
+def test_validate_single_chunk_oracle_exits_1(cfg, tmp_path, capsys):
+    rc = main(["validate", "--config", cfg, "--out", str(tmp_path / "val.csv"),
+               "--samples", "500"])
+    assert rc == 1
+    assert "at least 513 samples" in capsys.readouterr().err
+
+
 def test_validate_los_config_has_single_deterministic_branch(tmp_path):
     path = tmp_path / "los.cfg"
     path.write_text(BASE_CFG + "channel.los = true\n")

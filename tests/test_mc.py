@@ -11,6 +11,7 @@ from metabcrb import (ParameterSample, RicianSpec, Scenario, SensingPrior,
                       bcrb_closed_form, conditional_fim, draw_samples,
                       mc_blocks, mc_bound, posterior_mean_mse, snr_to_noise)
 from metabcrb.expectations import chunk_rng
+from metabcrb.mc import _BOOT_KEY, BOOTSTRAP_RESAMPLES
 
 
 def _scenario(depth=0.9, width=1.0, rate=1.0, mean=0.0, std=1.0, kappa=1.0,
@@ -154,6 +155,11 @@ def test_mc_blocks_validation():
         mc_blocks(_scenario(los=True), 100)
     with pytest.raises(ValueError):
         mc_blocks(_scenario(), 1)
+    # one chunk leaves no spread of chunk means to take an error from
+    with pytest.raises(ValueError, match="at least 513 samples"):
+        mc_blocks(_scenario(), 512)
+    with pytest.raises(ValueError, match="at least 513 samples"):
+        mc_bound(_scenario(), 500)
 
 
 # ------------------------------------------------- the bound
@@ -189,6 +195,30 @@ def test_mc_bound_error_shrinks_as_root_n():
         assert abs(est.value - closed) <= 4 * est.std_err
     slope = np.polyfit(np.log(sizes), np.log(ses), 1)[0]
     assert slope == pytest.approx(-0.5, abs=0.15)
+
+
+def test_mc_bound_bootstrap_matches_plain_loop():
+    # reference: one resample at a time, one 4x4 solve per tone
+    sc = _scenario(count=4, kappa=2.0)
+    samples, seed = 20_000, 7
+    est = mc_bound(sc, samples, seed=seed)
+    blocks = mc_blocks(sc, samples, seed=seed)
+    n_chunks = blocks.chunk_sizes.size
+    rng = np.random.Generator(np.random.Philox(
+        np.random.SeedSequence(entropy=seed, spawn_key=(_BOOT_KEY,))))
+    two_over = 2.0 / sc.noise.variance
+    info = sc.channel.prior_info_per_coordinate() * np.eye(4)
+    bounds = []
+    for _ in range(BOOTSTRAP_RESAMPLES):
+        pick = rng.integers(0, n_chunks, size=n_chunks)
+        w = blocks.chunk_sizes[pick] / np.sum(blocks.chunk_sizes[pick])
+        a = two_over * np.sum(w * blocks.chunk_a[pick]) + sc.prior.curvature()
+        b = two_over * np.einsum("i,ikj->kj", w, blocks.chunk_b[pick])
+        d = two_over * np.einsum("i,iklm->klm", w, blocks.chunk_d[pick])
+        coupling = sum(float(b[k] @ np.linalg.solve(d[k] + info, b[k]))
+                       for k in range(sc.grid.count))
+        bounds.append(1.0 / (a - coupling))
+    assert est.std_err == pytest.approx(np.std(bounds, ddof=1), rel=1e-12)
 
 
 def test_mc_bound_reruns_bit_identical():
