@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expectations import Quadrature, prior_moments
+from . import expectations
+from .expectations import Quadrature, _moments_from_kernels, prior_moments
 from .scenario import Scenario, SubcarrierGrid
 
 
@@ -118,7 +119,7 @@ def bcrb_from_blocks(blocks: BfimBlocks) -> float:
     subcarrier batched into a single call."""
     coupling_sum = float(_schur_coupling(blocks.b, blocks.d))
     denom = blocks.a - coupling_sum
-    if denom <= 0.0:
+    if not denom > 0.0:
         raise ArithmeticError(
             f"information matrix is not positive definite: a={blocks.a!r} <= coupling sum={coupling_sum!r}"
         )
@@ -167,21 +168,20 @@ def _contributions(scenario: Scenario, sp, corr, rp) -> np.ndarray:
     return sp - 2.0 * kappa * np.abs(corr) ** 2 / denom
 
 
-def bcrb_closed_form(scenario: Scenario, method=Quadrature()) -> BcrbResult:
-    """Bound on the condition from the three prior moments, no matrix algebra.
+def _closed_form_from_kernels(scenario: Scenario, km: np.ndarray) -> BcrbResult:
+    """Closed-form bound from the (3, L) kernel-mean table of the scenario grid.
 
-    Equals bcrb_from_blocks(assemble_bfim(...)) for random channels; in
-    deterministic LoS mode the channels drop out and the bound reduces to
-    1 / ((2 / noise_var) * sum slope_power + prior curvature).
+    The table depends only on the detuning stats (x0, s); depth, noise and
+    kappa enter here, so one table serves every point of a sweep along them.
     """
-    sp, corr, rp = _moment_values(scenario, scenario.grid.as_array(), method)
+    sp, corr, rp = _moments_from_kernels(scenario.sensor, km)
     two_over = 2.0 / scenario.noise.variance
     first = two_over * float(np.sum(sp))
     prior_term = scenario.prior.curvature()
     contrib = _contributions(scenario, sp, corr, rp)
     coupling = first - two_over * float(np.sum(contrib))
     denom = first + prior_term - coupling
-    if denom <= 0.0:
+    if not denom > 0.0:
         raise ArithmeticError(f"bound denominator is not positive: {denom!r}")
     return BcrbResult(
         bound=1.0 / denom,
@@ -190,6 +190,18 @@ def bcrb_closed_form(scenario: Scenario, method=Quadrature()) -> BcrbResult:
         coupling_term=coupling,
         contributions=contrib,
     )
+
+
+def bcrb_closed_form(scenario: Scenario, method=Quadrature()) -> BcrbResult:
+    """Bound on the condition from the three prior moments, no matrix algebra.
+
+    Equals bcrb_from_blocks(assemble_bfim(...)) for random channels; in
+    deterministic LoS mode the channels drop out and the bound reduces to
+    1 / ((2 / noise_var) * sum slope_power + prior curvature).
+    """
+    km = expectations.kernel_means(scenario.sensor, scenario.grid.as_array(),
+                                   scenario.prior, method)
+    return _closed_form_from_kernels(scenario, km)
 
 
 def subcarrier_contribution(scenario: Scenario, k: int, method=Quadrature()) -> float:

@@ -6,8 +6,8 @@
     metabcrb asymptotics regime report: closed-form limits and scaling slopes
 
 All numeric CSV fields use 17 significant digits so reruns are byte-identical.
-METABCRB_THREADS caps the sweep worker pool (0 or unset = auto); results do
-not depend on the thread count.
+METABCRB_THREADS must be a non-negative integer if set; it is validated but
+does not change the work, which runs in one thread.
 
 Exit codes: 0 ok, 1 usage or config error, 2 validation failure, 3 numerical failure.
 """
@@ -18,19 +18,19 @@ import argparse
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
 
+from . import expectations
 from .asymptotics import (corr_magsq_narrow_limit, corr_magsq_wide_limit,
                           fit_loglog_slope, slope_power_narrow_limit,
                           slope_power_wide_limit, wideband_slope_power_sum)
-from .bcrb import (assemble_bfim, bcrb_closed_form, bcrb_from_blocks,
-                   bcrb_from_dense, select_subcarriers)
+from .bcrb import (_closed_form_from_kernels, assemble_bfim, bcrb_closed_form,
+                   bcrb_from_blocks, bcrb_from_dense, select_subcarriers)
 from .config import (ConfigError, apply_override, parse_config,
                      scenario_from_settings)
-from .expectations import corr_magsq, slope_power
+from .expectations import corr_magsq, detuning_stats, slope_power
 from .mc import mc_bound
 from .scenario import SubcarrierGrid, snr_to_noise
 from .svg import write_line_chart
@@ -147,18 +147,23 @@ def cmd_sweep(args) -> int:
     else:
         curves.append(("base", settings))
     values = _sweep_values(args)
+    _worker_count()  # a bad METABCRB_THREADS still exits 1; the sweep runs serially
 
-    tasks = [(label, cur, value) for label, cur in curves for value in values]
-
-    def run(task):
-        label, cur, value = task
-        scenario = scenario_from_settings(_apply_axis(cur, args.axis, value))
-        res = bcrb_closed_form(scenario)
-        return [f"{args.axis}", label, _fmt(value), _fmt(res.bound),
-                _fmt(res.first_term), _fmt(res.prior_term), _fmt(res.coupling_term)]
-
-    with ThreadPoolExecutor(max_workers=_worker_count()) as ex:
-        rows = list(ex.map(run, tasks))
+    # Kernel means depend only on the detuning stats (x0, s), so sweeps along
+    # snr_db, kappa and depth share one table; it lives for this command only.
+    tables = {}
+    rows = []
+    for label, cur in curves:
+        for value in values:
+            scenario = scenario_from_settings(_apply_axis(cur, args.axis, value))
+            freqs = scenario.grid.as_array()
+            x0, s = detuning_stats(scenario.sensor, freqs, scenario.prior)
+            key = (x0.tobytes(), s)
+            if key not in tables:
+                tables[key] = expectations.kernel_means(scenario.sensor, freqs, scenario.prior)
+            res = _closed_form_from_kernels(scenario, tables[key])
+            rows.append([f"{args.axis}", label, _fmt(value), _fmt(res.bound),
+                         _fmt(res.first_term), _fmt(res.prior_term), _fmt(res.coupling_term)])
 
     header = ["axis", "curve_label", "axis_value", "bcrb",
               "first_term", "prior_term", "coupling_term"]
@@ -234,18 +239,16 @@ def cmd_select(args) -> int:
         raise ConfigError(f"--budget must be in [1, {candidates.count}]")
     chosen = select_subcarriers(candidates, scenario, args.budget)
 
-    by_freq = dict(zip(
-        candidates.frequencies,
-        bcrb_closed_form(scenario.with_grid(candidates)).contributions,
-    ))
+    # Contributions are additive, so the bound after r picks is the prior plus a
+    # running sum in pick order: one closed form on the candidates, not one per prefix.
+    res = bcrb_closed_form(scenario)
+    by_freq = dict(zip(candidates.frequencies, res.contributions))
+    contrib = [by_freq[freq] for freq in chosen]
+    denom = res.prior_term + (2.0 / scenario.noise.variance) * np.cumsum(contrib)
+    bounds = (1.0 / denom).tolist()
     header = ["rank", "frequency", "contribution", "bcrb"]
-    rows = []
-    bounds = []
-    for rank, freq in enumerate(chosen, start=1):
-        grid = SubcarrierGrid.from_frequencies(sorted(chosen[:rank]))
-        bound = bcrb_closed_form(scenario.with_grid(grid)).bound
-        bounds.append(bound)
-        rows.append([str(rank), _fmt(freq), _fmt(by_freq[freq]), _fmt(bound)])
+    rows = [[str(rank), _fmt(f), _fmt(c), _fmt(b)]
+            for rank, (f, c, b) in enumerate(zip(chosen, contrib, bounds), start=1)]
     _write_csv(args.out, header, rows)
     if args.svg:
         write_line_chart(_svg_path(args.out),

@@ -26,7 +26,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import roots_hermite
 
 from .scenario import SensingPrior
@@ -205,6 +204,7 @@ def _kernel_means_gh(x0: np.ndarray, s: float, order: int) -> np.ndarray:
 
 def _kernel_means_adaptive(x0: float, s: float) -> np.ndarray:
     """Same kernel means by adaptive integration over u with x = x0 + s u, u ~ N(0,1)."""
+    from scipy.integrate import quad  # deferred: the import costs ~0.4 s and only this route needs it
     inv = 1.0 / s
     guides = [-x0 * inv]  # spike center x = 0
     for dx in (1.0, -1.0, 5.0, -5.0, 50.0, -50.0):

@@ -18,6 +18,8 @@ class SensingPrior:
     std: float
 
     def __post_init__(self):
+        if not np.isfinite(self.mean):
+            raise ValueError(f"prior mean must be finite, got {self.mean}")
         if not (self.std > 0.0 and np.isfinite(self.std)):
             raise ValueError(f"prior std must be positive and finite, got {self.std}")
 
@@ -107,6 +109,8 @@ class SubcarrierGrid:
         freqs = tuple(float(f) for f in self.frequencies)
         if len(freqs) == 0:
             raise ValueError("grid needs at least one subcarrier")
+        if not np.all(np.isfinite(freqs)):
+            raise ValueError("subcarrier frequencies must be finite")
         if any(b <= a for a, b in zip(freqs, freqs[1:])):
             raise ValueError("subcarrier frequencies must be strictly increasing")
         object.__setattr__(self, "frequencies", freqs)

@@ -39,6 +39,8 @@ class SensorModel:
             raise ValueError(f"half_width must be positive and finite, got {self.half_width}")
         if self.shift_rate == 0.0 or not np.isfinite(self.shift_rate):
             raise ValueError(f"shift_rate must be nonzero and finite, got {self.shift_rate}")
+        if not np.isfinite(self.center_offset):
+            raise ValueError(f"center_offset must be finite, got {self.center_offset}")
 
     def resonance(self, c):
         """Resonance frequency shift_rate * c + center_offset."""

@@ -11,6 +11,7 @@ from metabcrb import (BfimBlocks, RicianSpec, Scenario, SensingPrior,
                       bcrb_closed_form, bcrb_from_blocks, bcrb_from_dense,
                       bfim_dense, default_scenario, select_subcarriers,
                       snr_to_noise, subcarrier_contribution)
+from metabcrb.bcrb import _closed_form_from_kernels
 
 
 def _scenario(depth=0.9, width=1.0, rate=1.0, offset=0.0, mean=0.0, std=1.0,
@@ -94,6 +95,13 @@ def test_nonpositive_information_raises():
     blocks = BfimBlocks(a=1.0, b=np.array([[2.0, 0, 0, 0]]), d=np.eye(4)[None])
     with pytest.raises(ArithmeticError):
         bcrb_from_blocks(blocks)
+    # a nan denominator fails the same way instead of returning a nan bound
+    blocks = BfimBlocks(a=1.0, b=np.array([[np.nan, 0, 0, 0]]), d=np.eye(4)[None])
+    with pytest.raises(ArithmeticError):
+        bcrb_from_blocks(blocks)
+    sc = _scenario()
+    with pytest.raises(ArithmeticError):
+        _closed_form_from_kernels(sc, np.full((3, sc.grid.count), np.nan))
 
 
 def test_dense_matrix_layout():

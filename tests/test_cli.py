@@ -1,6 +1,7 @@
 """Command line driver: CSV schemas, exit codes, determinism across thread counts."""
 
 import csv
+import functools
 import os
 import subprocess
 import sys
@@ -10,7 +11,8 @@ import pytest
 
 from metabcrb import (McEstimate, SubcarrierGrid, bcrb_closed_form,
                       default_scenario, load_scenario, select_subcarriers)
-from metabcrb.cli import main
+from metabcrb.cli import _apply_axis, _fmt, _sweep_values, build_parser, main
+from metabcrb.config import apply_override, parse_config, scenario_from_settings
 
 BASE_CFG = """
 sensor.depth = 0.9
@@ -129,6 +131,71 @@ def test_bad_thread_env_exits_1(cfg, tmp_path, monkeypatch):
                  "--axis", "depth", "--values", "0.5"]) == 1
 
 
+def _per_point_csv(argv):
+    """The sweep CSV as one closed form per point writes it, kept as the reference."""
+    args = build_parser().parse_args(argv)
+    settings = parse_config(open(args.config).read())
+    curves = [(spec, functools.reduce(apply_override, spec.split(","), settings))
+              for spec in args.curve or []] or [("base", settings)]
+    lines = ["axis,curve_label,axis_value,bcrb,first_term,prior_term,coupling_term"]
+    for label, cur in curves:
+        for value in _sweep_values(args):
+            res = bcrb_closed_form(scenario_from_settings(_apply_axis(cur, args.axis, value)))
+            lines.append(",".join([args.axis, label] + [_fmt(v) for v in (
+                value, res.bound, res.first_term, res.prior_term, res.coupling_term)]))
+    return ("\n".join(lines) + "\n").encode()
+
+
+@pytest.mark.parametrize("axis_args", [
+    ["--axis", "snr_db", "--start", "-10", "--stop", "30", "--points", "9",
+     "--curve", "channel.kappa=0.0", "--curve", "channel.kappa=1.0",
+     "--curve", "channel.kappa=5.0"],
+    ["--axis", "depth", "--start", "0.1", "--stop", "1.0", "--points", "7",
+     "--curve", "channel.kappa=2.0", "--curve", "channel.los=true"],
+    ["--axis", "kappa", "--start", "0", "--stop", "20", "--points", "5"],
+    ["--axis", "fwhm", "--log", "--start", "0.004", "--stop", "400", "--points", "9"],
+], ids=["snr_db", "depth", "kappa", "fwhm"])
+def test_sweep_table_matches_per_point_closed_form(cfg, tmp_path, axis_args):
+    out = str(tmp_path / "sweep.csv")
+    argv = ["sweep", "--config", cfg, "--out", out] + axis_args
+    assert main(argv) == 0
+    assert open(out, "rb").read() == _per_point_csv(argv)
+
+
+def test_sweep_kernel_table_lasts_one_command(cfg, tmp_path, monkeypatch):
+    import metabcrb.expectations as expectations_mod
+    calls = []
+    original = expectations_mod.kernel_means
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(expectations_mod, "kernel_means", counted)
+    out = str(tmp_path / "sweep.csv")
+    snr = ["sweep", "--config", cfg, "--out", out, "--axis", "snr_db",
+           "--start", "-10", "--stop", "30", "--points", "5",
+           "--curve", "channel.kappa=0.0", "--curve", "channel.kappa=1.0",
+           "--curve", "channel.kappa=5.0"]
+    assert main(snr) == 0
+    assert len(calls) == 1
+    assert main(snr) == 0  # no table survives the first call
+    assert len(calls) == 2
+    assert main(["sweep", "--config", cfg, "--out", out, "--axis", "fwhm",
+                 "--log", "--start", "0.1", "--stop", "10", "--points", "5"]) == 0
+    assert len(calls) == 7
+
+
+def test_sweep_non_finite_config_exits_1(tmp_path, capsys):
+    path = tmp_path / "nan.cfg"
+    path.write_text(BASE_CFG.replace("prior.mean = 0.0", "prior.mean = nan"))
+    rc = main(["sweep", "--config", str(path), "--out", str(tmp_path / "x.csv"),
+               "--axis", "snr_db", "--values", "0,10"])
+    assert rc == 1
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_sweep_svg_written(cfg, tmp_path):
     out = tmp_path / "sweep.csv"
     assert main(["sweep", "--config", cfg, "--out", str(out), "--axis", "snr_db",
@@ -201,6 +268,24 @@ def test_select_matches_library_and_is_sorted(cfg, tmp_path):
     assert all(b2 < b1 for b1, b2 in zip(bounds, bounds[1:]))
     contribs = [float(r["contribution"]) for r in rows]
     assert all(c2 <= c1 + 1e-15 for c1, c2 in zip(contribs, contribs[1:]))
+
+
+def test_select_trajectory_matches_prefix_grids(tmp_path):
+    path = tmp_path / "grid128.cfg"
+    path.write_text("grid.count = 128\n")
+    out = str(tmp_path / "sel.csv")
+    assert main(["select", "--config", str(path), "--out", out, "--budget", "64"]) == 0
+    rows = _rows(out)
+    sc = load_scenario("grid.count = 128\n")
+    chosen = select_subcarriers(sc.grid, sc, 64)
+    by_freq = dict(zip(sc.grid.frequencies, bcrb_closed_form(sc).contributions))
+    assert [r["frequency"] for r in rows] == [f"{f:.16e}" for f in chosen]
+    assert [r["contribution"] for r in rows] == [f"{by_freq[f]:.16e}" for f in chosen]
+    # the reference: one closed form on each prefix of the picks
+    for rank, row in enumerate(rows, start=1):
+        grid = SubcarrierGrid.from_frequencies(sorted(chosen[:rank]))
+        want = bcrb_closed_form(sc.with_grid(grid)).bound
+        assert float(row["bcrb"]) == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 def test_select_budget_validation(cfg, tmp_path):

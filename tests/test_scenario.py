@@ -18,6 +18,9 @@ def test_prior_curvature_and_pdf():
     assert p.pdf(1.5) == pytest.approx(1.0 / (0.5 * math.sqrt(2 * math.pi)))
     with pytest.raises(ValueError):
         SensingPrior(mean=0.0, std=0.0)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="prior mean must be finite"):
+            SensingPrior(mean=bad, std=1.0)
 
 
 def test_rician_spec_moments():
@@ -72,6 +75,11 @@ def test_grid_validation():
         SubcarrierGrid.uniform(center=0.0, spacing=-1.0, count=4)
     with pytest.raises(ValueError):
         SubcarrierGrid.uniform(center=0.0, spacing=1.0, count=0)
+    for bad in ([math.nan], [0.0, math.inf], [-math.inf, 0.0]):
+        with pytest.raises(ValueError, match="must be finite"):
+            SubcarrierGrid.from_frequencies(bad)
+    with pytest.raises(ValueError, match="must be finite"):
+        SubcarrierGrid.uniform(center=math.nan, spacing=1.0, count=4)
     irregular = SubcarrierGrid.from_frequencies([0.0, 1.0, 3.0])
     with pytest.raises(ValueError):
         _ = irregular.bandwidth

@@ -82,3 +82,6 @@ def test_validation_rejects_bad_parameters():
         SensorModel(absorption_depth=0.5, half_width=1.0, shift_rate=0.0)
     with pytest.raises(ValueError):
         SensorModel(absorption_depth=0.5, half_width=np.inf, shift_rate=1.0)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="center_offset must be finite"):
+            SensorModel(absorption_depth=0.5, half_width=1.0, shift_rate=1.0, center_offset=bad)
