@@ -11,12 +11,22 @@ expectation:
 The quadrature path reduces all three to Gaussian expectations of the scalar
 detuning kernels 1/(1+x^2)^2, 1/(1+x^2) and x/(1+x^2)^2 with
 x ~ N(x0, s^2), x0 = (f - resonance(prior mean)) / half_width and
-s = |shift_rate| * prior std / half_width.  Smooth regimes use Gauss-Hermite
-rules with automatic order doubling; when the Lorentzian is much narrower
-than the shifted prior (half_width / (|shift_rate| * std) below ~0.35) the
-kernels turn into near-delta spikes that no practical Hermite order resolves,
-so the engine switches to adaptive quadrature in detuning space with
-breakpoints planted on the spike.
+s = |shift_rate| * prior std / half_width.  `kernel_means` takes one of
+three routes per tone:
+
+* Gauss-Hermite rules with automatic order doubling when the Lorentzian is
+  not much narrower than the shifted prior (half_width / (|shift_rate| * std)
+  at or above ADAPTIVE_RATIO = 0.35).
+* Narrow dips (below that ratio, or when Gauss-Hermite reaches its order cap):
+  the kernels turn into near-delta spikes that no practical Hermite order
+  resolves, but they are the real and imaginary parts of E[1/(1+jx)] and
+  E[1/(1+jx)^2], Voigt integrals with closed forms in the Faddeeva function
+  w(z) = scipy.special.wofz at z = (j - x0)/(s sqrt 2) (Zaghloul & Ali, ACM
+  TOMS Algorithm 916, 2011).  Tones with |z| <= FADDEEVA_ZMAX = 3.5 use them.
+* Narrow-route tones with |z| > 3.5, more than about five prior std away
+  from the dip: w' = -2 z w + 2j/sqrt(pi) loses digits to cancellation
+  there, so they keep adaptive quadrature in detuning space with
+  breakpoints planted on the spike.
 """
 
 from __future__ import annotations
@@ -26,7 +36,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import roots_hermite
+from scipy.special import roots_hermite, wofz
 
 from .scenario import SensingPrior
 from .sensor import SensorModel
@@ -36,6 +46,8 @@ GH_ABSTOL = 1e-14
 GH_MAX_ORDER = 1600
 ADAPTIVE_RATIO = 0.35  # half_width / (|shift_rate| * std) below which GH cannot resolve
 _UMAX = 12.0  # integration halfwidth in prior standard deviations
+FADDEEVA_ZMAX = 3.5  # |z| above which the closed form's w' cancels; such tones integrate adaptively
+_GH_BLOCK = 256  # tones per Gauss-Hermite block: bounds the (tones x order) temporaries
 
 _INV_SQRT_PI = 1.0 / math.sqrt(math.pi)
 _gh_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
@@ -169,9 +181,11 @@ def _mc_expect(fn, prior: SensingPrior, method: MonteCarlo) -> McEstimate:
     return McEstimate(value=value, std_err=se, samples=n)
 
 
-# scalar detuning kernels shared by all three moments
+# scalar detuning kernels for the adaptive route; t * t overflows to inf
+# instead of raising, so far tails give 0 rather than an OverflowError
 def _k_sq(x):
-    return 1.0 / (1.0 + x * x) ** 2
+    t = 1.0 + x * x
+    return 1.0 / (t * t)
 
 
 def _k_lor(x):
@@ -179,7 +193,8 @@ def _k_lor(x):
 
 
 def _k_odd(x):
-    return x / (1.0 + x * x) ** 2
+    t = 1.0 + x * x
+    return x / (t * t)
 
 
 def detuning_stats(sensor: SensorModel, f, prior: SensingPrior) -> tuple[np.ndarray, float]:
@@ -191,15 +206,38 @@ def detuning_stats(sensor: SensorModel, f, prior: SensingPrior) -> tuple[np.ndar
 
 
 def _kernel_means_gh(x0: np.ndarray, s: float, order: int) -> np.ndarray:
-    """Stack [E k_sq, E k_lor, E k_odd] over frequencies, one Hermite order."""
+    """Stack [E k_sq, E k_lor, E k_odd] over frequencies, one Hermite order.
+
+    Tones go in blocks of _GH_BLOCK; each row's products and sums are the
+    same as on the whole (tones x order) array, so the result is bitwise equal.
+    """
     z, w = _gh_nodes(order)
-    x = x0[:, None] + (math.sqrt(2.0) * s) * z[None, :]
+    dx = (math.sqrt(2.0) * s) * z
     wn = w * _INV_SQRT_PI
-    return np.stack([
-        np.sum(_k_sq(x) * wn, axis=1),
-        np.sum(_k_lor(x) * wn, axis=1),
-        np.sum(_k_odd(x) * wn, axis=1),
-    ])
+    out = np.empty((3, x0.size))
+    for lo in range(0, x0.size, _GH_BLOCK):
+        rows = slice(lo, lo + _GH_BLOCK)
+        x = x0[rows, None] + dx
+        t = 1.0 + x * x
+        t2 = t**2
+        out[0, rows] = np.sum((1.0 / t2) * wn, axis=1)
+        out[1, rows] = np.sum((1.0 / t) * wn, axis=1)
+        out[2, rows] = np.sum((x / t2) * wn, axis=1)
+    return out
+
+
+def _kernel_means_faddeeva(z: np.ndarray, s: float) -> np.ndarray:
+    """Kernel means in closed form from w(z), z = (j - x0)/(s sqrt 2).
+
+    E[1/(1+jx)] = sqrt(pi/2) w(z) / s and E[1/(1+jx)^2] = -j sqrt(pi) w'(z) / (2 s^2)
+    with w' = -2 z w + 2j/sqrt(pi); then m1 = Re E1, m2 = (Re E2 + m1)/2 and
+    mx = -Im E2 / 2.  Accurate to ~1e-12 relative for |z| <= FADDEEVA_ZMAX.
+    """
+    w = wofz(z)
+    dw = -2.0 * z * w + 2j * _INV_SQRT_PI
+    c2 = math.sqrt(math.pi) / (2.0 * s * s)
+    m1 = math.sqrt(0.5 * math.pi) / s * w.real
+    return np.stack([0.5 * (c2 * dw.imag + m1), m1, 0.5 * c2 * dw.real])
 
 
 def _kernel_means_adaptive(x0: float, s: float) -> np.ndarray:
@@ -222,30 +260,41 @@ def _kernel_means_adaptive(x0: float, s: float) -> np.ndarray:
     return np.array([integrate(_k_sq), integrate(_k_lor), integrate(_k_odd)])
 
 
+def _kernel_means_narrow(x0: np.ndarray, s: float) -> np.ndarray:
+    """Narrow-dip route: the Faddeeva closed form, adaptive quadrature where |z| is large."""
+    z = (1j - x0) / (math.sqrt(2.0) * s)
+    near = np.abs(z) <= FADDEEVA_ZMAX
+    out = np.empty((3, x0.size))
+    out[:, near] = _kernel_means_faddeeva(z[near], s)
+    for i in np.flatnonzero(~near):
+        out[:, i] = _kernel_means_adaptive(float(x0[i]), s)
+    return out
+
+
 def kernel_means(sensor: SensorModel, f, prior: SensingPrior, method=Quadrature()) -> np.ndarray:
     """Prior means of the three detuning kernels, shape (3, len(f)).
 
-    Routing: adaptive detuning-space quadrature for spiky kernels
-    (half_width / (|shift_rate| * std) < 0.35), Gauss-Hermite with order
-    doubling otherwise, falling back to adaptive if the cap is hit.
+    Routing: Gauss-Hermite with order doubling when half_width /
+    (|shift_rate| * std) >= ADAPTIVE_RATIO; otherwise, or if Gauss-Hermite
+    reaches its order cap, the narrow route: the Faddeeva closed form for
+    tones with |z| <= FADDEEVA_ZMAX, z = (j - x0)/(s sqrt 2), and adaptive
+    detuning-space quadrature for the tones beyond.
     """
     if not isinstance(method, Quadrature):
         raise TypeError("kernel_means supports quadrature only; use the moment functions for MC")
     x0, s = detuning_stats(sensor, f, prior)
     x0 = np.atleast_1d(x0)
-    if 1.0 / s < ADAPTIVE_RATIO:
-        return np.stack([_kernel_means_adaptive(float(v), s) for v in x0], axis=1)
-
-    if method.order >= GH_MAX_ORDER:
-        return _kernel_means_gh(x0, s, method.order)
-    est = None
-    for order in _gh_orders(method.order):
-        new = _kernel_means_gh(x0, s, order)
-        if est is not None and _close(est, new):
-            return new
-        est = new
-    # unresolved spike near the routing threshold: integrate it directly instead
-    return np.stack([_kernel_means_adaptive(float(v), s) for v in x0], axis=1)
+    if 1.0 / s >= ADAPTIVE_RATIO:
+        if method.order >= GH_MAX_ORDER:
+            return _kernel_means_gh(x0, s, method.order)
+        est = None
+        for order in _gh_orders(method.order):
+            new = _kernel_means_gh(x0, s, order)
+            if est is not None and _close(est, new):
+                return new
+            est = new
+    # spike narrower than any Hermite order resolves
+    return _kernel_means_narrow(x0, s)
 
 
 def _moments_from_kernels(sensor: SensorModel, km: np.ndarray):
@@ -260,8 +309,17 @@ def _moments_from_kernels(sensor: SensorModel, km: np.ndarray):
     """
     d = sensor.absorption_depth
     scale = d * sensor.shift_rate / sensor.half_width
+    try:
+        scale_sq = scale**2
+    except OverflowError:
+        scale_sq = math.inf
+    if not math.isfinite(scale_sq):
+        raise ArithmeticError(
+            f"slope scale depth * shift_rate / half_width = {scale!r} overflows when squared; "
+            f"sensor.half_width = {sensor.half_width!r} or sensor.shift_rate = {sensor.shift_rate!r} "
+            "is out of range")
     m2, m1, mx = km
-    slope_power = scale**2 * m2
+    slope_power = scale_sq * m2
     refl_power = 1.0 - d * (2.0 - d) * m1
     corr = scale * (-(2.0 - d) * mx + 1j * ((2.0 - d) * m2 - m1))
     return slope_power, corr, refl_power

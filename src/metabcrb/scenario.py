@@ -22,6 +22,8 @@ class SensingPrior:
             raise ValueError(f"prior mean must be finite, got {self.mean}")
         if not (self.std > 0.0 and np.isfinite(self.std)):
             raise ValueError(f"prior std must be positive and finite, got {self.std}")
+        if not (self.std**2 > 0.0 and math.isfinite(1.0 / self.std**2)):
+            raise ValueError(f"prior std {self.std!r} is too small: 1 / std^2 is not a finite float")
 
     def curvature(self) -> float:
         """Prior Fisher information 1 / std^2 (negative expected log-prior curvature)."""

@@ -196,6 +196,52 @@ def test_sweep_non_finite_config_exits_1(tmp_path, capsys):
     assert not (tmp_path / "x.csv").exists()
 
 
+def test_sweep_tiny_prior_std_exits_1(tmp_path, capsys):
+    path = tmp_path / "tiny.cfg"
+    path.write_text(BASE_CFG.replace("prior.std = 1.0", "prior.std = 1e-300"))
+    rc = main(["sweep", "--config", str(path), "--out", str(tmp_path / "x.csv"),
+               "--axis", "depth", "--values", "0.5"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "prior std" in err
+
+
+@pytest.mark.parametrize("key,value", [("sensor.half_width", "1e-300"),
+                                       ("sensor.shift_rate", "1e300")])
+def test_sweep_slope_scale_overflow_exits_3(tmp_path, capsys, key, value):
+    text = BASE_CFG.replace("grid.count = 16", "grid.count = 4")
+    text = text.replace(f"{key} = 1.0", f"{key} = {value}")
+    path = tmp_path / "extreme.cfg"
+    path.write_text(text)
+    rc = main(["sweep", "--config", str(path), "--out", str(tmp_path / "x.csv"),
+               "--axis", "depth", "--values", "0.5"])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "numerical failure" in err
+    assert "sensor.half_width" in err and "sensor.shift_rate" in err
+
+
+def test_narrow_fwhm_sweep_never_imports_scipy_integrate(tmp_path):
+    # every tone of a default-grid fwhm sweep down to 0.004 sits within the
+    # Faddeeva closed form's |z| range, so adaptive quadrature never runs
+    import metabcrb
+    path = tmp_path / "default.cfg"
+    path.write_text("# package defaults\n")
+    script = (
+        "import sys\n"
+        "from metabcrb.cli import main\n"
+        f"rc = main(['sweep', '--config', {str(path)!r}, '--out', {str(tmp_path / 'f.csv')!r}, "
+        "'--axis', 'fwhm', '--log', '--start', '0.004', '--stop', '0.6', '--points', '21'])\n"
+        "assert rc == 0, rc\n"
+        "print('scipy.integrate' in sys.modules)\n"
+    )
+    src = os.path.dirname(os.path.dirname(metabcrb.__file__))
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_sweep_svg_written(cfg, tmp_path):
     out = tmp_path / "sweep.csv"
     assert main(["sweep", "--config", cfg, "--out", str(out), "--axis", "snr_db",

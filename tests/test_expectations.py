@@ -16,6 +16,8 @@ from scipy.integrate import quad
 from metabcrb import (McEstimate, MonteCarlo, Quadrature, SensingPrior,
                       SensorModel, corr_magsq, expect_over_prior,
                       reflection_power, slope_power, slope_reflection_corr)
+from metabcrb.expectations import (_gh_nodes, _kernel_means_gh, kernel_means,
+                                   prior_moments)
 
 # (depth, half_width, shift_rate, offset, prior mean, prior std, frequency)
 #   -> (slope_power, corr re, corr im, reflection_power)
@@ -108,7 +110,7 @@ def test_moments_match_live_oracle_random_scenarios():
 
 def test_spiky_narrow_regime_against_oracle():
     # half_width three orders below the prior sweep: Hermite rules cannot see
-    # the spike, the engine must route to adaptive integration
+    # the spike, the engine routes it to the narrow-dip closed form
     sensor = SensorModel(absorption_depth=0.9, half_width=1e-3, shift_rate=1.0)
     prior = SensingPrior(mean=0.0, std=1.0)
     for f in (0.0, 0.5):
@@ -117,6 +119,79 @@ def test_spiky_narrow_regime_against_oracle():
         assert slope_power(sensor, f, prior) == pytest.approx(sp_o, rel=1e-6)
         assert slope_reflection_corr(sensor, f, prior) == pytest.approx(corr_o, rel=1e-5, abs=1e-10)
         assert reflection_power(sensor, f, prior) == pytest.approx(rp_o, rel=1e-7)
+
+
+# Narrow-dip kernel means at 30 significant digits with mpmath 1.3.0, frozen:
+# E[1/(1+x^2)^2], E[1/(1+x^2)], E[x/(1+x^2)^2] for x ~ N(x0, s^2), each the
+# Faddeeva closed form in mpmath's erfc, cross-checked against mpmath
+# tanh-sinh quadrature of the raw kernels with breakpoints on the spike
+# (agreement <= 1e-27 on every row).
+# (x0, s) -> (m2, m1, mx)
+HIGH_PRECISION = [
+    (1.43, 2.86, 0.18679642481342842, 0.30789709296740286, 0.0202995576898333),
+    (2.86, 2.86, 0.13216472396716253, 0.23299320132605075, 0.029817963332658563),
+    (5.72, 2.86, 0.03355720550652342, 0.08427707911925178, 0.01818125931805043),
+    (8.58, 2.86, 0.0037050464246046696, 0.024318701351962117, 0.004818031958817023),
+    (11.44, 2.86, 0.0002685673139080326, 0.009850919593879038, 0.001190991665897359),
+    (5.0, 10.0, 0.05511249254006392, 0.10330315234973034, 0.0023780652341327396),
+    (10.0, 10.0, 0.03800206167656953, 0.07327202339649341, 0.0033368421793552),
+    (20.0, 10.0, 0.008596615474050474, 0.0195187486989743, 0.0016486166133003399),
+    (30.0, 10.0, 0.0007250365067000454, 0.003130503501059304, 0.0002754234342814186),
+    (40.0, 10.0, 2.3565145845605462e-05, 0.0008537613813938555, 3.5776107830162264e-05),
+    (50.0, 100.0, 0.005530023688094582, 0.010983888568252193, 2.7232293388568464e-05),
+    (100.0, 100.0, 0.0038008665128342824, 0.007574213094194934, 3.751245223488992e-05),
+    (200.0, 100.0, 0.0008482141372607707, 0.0017239206225679643, 1.6920906335719227e-05),
+    (300.0, 100.0, 6.964328393313672e-05, 0.00015712486902109168, 2.160502054203182e-06),
+    (400.0, 100.0, 2.1038775037208866e-06, 1.2359664839573158e-05, 1.1200495445940388e-07),
+    (500.0, 1000.0, 0.000553022714875674, 0.0011052764308688153, 2.7608921187616726e-07),
+    (1000.0, 1000.0, 0.000380086725191739, 0.0007598982290670103, 3.7958710514085354e-07),
+    (2000.0, 1000.0, 8.48089389722889e-05, 0.00016989734560070795, 1.695775211610118e-07),
+    (3000.0, 1000.0, 6.961559065316724e-06, 1.410250734520242e-05, 2.095719849912669e-08),
+    (4000.0, 1000.0, 2.102216137927627e-07, 5.020220739460555e-07, 8.688468548498039e-10),
+    (50000.0, 100000.0, 5.530229220524685e-06, 1.106038145909303e-05, 2.7650723478356354e-11),
+    (100000.0, 100000.0, 3.800867252665701e-06, 7.601706983177305e-06, 3.8008172530457864e-11),
+    (200000.0, 100000.0, 8.480881189174326e-07, 1.696204234940929e-06, 1.696172235706818e-11),
+    (300000.0, 100000.0, 6.961531209168643e-08, 1.3924857413573803e-07, 2.0885320288053367e-12),
+    (400000.0, 100000.0, 2.1022002720328876e-09, 4.212559056084232e-09, 8.411598298218815e-14),
+]
+
+
+@pytest.mark.parametrize("x0,s,m2,m1,mx", HIGH_PRECISION)
+def test_narrow_kernel_means_match_high_precision_table(x0, s, m2, m1, mx):
+    # unit half-width and shift rate: detuning center x0 = f, spread s = prior std
+    sensor = SensorModel(absorption_depth=0.9, half_width=1.0, shift_rate=1.0)
+    km = kernel_means(sensor, [x0], SensingPrior(mean=0.0, std=s))[:, 0]
+    assert km == pytest.approx([m2, m1, mx], rel=1e-11, abs=0.0)
+
+
+def test_far_tail_adaptive_kernels_do_not_overflow():
+    # a tone 1e10 away from a 1e-140-wide dip: x ~ 1e150, so (1 + x^2)^2 exceeds
+    # the float range; the kernels must go to 0 there instead of raising
+    sensor = SensorModel(absorption_depth=0.9, half_width=1e-140, shift_rate=1.0)
+    sp, corr, rp = prior_moments(sensor, 1e10, SensingPrior(mean=0.0, std=1.0))
+    assert sp == 0.0 and rp == 1.0
+    # corr = -j scale E[1/(1+x^2)] ~ -j 0.9e140 / x0^2
+    assert corr == pytest.approx(-9e-161j, rel=1e-6)
+
+
+def _kernel_means_gh_single_shot(x0, s, order):
+    """The Gauss-Hermite table on the whole (tones x order) array at once."""
+    z, w = _gh_nodes(order)
+    x = x0[:, None] + (math.sqrt(2.0) * s) * z[None, :]
+    wn = w * (1.0 / math.sqrt(math.pi))
+    return np.stack([
+        np.sum(1.0 / (1.0 + x * x) ** 2 * wn, axis=1),
+        np.sum(1.0 / (1.0 + x * x) * wn, axis=1),
+        np.sum(x / (1.0 + x * x) ** 2 * wn, axis=1),
+    ])
+
+
+@pytest.mark.parametrize("tones", [1024, 10_000])
+def test_blocked_gauss_hermite_is_bitwise_single_shot(tones):
+    x0 = np.linspace(-40.0, 37.0, tones)
+    for order in (200, 400, 800):
+        assert np.array_equal(_kernel_means_gh(x0, 1.3, order),
+                              _kernel_means_gh_single_shot(x0, 1.3, order))
 
 
 def test_gauss_hermite_polynomial_exactness():

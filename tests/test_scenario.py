@@ -21,6 +21,11 @@ def test_prior_curvature_and_pdf():
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="prior mean must be finite"):
             SensingPrior(mean=bad, std=1.0)
+    # std^2 underflows to 0 (1e-300) or 1 / std^2 overflows (1e-160)
+    for tiny in (1e-300, 1e-160):
+        with pytest.raises(ValueError, match="prior std"):
+            SensingPrior(mean=0.0, std=tiny)
+    assert math.isfinite(SensingPrior(mean=0.0, std=1e-150).curvature())
 
 
 def test_rician_spec_moments():
