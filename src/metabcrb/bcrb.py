@@ -128,15 +128,12 @@ def bcrb_from_blocks(blocks: BfimBlocks) -> float:
 
 def bfim_dense(blocks: BfimBlocks) -> np.ndarray:
     """Full (1 + 4L) x (1 + 4L) information matrix from the blocks."""
-    count = blocks.count
-    n = 1 + 4 * count
+    n = 1 + 4 * blocks.count
     m = np.zeros((n, n))
     m[0, 0] = blocks.a
-    for k in range(count):
-        sl = slice(1 + 4 * k, 5 + 4 * k)
-        m[0, sl] = blocks.b[k]
-        m[sl, 0] = blocks.b[k]
-        m[sl, sl] = blocks.d[k]
+    m[0, 1:] = m[1:, 0] = blocks.b.ravel()
+    rows = np.arange(1, n).reshape(blocks.count, 4)  # the 4 coordinates of each tone
+    m[rows[:, :, None], rows[:, None, :]] = blocks.d
     return m
 
 

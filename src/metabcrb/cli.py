@@ -6,8 +6,11 @@
     metabcrb asymptotics regime report: closed-form limits and scaling slopes
 
 All numeric CSV fields use 17 significant digits so reruns are byte-identical.
-METABCRB_THREADS must be a non-negative integer if set; it is validated but
-does not change the work, which runs in one thread.
+METABCRB_THREADS sets the threads that run Monte Carlo chunks (unset or 0:
+the CPUs the process may use, at most 8). Each chunk draws from its own
+generator and results are reduced in chunk order, so the output bytes are
+the same at any thread count. A value that is not a non-negative integer
+is a config error.
 
 Exit codes: 0 ok, 1 usage or config error, 2 validation failure, 3 numerical failure.
 """
@@ -58,19 +61,6 @@ def _write_csv(path: str, header: list[str], rows: list[list[str]]) -> None:
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(row) + "\n")
-
-
-def _worker_count() -> int:
-    raw = os.environ.get("METABCRB_THREADS", "0")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ConfigError(f"METABCRB_THREADS must be an integer, got {raw!r}") from None
-    if n < 0:
-        raise ConfigError(f"METABCRB_THREADS must be >= 0, got {n}")
-    if n == 0:
-        return min(os.cpu_count() or 1, 8)
-    return n
 
 
 def _load_settings(path: str) -> dict:
@@ -147,7 +137,6 @@ def cmd_sweep(args) -> int:
     else:
         curves.append(("base", settings))
     values = _sweep_values(args)
-    _worker_count()  # a bad METABCRB_THREADS still exits 1; the sweep runs serially
 
     # Kernel means depend only on the detuning stats (x0, s), so sweeps along
     # snr_db, kappa and depth share one table; it lives for this command only.
@@ -389,6 +378,11 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    try:
+        expectations._worker_count()  # a bad METABCRB_THREADS fails every subcommand alike
+    except ValueError as exc:
+        sys.stderr.write(f"config error: {exc}\n")
+        return 1
     try:
         return args.func(args)
     except ConfigError as exc:

@@ -32,6 +32,7 @@ three routes per tone:
 from __future__ import annotations
 
 import math
+import os
 import warnings
 from dataclasses import dataclass
 
@@ -86,6 +87,11 @@ class McEstimate:
 
 
 MC_CHUNK = 512  # small enough that chunk means make a usable bootstrap population
+# Elements (draws x width) per run of chunks. Narrower chunks spend their time
+# in Python overhead, which threads cannot overlap. A run's complex temporaries
+# stay below numpy's 256 KiB temporary-elision threshold, as a single narrow
+# chunk's do, so batched arithmetic rounds exactly as chunk by chunk.
+_RUN_ELEMENTS = 1 << 13
 
 
 def chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
@@ -94,10 +100,56 @@ def chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-def _chunks(seed: int, samples: int):
-    """Yield (generator, size) for each MC_CHUNK-draw chunk of `samples` draws."""
-    for idx, start in enumerate(range(0, samples, MC_CHUNK)):
-        yield chunk_rng(seed, idx), min(MC_CHUNK, samples - start)
+def _worker_count() -> int:
+    """Threads for Monte Carlo chunk work, from METABCRB_THREADS.
+
+    Unset or 0 means the CPUs this process may run on, at most 8. Anything
+    but a non-negative integer raises ValueError naming the variable.
+    """
+    raw = os.environ.get("METABCRB_THREADS", "0")
+    try:
+        n = int(raw)
+    except ValueError:
+        raise ValueError(f"METABCRB_THREADS must be an integer, got {raw!r}") from None
+    if n < 0:
+        raise ValueError(f"METABCRB_THREADS must be >= 0, got {n}")
+    if n > 0:
+        return n
+    try:
+        usable = len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        usable = os.cpu_count() or 1
+    return min(usable, 8)
+
+
+def _map_chunks(fn, seed: int, samples: int, width: int = 1) -> list:
+    """fn over the MC_CHUNK-draw chunks of `samples` draws, results in chunk order.
+
+    `width` counts the array elements per draw (tones, grid points). A run
+    holds as many consecutive full chunks as fit in _RUN_ELEMENTS elements,
+    at least one; a partial last chunk runs alone. fn takes a run as a list
+    of (generator, size) pairs and returns one result per chunk. Runs of
+    several chunks go in a loop on this thread; single-chunk runs go to a
+    pool of _worker_count() threads. Every chunk draws from its own
+    chunk_rng, so the returned list does not depend on the thread count.
+    """
+    run = max(1, _RUN_ELEMENTS // (MC_CHUNK * width))
+    n_full, rest = divmod(samples, MC_CHUNK)
+    runs = [range(lo, min(lo + run, n_full)) for lo in range(0, n_full, run)]
+    if rest:
+        runs.append(range(n_full, n_full + 1))
+
+    def one_run(chunks):
+        return fn([(chunk_rng(seed, i), min(MC_CHUNK, samples - i * MC_CHUNK)) for i in chunks])
+
+    workers = min(_worker_count(), len(runs))
+    if run > 1 or workers <= 1:
+        results = map(one_run, runs)
+    else:
+        from concurrent.futures import ThreadPoolExecutor  # deferred: serial runs never need it
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(one_run, runs))
+    return [item for result in results for item in result]
 
 
 def _gh_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
@@ -134,7 +186,9 @@ def _close(a, b) -> bool:
 def expect_over_prior(fn, prior: SensingPrior, method=Quadrature()):
     """Expectation of a vectorized function of the condition under the prior.
 
-    Quadrature returns a float/complex; MonteCarlo returns an McEstimate.
+    Quadrature returns a float/complex; MonteCarlo returns an McEstimate and
+    calls fn once per chunk of draws, from worker threads when
+    METABCRB_THREADS allows more than one.
     Gauss-Hermite is exact for polynomial integrands up to degree
     2 * order - 1 and refines by doubling until successive estimates agree
     to 1e-9 relative (order cap 1600, with a warning if never reached).
@@ -161,14 +215,18 @@ def expect_over_prior(fn, prior: SensingPrior, method=Quadrature()):
 
 
 def _mc_expect(fn, prior: SensingPrior, method: MonteCarlo) -> McEstimate:
+    def chunk_sums(rng, size):
+        c = prior.mean + prior.std * rng.standard_normal(size)
+        vals = np.asarray(fn(c), dtype=complex)
+        return ([np.sum(vals.real), np.sum(vals.imag)],
+                [np.sum(vals.real**2), np.sum(vals.imag**2)])
+
     n = method.samples
     sums = np.zeros(2)
     sums_sq = np.zeros(2)
-    for rng, size in _chunks(method.seed, n):
-        c = prior.mean + prior.std * rng.standard_normal(size)
-        vals = np.asarray(fn(c), dtype=complex)
-        sums += [np.sum(vals.real), np.sum(vals.imag)]
-        sums_sq += [np.sum(vals.real**2), np.sum(vals.imag**2)]
+    for s, sq in _map_chunks(lambda run: [chunk_sums(*chunk) for chunk in run], method.seed, n):
+        sums += s
+        sums_sq += sq
     mean = sums / n
     if n > 1:
         var = np.maximum(sums_sq - n * mean**2, 0.0) / (n - 1)
@@ -253,8 +311,9 @@ def _kernel_means_adaptive(x0: float, s: float) -> np.ndarray:
         def integrand(u):
             return math.exp(-0.5 * u * u) / math.sqrt(2.0 * math.pi) * kernel(x0 + s * u)
 
+        # no absolute floor: far-band means lie many decades below any fixed one
         val, _ = quad(integrand, -_UMAX, _UMAX, points=pts or None,
-                      limit=500, epsabs=1e-14, epsrel=1e-11)
+                      limit=500, epsabs=0.0, epsrel=1e-11)
         return val
 
     return np.array([integrate(_k_sq), integrate(_k_lor), integrate(_k_odd)])

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bcrb import _schur_coupling, bcrb_closed_form
-from .expectations import MC_CHUNK, McEstimate, _chunks
+from .expectations import MC_CHUNK, McEstimate, _map_chunks
 from .scenario import Scenario
 
 BOOTSTRAP_RESAMPLES = 200
@@ -67,12 +67,12 @@ def conditional_fim(scenario: Scenario, sample: ParameterSample) -> np.ndarray:
     n = 1 + 4 * count
     deriv = np.zeros((count, n), dtype=complex)
     deriv[:, 0] = h_r * dgamma * h_t
-    for k in range(count):
-        base = 1 + 4 * k
-        deriv[k, base + 0] = gamma[k] * h_t[k]
-        deriv[k, base + 1] = 1j * gamma[k] * h_t[k]
-        deriv[k, base + 2] = h_r[k] * gamma[k]
-        deriv[k, base + 3] = 1j * h_r[k] * gamma[k]
+    tone = np.arange(count)
+    base = 1 + 4 * tone
+    deriv[tone, base + 0] = gamma * h_t
+    deriv[tone, base + 1] = 1j * gamma * h_t
+    deriv[tone, base + 2] = h_r * gamma
+    deriv[tone, base + 3] = 1j * h_r * gamma
     fim = (2.0 / scenario.noise.variance) * np.real(np.conj(deriv).T @ deriv)
     return fim
 
@@ -95,41 +95,41 @@ class McBlocks:
 
 
 def _chunk_block_means(scenario: Scenario, c, h_r, h_t):
-    """Per-sample conditional-information entries averaged over one chunk.
+    """Per-sample conditional-information entries averaged over each chunk.
 
     Same derivative algebra as conditional_fim, vectorized and folded into the
-    arrow blocks. Returns (a_mean, b_mean (L,4), d_mean (L,4,4)) without the
+    arrow blocks. Draws come stacked by chunk: c (K, n), h_r and h_t (K, n, L).
+    Returns (a_mean (K,), b_mean (K, L, 4), d_mean (K, L, 4, 4)) without the
     2/noise_var scale or prior terms.
     """
     freqs = scenario.grid.as_array()
-    gamma = scenario.sensor.reflection(freqs[None, :], c[:, None])
-    dgamma = scenario.sensor.reflection_dc(freqs[None, :], c[:, None])
+    gamma = scenario.sensor.reflection(freqs, c[..., None])
+    dgamma = scenario.sensor.reflection_dc(freqs, c[..., None])
 
-    a_mean = np.mean(np.sum(np.abs(h_r * dgamma * h_t) ** 2, axis=1))
+    a_mean = np.mean(np.sum(np.abs(h_r * dgamma * h_t) ** 2, axis=-1), axis=-1)
 
     core = np.conj(dgamma) * gamma
     w1 = np.conj(h_r) * np.abs(h_t) ** 2 * core
     w2 = np.abs(h_r) ** 2 * np.conj(h_t) * core
     b_mean = np.stack([
-        np.mean(w1.real, axis=0),
-        np.mean(-w1.imag, axis=0),
-        np.mean(w2.real, axis=0),
-        np.mean(-w2.imag, axis=0),
-    ], axis=1)
+        np.mean(w1.real, axis=-2),
+        np.mean(-w1.imag, axis=-2),
+        np.mean(w2.real, axis=-2),
+        np.mean(-w2.imag, axis=-2),
+    ], axis=-1)
 
     power = np.abs(gamma) ** 2
-    d11 = np.mean(power * np.abs(h_t) ** 2, axis=0)
-    d22 = np.mean(power * np.abs(h_r) ** 2, axis=0)
-    z12 = np.mean(h_r * np.conj(h_t) * power, axis=0)
+    d11 = np.mean(power * np.abs(h_t) ** 2, axis=-2)
+    d22 = np.mean(power * np.abs(h_r) ** 2, axis=-2)
+    z12 = np.mean(h_r * np.conj(h_t) * power, axis=-2)
 
-    count = freqs.size
-    d_mean = np.zeros((count, 4, 4))
-    d_mean[:, 0, 0] = d_mean[:, 1, 1] = d11
-    d_mean[:, 2, 2] = d_mean[:, 3, 3] = d22
-    d_mean[:, 0, 2] = d_mean[:, 2, 0] = z12.real
-    d_mean[:, 1, 3] = d_mean[:, 3, 1] = z12.real
-    d_mean[:, 0, 3] = d_mean[:, 3, 0] = -z12.imag
-    d_mean[:, 1, 2] = d_mean[:, 2, 1] = z12.imag
+    d_mean = np.zeros(d11.shape + (4, 4))
+    d_mean[..., 0, 0] = d_mean[..., 1, 1] = d11
+    d_mean[..., 2, 2] = d_mean[..., 3, 3] = d22
+    d_mean[..., 0, 2] = d_mean[..., 2, 0] = z12.real
+    d_mean[..., 1, 3] = d_mean[..., 3, 1] = z12.real
+    d_mean[..., 0, 3] = d_mean[..., 3, 0] = -z12.imag
+    d_mean[..., 1, 2] = d_mean[..., 2, 1] = z12.imag
     return a_mean, b_mean, d_mean
 
 
@@ -144,16 +144,17 @@ def mc_blocks(scenario: Scenario, samples: int, seed: int = 0) -> McBlocks:
     if samples <= MC_CHUNK:
         raise ValueError(f"need at least {MC_CHUNK + 1} samples (two chunks of {MC_CHUNK}) "
                          f"to estimate the Monte Carlo error, got {samples}")
-    count = scenario.grid.count
-    n_chunks = (samples + MC_CHUNK - 1) // MC_CHUNK
-    chunk_a = np.zeros(n_chunks)
-    chunk_b = np.zeros((n_chunks, count, 4))
-    chunk_d = np.zeros((n_chunks, count, 4, 4))
-    sizes = np.zeros(n_chunks)
-    for idx, (rng, size) in enumerate(_chunks(seed, samples)):
-        c, h_r, h_t = draw_samples(scenario, size, rng)
-        chunk_a[idx], chunk_b[idx], chunk_d[idx] = _chunk_block_means(scenario, c, h_r, h_t)
-        sizes[idx] = size
+
+    def run_means(chunks):
+        draws = [draw_samples(scenario, size, rng) for rng, size in chunks]
+        # a run of one chunk (wide grids) is viewed with a leading axis, not copied
+        stacked = (np.stack(parts) if len(parts) > 1 else parts[0][None] for parts in zip(*draws))
+        return list(zip(*_chunk_block_means(scenario, *stacked)))
+
+    means = _map_chunks(run_means, seed, samples, scenario.grid.count)
+    chunk_a, chunk_b, chunk_d = (np.array(parts) for parts in zip(*means))
+    n_chunks = chunk_a.size
+    sizes = np.minimum(MC_CHUNK, samples - MC_CHUNK * np.arange(n_chunks)).astype(float)
 
     weights = sizes / samples
     two_over = 2.0 / scenario.noise.variance
@@ -240,25 +241,39 @@ def posterior_mean_mse(scenario: Scenario, trials: int, grid_points: int = 2000,
     g_norm = np.sum(np.abs(g) ** 2, axis=1)
     log_prior = -0.5 * ((c_grid - prior.mean) / prior.std) ** 2
 
-    total_sq = 0.0
-    total_q = 0.0
-    for rng, size in _chunks(seed, trials):
+    g_conj_t = np.conj(g.T)
+
+    def trial_sums(rng, size):
         c_true = prior.mean + prior.std * rng.standard_normal(size)
         clean = scenario.sensor.reflection(freqs[None, :], c_true[:, None])
         noise = math.sqrt(noise_var / 2.0) * (
             rng.standard_normal((size, freqs.size)) + 1j * rng.standard_normal((size, freqs.size)))
         y = clean + noise
 
-        cross = y @ np.conj(g.T)  # (size, P)
-        log_lik = -(np.sum(np.abs(y) ** 2, axis=1)[:, None] - 2.0 * cross.real + g_norm[None, :]) / noise_var
-        log_post = log_lik + log_prior[None, :]
-        log_post -= np.max(log_post, axis=1, keepdims=True)
-        w = np.exp(log_post)
-        est = np.sum(w * c_grid[None, :], axis=1) / np.sum(w, axis=1)
+        # log posterior up to a constant, -(|y|^2 - 2 Re(y g^H) + |g|^2) / noise_var
+        # + log prior, then its normalized exp, in one (size, P) buffer
+        cross = y @ g_conj_t
+        w = np.multiply(2.0, cross.real)
+        del cross
+        np.subtract(np.sum(np.abs(y) ** 2, axis=1)[:, None], w, out=w)
+        np.add(w, g_norm, out=w)
+        np.negative(w, out=w)
+        np.divide(w, noise_var, out=w)
+        np.add(w, log_prior, out=w)
+        np.subtract(w, np.max(w, axis=1, keepdims=True), out=w)
+        np.exp(w, out=w)
+        norm = np.sum(w, axis=1)
+        est = np.sum(np.multiply(w, c_grid, out=w), axis=1) / norm
 
         sq = (est - c_true) ** 2
-        total_sq += float(np.sum(sq))
-        total_q += float(np.sum(sq**2))
+        return float(np.sum(sq)), float(np.sum(sq**2))
+
+    total_sq = 0.0
+    total_q = 0.0
+    for s, q in _map_chunks(lambda run: [trial_sums(*chunk) for chunk in run], seed, trials,
+                            grid_points):
+        total_sq += s
+        total_q += q
 
     mse = total_sq / trials
     var = max(total_q - trials * mse**2, 0.0) / (trials - 1)

@@ -116,6 +116,25 @@ def test_dense_matrix_layout():
     np.testing.assert_array_equal(m, m.T)
 
 
+def _bfim_dense_per_tone(blocks):
+    """The dense matrix filled block by block, kept as the reference."""
+    n = 1 + 4 * blocks.count
+    m = np.zeros((n, n))
+    m[0, 0] = blocks.a
+    for k in range(blocks.count):
+        sl = slice(1 + 4 * k, 5 + 4 * k)
+        m[0, sl] = blocks.b[k]
+        m[sl, 0] = blocks.b[k]
+        m[sl, sl] = blocks.d[k]
+    return m
+
+
+@pytest.mark.parametrize("count", [1, 5])
+def test_dense_matrix_matches_per_tone_loop(count):
+    blocks = assemble_bfim(_scenario(kappa=2.0, count=count, spacing=0.3))
+    assert np.array_equal(bfim_dense(blocks), _bfim_dense_per_tone(blocks))
+
+
 # ------------------------------------------------------- path agreement
 
 def test_three_paths_agree_on_random_scenarios():

@@ -125,10 +125,19 @@ def test_sweep_is_deterministic_across_thread_counts(cfg, tmp_path, monkeypatch)
     assert outputs[0] == outputs[1]
 
 
-def test_bad_thread_env_exits_1(cfg, tmp_path, monkeypatch):
-    monkeypatch.setenv("METABCRB_THREADS", "lots")
-    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "x.csv"),
-                 "--axis", "depth", "--values", "0.5"]) == 1
+def test_bad_thread_env_exits_1(cfg, tmp_path, monkeypatch, capsys):
+    # every subcommand rejects the variable before it does any work
+    out = tmp_path / "x.csv"
+    for value in ("lots", "-1"):
+        monkeypatch.setenv("METABCRB_THREADS", value)
+        for extra in (["sweep", "--axis", "depth", "--values", "0.5"],
+                      ["validate", "--samples", "2000"],
+                      ["select", "--budget", "2"],
+                      ["asymptotics"]):
+            assert main(extra + ["--config", cfg, "--out", str(out)]) == 1, (value, extra[0])
+            err = capsys.readouterr().err
+            assert err.startswith("config error:") and "METABCRB_THREADS" in err, (value, extra[0])
+            assert not out.exists()
 
 
 def _per_point_csv(argv):

@@ -153,6 +153,9 @@ HIGH_PRECISION = [
     (200000.0, 100000.0, 8.480881189174326e-07, 1.696204234940929e-06, 1.696172235706818e-11),
     (300000.0, 100000.0, 6.961531209168643e-08, 1.3924857413573803e-07, 2.0885320288053367e-12),
     (400000.0, 100000.0, 2.1022002720328876e-09, 4.212559056084232e-09, 8.411598298218815e-14),
+    # far band, |z| ~ 2357 > FADDEEVA_ZMAX: the adaptive route, whose means lie
+    # far below any fixed absolute error floor (same mpmath construction at 50 digits)
+    (1e4, 3.0, 1.0000008800008131e-16, 1.0000002600001126e-08, 1.0000005200003379e-12),
 ]
 
 
@@ -172,6 +175,11 @@ def test_far_tail_adaptive_kernels_do_not_overflow():
     assert sp == 0.0 and rp == 1.0
     # corr = -j scale E[1/(1+x^2)] ~ -j 0.9e140 / x0^2
     assert corr == pytest.approx(-9e-161j, rel=1e-6)
+    # x0 = 1e150, s = 1e140: mpmath gives E[1/(1+x^2)] = 1e-300 (1 + 3e-20 + ...),
+    # which rounds to the double 1e-300; the other two means underflow to 0
+    m2, m1, mx = kernel_means(sensor, [1e10], SensingPrior(mean=0.0, std=1.0))[:, 0]
+    assert m1 == pytest.approx(1e-300, rel=1e-11, abs=0.0)
+    assert m2 == 0.0 and mx == 0.0
 
 
 def _kernel_means_gh_single_shot(x0, s, order):

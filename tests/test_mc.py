@@ -2,15 +2,19 @@
 averaged blocks against the analytic assembly, bound against the closed form."""
 
 import math
+import threading
 
 import numpy as np
 import pytest
 
-from metabcrb import (ParameterSample, RicianSpec, Scenario, SensingPrior,
-                      SensorModel, SubcarrierGrid, assemble_bfim,
+import metabcrb.expectations as expectations
+import metabcrb.mc as mc
+from metabcrb import (MonteCarlo, ParameterSample, RicianSpec, Scenario,
+                      SensingPrior, SensorModel, SubcarrierGrid, assemble_bfim,
                       bcrb_closed_form, conditional_fim, draw_samples,
-                      mc_blocks, mc_bound, posterior_mean_mse, snr_to_noise)
-from metabcrb.expectations import chunk_rng
+                      mc_blocks, mc_bound, posterior_mean_mse,
+                      reflection_power, snr_to_noise)
+from metabcrb.expectations import MC_CHUNK, chunk_rng
 from metabcrb.mc import _BOOT_KEY, BOOTSTRAP_RESAMPLES
 
 
@@ -96,6 +100,38 @@ def test_conditional_fim_is_singular_per_sample():
     fim = conditional_fim(sc, ParameterSample(condition=cs[0], receive=hrs[0], transmit=hts[0]))
     rank = np.linalg.matrix_rank(fim, tol=1e-9)
     assert rank == 2 * sc.grid.count
+
+
+def _conditional_fim_per_tone(sc, sample):
+    """conditional_fim with the derivative matrix filled tone by tone, kept as the reference."""
+    freqs = sc.grid.as_array()
+    count = freqs.size
+    h_r, h_t = sample.receive, sample.transmit
+    gamma = sc.sensor.reflection(freqs, sample.condition)
+    dgamma = sc.sensor.reflection_dc(freqs, sample.condition)
+    deriv = np.zeros((count, 1 + 4 * count), dtype=complex)
+    deriv[:, 0] = h_r * dgamma * h_t
+    for k in range(count):
+        base = 1 + 4 * k
+        deriv[k, base + 0] = gamma[k] * h_t[k]
+        deriv[k, base + 1] = 1j * gamma[k] * h_t[k]
+        deriv[k, base + 2] = h_r[k] * gamma[k]
+        deriv[k, base + 3] = 1j * h_r[k] * gamma[k]
+    return (2.0 / sc.noise.variance) * np.real(np.conj(deriv).T @ deriv)
+
+
+@pytest.mark.parametrize("count", [1, 5])
+def test_conditional_fim_matches_per_tone_loop(count):
+    # numpy's array complex product fuses multiply-adds where the scalar one
+    # does not, so entries may differ in the last bits: allow a few ulp of
+    # the largest entry (an exact cancellation to 0 may leave such a residue)
+    sc = _scenario(count=count, spacing=0.5, kappa=2.0)
+    cs, hrs, hts = draw_samples(sc, 3, chunk_rng(11, 0))
+    for i in range(3):
+        smp = ParameterSample(condition=cs[i], receive=hrs[i], transmit=hts[i])
+        fim = conditional_fim(sc, smp)
+        ref = _conditional_fim_per_tone(sc, smp)
+        np.testing.assert_allclose(fim, ref, rtol=0.0, atol=8 * np.finfo(float).eps * np.max(np.abs(ref)))
 
 
 def test_conditional_fim_validates_shapes():
@@ -228,6 +264,196 @@ def test_mc_bound_reruns_bit_identical():
     assert a.value == b.value and a.std_err == b.std_err
     c = mc_bound(sc, 50_000, seed=43)
     assert c.value != a.value
+
+
+# ------------------------------------------------- chunk runs and threads
+
+def _block_means_one_chunk(sc, c, h_r, h_t):
+    """Block means of one (n, L) chunk as the serial chunk loop computed them, kept as the reference."""
+    freqs = sc.grid.as_array()
+    gamma = sc.sensor.reflection(freqs[None, :], c[:, None])
+    dgamma = sc.sensor.reflection_dc(freqs[None, :], c[:, None])
+    a_mean = np.mean(np.sum(np.abs(h_r * dgamma * h_t) ** 2, axis=1))
+    core = np.conj(dgamma) * gamma
+    w1 = np.conj(h_r) * np.abs(h_t) ** 2 * core
+    w2 = np.abs(h_r) ** 2 * np.conj(h_t) * core
+    b_mean = np.stack([np.mean(w1.real, axis=0), np.mean(-w1.imag, axis=0),
+                       np.mean(w2.real, axis=0), np.mean(-w2.imag, axis=0)], axis=1)
+    power = np.abs(gamma) ** 2
+    d11 = np.mean(power * np.abs(h_t) ** 2, axis=0)
+    d22 = np.mean(power * np.abs(h_r) ** 2, axis=0)
+    z12 = np.mean(h_r * np.conj(h_t) * power, axis=0)
+    d_mean = np.zeros((freqs.size, 4, 4))
+    d_mean[:, 0, 0] = d_mean[:, 1, 1] = d11
+    d_mean[:, 2, 2] = d_mean[:, 3, 3] = d22
+    d_mean[:, 0, 2] = d_mean[:, 2, 0] = z12.real
+    d_mean[:, 1, 3] = d_mean[:, 3, 1] = z12.real
+    d_mean[:, 0, 3] = d_mean[:, 3, 0] = -z12.imag
+    d_mean[:, 1, 2] = d_mean[:, 2, 1] = z12.imag
+    return a_mean, b_mean, d_mean
+
+
+def _serial_chunk_means(sc, samples, seed):
+    """Chunk means drawn and reduced one chunk at a time, in index order."""
+    means = [_block_means_one_chunk(sc, *draw_samples(sc, min(MC_CHUNK, samples - start),
+                                                      chunk_rng(seed, i)))
+             for i, start in enumerate(range(0, samples, MC_CHUNK))]
+    return [np.array(parts) for parts in zip(*means)]
+
+
+def _one_chunk_at_a_time(fn, seed, samples, width=1):
+    """_map_chunks without runs or threads: every chunk alone, in order."""
+    out = []
+    for i, start in enumerate(range(0, samples, MC_CHUNK)):
+        out += fn([(chunk_rng(seed, i), min(MC_CHUNK, samples - start))])
+    return out
+
+
+THREAD_SETTINGS = ("1", "2", "0")
+
+
+def test_map_chunks_runs_and_threads(monkeypatch):
+    def layout(run):
+        return [(len(run), size, threading.get_ident()) for _, size in run]
+
+    main = threading.get_ident()
+    monkeypatch.setenv("METABCRB_THREADS", "2")
+    # narrow draws: runs of _RUN_ELEMENTS // MC_CHUNK chunks on this thread,
+    # the partial last chunk alone
+    assert expectations._RUN_ELEMENTS // MC_CHUNK == 16
+    narrow = expectations._map_chunks(layout, 0, 100 * MC_CHUNK + 7)
+    assert [n for n, _, _ in narrow] == [16] * 96 + [4] * 4 + [1]
+    assert [s for _, s, _ in narrow] == [MC_CHUNK] * 100 + [7]
+    assert {t for _, _, t in narrow} == {main}
+    # wide draws: one chunk per run, on the pool
+    wide = expectations._map_chunks(layout, 0, 9 * MC_CHUNK, width=64)
+    assert [(n, s) for n, s, _ in wide] == [(1, MC_CHUNK)] * 9
+    assert main not in {t for _, _, t in wide}
+    monkeypatch.setenv("METABCRB_THREADS", "1")
+    assert {t for _, _, t in expectations._map_chunks(layout, 0, 9 * MC_CHUNK, width=64)} == {main}
+
+
+@pytest.mark.parametrize("count", [1, 2, 5, 16])
+def test_batched_block_means_equal_chunk_by_chunk(count):
+    sc = _scenario(count=count, kappa=2.0)
+    run = max(1, expectations._RUN_ELEMENTS // (MC_CHUNK * count))
+    draws = [draw_samples(sc, MC_CHUNK, chunk_rng(5, i)) for i in range(run)]
+    batched = mc._chunk_block_means(sc, *(np.stack(parts) for parts in zip(*draws)))
+    for k, draw in enumerate(draws):
+        for got, want in zip(batched, _block_means_one_chunk(sc, *draw)):
+            assert np.array_equal(got[k], want)
+
+
+@pytest.mark.parametrize("count", [1, 16])
+def test_mc_bound_bitwise_across_thread_counts(count, monkeypatch):
+    # 50,001 draws: 97 full chunks and a partial one of 337
+    sc = _scenario(count=count, kappa=2.0)
+    samples, seed = 50_001, 17
+    ref_a, ref_b, ref_d = _serial_chunk_means(sc, samples, seed)
+    with monkeypatch.context() as m:
+        m.setattr(mc, "_map_chunks", _one_chunk_at_a_time)
+        ref = mc_bound(sc, samples, seed)
+    for threads in THREAD_SETTINGS:
+        monkeypatch.setenv("METABCRB_THREADS", threads)
+        blocks = mc_blocks(sc, samples, seed)
+        assert np.array_equal(blocks.chunk_a, ref_a)
+        assert np.array_equal(blocks.chunk_b, ref_b)
+        assert np.array_equal(blocks.chunk_d, ref_d)
+        assert blocks.chunk_sizes.tolist() == [MC_CHUNK] * 97 + [337]
+        est = mc_bound(sc, samples, seed)
+        assert (est.value, est.std_err) == (ref.value, ref.std_err), threads
+
+
+def _posterior_mse_serial(sc, trials, grid_points, seed):
+    """posterior_mean_mse one chunk at a time with the plain expression chain."""
+    prior, freqs, noise_var = sc.prior, sc.grid.as_array(), sc.noise.variance
+    c_grid = np.linspace(prior.mean - 6.0 * prior.std, prior.mean + 6.0 * prior.std, grid_points)
+    g = sc.sensor.reflection(freqs[None, :], c_grid[:, None])
+    g_norm = np.sum(np.abs(g) ** 2, axis=1)
+    log_prior = -0.5 * ((c_grid - prior.mean) / prior.std) ** 2
+    total_sq = total_q = 0.0
+    for i, start in enumerate(range(0, trials, MC_CHUNK)):
+        rng, size = chunk_rng(seed, i), min(MC_CHUNK, trials - start)
+        c_true = prior.mean + prior.std * rng.standard_normal(size)
+        clean = sc.sensor.reflection(freqs[None, :], c_true[:, None])
+        noise = math.sqrt(noise_var / 2.0) * (
+            rng.standard_normal((size, freqs.size)) + 1j * rng.standard_normal((size, freqs.size)))
+        y = clean + noise
+        cross = y @ np.conj(g.T)
+        log_lik = -(np.sum(np.abs(y) ** 2, axis=1)[:, None] - 2.0 * cross.real + g_norm[None, :]) / noise_var
+        log_post = log_lik + log_prior[None, :]
+        log_post -= np.max(log_post, axis=1, keepdims=True)
+        w = np.exp(log_post)
+        est = np.sum(w * c_grid[None, :], axis=1) / np.sum(w, axis=1)
+        sq = (est - c_true) ** 2
+        total_sq += float(np.sum(sq))
+        total_q += float(np.sum(sq**2))
+    mse = total_sq / trials
+    var = max(total_q - trials * mse**2, 0.0) / (trials - 1)
+    return mse, math.sqrt(var / trials)
+
+
+@pytest.mark.parametrize("grid_points", [2000, 8])
+def test_posterior_mean_mse_bitwise_across_thread_counts(grid_points, monkeypatch):
+    # 2000 grid points run chunk by chunk on the pool, 8 in runs of chunks
+    sc = _scenario(los=True, count=16, spacing=0.4, snr_db=10.0)
+    ref = _posterior_mse_serial(sc, 2_001, grid_points, 23)
+    for threads in THREAD_SETTINGS:
+        monkeypatch.setenv("METABCRB_THREADS", threads)
+        est = posterior_mean_mse(sc, 2_001, grid_points=grid_points, seed=23)
+        assert (est.value, est.std_err) == ref, threads
+
+
+def test_monte_carlo_expectation_bitwise_across_thread_counts(monkeypatch):
+    sc = _scenario()
+    method = MonteCarlo(samples=10_001, seed=3)
+    sums, sums_sq = np.zeros(2), np.zeros(2)
+    for i, start in enumerate(range(0, method.samples, MC_CHUNK)):
+        rng = chunk_rng(method.seed, i)
+        c = sc.prior.mean + sc.prior.std * rng.standard_normal(min(MC_CHUNK, method.samples - start))
+        vals = np.abs(sc.sensor.reflection(0.3, c)) ** 2
+        sums += [np.sum(vals), 0.0]
+        sums_sq += [np.sum(vals**2), 0.0]
+    mean = sums / method.samples
+    se = float(np.max(np.sqrt(np.maximum(sums_sq - method.samples * mean**2, 0.0)
+                              / (method.samples - 1) / method.samples)))
+    for threads in THREAD_SETTINGS:
+        monkeypatch.setenv("METABCRB_THREADS", threads)
+        est = reflection_power(sc.sensor, 0.3, sc.prior, method)
+        assert (est.value, est.std_err) == (mean[0], se), threads
+
+
+def test_worker_count_reads_the_environment(monkeypatch):
+    monkeypatch.setattr(expectations.os, "sched_getaffinity", lambda pid: set(range(3)))
+    monkeypatch.delenv("METABCRB_THREADS", raising=False)
+    assert expectations._worker_count() == 3
+    monkeypatch.setenv("METABCRB_THREADS", "0")
+    assert expectations._worker_count() == 3
+    monkeypatch.setenv("METABCRB_THREADS", "5")
+    assert expectations._worker_count() == 5
+    # usable CPUs, not host CPUs, capped at 8
+    monkeypatch.setenv("METABCRB_THREADS", "0")
+    monkeypatch.setattr(expectations.os, "cpu_count", lambda: 64)
+    assert expectations._worker_count() == 3
+    monkeypatch.setattr(expectations.os, "sched_getaffinity", lambda pid: set(range(20)))
+    assert expectations._worker_count() == 8
+    monkeypatch.delattr(expectations.os, "sched_getaffinity")
+    assert expectations._worker_count() == 8
+
+
+@pytest.mark.parametrize("value", ["lots", "-1", "2.5"])
+def test_bad_thread_env_raises_in_library(value, monkeypatch):
+    monkeypatch.setenv("METABCRB_THREADS", value)
+    los = _scenario(los=True)
+    calls = [
+        lambda: mc_bound(_scenario(count=2), 2_000),
+        lambda: mc_blocks(_scenario(count=2), 2_000),
+        lambda: posterior_mean_mse(los, trials=100, grid_points=50),
+        lambda: reflection_power(los.sensor, 0.3, los.prior, MonteCarlo(samples=100)),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="METABCRB_THREADS"):
+            call()
 
 
 # ------------------------------------------------- posterior-mean simulator
