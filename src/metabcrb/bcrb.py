@@ -155,13 +155,20 @@ def _contributions(scenario: Scenario, sp, corr, rp) -> np.ndarray:
                                              + noise_var (kappa + 1)^2)
 
     Positive whenever the dip has nonzero depth, by Cauchy-Schwarz
-    (|corr|^2 <= slope_power * reflection_power).
+    (|corr|^2 <= slope_power * reflection_power). Where (kappa + 1)^2
+    overflows (kappa above ~1.3e154) the fraction is divided through by it:
+    with u = 1 / (kappa + 1) it reads 2 (1 - u) u |corr|^2 / ((2 - u) u rp + noise_var).
     """
     ch = scenario.channel
     if ch.deterministic_los:
         return np.array(sp, dtype=float, copy=True)
     kappa = ch.kappa
-    denom = (2.0 * kappa + 1.0) * rp + scenario.noise.variance * (kappa + 1.0) ** 2
+    try:
+        denom = (2.0 * kappa + 1.0) * rp + scenario.noise.variance * (kappa + 1.0) ** 2
+    except OverflowError:
+        u = 1.0 / (kappa + 1.0)
+        denom = (2.0 - u) * u * rp + scenario.noise.variance
+        return sp - 2.0 * (1.0 - u) * u * np.abs(corr) ** 2 / denom
     return sp - 2.0 * kappa * np.abs(corr) ** 2 / denom
 
 

@@ -13,6 +13,8 @@ the same at any thread count. A value that is not a non-negative integer
 is a config error.
 
 Exit codes: 0 ok, 1 usage or config error, 2 validation failure, 3 numerical failure.
+When validate exits 2 or asymptotics exits 3, stderr names each failed check
+with its deviation and tolerance.
 """
 
 from __future__ import annotations
@@ -70,6 +72,13 @@ def _load_settings(path: str) -> dict:
     except OSError as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from None
     return parse_config(text)
+
+
+def _report_failures(command: str, failures) -> None:
+    """One stderr line per failed check: its name, deviation and tolerance."""
+    for name, deviation, tolerance in failures:
+        sys.stderr.write(f"{command}: check {name} failed: deviation {deviation:.6g} "
+                         f"exceeds tolerance {tolerance:g}\n")
 
 
 def _svg_path(out: str) -> str:
@@ -184,7 +193,7 @@ def cmd_validate(args) -> int:
     header = ["scenario_label", "closed_form", "schur_from_blocks", "dense_inverse",
               "mc_estimate", "mc_std_err", "z_score"]
     rows = []
-    failed = False
+    failures = []  # (check, deviation, tolerance)
     for label, scenario in variants:
         closed = bcrb_closed_form(scenario).bound
         schur = dense = None
@@ -204,10 +213,10 @@ def cmd_validate(args) -> int:
         rows.append([label, _fmt(closed), _fmt(schur), _fmt(dense),
                      _fmt(est.value), _fmt(est.std_err), _fmt(z)])
         if abs(z) > Z_LIMIT:
-            failed = True
-        for other in (schur, dense):
+            failures.append((f"{label}.z_score", abs(z), Z_LIMIT))
+        for name, other in (("schur_from_blocks", schur), ("dense_inverse", dense)):
             if other is not None and abs(other - closed) > PAIR_RELTOL * abs(closed):
-                failed = True
+                failures.append((f"{label}.{name}", abs(other - closed) / abs(closed), PAIR_RELTOL))
     _write_csv(args.out, header, rows)
     if args.svg:
         idx = list(range(len(rows)))
@@ -215,7 +224,8 @@ def cmd_validate(args) -> int:
             ("closed_form", idx, [float(r[1]) for r in rows]),
             ("mc_estimate", idx, [float(r[4]) for r in rows]),
         ], title="bound cross-checks", xlabel="scenario index", ylabel="bound")
-    return 2 if failed else 0
+    _report_failures("validate", failures)
+    return 2 if failures else 0
 
 
 # ---------------------------------------------------------------- select
@@ -311,10 +321,11 @@ def cmd_asymptotics(args) -> int:
 
     header = ["check", "predicted", "computed", "deviation", "tolerance", "status"]
     rows = []
-    failed = False
+    failures = []
     for name, predicted, computed, deviation, tol in checks:
         ok = deviation <= tol
-        failed = failed or not ok
+        if not ok:
+            failures.append((name, deviation, tol))
         rows.append([name, _fmt(predicted), _fmt(computed), _fmt(deviation),
                      _fmt(tol), "ok" if ok else "fail"])
     _write_csv(args.out, header, rows)
@@ -324,7 +335,8 @@ def cmd_asymptotics(args) -> int:
             ("deviation", idx, [max(c[3], 1e-18) for c in checks]),
             ("tolerance", idx, [c[4] for c in checks]),
         ], title="asymptotic checks", xlabel="check index", ylabel="deviation", ylog=True)
-    return 3 if failed else 0
+    _report_failures("asymptotics", failures)
+    return 3 if failures else 0
 
 
 # ---------------------------------------------------------------- wiring

@@ -188,6 +188,18 @@ def test_partial_fading_knowledge_costs_information():
         assert res.bound > ray
 
 
+@pytest.mark.parametrize("kappa", [1e150, 1e154, 1e155, 1e200, 1e300, 1e308])
+def test_huge_kappa_bound_is_the_los_bound(kappa):
+    # (kappa + 1)^2 overflows a float past ~1.3e154, where the fading term
+    # switches to its 1/(kappa + 1) form; both sides reach the LoS limit
+    los = bcrb_closed_form(_scenario(los=True))
+    res = bcrb_closed_form(_scenario(kappa=kappa))
+    assert res.bound == pytest.approx(los.bound, rel=1e-12, abs=0.0)
+    np.testing.assert_allclose(res.contributions, los.contributions, rtol=1e-12, atol=0.0)
+    sc = _scenario(kappa=kappa)
+    assert subcarrier_contribution(sc, 3) == pytest.approx(los.contributions[3], rel=1e-12, abs=0.0)
+
+
 def test_decomposition_identity():
     for kappa, los in ((0.0, False), (2.5, False), (0.0, True)):
         res = bcrb_closed_form(_scenario(kappa=kappa, los=los))

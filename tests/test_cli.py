@@ -3,6 +3,7 @@
 import csv
 import functools
 import os
+import re
 import subprocess
 import sys
 
@@ -230,9 +231,29 @@ def test_sweep_slope_scale_overflow_exits_3(tmp_path, capsys, key, value):
     assert "sensor.half_width" in err and "sensor.shift_rate" in err
 
 
+@pytest.mark.parametrize("kappa", ["1e155", "1e200", "1e300", "1e308"])
+def test_huge_kappa_exits_0_at_the_los_bound(tmp_path, kappa):
+    # (kappa + 1)^2 overflows a float past ~1.3e154; the bound must still reach
+    # the deterministic-LoS limit. validate's prior channel information
+    # 2 (kappa + 1) overflows at 1e308, so it is checked up to 1e300 only.
+    path = tmp_path / "kappa.cfg"
+    path.write_text(BASE_CFG.replace("channel.kappa = 1.0", f"channel.kappa = {kappa}"))
+    los = tmp_path / "los.cfg"
+    los.write_text(BASE_CFG + "channel.los = true\n")
+    sweep = ["sweep", "--axis", "snr_db", "--values", "0,20"]
+    commands = [sweep, ["select", "--budget", "4"]]
+    if kappa != "1e308":
+        commands.append(["validate", "--samples", "2000"])
+    for cmd in commands:
+        assert main([*cmd, "--config", str(path), "--out", str(tmp_path / f"{cmd[0]}.csv")]) == 0, cmd
+    assert main([*sweep, "--config", str(los), "--out", str(tmp_path / "los.csv")]) == 0
+    for got, want in zip(_rows(tmp_path / "sweep.csv"), _rows(tmp_path / "los.csv"), strict=True):
+        assert float(got["bcrb"]) == pytest.approx(float(want["bcrb"]), rel=1e-12, abs=0.0)
+
+
 def test_narrow_fwhm_sweep_never_imports_scipy_integrate(tmp_path):
-    # every tone of a default-grid fwhm sweep down to 0.004 sits within the
-    # Faddeeva closed form's |z| range, so adaptive quadrature never runs
+    # no moment rule needs scipy.integrate, and a default-grid fwhm sweep down
+    # to 0.004 must not pull its import cost in through any other path
     import metabcrb
     path = tmp_path / "default.cfg"
     path.write_text("# package defaults\n")
@@ -280,7 +301,16 @@ def test_validate_schema_and_agreement(cfg, tmp_path):
     assert float(los["mc_std_err"]) == 0.0 and float(los["z_score"]) == 0.0
 
 
-def test_validate_biased_oracle_exits_2(cfg, tmp_path, monkeypatch):
+def _failure_lines(err, command):
+    """(check, deviation, tolerance) from the stderr lines of failed checks."""
+    pattern = re.compile(rf"^{command}: check (\S+) failed: deviation (\S+) exceeds tolerance (\S+)$")
+    lines = err.strip().splitlines()
+    matches = [pattern.match(line) for line in lines]
+    assert all(matches), lines
+    return [(m[1], float(m[2]), float(m[3])) for m in matches]
+
+
+def test_validate_biased_oracle_exits_2(cfg, tmp_path, monkeypatch, capsys):
     import metabcrb.cli as cli_mod
 
     def biased(scenario, samples, seed=0):
@@ -291,6 +321,29 @@ def test_validate_biased_oracle_exits_2(cfg, tmp_path, monkeypatch):
     rc = main(["validate", "--config", cfg, "--out", str(tmp_path / "val.csv"),
                "--samples", "1000"])
     assert rc == 2
+    failures = _failure_lines(capsys.readouterr().err, "validate")
+    assert [f[0] for f in failures] == ["configured.z_score", "rayleigh.z_score", "det_los.z_score"]
+    for _, deviation, tolerance in failures:
+        assert deviation == pytest.approx(50.0, rel=1e-9) and tolerance == 4.0
+
+
+def test_validate_names_failed_path_agreement_on_stderr(cfg, tmp_path, monkeypatch, capsys):
+    import metabcrb.cli as cli_mod
+
+    def exact(scenario, samples, seed=0):
+        closed = bcrb_closed_form(scenario).bound
+        return McEstimate(value=closed, std_err=closed * 0.01, samples=samples)
+
+    schur = cli_mod.bcrb_from_blocks
+    monkeypatch.setattr(cli_mod, "mc_bound", exact)
+    monkeypatch.setattr(cli_mod, "bcrb_from_blocks", lambda blocks: schur(blocks) * (1.0 + 1e-6))
+    rc = main(["validate", "--config", cfg, "--out", str(tmp_path / "val.csv"),
+               "--samples", "1000", "--dense-check"])
+    assert rc == 2
+    failures = _failure_lines(capsys.readouterr().err, "validate")
+    assert [f[0] for f in failures] == ["configured.schur_from_blocks", "rayleigh.schur_from_blocks"]
+    for _, deviation, tolerance in failures:
+        assert deviation == pytest.approx(1e-6, rel=1e-6) and tolerance == 1e-9
 
 
 def test_validate_single_chunk_oracle_exits_1(cfg, tmp_path, capsys):
@@ -364,6 +417,22 @@ def test_asymptotics_report_all_checks_pass(cfg, tmp_path):
     assert "bound_depth_slope_wide" in names
     for r in rows:
         assert float(r["deviation"]) <= float(r["tolerance"])
+
+
+def test_asymptotics_names_failed_checks_on_stderr(cfg, tmp_path, monkeypatch, capsys):
+    import metabcrb.cli as cli_mod
+
+    wide_limit = cli_mod.slope_power_wide_limit
+    monkeypatch.setattr(cli_mod, "slope_power_wide_limit", lambda s, delta: 2.0 * wide_limit(s, delta))
+    out = str(tmp_path / "asym.csv")
+    assert main(["asymptotics", "--config", cfg, "--out", out]) == 3
+    failures = _failure_lines(capsys.readouterr().err, "asymptotics")
+    failed_rows = [r for r in _rows(out) if r["status"] == "fail"]
+    assert [f[0] for f in failures] == [r["check"] for r in failed_rows]
+    assert len(failures) == 2 and all(f[0].startswith("slope_power_wide") for f in failures)
+    for (_, deviation, tolerance), row in zip(failures, failed_rows):
+        assert deviation == pytest.approx(float(row["deviation"]), rel=1e-5)
+        assert tolerance == float(row["tolerance"])
 
 
 # --------------------------------------------------------------- misc

@@ -16,8 +16,10 @@ from scipy.integrate import quad
 from metabcrb import (McEstimate, MonteCarlo, Quadrature, SensingPrior,
                       SensorModel, corr_magsq, expect_over_prior,
                       reflection_power, slope_power, slope_reflection_corr)
-from metabcrb.expectations import (_gh_nodes, _kernel_means_gh, kernel_means,
-                                   prior_moments)
+from metabcrb.config import parse_config, scenario_from_settings
+from metabcrb.expectations import (FADDEEVA_ZMAX, FAR_ZMIN, _gh_nodes,
+                                   _kernel_means_gh, detuning_stats,
+                                   kernel_means, prior_moments)
 
 # (depth, half_width, shift_rate, offset, prior mean, prior std, frequency)
 #   -> (slope_power, corr re, corr im, reflection_power)
@@ -121,7 +123,7 @@ def test_spiky_narrow_regime_against_oracle():
         assert reflection_power(sensor, f, prior) == pytest.approx(rp_o, rel=1e-7)
 
 
-# Narrow-dip kernel means at 30 significant digits with mpmath 1.3.0, frozen:
+# Kernel means at 30 significant digits with mpmath 1.3.0, frozen:
 # E[1/(1+x^2)^2], E[1/(1+x^2)], E[x/(1+x^2)^2] for x ~ N(x0, s^2), each the
 # Faddeeva closed form in mpmath's erfc, cross-checked against mpmath
 # tanh-sinh quadrature of the raw kernels with breakpoints on the spike
@@ -153,9 +155,34 @@ HIGH_PRECISION = [
     (200000.0, 100000.0, 8.480881189174326e-07, 1.696204234940929e-06, 1.696172235706818e-11),
     (300000.0, 100000.0, 6.961531209168643e-08, 1.3924857413573803e-07, 2.0885320288053367e-12),
     (400000.0, 100000.0, 2.1022002720328876e-09, 4.212559056084232e-09, 8.411598298218815e-14),
-    # far band, |z| ~ 2357 > FADDEEVA_ZMAX: the adaptive route, whose means lie
+    # far band, |z| ~ 2357 >= FAR_ZMIN: the far Gauss-Hermite zone, whose means lie
     # far below any fixed absolute error floor (same mpmath construction at 50 digits)
     (1e4, 3.0, 1.0000008800008131e-16, 1.0000002600001126e-08, 1.0000005200003379e-12),
+    # Same construction at 60 digits, cross-checked against mpmath quadrature at
+    # 40 digits (equal as doubles). x0 = zeta s sqrt 2 to 6 digits, zeta = |Re z|.
+    # The sinh zone, s in {1.2, 2.86, 100, 1e5} x zeta in {3.6, 5, 8}, then
+    # far tones of the s <= 1 Gauss-Hermite zone, s in {1e-3, 0.5, 1} x zeta in {30, 1e4}.
+    (6.1094, 1.2, 0.001098632974064919, 0.02959397100448447, 0.005383940930635188),
+    (8.48528, 1.2, 0.00023368089432349135, 0.014582006299509285, 0.001807093173119357),
+    (13.5765, 1.2, 3.1565061674705775e-05, 0.005525968703223875, 0.0004146642538375156),
+    (14.5607, 2.86, 3.839702704156522e-05, 0.00537789760646731, 0.0004290759384274525),
+    (20.2233, 2.86, 7.461987163571956e-06, 0.0026015216325213667, 0.00013728618552271855),
+    (32.3572, 2.86, 9.879144992422373e-07, 0.0009774430660114037, 3.092552953341072e-05),
+    (509.117, 100.0, 1.4786472286211848e-08, 4.4594968251967565e-06, 1.0960872602397555e-08),
+    (707.107, 100.0, 5.1121733935627286e-12, 2.1340681588904293e-06, 3.2312149754701045e-09),
+    (1131.37, 100.0, 6.62359451038818e-13, 8.003185019967257e-07, 7.249516961304078e-10),
+    (509117.0, 100000.0, 1.4742490578783595e-11, 3.391505528236598e-11, 7.607765648401292e-16),
+    (707107.0, 100000.0, 8.70284406056638e-17, 2.1342470670704302e-12, 3.237378775494926e-18),
+    (1131370.0, 100000.0, 6.62360587913319e-25, 8.003191643560821e-13, 7.249529172265859e-19),
+    (0.0424264, 0.001, 0.9964077300992632, 0.9982022455139045, 0.04227382412931325),
+    (14.1421, 0.001, 2.4752111960137084e-05, 0.004975149391727441, 0.0003500468355853132),
+    (21.2132, 0.5, 4.943738666587748e-06, 0.0022209821840737747, 0.0001046393387347572),
+    (7071.07, 0.5, 3.9999950888205214e-16, 1.9999987522047783e-08, 2.8284244707021565e-12),
+    (42.4264, 1.0, 3.1002023821954494e-07, 0.0005561740505709767, 1.3123748379736189e-05),
+    (14142.1, 1.0, 2.5000252899418735e-17, 5.000025239877409e-09, 3.535560694577124e-13),
+    # s = 1e7, zeta in {3.6, 5}: mx must not lose digits in proportion to s
+    (50911700.0, 10000000.0, 1.4742490560390656e-13, 2.9529281862757485e-13, 7.506673697536322e-20),
+    (70710700.0, 10000000.0, 8.70284353675117e-19, 2.1514786972786389e-16, 3.846609092414565e-24),
 ]
 
 
@@ -169,7 +196,8 @@ def test_narrow_kernel_means_match_high_precision_table(x0, s, m2, m1, mx):
 
 def test_far_tail_adaptive_kernels_do_not_overflow():
     # a tone 1e10 away from a 1e-140-wide dip: x ~ 1e150, so (1 + x^2)^2 exceeds
-    # the float range; the kernels must go to 0 there instead of raising
+    # the float range on the far Gauss-Hermite route; the kernels must go to 0
+    # there without raising or warning (the test run turns RuntimeWarning into errors)
     sensor = SensorModel(absorption_depth=0.9, half_width=1e-140, shift_rate=1.0)
     sp, corr, rp = prior_moments(sensor, 1e10, SensingPrior(mean=0.0, std=1.0))
     assert sp == 0.0 and rp == 1.0
@@ -200,6 +228,41 @@ def test_blocked_gauss_hermite_is_bitwise_single_shot(tones):
     for order in (200, 400, 800):
         assert np.array_equal(_kernel_means_gh(x0, 1.3, order),
                               _kernel_means_gh_single_shot(x0, 1.3, order))
+
+
+@pytest.mark.parametrize("count", [16, 128, 1024])
+def test_unit_spread_default_grids_keep_the_order_800_table(count):
+    # At s = 1 every tone takes Gauss-Hermite at order 800. `select` orders
+    # exactly tied +-f tones by the last bit of this table, and the benchmark's
+    # stored `select` output pins that tie order, so the table must not move.
+    sc = scenario_from_settings(parse_config(f"grid.count = {count}\n"))
+    freqs = sc.grid.as_array()
+    x0, s = detuning_stats(sc.sensor, freqs, sc.prior)
+    assert s == 1.0
+    assert np.array_equal(kernel_means(sc.sensor, freqs, sc.prior), _kernel_means_gh(x0, 1.0, 800))
+
+
+def _x0_at(abs_z, s):
+    """Detuning center with |(j - x0) / (s sqrt 2)| = abs_z."""
+    return math.sqrt(2.0 * s * s * abs_z * abs_z - 1.0)
+
+
+def test_kernel_means_are_continuous_across_routing_edges():
+    sensor = SensorModel(absorption_depth=0.9, half_width=1.0, shift_rate=1.0)
+
+    def km(x0, s):
+        return kernel_means(sensor, np.asarray(x0, dtype=float), SensingPrior(mean=0.0, std=s))
+
+    # s = 1 - 1e-12 is all Gauss-Hermite; s = 1 + 1e-12 spans every zone
+    x0 = np.linspace(-40.0, 40.0, 160)
+    np.testing.assert_allclose(km(x0, 1.0 + 1e-12), km(x0, 1.0 - 1e-12), rtol=1e-11, atol=0.0)
+    for s in (1.2, 2.86, 100.0, 1e5):
+        for edge in (FADDEEVA_ZMAX, FAR_ZMIN):
+            x0 = [_x0_at(edge * (1.0 - 1e-13), s), _x0_at(edge * (1.0 + 1e-13), s)]
+            z = np.abs((1j - np.asarray(x0)) / (math.sqrt(2.0) * s))
+            assert z[0] < edge < z[1]
+            below, above = km(x0, s).T
+            np.testing.assert_allclose(above, below, rtol=1e-11, atol=0.0)
 
 
 def test_gauss_hermite_polynomial_exactness():
