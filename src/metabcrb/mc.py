@@ -5,6 +5,12 @@ prior, form the exact conditional Fisher information of the observation
 model y_k = h_r gamma_k(c) h_t + noise for every draw, average, add the
 prior information, invert. Nothing here reuses the analytic fading
 averages, so agreement with bcrb_closed_form validates them.
+
+Draws come in chunks of MC_CHUNK, each from its own counter-based
+generator. A chunk's standard normals depend only on the prior, the tone
+count and (seed, chunk index); the channel enters only through the map
+mean + sigma z. So one draw per chunk serves every scenario that differs
+only in its channel, such as validate's configured and Rayleigh variants.
 """
 
 from __future__ import annotations
@@ -31,19 +37,42 @@ class ParameterSample:
     transmit: np.ndarray
 
 
+def _draw_normals(prior, rng: np.random.Generator, z: np.ndarray) -> np.ndarray:
+    """Condition draws (size,) for one chunk, and the channels' standard normals.
+
+    z (4, size, L) is filled in place, in generator order, with the normals
+    of Re h_r, Im h_r, Re h_t and Im h_t. A z with L = 0 draws none.
+    """
+    c = prior.mean + prior.std * rng.standard_normal(z.shape[1])
+    rng.standard_normal(out=z)
+    return c
+
+
+def _channels(channel, z: np.ndarray) -> np.ndarray:
+    """Re h_r, Im h_r, Re h_t, Im h_t (4, ..., L) from the normals z of _draw_normals.
+
+    The real parts are mean + sigma z and the imaginary parts sigma z, so h_r
+    and h_t are CN(mean, scatter_variance) per tone.
+    """
+    parts = np.multiply(math.sqrt(channel.scatter_variance() / 2.0), z)
+    parts[0::2] += channel.mean()
+    return parts
+
+
 def draw_samples(scenario: Scenario, size: int, rng: np.random.Generator):
     """Vectorized draws; channels are CN(mean, scatter_variance) per tone."""
     count = scenario.grid.count
-    c = scenario.prior.mean + scenario.prior.std * rng.standard_normal(size)
-    ch = scenario.channel
-    if ch.deterministic_los:
+    los = scenario.channel.deterministic_los
+    z = np.empty((4, size, 0 if los else count))
+    c = _draw_normals(scenario.prior, rng, z)
+    if los:
         ones = np.ones((size, count), dtype=complex)
         return c, ones, ones.copy()
-    mean = ch.mean()
-    sigma = math.sqrt(ch.scatter_variance() / 2.0)
-    h_r = mean + sigma * (rng.standard_normal((size, count)) + 1j * rng.standard_normal((size, count)))
-    h_t = mean + sigma * (rng.standard_normal((size, count)) + 1j * rng.standard_normal((size, count)))
-    return c, h_r, h_t
+    parts = _channels(scenario.channel, z)
+    h = np.empty((2, size, count), dtype=complex)
+    h.real = parts[0::2]
+    h.imag = parts[1::2]
+    return c, h[0], h[1]
 
 
 def conditional_fim(scenario: Scenario, sample: ParameterSample) -> np.ndarray:
@@ -94,68 +123,130 @@ class McBlocks:
     chunk_sizes: np.ndarray
 
 
-def _chunk_block_means(scenario: Scenario, c, h_r, h_t):
+def _sensor_terms(sensor, freqs: np.ndarray, c: np.ndarray):
+    """Per-draw sensor terms of conditions c (..., n) on tones freqs (L,), each (..., n, L).
+
+    With x the detuning, r = 1 / (1 + x^2), q = x^2 r, d the depth and
+    S = depth * shift_rate / half_width: |gamma'|^2 = (S r)^2,
+    |gamma|^2 = (1 - d)^2 r + q and conj(gamma') gamma =
+    S r (-(2 - d) x r + j ((1 - d) r - q)). Nothing cancels near the dip
+    centre, and a detuning whose square leaves the float range gives the
+    limits r = 0 and q = 1, not inf * 0.
+    Returns (|gamma'|^2, Re and Im of conj(gamma') gamma, |gamma|^2).
+    """
+    d = sensor.absorption_depth
+    x = sensor.detuning(freqs, c[..., None])
+    with np.errstate(over="ignore", divide="ignore"):
+        x2 = x * x  # inf once |x| passes 1.3e154
+        q = 1.0 / (1.0 + 1.0 / x2)
+    r = 1.0 / (1.0 + x2)
+    sr = (d * sensor.shift_rate / sensor.half_width) * r
+    core_re = (-(2.0 - d) * x) * (r * sr)
+    core_im = ((1.0 - d) * r - q) * sr
+    power = (1.0 - d) ** 2 * r + q
+    return sr * sr, core_re, core_im, power
+
+
+def _draw_sum(*factors) -> np.ndarray:
+    """Sum over draws (axis -2) of the product of (..., n, L) factors, with no temporaries."""
+    return np.einsum(",".join(["...nl"] * len(factors)) + "->...l", *factors)
+
+
+def _chunk_block_means(terms, parts: np.ndarray):
     """Per-sample conditional-information entries averaged over each chunk.
 
-    Same derivative algebra as conditional_fim, vectorized and folded into the
-    arrow blocks. Draws come stacked by chunk: c (K, n), h_r and h_t (K, n, L).
-    Returns (a_mean (K,), b_mean (K, L, 4), d_mean (K, L, 4, 4)) without the
-    2/noise_var scale or prior terms.
+    The derivative algebra of conditional_fim folded into the arrow blocks, in
+    real arithmetic. `terms` come from _sensor_terms and `parts` from
+    _channels: Re h_r, Im h_r, Re h_t, Im h_t, each stacked by chunk (K, n, L).
+    Returns (a_mean (K,), b_mean (K, L, 4), d_parts (K, L, 4)) without the
+    2/noise_var scale or prior terms; d_parts holds the four distinct entries
+    of each channel block, see _arrow_d.
     """
-    freqs = scenario.grid.as_array()
-    gamma = scenario.sensor.reflection(freqs, c[..., None])
-    dgamma = scenario.sensor.reflection_dc(freqs, c[..., None])
+    slope_sq, core_re, core_im, power = terms
+    p, q, u, v = parts
+    n = p.shape[-2]
+    mag_r = np.einsum("i...,i...->...", parts[:2], parts[:2])
+    mag_t = np.einsum("i...,i...->...", parts[2:], parts[2:])
+    # per-draw sums over tones, then a pairwise mean over draws: the terms are
+    # all positive, so this keeps the rounding at log2(n) ulp, not n
+    a_mean = np.mean(np.einsum("...nl,...nl,...nl->...n", slope_sq, mag_r, mag_t), axis=-1)
 
-    a_mean = np.mean(np.sum(np.abs(h_r * dgamma * h_t) ** 2, axis=-1), axis=-1)
-
-    core = np.conj(dgamma) * gamma
-    w1 = np.conj(h_r) * np.abs(h_t) ** 2 * core
-    w2 = np.abs(h_r) ** 2 * np.conj(h_t) * core
+    # conj(h_r) |h_t|^2 core and |h_r|^2 conj(h_t) core, split into parts
     b_mean = np.stack([
-        np.mean(w1.real, axis=-2),
-        np.mean(-w1.imag, axis=-2),
-        np.mean(w2.real, axis=-2),
-        np.mean(-w2.imag, axis=-2),
-    ], axis=-1)
+        _draw_sum(mag_t, p, core_re) + _draw_sum(mag_t, q, core_im),
+        _draw_sum(mag_t, q, core_re) - _draw_sum(mag_t, p, core_im),
+        _draw_sum(mag_r, u, core_re) + _draw_sum(mag_r, v, core_im),
+        _draw_sum(mag_r, v, core_re) - _draw_sum(mag_r, u, core_im),
+    ], axis=-1) / n
 
-    power = np.abs(gamma) ** 2
-    d11 = np.mean(power * np.abs(h_t) ** 2, axis=-2)
-    d22 = np.mean(power * np.abs(h_r) ** 2, axis=-2)
-    z12 = np.mean(h_r * np.conj(h_t) * power, axis=-2)
-
-    d_mean = np.zeros(d11.shape + (4, 4))
-    d_mean[..., 0, 0] = d_mean[..., 1, 1] = d11
-    d_mean[..., 2, 2] = d_mean[..., 3, 3] = d22
-    d_mean[..., 0, 2] = d_mean[..., 2, 0] = z12.real
-    d_mean[..., 1, 3] = d_mean[..., 3, 1] = z12.real
-    d_mean[..., 0, 3] = d_mean[..., 3, 0] = -z12.imag
-    d_mean[..., 1, 2] = d_mean[..., 2, 1] = z12.imag
-    return a_mean, b_mean, d_mean
+    # |gamma|^2 times |h_t|^2, |h_r|^2 and h_r conj(h_t)
+    d_parts = np.stack([
+        _draw_sum(power, mag_t),
+        _draw_sum(power, mag_r),
+        _draw_sum(power, p, u) + _draw_sum(power, q, v),
+        _draw_sum(power, q, u) - _draw_sum(power, p, v),
+    ], axis=-1) / n
+    return a_mean, b_mean, d_parts
 
 
-def mc_blocks(scenario: Scenario, samples: int, seed: int = 0) -> McBlocks:
-    """Monte Carlo estimate of the information blocks, prior terms included.
+def _arrow_d(d_parts: np.ndarray) -> np.ndarray:
+    """Channel blocks (..., L, 4, 4) from their distinct entries (..., L, 4).
 
-    The standard errors come from the spread of chunk means, so the draws
-    must fill at least two chunks of MC_CHUNK.
+    The entries are |gamma|^2 |h_t|^2, |gamma|^2 |h_r|^2 and the real and
+    imaginary parts of z12 = |gamma|^2 h_r conj(h_t), in the coordinate order
+    (Re h_r, Im h_r, Re h_t, Im h_t).
     """
-    if scenario.channel.deterministic_los:
-        raise ValueError("deterministic LoS has no channel blocks to estimate")
+    d11, d22, z12_re, z12_im = np.moveaxis(d_parts, -1, 0)
+    d = np.zeros(d_parts.shape + (4,))
+    d[..., 0, 0] = d[..., 1, 1] = d11
+    d[..., 2, 2] = d[..., 3, 3] = d22
+    d[..., 0, 2] = d[..., 2, 0] = z12_re
+    d[..., 1, 3] = d[..., 3, 1] = z12_re
+    d[..., 0, 3] = d[..., 3, 0] = -z12_im
+    d[..., 1, 2] = d[..., 2, 1] = z12_im
+    return d
+
+
+def _shared_chunk_means(scenarios, samples: int, seed: int):
+    """Chunk means (a, b, d_parts) of each scenario from one set of draws, and the chunk sizes.
+
+    The scenarios must share prior, sensor and grid and have random channels.
+    Each chunk draws its standard normals once and forms the sensor terms
+    once; only the channel map and the channel-dependent sums run per
+    scenario. So every scenario gets bitwise the chunk means that a call
+    with it alone gives.
+    """
+    first = scenarios[0]
+    for sc in scenarios:
+        if (sc.prior, sc.sensor, sc.grid) != (first.prior, first.sensor, first.grid):
+            raise ValueError("scenarios sharing draws must have the same prior, sensor and grid")
+        if sc.channel.deterministic_los:
+            raise ValueError("deterministic LoS has no channel blocks to estimate")
     if samples <= MC_CHUNK:
         raise ValueError(f"need at least {MC_CHUNK + 1} samples (two chunks of {MC_CHUNK}) "
                          f"to estimate the Monte Carlo error, got {samples}")
+    freqs = first.grid.as_array()
 
     def run_means(chunks):
-        draws = [draw_samples(scenario, size, rng) for rng, size in chunks]
-        # a run of one chunk (wide grids) is viewed with a leading axis, not copied
-        stacked = (np.stack(parts) if len(parts) > 1 else parts[0][None] for parts in zip(*draws))
-        return list(zip(*_chunk_block_means(scenario, *stacked)))
+        # a run's chunks share one size; its normals are the only draws held
+        z = np.empty((len(chunks), 4, chunks[0][1], freqs.size))
+        c = np.array([_draw_normals(first.prior, rng, zk) for (rng, _), zk in zip(chunks, z)])
+        terms = _sensor_terms(first.sensor, freqs, c)
+        z = np.moveaxis(z, 1, 0)
+        means = [_chunk_block_means(terms, _channels(sc.channel, z)) for sc in scenarios]
+        # one result per chunk: its (a, b, d_parts) for each scenario
+        return [[tuple(m[k] for m in parts) for parts in means] for k in range(len(chunks))]
 
-    means = _map_chunks(run_means, seed, samples, scenario.grid.count)
-    chunk_a, chunk_b, chunk_d = (np.array(parts) for parts in zip(*means))
+    per_chunk = _map_chunks(run_means, seed, samples, freqs.size)
+    sizes = np.minimum(MC_CHUNK, samples - MC_CHUNK * np.arange(len(per_chunk))).astype(float)
+    return [[np.array(parts) for parts in zip(*means)] for means in zip(*per_chunk)], sizes
+
+
+def _blocks_from_chunks(scenario: Scenario, chunk_means, sizes, samples: int) -> McBlocks:
+    """Size-weighted blocks, prior terms included, and their errors from the chunk spread."""
+    chunk_a, chunk_b, d_parts = chunk_means
+    chunk_d = _arrow_d(d_parts)
     n_chunks = chunk_a.size
-    sizes = np.minimum(MC_CHUNK, samples - MC_CHUNK * np.arange(n_chunks)).astype(float)
-
     weights = sizes / samples
     two_over = 2.0 / scenario.noise.variance
     a_mean = float(np.sum(weights * chunk_a))
@@ -183,6 +274,16 @@ def mc_blocks(scenario: Scenario, samples: int, seed: int = 0) -> McBlocks:
     )
 
 
+def mc_blocks(scenario: Scenario, samples: int, seed: int = 0) -> McBlocks:
+    """Monte Carlo estimate of the information blocks, prior terms included.
+
+    The standard errors come from the spread of chunk means, so the draws
+    must fill at least two chunks of MC_CHUNK.
+    """
+    means, sizes = _shared_chunk_means((scenario,), samples, seed)
+    return _blocks_from_chunks(scenario, means[0], sizes, samples)
+
+
 def _bound_from_avg(scenario: Scenario, blocks: McBlocks, weights: np.ndarray) -> np.ndarray:
     """Bounds from the chunk means averaged with each row of `weights` (R, n_chunks)."""
     two_over = 2.0 / scenario.noise.variance
@@ -191,6 +292,31 @@ def _bound_from_avg(scenario: Scenario, blocks: McBlocks, weights: np.ndarray) -
     d = two_over * np.einsum("ri,iklm->rklm", weights, blocks.chunk_d)
     d[..., np.arange(4), np.arange(4)] += scenario.channel.prior_info_per_coordinate()
     return 1.0 / (a - _schur_coupling(b, d))
+
+
+def _bootstrap_bound(scenario: Scenario, blocks: McBlocks, seed: int) -> McEstimate:
+    """Bound from the blocks, with a block-bootstrap standard error over chunk means."""
+    sizes = blocks.chunk_sizes
+    rng = np.random.Generator(np.random.Philox(
+        np.random.SeedSequence(entropy=seed, spawn_key=(_BOOT_KEY,))))
+    picks = rng.integers(0, sizes.size, size=(BOOTSTRAP_RESAMPLES, sizes.size))
+    # each resample weighs a chunk by its size times how often it was picked
+    resampled = np.zeros(picks.shape)
+    np.add.at(resampled, (np.arange(BOOTSTRAP_RESAMPLES)[:, None], picks), sizes[picks])
+    resampled /= np.sum(resampled, axis=1, keepdims=True)
+    bounds = _bound_from_avg(scenario, blocks, np.vstack([sizes / blocks.samples, resampled]))
+    return McEstimate(value=float(bounds[0]), std_err=float(np.std(bounds[1:], ddof=1)),
+                      samples=blocks.samples)
+
+
+def _mc_bounds(scenarios, samples: int, seed: int) -> list:
+    """mc_bound of each random-channel scenario, all from one set of draws.
+
+    The blocks are built one scenario at a time, so one chunk_d store is alive.
+    """
+    means, sizes = _shared_chunk_means(scenarios, samples, seed)
+    return [_bootstrap_bound(sc, _blocks_from_chunks(sc, m, sizes, samples), seed)
+            for sc, m in zip(scenarios, means)]
 
 
 def mc_bound(scenario: Scenario, samples: int, seed: int = 0) -> McEstimate:
@@ -206,18 +332,7 @@ def mc_bound(scenario: Scenario, samples: int, seed: int = 0) -> McEstimate:
     """
     if scenario.channel.deterministic_los:
         return McEstimate(value=bcrb_closed_form(scenario).bound, std_err=0.0, samples=samples)
-    blocks = mc_blocks(scenario, samples, seed)
-    sizes = blocks.chunk_sizes
-    rng = np.random.Generator(np.random.Philox(
-        np.random.SeedSequence(entropy=seed, spawn_key=(_BOOT_KEY,))))
-    picks = rng.integers(0, sizes.size, size=(BOOTSTRAP_RESAMPLES, sizes.size))
-    # each resample weighs a chunk by its size times how often it was picked
-    resampled = np.zeros(picks.shape)
-    np.add.at(resampled, (np.arange(BOOTSTRAP_RESAMPLES)[:, None], picks), sizes[picks])
-    resampled /= np.sum(resampled, axis=1, keepdims=True)
-    bounds = _bound_from_avg(scenario, blocks, np.vstack([sizes / samples, resampled]))
-    return McEstimate(value=float(bounds[0]), std_err=float(np.std(bounds[1:], ddof=1)),
-                      samples=samples)
+    return _bootstrap_bound(scenario, mc_blocks(scenario, samples, seed), seed)
 
 
 def posterior_mean_mse(scenario: Scenario, trials: int, grid_points: int = 2000,

@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .sensor import SensorModel
+
+_MAX_STD = math.sqrt(sys.float_info.max)  # largest prior std whose square is a finite float
 
 
 @dataclass(frozen=True)
@@ -22,6 +25,8 @@ class SensingPrior:
             raise ValueError(f"prior mean must be finite, got {self.mean}")
         if not (self.std > 0.0 and np.isfinite(self.std)):
             raise ValueError(f"prior std must be positive and finite, got {self.std}")
+        if self.std > _MAX_STD:
+            raise ValueError(f"prior std {self.std!r} is too large: std^2 overflows above {_MAX_STD!r}")
         if not (self.std**2 > 0.0 and math.isfinite(1.0 / self.std**2)):
             raise ValueError(f"prior std {self.std!r} is too small: 1 / std^2 is not a finite float")
 

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -308,3 +309,43 @@ def test_selection_prefers_tones_near_resonance():
     assert picked[0] == 0.0
     dists = [abs(f) for f in picked]
     assert all(d2 >= d1 for d1, d2 in zip(dists, dists[1:]))
+
+
+# ------------------------------------------------------- extreme values
+
+EXTREME_WIDTHS = (1e-8, 1e-4, 1.0, 1e4, 1e8)
+EXTREME_SNRS_DB = (-200.0, -100.0, 0.0, 20.0, 100.0, 300.0)
+EXTREME_DEPTHS = (0.0, 0.5, 1.0)
+EXTREME_CHANNELS = (RicianSpec(kappa=0.0), RicianSpec(kappa=1.0), RicianSpec(kappa=1e10),
+                    RicianSpec(kappa=1e300), RicianSpec(deterministic_los=True))
+# Known failures, pinned: on a dip 1e8 half-widths wide with tones 0.05 apart
+# and full depth, reflection_power = 1 - d (2 - d) m1 is pure rounding (the
+# true value is about x^2 ~ 1e-19), and at 300 dB that rounding dominates the
+# fading term, so the denominator comes out negative. (width, snr_db, depth, kappa)
+KNOWN_NONPOSITIVE = {(1e8, 300.0, 1.0, 1.0), (1e8, 300.0, 1.0, 1e10)}
+
+
+@pytest.mark.parametrize("spacing", ["half_width", "fixed"])
+def test_closed_form_over_extreme_values(spacing):
+    # 8 tones 0.5 half-widths apart (always inside the dip) or 0.05 apart
+    # whatever the width; the prior variance is 0.25 so depth 0 must give it
+    # exactly
+    prior_var = 0.25
+    failing = set()
+    for width, snr_db, depth, channel in itertools.product(
+            EXTREME_WIDTHS, EXTREME_SNRS_DB, EXTREME_DEPTHS, EXTREME_CHANNELS):
+        step = 0.5 * width if spacing == "half_width" else 0.05
+        sc = replace(_scenario(depth=depth, width=width, std=0.5, snr_db=snr_db, spacing=step),
+                     channel=channel)
+        cell = (width, snr_db, depth, channel.kappa)
+        try:
+            bound = bcrb_closed_form(sc).bound
+        except ArithmeticError as exc:
+            assert "bound denominator is not positive" in str(exc), cell
+            assert not channel.deterministic_los, cell
+            failing.add(cell)
+            continue
+        assert math.isfinite(bound) and 0.0 < bound <= prior_var, (cell, bound)
+        if depth == 0.0:
+            assert bound == prior_var, cell
+    assert failing == (KNOWN_NONPOSITIVE if spacing == "fixed" else set())

@@ -2,6 +2,7 @@
 
 import csv
 import functools
+import itertools
 import os
 import re
 import subprocess
@@ -231,6 +232,65 @@ def test_sweep_slope_scale_overflow_exits_3(tmp_path, capsys, key, value):
     assert "sensor.half_width" in err and "sensor.shift_rate" in err
 
 
+@pytest.mark.parametrize("std", ["1e154", "1e155", "1e200"])
+def test_huge_prior_std_is_a_named_config_error(tmp_path, capsys, std):
+    # std^2 overflows a float above sqrt(max float) = 1.3407807929942596e154
+    path = tmp_path / "wide.cfg"
+    path.write_text(BASE_CFG.replace("prior.std = 1.0", f"prior.std = {std}"))
+    rc = main(["sweep", "--config", str(path), "--out", str(tmp_path / "x.csv"),
+               "--axis", "depth", "--values", "0.5"])
+    err = capsys.readouterr().err
+    if std == "1e154":
+        assert rc == 0 and err == ""
+        return
+    assert rc == 1
+    assert err.startswith("config error: prior std") and "1.3407807929942596e+154" in err
+
+
+# Axis values of each extreme sweep and the cell entry (half_width, snr_db,
+# depth, kappa) they replace; fwhm values are twice the half-widths.
+EXTREME_SWEEPS = {
+    "fwhm": ("2e-8,2,2e8", 0, (1e-8, 1.0, 1e8)),
+    "snr_db": ("-200,20,300", 1, (-200.0, 20.0, 300.0)),
+    "depth": ("0,0.5,1", 2, (0.0, 0.5, 1.0)),
+    "kappa": ("0,1,1e300", 3, (0.0, 1.0, 1e300)),
+}
+# Pinned: the one cell of the grid whose closed form fails (see
+# KNOWN_NONPOSITIVE in test_bcrb.py). Every command that evaluates it exits 3.
+NONPOSITIVE_CELL = (1e8, 300.0, 1.0, 1.0)
+
+
+def test_cli_over_extreme_values(tmp_path, capsys):
+    # Every command on a 3^4 grid of half-width, SNR, depth and kappa, with 8
+    # tones 0.05 apart, exits 0 or names its failure. Pinned exit 2: on a dip
+    # 1e-8 wide at -200 dB no Monte Carlo draw carries information above
+    # rounding, so every bootstrap bound is the prior variance, the standard
+    # error is 0 and |z| = inf.
+    path = tmp_path / "extreme.cfg"
+    out = str(tmp_path / "out.csv")
+    for cell in itertools.product(*(values for _, _, values in EXTREME_SWEEPS.values())):
+        width, snr_db, depth, kappa = cell
+        path.write_text(f"sensor.half_width = {width!r}\nnoise.snr_db = {snr_db!r}\n"
+                        f"sensor.depth = {depth!r}\nchannel.kappa = {kappa!r}\n"
+                        "grid.count = 8\ngrid.spacing = 0.05\n")
+        commands = [(["select", "--budget", "2"], [cell]),
+                    (["validate", "--samples", "4000"], [cell, cell[:3] + (0.0,)])]
+        for axis, (values, index, cell_values) in EXTREME_SWEEPS.items():
+            points = [cell[:index] + (v,) + cell[index + 1:] for v in cell_values]
+            commands.append((["sweep", "--axis", axis, f"--values={values}"], points))
+        for argv, points in commands:
+            rc = main(argv + ["--config", str(path), "--out", out])
+            err = capsys.readouterr().err
+            if NONPOSITIVE_CELL in points:
+                assert rc == 3, (cell, argv)
+                assert err.startswith("numerical failure: bound denominator is not positive")
+            elif argv[0] == "validate" and width == 1e-8 and snr_db == -200.0 and depth > 0.0:
+                assert rc == 2, (cell, argv)
+                assert err.startswith("validate: check configured.z_score failed: deviation inf")
+            else:
+                assert rc == 0 and err == "", (cell, argv, err)
+
+
 @pytest.mark.parametrize("kappa", ["1e155", "1e200", "1e300", "1e308"])
 def test_huge_kappa_exits_0_at_the_los_bound(tmp_path, kappa):
     # (kappa + 1)^2 overflows a float past ~1.3e154; the bound must still reach
@@ -310,14 +370,22 @@ def _failure_lines(err, command):
     return [(m[1], float(m[2]), float(m[3])) for m in matches]
 
 
-def test_validate_biased_oracle_exits_2(cfg, tmp_path, monkeypatch, capsys):
+def _replace_oracle(monkeypatch, estimate):
+    """Give validate `estimate` as its Monte Carlo oracle, for the variants that share
+    draws and for the exact det_los call alike."""
     import metabcrb.cli as cli_mod
 
+    monkeypatch.setattr(cli_mod, "mc_bound", estimate)
+    monkeypatch.setattr(cli_mod, "_mc_bounds", lambda scenarios, samples, seed=0:
+                        [estimate(sc, samples, seed) for sc in scenarios])
+
+
+def test_validate_biased_oracle_exits_2(cfg, tmp_path, monkeypatch, capsys):
     def biased(scenario, samples, seed=0):
         closed = bcrb_closed_form(scenario).bound
         return McEstimate(value=closed * 1.5, std_err=closed * 0.01, samples=samples)
 
-    monkeypatch.setattr(cli_mod, "mc_bound", biased)
+    _replace_oracle(monkeypatch, biased)
     rc = main(["validate", "--config", cfg, "--out", str(tmp_path / "val.csv"),
                "--samples", "1000"])
     assert rc == 2
@@ -335,7 +403,7 @@ def test_validate_names_failed_path_agreement_on_stderr(cfg, tmp_path, monkeypat
         return McEstimate(value=closed, std_err=closed * 0.01, samples=samples)
 
     schur = cli_mod.bcrb_from_blocks
-    monkeypatch.setattr(cli_mod, "mc_bound", exact)
+    _replace_oracle(monkeypatch, exact)
     monkeypatch.setattr(cli_mod, "bcrb_from_blocks", lambda blocks: schur(blocks) * (1.0 + 1e-6))
     rc = main(["validate", "--config", cfg, "--out", str(tmp_path / "val.csv"),
                "--samples", "1000", "--dense-check"])

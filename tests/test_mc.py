@@ -269,7 +269,9 @@ def test_mc_bound_reruns_bit_identical():
 # ------------------------------------------------- chunk runs and threads
 
 def _block_means_one_chunk(sc, c, h_r, h_t):
-    """Block means of one (n, L) chunk as the serial chunk loop computed them, kept as the reference."""
+    """Block means of one (n, L) chunk in the complex algebra of the seed's chunk loop, kept as
+    the reference. Also returns the draw means of |term| behind each b and z12 entry, the
+    scale a rounding error of their sums is relative to."""
     freqs = sc.grid.as_array()
     gamma = sc.sensor.reflection(freqs[None, :], c[:, None])
     dgamma = sc.sensor.reflection_dc(freqs[None, :], c[:, None])
@@ -290,13 +292,33 @@ def _block_means_one_chunk(sc, c, h_r, h_t):
     d_mean[:, 1, 3] = d_mean[:, 3, 1] = z12.real
     d_mean[:, 0, 3] = d_mean[:, 3, 0] = -z12.imag
     d_mean[:, 1, 2] = d_mean[:, 2, 1] = z12.imag
-    return a_mean, b_mean, d_mean
+    b_scale = np.stack([np.mean(np.abs(w1), axis=0)] * 2 + [np.mean(np.abs(w2), axis=0)] * 2, axis=1)
+    z_scale = np.mean(np.abs(h_r * h_t) * power, axis=0)
+    return (a_mean, b_mean, d_mean), (b_scale, z_scale)
+
+
+def _parts(h_r, h_t):
+    """The real channel parts the kernel reads: Re h_r, Im h_r, Re h_t, Im h_t."""
+    return np.stack([h_r.real, h_r.imag, h_t.real, h_t.imag])
+
+
+def _kernel(sc, c, h_r, h_t):
+    """The chunk kernel on draws stacked by chunk: c (K, n), h_r and h_t (K, n, L),
+    with its channel blocks expanded to (K, L, 4, 4)."""
+    terms = mc._sensor_terms(sc.sensor, sc.grid.as_array(), c)
+    a, b, d_parts = mc._chunk_block_means(terms, _parts(h_r, h_t))
+    return a, b, mc._arrow_d(d_parts)
+
+
+def _kernel_one_chunk(sc, c, h_r, h_t):
+    """The chunk kernel on one (n, L) chunk alone."""
+    return [m[0] for m in _kernel(sc, c[None], h_r[None], h_t[None])]
 
 
 def _serial_chunk_means(sc, samples, seed):
-    """Chunk means drawn and reduced one chunk at a time, in index order."""
-    means = [_block_means_one_chunk(sc, *draw_samples(sc, min(MC_CHUNK, samples - start),
-                                                      chunk_rng(seed, i)))
+    """Chunk means drawn by draw_samples and reduced one chunk at a time, in index order."""
+    means = [_kernel_one_chunk(sc, *draw_samples(sc, min(MC_CHUNK, samples - start),
+                                                 chunk_rng(seed, i)))
              for i, start in enumerate(range(0, samples, MC_CHUNK))]
     return [np.array(parts) for parts in zip(*means)]
 
@@ -333,14 +355,86 @@ def test_map_chunks_runs_and_threads(monkeypatch):
     assert {t for _, _, t in expectations._map_chunks(layout, 0, 9 * MC_CHUNK, width=64)} == {main}
 
 
+@pytest.mark.parametrize("count", [1, 5])
+def test_chunk_kernel_matches_mean_of_conditional_fim(count):
+    # an independent path: the arrow blocks read out of each draw's dense
+    # conditional information matrix, averaged over the chunk
+    sc = _scenario(count=count, spacing=0.5, kappa=2.0)
+    c, h_r, h_t = draw_samples(sc, 64, chunk_rng(31, 0))
+    fims = [conditional_fim(sc, ParameterSample(condition=c[i], receive=h_r[i], transmit=h_t[i]))
+            for i in range(c.size)]
+    mean = np.mean(fims, axis=0) / (2.0 / sc.noise.variance)
+    a, b, d = _kernel_one_chunk(sc, c, h_r, h_t)
+    blocks = [slice(1 + 4 * k, 5 + 4 * k) for k in range(count)]
+    assert a == pytest.approx(mean[0, 0], rel=1e-12)
+    # entries that are exact zeros of the block pattern may carry a rounding
+    # residue in the dense product: allow 1e-12 of the largest entry there
+    np.testing.assert_allclose(b, [mean[0, k] for k in blocks], rtol=1e-12,
+                               atol=1e-12 * np.max(np.abs(b)))
+    np.testing.assert_allclose(d, [mean[k, k] for k in blocks], rtol=1e-12,
+                               atol=1e-12 * np.max(np.abs(d)))
+
+
+@pytest.mark.parametrize("kappa", [0.0, 2.0])
+@pytest.mark.parametrize("count", [1, 5, 128])
+def test_chunk_kernel_matches_complex_algebra(count, kappa):
+    # the seed's complex products against the real-arithmetic kernel; a b or
+    # z12 entry is a sum of signed terms, so its rounding error is relative to
+    # the mean |term|, not to the (possibly cancelled) mean itself
+    sc = _scenario(count=count, spacing=0.05, kappa=kappa)
+    draw = draw_samples(sc, MC_CHUNK, chunk_rng(5, 0))
+    (ref_a, ref_b, ref_d), (b_scale, z_scale) = _block_means_one_chunk(sc, *draw)
+    a, b, d = _kernel_one_chunk(sc, *draw)
+    assert a == pytest.approx(ref_a, rel=1e-13)
+    assert np.all(np.abs(b - ref_b) <= 1e-13 * b_scale)
+    diag = (d[:, 0, 0], d[:, 2, 2])
+    np.testing.assert_allclose(diag, (ref_d[:, 0, 0], ref_d[:, 2, 2]), rtol=1e-13)
+    off = np.abs(d - ref_d)
+    off[:, [0, 1, 2, 3], [0, 1, 2, 3]] = 0.0
+    assert np.all(off <= 1e-13 * z_scale[:, None, None])
+
+
+@pytest.mark.parametrize("depth", [0.9, 1.0])
+def test_sensor_terms_match_extended_precision_at_any_detuning(depth):
+    # textbook forms in long double, whose range holds x^2 and (1 + x^2)^2
+    # for every float x: the kernel's terms must lose nothing near the dip
+    # centre (where 1 - d (2 - d) / t cancels at full depth) and reach the
+    # limits |gamma|^2 = 1 and zero slope terms once x^2 leaves the float range
+    sensor = SensorModel(absorption_depth=depth, half_width=1.0, shift_rate=2.0)
+    c = np.array([0.0, 1e-12, 3e-9, 0.25, 0.5, 1.7, 40.0, 1e5, 1e75, 1e150, -1e155, 1e300])
+    got = mc._sensor_terms(sensor, np.array([0.0]), c[None])
+    x = -2.0 * c.astype(np.longdouble)
+    d, scale = np.longdouble(depth), np.longdouble(2.0 * depth)
+    t = 1 + x * x
+    want = (scale**2 / t**2, -(2 - d) * scale * x / t**2, scale * (1 - d - x * x) / t**2,
+            ((1 - d) ** 2 + x * x) / t)
+    for g, w in zip(got, want):
+        assert g.shape == (1, c.size, 1)
+        np.testing.assert_allclose(g[0, :, 0], w.astype(float), rtol=1e-14, atol=1e-300)
+
+
 @pytest.mark.parametrize("count", [1, 2, 5, 16])
 def test_batched_block_means_equal_chunk_by_chunk(count):
     sc = _scenario(count=count, kappa=2.0)
     run = max(1, expectations._RUN_ELEMENTS // (MC_CHUNK * count))
     draws = [draw_samples(sc, MC_CHUNK, chunk_rng(5, i)) for i in range(run)]
-    batched = mc._chunk_block_means(sc, *(np.stack(parts) for parts in zip(*draws)))
+    batched = _kernel(sc, *(np.stack(parts) for parts in zip(*draws)))
     for k, draw in enumerate(draws):
-        for got, want in zip(batched, _block_means_one_chunk(sc, *draw)):
+        for got, want in zip(batched, _kernel_one_chunk(sc, *draw)):
+            assert np.array_equal(got[k], want)
+
+
+@pytest.mark.parametrize("count", [1, 8, 16, 128])
+def test_large_batches_round_as_single_chunks(count):
+    # 32 chunks of 512 draws: every (32, 512, L) array of the call is far
+    # above numpy's 256 KiB temporary-elision threshold, which once changed
+    # the rounding of in-place complex products and so the last bits of
+    # chunk means with the batch size
+    sc = _scenario(count=count, spacing=0.05, kappa=2.0)
+    draws = [draw_samples(sc, MC_CHUNK, chunk_rng(6, i)) for i in range(32)]
+    batched = _kernel(sc, *(np.stack(parts) for parts in zip(*draws)))
+    for k, draw in enumerate(draws):
+        for got, want in zip(batched, _kernel_one_chunk(sc, *draw)):
             assert np.array_equal(got[k], want)
 
 
@@ -353,8 +447,11 @@ def test_mc_bound_bitwise_across_thread_counts(count, monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(mc, "_map_chunks", _one_chunk_at_a_time)
         ref = mc_bound(sc, samples, seed)
-    for threads in THREAD_SETTINGS:
-        monkeypatch.setenv("METABCRB_THREADS", threads)
+    for threads in THREAD_SETTINGS + (None,):
+        if threads is None:
+            monkeypatch.delenv("METABCRB_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("METABCRB_THREADS", threads)
         blocks = mc_blocks(sc, samples, seed)
         assert np.array_equal(blocks.chunk_a, ref_a)
         assert np.array_equal(blocks.chunk_b, ref_b)
@@ -362,6 +459,36 @@ def test_mc_bound_bitwise_across_thread_counts(count, monkeypatch):
         assert blocks.chunk_sizes.tolist() == [MC_CHUNK] * 97 + [337]
         est = mc_bound(sc, samples, seed)
         assert (est.value, est.std_err) == (ref.value, ref.std_err), threads
+
+
+@pytest.mark.parametrize("count", [1, 16])
+def test_shared_draws_equal_separate_calls(count):
+    # one pass over the chunks for three channels gives each channel bitwise
+    # the chunk means and bound of a call with it alone
+    base = _scenario(count=count, kappa=2.0)
+    scenarios = tuple(base.with_channel(RicianSpec(kappa=k)) for k in (2.0, 0.0, 1e6))
+    samples, seed = 20_001, 8
+    means, sizes = mc._shared_chunk_means(scenarios, samples, seed)
+    bounds = mc._mc_bounds(scenarios, samples, seed)
+    for sc, (chunk_a, chunk_b, d_parts), est in zip(scenarios, means, bounds):
+        alone = mc_blocks(sc, samples, seed)
+        assert np.array_equal(chunk_a, alone.chunk_a)
+        assert np.array_equal(chunk_b, alone.chunk_b)
+        assert np.array_equal(mc._arrow_d(d_parts), alone.chunk_d)
+        assert np.array_equal(sizes, alone.chunk_sizes)
+        ref = mc_bound(sc, samples, seed)
+        assert (est.value, est.std_err) == (ref.value, ref.std_err)
+
+
+def test_shared_draws_need_one_prior_sensor_and_grid():
+    sc = _scenario(count=4)
+    others = (sc.with_grid(SubcarrierGrid.uniform(center=0.0, spacing=0.4, count=5)),
+              _scenario(count=4, std=2.0), _scenario(count=4, depth=0.5))
+    for other in others:
+        with pytest.raises(ValueError, match="same prior, sensor and grid"):
+            mc._shared_chunk_means((sc, other), 2_000, 0)
+    with pytest.raises(ValueError, match="deterministic LoS"):
+        mc._mc_bounds((sc, sc.with_channel(RicianSpec(deterministic_los=True))), 2_000, 0)
 
 
 def _posterior_mse_serial(sc, trials, grid_points, seed):

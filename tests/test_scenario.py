@@ -1,6 +1,7 @@
 """Scenario containers: priors, fading spec, noise scaling, grids."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -26,6 +27,17 @@ def test_prior_curvature_and_pdf():
         with pytest.raises(ValueError, match="prior std"):
             SensingPrior(mean=0.0, std=tiny)
     assert math.isfinite(SensingPrior(mean=0.0, std=1e-150).curvature())
+
+
+def test_prior_std_above_sqrt_max_float_is_rejected_by_name():
+    # std^2 of a Python float raises OverflowError past sqrt(max float); the
+    # constructor checks against that limit instead of squaring
+    limit = math.sqrt(sys.float_info.max)
+    assert SensingPrior(mean=0.0, std=1e154).curvature() == 1e-308
+    assert SensingPrior(mean=0.0, std=limit).curvature() > 0.0
+    for huge in (math.nextafter(limit, math.inf), 1e155, 1e200):
+        with pytest.raises(ValueError, match=r"prior std .* too large.*1\.3407807929942596e\+154"):
+            SensingPrior(mean=0.0, std=huge)
 
 
 def test_rician_spec_moments():
