@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import expectations
-from .expectations import Quadrature, _moments_from_kernels, prior_moments
+from .expectations import _moments_from_kernels, prior_moments
 from .scenario import Scenario, SubcarrierGrid
 
 
@@ -70,13 +70,12 @@ class BcrbResult:
     contributions: np.ndarray
 
 
-def _moment_values(scenario: Scenario, frequencies, method):
-    sp, corr, rp = prior_moments(scenario.sensor, np.asarray(frequencies, float),
-                                 scenario.prior, method)
+def _moment_values(scenario: Scenario, frequencies):
+    sp, corr, rp = prior_moments(scenario.sensor, np.asarray(frequencies, float), scenario.prior)
     return np.atleast_1d(sp), np.atleast_1d(corr), np.atleast_1d(rp)
 
 
-def assemble_bfim(scenario: Scenario, method=Quadrature()) -> BfimBlocks:
+def assemble_bfim(scenario: Scenario) -> BfimBlocks:
     """Bayesian information blocks for a Rician scenario (prior terms included).
 
     Deterministic LoS has no channel uncertainty and therefore no channel
@@ -85,7 +84,7 @@ def assemble_bfim(scenario: Scenario, method=Quadrature()) -> BfimBlocks:
     ch = scenario.channel
     if ch.deterministic_los:
         raise ValueError("assemble_bfim requires a random channel; deterministic LoS has no channel blocks")
-    sp, corr, rp = _moment_values(scenario, scenario.grid.as_array(), method)
+    sp, corr, rp = _moment_values(scenario, scenario.grid.as_array())
     two_over = 2.0 / scenario.noise.variance
     a = two_over * float(np.sum(sp)) + scenario.prior.curvature()
 
@@ -196,29 +195,27 @@ def _closed_form_from_kernels(scenario: Scenario, km: np.ndarray) -> BcrbResult:
     )
 
 
-def bcrb_closed_form(scenario: Scenario, method=Quadrature()) -> BcrbResult:
+def bcrb_closed_form(scenario: Scenario) -> BcrbResult:
     """Bound on the condition from the three prior moments, no matrix algebra.
 
     Equals bcrb_from_blocks(assemble_bfim(...)) for random channels; in
     deterministic LoS mode the channels drop out and the bound reduces to
     1 / ((2 / noise_var) * sum slope_power + prior curvature).
     """
-    km = expectations.kernel_means(scenario.sensor, scenario.grid.as_array(),
-                                   scenario.prior, method)
+    km = expectations.kernel_means(scenario.sensor, scenario.grid.as_array(), scenario.prior)
     return _closed_form_from_kernels(scenario, km)
 
 
-def subcarrier_contribution(scenario: Scenario, k: int, method=Quadrature()) -> float:
+def subcarrier_contribution(scenario: Scenario, k: int) -> float:
     """Information contribution of subcarrier k of the scenario grid."""
     freqs = scenario.grid.as_array()
     if not 0 <= k < freqs.size:
         raise IndexError(f"subcarrier index {k} out of range for {freqs.size} tones")
-    sp, corr, rp = _moment_values(scenario, freqs[k], method)
+    sp, corr, rp = _moment_values(scenario, freqs[k])
     return float(_contributions(scenario, sp, corr, rp)[0])
 
 
-def select_subcarriers(candidates: SubcarrierGrid, scenario: Scenario, budget: int,
-                       method=Quadrature()) -> list[float]:
+def select_subcarriers(candidates: SubcarrierGrid, scenario: Scenario, budget: int) -> list[float]:
     """Pick `budget` candidate tones by descending information contribution.
 
     Contributions are additive across tones, so the greedy pick is optimal.
@@ -229,7 +226,7 @@ def select_subcarriers(candidates: SubcarrierGrid, scenario: Scenario, budget: i
     freqs = candidates.as_array()
     if not 1 <= budget <= freqs.size:
         raise ValueError(f"budget must be in [1, {freqs.size}], got {budget}")
-    sp, corr, rp = _moment_values(scenario, freqs, method)
+    sp, corr, rp = _moment_values(scenario, freqs)
     contrib = _contributions(scenario, sp, corr, rp)
     center = scenario.sensor.resonance(scenario.prior.mean)
     order = sorted(range(freqs.size),

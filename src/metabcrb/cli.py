@@ -227,6 +227,10 @@ def cmd_validate(args) -> int:
                      _fmt(est.value), _fmt(est.std_err), _fmt(z)])
         if abs(z) > Z_LIMIT:
             failures.append((f"{label}.z_score", abs(z), Z_LIMIT))
+        # a z-score resolves nothing once the standard error exceeds the bound itself
+        rel_err = est.std_err / abs(closed) if math.isfinite(est.value) else math.inf
+        if not rel_err <= 1.0:
+            failures.append((f"{label}.mc_std_err", rel_err, 1.0))
         for name, other in (("schur_from_blocks", schur), ("dense_inverse", dense)):
             if other is not None and abs(other - closed) > PAIR_RELTOL * abs(closed):
                 failures.append((f"{label}.{name}", abs(other - closed) / abs(closed), PAIR_RELTOL))

@@ -24,11 +24,6 @@ def _parse_bool(raw: str) -> bool:
     raise ValueError(f"not a boolean: {raw!r}")
 
 
-def _parse_int(raw: str) -> int:
-    value = int(raw)
-    return value
-
-
 KEY_TYPES = {
     "sensor.depth": float,
     "sensor.half_width": float,
@@ -41,7 +36,7 @@ KEY_TYPES = {
     "noise.snr_db": float,
     "grid.center": float,
     "grid.spacing": float,
-    "grid.count": _parse_int,
+    "grid.count": int,
 }
 
 DEFAULTS = {
@@ -60,6 +55,16 @@ DEFAULTS = {
 }
 
 
+def _parse_value(key: str, raw_value: str):
+    """The typed value of one entry; ConfigError for an unknown key or a bad value."""
+    if key not in KEY_TYPES:
+        raise ConfigError(f"unknown key {key!r}")
+    try:
+        return KEY_TYPES[key](raw_value.strip())
+    except ValueError as exc:
+        raise ConfigError(f"bad value for {key!r}: {exc}") from None
+
+
 def parse_config(text: str) -> dict:
     """Parse key=value lines into a complete settings dict (defaults applied)."""
     settings = dict(DEFAULTS)
@@ -72,16 +77,13 @@ def parse_config(text: str) -> dict:
             raise ConfigError(f"line {lineno}: expected key=value, got {raw!r}")
         key, _, raw_value = line.partition("=")
         key = key.strip()
-        raw_value = raw_value.strip()
-        if key not in KEY_TYPES:
-            raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        if key in seen:
+        if key in seen:  # a key is seen once it parsed, so a duplicate is a known key
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        seen.add(key)
         try:
-            settings[key] = KEY_TYPES[key](raw_value)
-        except ValueError as exc:
-            raise ConfigError(f"line {lineno}: bad value for {key!r}: {exc}") from None
+            settings[key] = _parse_value(key, raw_value)
+        except ConfigError as exc:
+            raise ConfigError(f"line {lineno}: {exc}") from None
+        seen.add(key)
     return settings
 
 
@@ -91,14 +93,7 @@ def apply_override(settings: dict, assignment: str) -> dict:
         raise ConfigError(f"override must be key=value, got {assignment!r}")
     key, _, raw_value = assignment.partition("=")
     key = key.strip()
-    if key not in KEY_TYPES:
-        raise ConfigError(f"unknown key {key!r}")
-    out = dict(settings)
-    try:
-        out[key] = KEY_TYPES[key](raw_value.strip())
-    except ValueError as exc:
-        raise ConfigError(f"bad value for {key!r}: {exc}") from None
-    return out
+    return {**settings, key: _parse_value(key, raw_value)}
 
 
 def scenario_from_settings(settings: dict) -> Scenario:

@@ -58,9 +58,11 @@ _gh_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 class Quadrature:
     """Gauss-Hermite evaluation starting at `order` nodes, refined by doubling.
 
-    Only `expect_over_prior` reads `order`. `kernel_means` takes this type to
-    mean "deterministic quadrature" and uses its own fixed rules: Gauss-Hermite
-    at KERNEL_ORDER, the Faddeeva closed form and the sinh trapezoid rule.
+    Only `expect_over_prior` reads `order`. Given to slope_power,
+    slope_reflection_corr, reflection_power or corr_magsq, it selects the
+    deterministic moments of `kernel_means`, whose fixed rules (Gauss-Hermite
+    at KERNEL_ORDER, the Faddeeva closed form and the sinh trapezoid rule)
+    take no order.
     """
 
     order: int = 200
@@ -92,10 +94,10 @@ class McEstimate:
 
 
 MC_CHUNK = 512  # small enough that chunk means make a usable bootstrap population
-# Elements (draws x width) per run of chunks. Narrower chunks spend their time
-# in Python overhead, which threads cannot overlap. A run's complex temporaries
-# stay below numpy's 256 KiB temporary-elision threshold, as a single narrow
-# chunk's do, so batched arithmetic rounds exactly as chunk by chunk.
+# Elements (draws x width) per run of chunks. A narrow chunk's time goes to
+# per-chunk Python overhead, which threads cannot overlap, so runs of narrow
+# chunks loop on the calling thread: a 1-tone mc_bound of 1e6 draws took
+# 0.36-0.40 s this way against 0.59-0.63 s with its chunks in a 2-thread pool.
 _RUN_ELEMENTS = 1 << 13
 
 
@@ -184,10 +186,8 @@ def expect_over_prior(fn, prior: SensingPrior, method=Quadrature()):
     2 * order - 1 and refines by doubling until successive estimates agree
     to 1e-9 relative (order cap 1600, with a warning if never reached).
     """
-    if isinstance(method, MonteCarlo):
-        return _mc_expect(fn, prior, method)
     if not isinstance(method, Quadrature):
-        raise TypeError(f"unsupported expectation method {method!r}")
+        return _mc_expect(fn, prior, method)
     order = method.order
     est = _gh_apply(fn, prior, order)
     if order >= GH_MAX_ORDER:
@@ -203,25 +203,36 @@ def expect_over_prior(fn, prior: SensingPrior, method=Quadrature()):
     return est
 
 
+def _mean_and_se(chunk_sums, n: int):
+    """Mean of n draws and its standard error from per-chunk (sum, sum of squares).
+
+    The pairs are floats or arrays, reduced componentwise and in the order
+    given; with a single draw the error is inf.
+    """
+    sums = sums_sq = 0.0
+    for s, sq in chunk_sums:
+        sums = sums + s
+        sums_sq = sums_sq + sq
+    mean = sums / n
+    if n < 2:
+        return mean, math.inf
+    return mean, np.sqrt(np.maximum(sums_sq - n * mean**2, 0.0) / (n - 1) / n)
+
+
 def _mc_expect(fn, prior: SensingPrior, method: MonteCarlo) -> McEstimate:
+    if not isinstance(method, MonteCarlo):
+        raise TypeError(f"unsupported expectation method {method!r}")
+
     def chunk_sums(rng, size):
         c = prior.mean + prior.std * rng.standard_normal(size)
         vals = np.asarray(fn(c), dtype=complex)
-        return ([np.sum(vals.real), np.sum(vals.imag)],
-                [np.sum(vals.real**2), np.sum(vals.imag**2)])
+        return (np.array([np.sum(vals.real), np.sum(vals.imag)]),
+                np.array([np.sum(vals.real**2), np.sum(vals.imag**2)]))
 
     n = method.samples
-    sums = np.zeros(2)
-    sums_sq = np.zeros(2)
-    for s, sq in _map_chunks(lambda run: [chunk_sums(*chunk) for chunk in run], method.seed, n):
-        sums += s
-        sums_sq += sq
-    mean = sums / n
-    if n > 1:
-        var = np.maximum(sums_sq - n * mean**2, 0.0) / (n - 1)
-        se = float(np.max(np.sqrt(var / n)))
-    else:
-        se = math.inf
+    mean, se = _mean_and_se(_map_chunks(lambda run: [chunk_sums(*chunk) for chunk in run],
+                                        method.seed, n), n)
+    se = float(np.max(se))
     value = complex(mean[0], mean[1])
     if value.imag == 0.0:
         value = value.real
@@ -300,16 +311,13 @@ def _kernel_means_sinh(x0: np.ndarray, s: float) -> np.ndarray:
     return out
 
 
-def kernel_means(sensor: SensorModel, f, prior: SensingPrior, method=Quadrature()) -> np.ndarray:
+def kernel_means(sensor: SensorModel, f, prior: SensingPrior) -> np.ndarray:
     """Prior means of the three detuning kernels, shape (3, len(f)).
 
     One fixed rule per tone, by s and |z|, z = (j - x0)/(s sqrt 2): Gauss-Hermite
     at KERNEL_ORDER nodes if s <= 1 or |z| >= FAR_ZMIN; else the Faddeeva closed
-    form if |z| <= FADDEEVA_ZMAX; else the sinh trapezoid rule. No rule adapts,
-    so method.order does not change the result.
+    form if |z| <= FADDEEVA_ZMAX; else the sinh trapezoid rule.
     """
-    if not isinstance(method, Quadrature):
-        raise TypeError("kernel_means supports quadrature only; use the moment functions for MC")
     x0, s = detuning_stats(sensor, f, prior)
     x0 = np.atleast_1d(x0)
     if s <= 1.0:
@@ -352,13 +360,13 @@ def _moments_from_kernels(sensor: SensorModel, km: np.ndarray):
     return slope_power, corr, refl_power
 
 
-def prior_moments(sensor: SensorModel, f, prior: SensingPrior, method=Quadrature()):
+def prior_moments(sensor: SensorModel, f, prior: SensingPrior):
     """All three prior moments at the given frequencies, computed on shared nodes.
 
     Returns (slope_power, corr, reflection_power) arrays matching the shape of f.
     """
     scalar = np.isscalar(f) or np.ndim(f) == 0
-    km = kernel_means(sensor, f, prior, method)
+    km = kernel_means(sensor, f, prior)
     slope_power, corr, refl_power = _moments_from_kernels(sensor, km)
     if scalar:
         return float(slope_power[0]), complex(corr[0]), float(refl_power[0])
@@ -367,19 +375,19 @@ def prior_moments(sensor: SensorModel, f, prior: SensingPrior, method=Quadrature
 
 def slope_power(sensor: SensorModel, f, prior: SensingPrior, method=Quadrature()):
     """E_c |d gamma / d c|^2 at frequency f (McEstimate under MonteCarlo)."""
-    if isinstance(method, MonteCarlo):
-        est = _mc_expect(lambda c: np.abs(sensor.reflection_dc(f, c)) ** 2, prior, method)
-        return McEstimate(value=float(np.real(est.value)), std_err=est.std_err, samples=est.samples)
-    return prior_moments(sensor, f, prior, method)[0]
+    if isinstance(method, Quadrature):
+        return prior_moments(sensor, f, prior)[0]
+    est = _mc_expect(lambda c: np.abs(sensor.reflection_dc(f, c)) ** 2, prior, method)
+    return McEstimate(value=float(np.real(est.value)), std_err=est.std_err, samples=est.samples)
 
 
 def slope_reflection_corr(sensor: SensorModel, f, prior: SensingPrior, method=Quadrature()):
     """E_c [conj(d gamma / d c) * gamma], the complex slope/reflection coupling."""
-    if isinstance(method, MonteCarlo):
-        return _mc_expect(
-            lambda c: np.conj(sensor.reflection_dc(f, c)) * sensor.reflection(f, c), prior, method
-        )
-    return prior_moments(sensor, f, prior, method)[1]
+    if isinstance(method, Quadrature):
+        return prior_moments(sensor, f, prior)[1]
+    return _mc_expect(
+        lambda c: np.conj(sensor.reflection_dc(f, c)) * sensor.reflection(f, c), prior, method
+    )
 
 
 def corr_magsq(sensor: SensorModel, f, prior: SensingPrior, method=Quadrature()):
@@ -392,7 +400,7 @@ def corr_magsq(sensor: SensorModel, f, prior: SensingPrior, method=Quadrature())
 
 def reflection_power(sensor: SensorModel, f, prior: SensingPrior, method=Quadrature()):
     """E_c |gamma|^2 at frequency f, in [0, 1] (McEstimate under MonteCarlo)."""
-    if isinstance(method, MonteCarlo):
-        est = _mc_expect(lambda c: np.abs(sensor.reflection(f, c)) ** 2, prior, method)
-        return McEstimate(value=float(np.real(est.value)), std_err=est.std_err, samples=est.samples)
-    return prior_moments(sensor, f, prior, method)[2]
+    if isinstance(method, Quadrature):
+        return prior_moments(sensor, f, prior)[2]
+    est = _mc_expect(lambda c: np.abs(sensor.reflection(f, c)) ** 2, prior, method)
+    return McEstimate(value=float(np.real(est.value)), std_err=est.std_err, samples=est.samples)

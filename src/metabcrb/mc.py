@@ -11,6 +11,10 @@ generator. A chunk's standard normals depend only on the prior, the tone
 count and (seed, chunk index); the channel enters only through the map
 mean + sigma z. So one draw per chunk serves every scenario that differs
 only in its channel, such as validate's configured and Rayleigh variants.
+
+Blocks are weighted averages of the chunk means: by chunk size for
+mc_blocks and the bound, plus BOOTSTRAP_RESAMPLES resampled weightings,
+drawn once per call, whose spread gives the bound's standard error.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bcrb import _schur_coupling, bcrb_closed_form
-from .expectations import MC_CHUNK, McEstimate, _map_chunks
+from .expectations import MC_CHUNK, McEstimate, _map_chunks, _mean_and_se
 from .scenario import Scenario
 
 BOOTSTRAP_RESAMPLES = 200
@@ -108,8 +112,8 @@ def conditional_fim(scenario: Scenario, sample: ParameterSample) -> np.ndarray:
 
 @dataclass(frozen=True)
 class McBlocks:
-    """Chunk-averaged information blocks (prior included) with per-chunk means
-    retained for resampling. b_se bounds the standard error of each cross entry."""
+    """Chunk-averaged information blocks (prior included) with the per-chunk
+    means they average. b_se bounds the standard error of each cross entry."""
 
     a: float
     b: np.ndarray
@@ -242,36 +246,20 @@ def _shared_chunk_means(scenarios, samples: int, seed: int):
     return [[np.array(parts) for parts in zip(*means)] for means in zip(*per_chunk)], sizes
 
 
-def _blocks_from_chunks(scenario: Scenario, chunk_means, sizes, samples: int) -> McBlocks:
-    """Size-weighted blocks, prior terms included, and their errors from the chunk spread."""
+def _average_blocks(scenario: Scenario, chunk_means, weights: np.ndarray):
+    """Blocks a (R,), b (R, L, 4) and d (R, L, 4, 4) of the chunk means averaged
+    with each row of `weights` (R, n_chunks), prior terms included.
+
+    The channel blocks are expanded from their four distinct entries only
+    after averaging.
+    """
     chunk_a, chunk_b, d_parts = chunk_means
-    chunk_d = _arrow_d(d_parts)
-    n_chunks = chunk_a.size
-    weights = sizes / samples
     two_over = 2.0 / scenario.noise.variance
-    a_mean = float(np.sum(weights * chunk_a))
-    b_mean = np.einsum("i,ikj->kj", weights, chunk_b)
-    d_mean = np.einsum("i,iklm->klm", weights, chunk_d)
-
-    # spread of chunk means gives the standard error of the weighted mean
-    a_se = float(np.sqrt(np.sum(weights**2 * (chunk_a - a_mean) ** 2) * n_chunks / (n_chunks - 1)))
-    b_se = np.sqrt(np.einsum("i,ikj->kj", weights**2, (chunk_b - b_mean) ** 2) * n_chunks / (n_chunks - 1))
-
-    info = scenario.channel.prior_info_per_coordinate()
-    d_full = two_over * d_mean
-    d_full[:, np.arange(4), np.arange(4)] += info
-    return McBlocks(
-        a=two_over * a_mean + scenario.prior.curvature(),
-        b=two_over * b_mean,
-        d=d_full,
-        a_se=two_over * a_se,
-        b_se=two_over * b_se,
-        samples=samples,
-        chunk_a=chunk_a,
-        chunk_b=chunk_b,
-        chunk_d=chunk_d,
-        chunk_sizes=sizes,
-    )
+    a = two_over * np.sum(weights * chunk_a, axis=1) + scenario.prior.curvature()
+    b = two_over * np.einsum("ri,ikj->rkj", weights, chunk_b)
+    d = _arrow_d(two_over * np.einsum("ri,ikj->rkj", weights, d_parts))
+    d[..., np.arange(4), np.arange(4)] += scenario.channel.prior_info_per_coordinate()
+    return a, b, d
 
 
 def mc_blocks(scenario: Scenario, samples: int, seed: int = 0) -> McBlocks:
@@ -281,22 +269,29 @@ def mc_blocks(scenario: Scenario, samples: int, seed: int = 0) -> McBlocks:
     must fill at least two chunks of MC_CHUNK.
     """
     means, sizes = _shared_chunk_means((scenario,), samples, seed)
-    return _blocks_from_chunks(scenario, means[0], sizes, samples)
+    chunk_a, chunk_b, d_parts = means[0]
+    weights = sizes / samples
+    (a,), (b,), (d,) = _average_blocks(scenario, means[0], weights[None])
 
-
-def _bound_from_avg(scenario: Scenario, blocks: McBlocks, weights: np.ndarray) -> np.ndarray:
-    """Bounds from the chunk means averaged with each row of `weights` (R, n_chunks)."""
+    # spread of chunk means gives the standard error of the weighted mean
+    n_chunks = sizes.size
+    a_mean = np.sum(weights * chunk_a)
+    b_mean = np.einsum("i,ikj->kj", weights, chunk_b)
+    a_se = float(np.sqrt(np.sum(weights**2 * (chunk_a - a_mean) ** 2) * n_chunks / (n_chunks - 1)))
+    b_se = np.sqrt(np.einsum("i,ikj->kj", weights**2, (chunk_b - b_mean) ** 2) * n_chunks / (n_chunks - 1))
     two_over = 2.0 / scenario.noise.variance
-    a = two_over * np.sum(weights * blocks.chunk_a, axis=1) + scenario.prior.curvature()
-    b = two_over * np.einsum("ri,ikj->rkj", weights, blocks.chunk_b)
-    d = two_over * np.einsum("ri,iklm->rklm", weights, blocks.chunk_d)
-    d[..., np.arange(4), np.arange(4)] += scenario.channel.prior_info_per_coordinate()
-    return 1.0 / (a - _schur_coupling(b, d))
+    return McBlocks(a=float(a), b=b, d=d, a_se=two_over * a_se, b_se=two_over * b_se,
+                    samples=samples, chunk_a=chunk_a, chunk_b=chunk_b,
+                    chunk_d=_arrow_d(d_parts), chunk_sizes=sizes)
 
 
-def _bootstrap_bound(scenario: Scenario, blocks: McBlocks, seed: int) -> McEstimate:
-    """Bound from the blocks, with a block-bootstrap standard error over chunk means."""
-    sizes = blocks.chunk_sizes
+def _mc_bounds(scenarios, samples: int, seed: int) -> list:
+    """mc_bound of each random-channel scenario, all from one set of draws.
+
+    The bound's standard error comes from a block bootstrap over chunk means;
+    every scenario uses the same BOOTSTRAP_RESAMPLES picks of chunks.
+    """
+    means, sizes = _shared_chunk_means(scenarios, samples, seed)
     rng = np.random.Generator(np.random.Philox(
         np.random.SeedSequence(entropy=seed, spawn_key=(_BOOT_KEY,))))
     picks = rng.integers(0, sizes.size, size=(BOOTSTRAP_RESAMPLES, sizes.size))
@@ -304,19 +299,15 @@ def _bootstrap_bound(scenario: Scenario, blocks: McBlocks, seed: int) -> McEstim
     resampled = np.zeros(picks.shape)
     np.add.at(resampled, (np.arange(BOOTSTRAP_RESAMPLES)[:, None], picks), sizes[picks])
     resampled /= np.sum(resampled, axis=1, keepdims=True)
-    bounds = _bound_from_avg(scenario, blocks, np.vstack([sizes / blocks.samples, resampled]))
-    return McEstimate(value=float(bounds[0]), std_err=float(np.std(bounds[1:], ddof=1)),
-                      samples=blocks.samples)
-
-
-def _mc_bounds(scenarios, samples: int, seed: int) -> list:
-    """mc_bound of each random-channel scenario, all from one set of draws.
-
-    The blocks are built one scenario at a time, so one chunk_d store is alive.
-    """
-    means, sizes = _shared_chunk_means(scenarios, samples, seed)
-    return [_bootstrap_bound(sc, _blocks_from_chunks(sc, m, sizes, samples), seed)
-            for sc, m in zip(scenarios, means)]
+    weights = np.vstack([sizes / samples, resampled])
+    estimates = []
+    for sc, chunk_means in zip(scenarios, means):
+        a, b, d = _average_blocks(sc, chunk_means, weights)
+        bounds = 1.0 / (a - _schur_coupling(b, d))
+        with np.errstate(over="ignore"):  # bounds near the float limit spread to inf
+            std_err = float(np.std(bounds[1:], ddof=1))
+        estimates.append(McEstimate(value=float(bounds[0]), std_err=std_err, samples=samples))
+    return estimates
 
 
 def mc_bound(scenario: Scenario, samples: int, seed: int = 0) -> McEstimate:
@@ -325,14 +316,15 @@ def mc_bound(scenario: Scenario, samples: int, seed: int = 0) -> McEstimate:
     Standard error comes from a block bootstrap over chunk means (the bound
     is a nonlinear function of the averaged entries, so the uncertainty must
     be propagated through the inversion); random channels therefore need the
-    two-chunk minimum of mc_blocks. Deterministic LoS has no sampling
-    dimension left that the bound actually depends on beyond the condition
-    average, which is evaluated by quadrature: the estimate is exact and the
-    standard error is zero.
+    two-chunk minimum of mc_blocks, and the value is the bound of mc_blocks'
+    a, b and d. Deterministic LoS has no sampling dimension left that the
+    bound actually depends on beyond the condition average, which is
+    evaluated by quadrature: the estimate is exact and the standard error is
+    zero.
     """
     if scenario.channel.deterministic_los:
         return McEstimate(value=bcrb_closed_form(scenario).bound, std_err=0.0, samples=samples)
-    return _bootstrap_bound(scenario, mc_blocks(scenario, samples, seed), seed)
+    return _mc_bounds((scenario,), samples, seed)[0]
 
 
 def posterior_mean_mse(scenario: Scenario, trials: int, grid_points: int = 2000,
@@ -383,13 +375,6 @@ def posterior_mean_mse(scenario: Scenario, trials: int, grid_points: int = 2000,
         sq = (est - c_true) ** 2
         return float(np.sum(sq)), float(np.sum(sq**2))
 
-    total_sq = 0.0
-    total_q = 0.0
-    for s, q in _map_chunks(lambda run: [trial_sums(*chunk) for chunk in run], seed, trials,
-                            grid_points):
-        total_sq += s
-        total_q += q
-
-    mse = total_sq / trials
-    var = max(total_q - trials * mse**2, 0.0) / (trials - 1)
-    return McEstimate(value=mse, std_err=math.sqrt(var / trials), samples=trials)
+    mse, se = _mean_and_se(_map_chunks(lambda run: [trial_sums(*chunk) for chunk in run], seed,
+                                       trials, grid_points), trials)
+    return McEstimate(value=mse, std_err=float(se), samples=trials)

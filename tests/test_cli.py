@@ -3,6 +3,7 @@
 import csv
 import functools
 import itertools
+import math
 import os
 import re
 import subprocess
@@ -262,10 +263,12 @@ NONPOSITIVE_CELL = (1e8, 300.0, 1.0, 1.0)
 
 def test_cli_over_extreme_values(tmp_path, capsys):
     # Every command on a 3^4 grid of half-width, SNR, depth and kappa, with 8
-    # tones 0.05 apart, exits 0 or names its failure. Pinned exit 2: on a dip
-    # 1e-8 wide at -200 dB no Monte Carlo draw carries information above
+    # tones 0.05 apart, exits 0 or names its failure. Pinned exit 2 on a dip
+    # 1e-8 wide: at -200 dB no Monte Carlo draw carries information above
     # rounding, so every bootstrap bound is the prior variance, the standard
-    # error is 0 and |z| = inf.
+    # error is 0 and |z| = inf; at 20 and 300 dB the rare draws that land in
+    # the dip leave a standard error 1e10 times the bound, which validate
+    # reports as unresolved.
     path = tmp_path / "extreme.cfg"
     out = str(tmp_path / "out.csv")
     for cell in itertools.product(*(values for _, _, values in EXTREME_SWEEPS.values())):
@@ -284,9 +287,10 @@ def test_cli_over_extreme_values(tmp_path, capsys):
             if NONPOSITIVE_CELL in points:
                 assert rc == 3, (cell, argv)
                 assert err.startswith("numerical failure: bound denominator is not positive")
-            elif argv[0] == "validate" and width == 1e-8 and snr_db == -200.0 and depth > 0.0:
+            elif argv[0] == "validate" and width == 1e-8 and depth > 0.0:
                 assert rc == 2, (cell, argv)
-                assert err.startswith("validate: check configured.z_score failed: deviation inf")
+                check = "z_score failed: deviation inf" if snr_db == -200.0 else "mc_std_err failed"
+                assert err.startswith(f"validate: check configured.{check}"), (cell, err)
             else:
                 assert rc == 0 and err == "", (cell, argv, err)
 
@@ -419,6 +423,43 @@ def test_validate_single_chunk_oracle_exits_1(cfg, tmp_path, capsys):
                "--samples", "500"])
     assert rc == 1
     assert "at least 513 samples" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("entries, samples", [
+    ("sensor.half_width = 1e-8\nsensor.depth = 0.5\ngrid.count = 8\ngrid.spacing = 0.05\n", "4000"),
+    ("prior.std = 1e154\ngrid.count = 4\n", "2000"),
+], ids=["narrow_dip", "huge_prior_std"])
+def test_validate_unresolved_oracle_exits_2(tmp_path, capsys, entries, samples):
+    # |z| is small in both, but the standard error is about 1e10 times the
+    # bound on a 1e-8-wide dip and inf at a prior std of 1e154
+    path = tmp_path / "unresolved.cfg"
+    path.write_text(entries)
+    rc = main(["validate", "--config", str(path), "--out", str(tmp_path / "val.csv"),
+               "--samples", samples])
+    assert rc == 2
+    failures = _failure_lines(capsys.readouterr().err, "validate")
+    assert [f[0] for f in failures] == ["configured.mc_std_err", "rayleigh.mc_std_err"]
+    for _, deviation, tolerance in failures:
+        assert deviation > 1e9 and tolerance == 1.0
+    assert all(abs(float(row["z_score"])) < 1.0 for row in _rows(tmp_path / "val.csv"))
+
+
+@pytest.mark.parametrize("scale, std_err", [(math.nan, 1e-12), (1.0, math.nan)])
+def test_validate_non_finite_oracle_exits_2(cfg, tmp_path, monkeypatch, capsys, scale, std_err):
+    # a nan estimate or error passes |z| <= 4 (the comparison is false) and
+    # must fail mc_std_err instead
+    def lost(scenario, samples, seed=0):
+        return McEstimate(value=scale * bcrb_closed_form(scenario).bound, std_err=std_err,
+                          samples=samples)
+
+    _replace_oracle(monkeypatch, lost)
+    rc = main(["validate", "--config", cfg, "--out", str(tmp_path / "val.csv"),
+               "--samples", "1000"])
+    assert rc == 2
+    failures = _failure_lines(capsys.readouterr().err, "validate")
+    assert [f[0] for f in failures] == ["configured.mc_std_err", "rayleigh.mc_std_err",
+                                        "det_los.mc_std_err"]
+    assert all(not math.isfinite(deviation) and tolerance == 1.0 for _, deviation, tolerance in failures)
 
 
 def test_validate_los_config_has_single_deterministic_branch(tmp_path):

@@ -257,6 +257,16 @@ def test_mc_bound_bootstrap_matches_plain_loop():
     assert est.std_err == pytest.approx(np.std(bounds, ddof=1), rel=1e-12)
 
 
+@pytest.mark.parametrize("count", [1, 16, 128])
+def test_mc_bound_is_the_bound_of_mc_blocks(count):
+    # one averaging path: the point estimate is the Schur bound of mc_blocks' a, b and d
+    sc = _scenario(count=count, spacing=0.05, kappa=2.0)
+    samples, seed = 3_001, 11
+    blocks = mc_blocks(sc, samples, seed)
+    x = np.linalg.solve(blocks.d, blocks.b[..., None])[..., 0]
+    assert mc_bound(sc, samples, seed).value == 1.0 / (blocks.a - np.sum(blocks.b * x))
+
+
 def test_mc_bound_reruns_bit_identical():
     sc = _scenario(count=4)
     a = mc_bound(sc, 50_000, seed=42)
