@@ -113,14 +113,22 @@ class SubcarrierGrid:
     spacing: float | None = None
 
     def __post_init__(self):
-        freqs = tuple(float(f) for f in self.frequencies)
-        if len(freqs) == 0:
+        try:
+            freqs = np.asarray(self.frequencies)
+        except ValueError:  # ragged nesting; float() below names the bad element
+            freqs = None
+        if freqs is None or freqs.ndim != 1 or freqs.dtype.kind not in "fiu":
+            # anything but a flat numeric sequence goes through float() per
+            # element, which raises on None, nesting and non-numbers
+            freqs = [float(f) for f in self.frequencies]
+        freqs = np.asarray(freqs, dtype=float)
+        if freqs.size == 0:
             raise ValueError("grid needs at least one subcarrier")
         if not np.all(np.isfinite(freqs)):
             raise ValueError("subcarrier frequencies must be finite")
-        if any(b <= a for a, b in zip(freqs, freqs[1:])):
+        if np.any(freqs[1:] <= freqs[:-1]):
             raise ValueError("subcarrier frequencies must be strictly increasing")
-        object.__setattr__(self, "frequencies", freqs)
+        object.__setattr__(self, "frequencies", tuple(freqs.tolist()))
         if self.spacing is not None and not self.spacing > 0.0:
             raise ValueError(f"spacing must be positive, got {self.spacing}")
 
@@ -130,7 +138,7 @@ class SubcarrierGrid:
         if count < 1:
             raise ValueError(f"count must be >= 1, got {count}")
         offsets = (np.arange(count) - (count - 1) / 2.0) * spacing
-        return cls(frequencies=tuple(center + offsets), spacing=spacing)
+        return cls(frequencies=center + offsets, spacing=spacing)
 
     @classmethod
     def from_frequencies(cls, frequencies) -> "SubcarrierGrid":

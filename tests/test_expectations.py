@@ -17,8 +17,10 @@ from metabcrb import (McEstimate, MonteCarlo, Quadrature, SensingPrior,
                       SensorModel, corr_magsq, expect_over_prior,
                       reflection_power, slope_power, slope_reflection_corr)
 from metabcrb.config import parse_config, scenario_from_settings
-from metabcrb.expectations import (FADDEEVA_ZMAX, FAR_ZMIN, _gh_nodes,
-                                   _kernel_means_gh, detuning_stats,
+from metabcrb.expectations import (_BLOCK, _SINH_NODES, _SINH_SPAN,
+                                   _SPIKE_SPAN, FADDEEVA_ZMAX, FAR_ZMIN,
+                                   _gh_nodes, _kernel_means_gh,
+                                   _kernel_means_sinh, detuning_stats,
                                    kernel_means, prior_moments)
 
 # (depth, half_width, shift_rate, offset, prior mean, prior std, frequency)
@@ -183,6 +185,13 @@ HIGH_PRECISION = [
     # s = 1e7, zeta in {3.6, 5}: mx must not lose digits in proportion to s
     (50911700.0, 10000000.0, 1.4742490560390656e-13, 2.9529281862757485e-13, 7.506673697536322e-20),
     (70710700.0, 10000000.0, 8.70284353675117e-19, 2.1514786972786389e-16, 3.846609092414565e-24),
+    # s = 1e8, zeta in {9.3, 9.6, 9.9}: past zeta = 9.19 the window x0 +- 13 s
+    # leaves out x = 0, which alone puts m2 5e-10 off at zeta = 9.3, so the sinh
+    # window must still hold the spike (60 digits; mpmath quadrature in
+    # t = asinh x at 60 digits agrees to 2e-30)
+    (1315220000.0, 100000000.0, 3.54781273619575e-37, 5.884284750803743e-19, 4.554917909428156e-28),
+    (1357650000.0, 100000000.0, 3.112821652681323e-37, 5.516100320717526e-19, 4.131760741205604e-28),
+    (1400070000.0, 100000000.0, 2.7429125597688394e-37, 5.18167363425562e-19, 3.7597841615409834e-28),
 ]
 
 
@@ -228,6 +237,59 @@ def test_blocked_gauss_hermite_is_bitwise_single_shot(tones):
     for order in (200, 400, 800):
         assert np.array_equal(_kernel_means_gh(x0, 1.3, order),
                               _kernel_means_gh_single_shot(x0, 1.3, order))
+
+
+@pytest.mark.parametrize("tones", [0, 1, _BLOCK - 1, _BLOCK + 1, 1000, 10_000])
+@pytest.mark.parametrize("order", [16, 200, 800])
+def test_buffered_gauss_hermite_is_bitwise_single_shot_at_block_edges(tones, order):
+    # the reused block buffers must not change an element's arithmetic or a
+    # row's pairwise sum, whether the last block is full, partial or absent
+    x0 = np.sort(np.random.default_rng(tones).uniform(-60.0, 60.0, tones))
+    assert np.array_equal(_kernel_means_gh(x0, 0.7, order),
+                          _kernel_means_gh_single_shot(x0, 0.7, order))
+
+
+def test_buffered_gauss_hermite_far_tail_block_is_silent():
+    # t = 1 + x^2 overflows to inf in the middle of a block and in a block of
+    # its own; the test run turns the overflow RuntimeWarning into an error
+    x0 = np.concatenate([np.linspace(-3.0, 3.0, _BLOCK - 2), [1e160, -1e200],
+                         np.full(_BLOCK, 1e170), [5.0]])
+    km = _kernel_means_gh(x0, 1.0, 800)
+    with np.errstate(over="ignore"):
+        ref = _kernel_means_gh_single_shot(x0, 1.0, 800)
+    assert np.array_equal(km, ref)
+    assert np.all(km[:, _BLOCK - 2:-1] == 0.0)
+
+
+def test_kernel_means_of_no_tones_is_empty():
+    sensor = SensorModel(absorption_depth=0.9, half_width=1.0, shift_rate=1.0)
+    for s in (0.5, 3.0):
+        assert kernel_means(sensor, np.array([]), SensingPrior(mean=0.0, std=s)).shape == (3, 0)
+
+
+def _kernel_means_sinh_single_shot(x0, s):
+    """The sinh trapezoid rule on the whole (tones x nodes) array at once."""
+    u = np.linspace(0.0, 1.0, _SINH_NODES)
+    a = np.arcsinh(np.minimum(x0 - _SINH_SPAN * s, -_SPIKE_SPAN))[:, None]
+    b = np.arcsinh(np.maximum(x0 + _SINH_SPAN * s, _SPIKE_SPAN))[:, None]
+    t = a + (b - a) * u
+    t0 = np.arcsinh(x0)[:, None]
+    d = 2.0 * np.cosh(0.5 * (t + t0)) * np.sinh(0.5 * (t - t0)) / s
+    r = 1.0 / np.cosh(t)
+    q = np.exp(-0.5 * d * d) * r * ((b - a) / ((_SINH_NODES - 1) * s * math.sqrt(2.0 * math.pi)))
+    q[:, [0, -1]] *= 0.5
+    return np.stack([np.sum(q * r * r, axis=1), np.sum(q, axis=1),
+                     np.sum(q * d, axis=1) / (-2.0 * s)])
+
+
+@pytest.mark.parametrize("tones", [0, 1, _BLOCK - 1, _BLOCK + 1, 1000])
+def test_buffered_sinh_rule_is_bitwise_single_shot(tones):
+    # |Re z| from 3.5 to 10 on both sides of the dip, at spreads where the
+    # window x0 +- 13 s holds the spike and where only its extension does
+    zeta = np.linspace(3.5, 10.0, tones) * np.where(np.arange(tones) % 3, 1.0, -1.0)
+    for s in (1.2, 100.0, 1e8):
+        x0 = zeta * (s * math.sqrt(2.0))
+        assert np.array_equal(_kernel_means_sinh(x0, s), _kernel_means_sinh_single_shot(x0, s))
 
 
 @pytest.mark.parametrize("count", [16, 128, 1024])

@@ -102,6 +102,42 @@ def test_grid_validation():
         _ = irregular.bandwidth
 
 
+def test_grid_validation_messages():
+    cases = [
+        ((), ValueError, "grid needs at least one subcarrier"),
+        (np.array([]), ValueError, "grid needs at least one subcarrier"),
+        ([0.0, math.nan], ValueError, "subcarrier frequencies must be finite"),
+        (np.array([-math.inf, 0.0]), ValueError, "subcarrier frequencies must be finite"),
+        ([0.0, 2.0, 2.0], ValueError, "subcarrier frequencies must be strictly increasing"),
+        (np.array([1.0, -0.0, 0.0]), ValueError, "subcarrier frequencies must be strictly increasing"),
+        (["1.0", "x"], ValueError, "could not convert string to float: 'x'"),
+        ([1.0 + 2.0j], TypeError, "float() argument must be a string or a real number, not 'complex'"),
+        ([[1.0]], TypeError, "float() argument must be a string or a real number, not 'list'"),
+        ([[1.0], [2.0, 3.0]], TypeError, "float() argument must be a string or a real number, not 'list'"),
+        (np.array([[1.0, 2.0]]), TypeError, "only 0-dimensional arrays can be converted to Python scalars"),
+        ([None], TypeError, "float() argument must be a string or a real number, not 'NoneType'"),
+        ([1.0, None], TypeError, "float() argument must be a string or a real number, not 'NoneType'"),
+        (2.0, TypeError, "'float' object is not iterable"),
+    ]
+    for frequencies, error, message in cases:
+        with pytest.raises(error) as info:
+            SubcarrierGrid(frequencies=frequencies)
+        assert str(info.value) == message
+
+
+def test_grid_stores_a_tuple_of_python_floats():
+    center, spacing = 0.3, 0.05
+    g = SubcarrierGrid.uniform(center=center, spacing=spacing, count=1024)
+    expected = tuple(float(f) for f in center + (np.arange(1024) - 511.5) * spacing)
+    assert type(g.frequencies) is tuple and all(type(f) is float for f in g.frequencies)
+    assert [f.hex() for f in g.frequencies] == [f.hex() for f in expected]
+    # float32, integer and string inputs convert as float() converts each element
+    for raw in (np.array([0.1, 0.2], dtype=np.float32), [1, 2**53 + 1], ["0.1", 2]):
+        g = SubcarrierGrid.from_frequencies(raw)
+        assert [f.hex() for f in g.frequencies] == [float(f).hex() for f in raw]
+        assert all(type(f) is float for f in g.frequencies)
+
+
 def test_scenario_with_helpers_preserve_other_fields():
     sc = default_scenario()
     assert isinstance(sc, Scenario)
