@@ -58,6 +58,24 @@ class BfimBlocks:
         return self.b.shape[0]
 
 
+def _arrow_d(d_parts: np.ndarray) -> np.ndarray:
+    """Channel blocks (..., L, 4, 4) from their distinct entries (..., L, 4).
+
+    The entries are the means of |gamma|^2 |h_t|^2, |gamma|^2 |h_r|^2 and the
+    real and imaginary parts of z12 = |gamma|^2 h_r conj(h_t), in the
+    coordinate order (Re h_r, Im h_r, Re h_t, Im h_t).
+    """
+    d11, d22, z12_re, z12_im = np.moveaxis(d_parts, -1, 0)
+    d = np.zeros(d_parts.shape + (4,))
+    d[..., 0, 0] = d[..., 1, 1] = d11
+    d[..., 2, 2] = d[..., 3, 3] = d22
+    d[..., 0, 2] = d[..., 2, 0] = z12_re
+    d[..., 1, 3] = d[..., 3, 1] = z12_re
+    d[..., 0, 3] = d[..., 3, 0] = -z12_im
+    d[..., 1, 2] = d[..., 2, 1] = z12_im
+    return d
+
+
 @dataclass(frozen=True)
 class BcrbResult:
     """Bound decomposition. 1/bound = first_term + prior_term - coupling_term,
@@ -93,14 +111,9 @@ def assemble_bfim(scenario: Scenario) -> BfimBlocks:
         [corr.real, -corr.imag, corr.real, -corr.imag], axis=1
     )
 
-    count = sp.size
-    diag = two_over * rp + ch.prior_info_per_coordinate()
-    cross = two_over * rp * (ch.kappa / (ch.kappa + 1.0))
-    d = np.zeros((count, 4, 4))
-    idx = np.arange(4)
-    d[:, idx, idx] = diag[:, None]
-    for i, j in ((0, 2), (2, 0), (1, 3), (3, 1)):
-        d[:, i, j] = cross
+    v = two_over * rp
+    d = _arrow_d(np.stack([v, v, v * (ch.kappa / (ch.kappa + 1.0)), np.zeros_like(v)], axis=-1))
+    d[:, np.arange(4), np.arange(4)] += ch.prior_info_per_coordinate()
     return BfimBlocks(a=a, b=b, d=d)
 
 

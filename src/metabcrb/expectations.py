@@ -53,8 +53,10 @@ _SINH_SPAN = 13.0  # trapezoid window x0 +- _SINH_SPAN * s
 # the Lorentzian's mass and 4e-7 of its square. Against mpmath, the tails left
 # out cost under 1e-12 relative up to s = 1e9 (6e-10 at s = 1e10).
 _SPIKE_SPAN = 100.0
-# Tones per block of a vectorised rule. Each call reuses one set of
-# (block x nodes) buffers, 200 kB each at 800 nodes, small enough to stay in cache.
+# Tones per block of a vectorised rule. A block's (block x nodes) temporaries,
+# 200 kB each at 800 nodes, are small enough to be reused without page faults:
+# only a call's first block faults (168 pages at 1e3 and 1e4 tones alike, where
+# 256-tone blocks faulted on every block, 46,062 pages at 1e4 tones).
 _BLOCK = 32
 
 _INV_SQRT_PI = 1.0 / math.sqrt(math.pi)
@@ -187,8 +189,8 @@ def expect_over_prior(fn, prior: SensingPrior, method=Quadrature()):
     """Expectation of a vectorized function of the condition under the prior.
 
     Quadrature returns a float/complex; MonteCarlo returns an McEstimate and
-    calls fn once per chunk of draws, from worker threads when
-    METABCRB_THREADS allows more than one.
+    calls fn once per chunk of draws, always on the calling thread: draws are
+    one element wide, so _map_chunks loops over them in runs of 16 chunks.
     Gauss-Hermite is exact for polynomial integrands up to degree
     2 * order - 1 and refines by doubling until successive estimates agree
     to 1e-9 relative (order cap 1600, with a warning if never reached).
@@ -257,30 +259,24 @@ def detuning_stats(sensor: SensorModel, f, prior: SensingPrior) -> tuple[np.ndar
 def _kernel_means_gh(x0: np.ndarray, s: float, order: int) -> np.ndarray:
     """Stack [E k_sq, E k_lor, E k_odd] over frequencies, one Hermite order.
 
-    Blocks of _BLOCK tones reuse one set of (block x order) buffers, filled by
-    out= ufuncs: each element takes the same IEEE operations and each row the
-    same pairwise sum as on the whole (tones x order) array, so the table is
-    bitwise equal to that single-shot form.
+    Blocks of _BLOCK tones keep the temporaries small enough to be reused
+    without page faults; the table is bitwise that of the whole (tones x order)
+    array.
     """
     z, w = _gh_nodes(order)
     dx = (math.sqrt(2.0) * s) * z
     wn = w * _INV_SQRT_PI
     out = np.empty((3, x0.size))
-    x, t, t2, k = np.empty((4, min(_BLOCK, x0.size), order))
     for lo in range(0, x0.size, _BLOCK):
         rows = slice(lo, lo + _BLOCK)
-        n = min(_BLOCK, x0.size - lo)
-        xb, tb, t2b, kb = x[:n], t[:n], t2[:n], k[:n]
-        np.add(x0[rows, None], dx, out=xb)
+        x = x0[rows, None] + dx
         # far tails square past the float range; 1/inf = 0 is the right limit there
         with np.errstate(over="ignore"):
-            np.multiply(xb, xb, out=tb)
-            tb += 1.0
-            np.square(tb, out=t2b)
-        for row, num, den in ((0, 1.0, t2b), (1, 1.0, tb), (2, xb, t2b)):
-            np.divide(num, den, out=kb)
-            np.multiply(kb, wn, out=kb)
-            np.sum(kb, axis=1, out=out[row, rows])
+            t = 1.0 + x * x
+            t2 = t**2
+        out[0, rows] = np.sum((1.0 / t2) * wn, axis=1)
+        out[1, rows] = np.sum((1.0 / t) * wn, axis=1)
+        out[2, rows] = np.sum((x / t2) * wn, axis=1)
     return out
 
 
@@ -309,47 +305,25 @@ def _kernel_means_sinh(x0: np.ndarray, s: float) -> np.ndarray:
     keeps its digits near t0 = asinh(x0). The odd kernel goes by parts,
     E[x/(1+x^2)^2] = -E[(x - x0)/(1+x^2)] / (2 s^2), since its direct form
     cancels the spike's two halves and loses digits in proportion to s.
-    Blocks of _BLOCK tones reuse one set of (block x nodes) buffers.
+    Blocks of _BLOCK tones keep the temporaries small enough to be reused
+    without page faults, with the same bits as the whole (tones x nodes) array.
     """
     u = np.linspace(0.0, 1.0, _SINH_NODES)
     out = np.empty((3, x0.size))
-    t, d, r, q = np.empty((4, min(_BLOCK, x0.size), _SINH_NODES))
     for lo in range(0, x0.size, _BLOCK):
         rows = slice(lo, lo + _BLOCK)
-        n = min(_BLOCK, x0.size - lo)
-        tb, db, rb, qb = t[:n], d[:n], r[:n], q[:n]
         a = np.arcsinh(np.minimum(x0[rows] - _SINH_SPAN * s, -_SPIKE_SPAN))[:, None]
         b = np.arcsinh(np.maximum(x0[rows] + _SINH_SPAN * s, _SPIKE_SPAN))[:, None]
-        h = b - a
+        t = a + (b - a) * u
         t0 = np.arcsinh(x0[rows])[:, None]
-        np.multiply(h, u, out=tb)
-        tb += a  # t
-        # d = 2 cosh((t + t0)/2) sinh((t - t0)/2) / s = (x - x0) / s
-        np.add(tb, t0, out=db)
-        db *= 0.5
-        np.cosh(db, out=db)
-        db *= 2.0
-        np.subtract(tb, t0, out=rb)
-        rb *= 0.5
-        np.sinh(rb, out=rb)
-        db *= rb
-        db /= s
-        np.cosh(tb, out=rb)
-        np.divide(1.0, rb, out=rb)  # r = 1 / cosh t
+        d = 2.0 * np.cosh(0.5 * (t + t0)) * np.sinh(0.5 * (t - t0)) / s  # (x - x0) / s
+        r = 1.0 / np.cosh(t)
         # trapezoid weight times density times dx/dt = cosh t, times the 1/cosh^2 t kernel
-        np.multiply(db, -0.5, out=qb)
-        qb *= db
-        np.exp(qb, out=qb)
-        qb *= rb
-        qb *= h / ((_SINH_NODES - 1) * s * math.sqrt(2.0 * math.pi))
-        qb[:, [0, -1]] *= 0.5
-        np.multiply(qb, rb, out=tb)
-        tb *= rb
-        np.sum(tb, axis=1, out=out[0, rows])
-        np.sum(qb, axis=1, out=out[1, rows])
-        np.multiply(qb, db, out=tb)
-        np.sum(tb, axis=1, out=out[2, rows])
-        out[2, rows] /= -2.0 * s
+        q = np.exp(-0.5 * d * d) * r * ((b - a) / ((_SINH_NODES - 1) * s * math.sqrt(2.0 * math.pi)))
+        q[:, [0, -1]] *= 0.5
+        out[0, rows] = np.sum(q * r * r, axis=1)
+        out[1, rows] = np.sum(q, axis=1)
+        out[2, rows] = np.sum(q * d, axis=1) / (-2.0 * s)
     return out
 
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bcrb import _schur_coupling, bcrb_closed_form
+from .bcrb import _arrow_d, _schur_coupling, bcrb_closed_form
 from .expectations import MC_CHUNK, McEstimate, _map_chunks, _mean_and_se
 from .scenario import Scenario
 
@@ -191,24 +191,6 @@ def _chunk_block_means(terms, parts: np.ndarray):
         _draw_sum(power, q, u) - _draw_sum(power, p, v),
     ], axis=-1) / n
     return a_mean, b_mean, d_parts
-
-
-def _arrow_d(d_parts: np.ndarray) -> np.ndarray:
-    """Channel blocks (..., L, 4, 4) from their distinct entries (..., L, 4).
-
-    The entries are |gamma|^2 |h_t|^2, |gamma|^2 |h_r|^2 and the real and
-    imaginary parts of z12 = |gamma|^2 h_r conj(h_t), in the coordinate order
-    (Re h_r, Im h_r, Re h_t, Im h_t).
-    """
-    d11, d22, z12_re, z12_im = np.moveaxis(d_parts, -1, 0)
-    d = np.zeros(d_parts.shape + (4,))
-    d[..., 0, 0] = d[..., 1, 1] = d11
-    d[..., 2, 2] = d[..., 3, 3] = d22
-    d[..., 0, 2] = d[..., 2, 0] = z12_re
-    d[..., 1, 3] = d[..., 3, 1] = z12_re
-    d[..., 0, 3] = d[..., 3, 0] = -z12_im
-    d[..., 1, 2] = d[..., 2, 1] = z12_im
-    return d
 
 
 def _shared_chunk_means(scenarios, samples: int, seed: int):

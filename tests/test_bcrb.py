@@ -13,6 +13,7 @@ from metabcrb import (BfimBlocks, RicianSpec, Scenario, SensingPrior,
                       bfim_dense, default_scenario, select_subcarriers,
                       snr_to_noise, subcarrier_contribution)
 from metabcrb.bcrb import _closed_form_from_kernels
+from metabcrb.expectations import prior_moments
 
 
 def _scenario(depth=0.9, width=1.0, rate=1.0, offset=0.0, mean=0.0, std=1.0,
@@ -162,6 +163,28 @@ def test_dense_path_rejects_large_grids():
     sc = _scenario(count=65, spacing=0.05)
     with pytest.raises(ValueError):
         bcrb_from_dense(assemble_bfim(sc))
+
+
+def _channel_blocks_by_index(scenario):
+    """The channel blocks of assemble_bfim written entry by entry."""
+    ch = scenario.channel
+    _, _, rp = prior_moments(scenario.sensor, scenario.grid.as_array(), scenario.prior)
+    two_over = 2.0 / scenario.noise.variance
+    diag = two_over * rp + ch.prior_info_per_coordinate()
+    cross = two_over * rp * (ch.kappa / (ch.kappa + 1.0))
+    d = np.zeros((rp.size, 4, 4))
+    idx = np.arange(4)
+    d[:, idx, idx] = diag[:, None]
+    for i, j in ((0, 2), (2, 0), (1, 3), (3, 1)):
+        d[:, i, j] = cross
+    return d
+
+
+@pytest.mark.parametrize("count", [1, 128, 1024])
+@pytest.mark.parametrize("kappa", [0.0, 1.0, 1e10, 1e300])
+def test_assembled_channel_blocks_match_entry_by_entry_construction(count, kappa):
+    sc = _scenario(kappa=kappa, count=count, spacing=0.05)
+    assert np.array_equal(assemble_bfim(sc).d, _channel_blocks_by_index(sc))
 
 
 def test_assemble_rejects_deterministic_los():

@@ -242,8 +242,8 @@ def test_blocked_gauss_hermite_is_bitwise_single_shot(tones):
 @pytest.mark.parametrize("tones", [0, 1, _BLOCK - 1, _BLOCK + 1, 1000, 10_000])
 @pytest.mark.parametrize("order", [16, 200, 800])
 def test_buffered_gauss_hermite_is_bitwise_single_shot_at_block_edges(tones, order):
-    # the reused block buffers must not change an element's arithmetic or a
-    # row's pairwise sum, whether the last block is full, partial or absent
+    # blocking must not change an element's arithmetic or a row's pairwise
+    # sum, whether the last block is full, partial or absent
     x0 = np.sort(np.random.default_rng(tones).uniform(-60.0, 60.0, tones))
     assert np.array_equal(_kernel_means_gh(x0, 0.7, order),
                           _kernel_means_gh_single_shot(x0, 0.7, order))
@@ -282,7 +282,7 @@ def _kernel_means_sinh_single_shot(x0, s):
                      np.sum(q * d, axis=1) / (-2.0 * s)])
 
 
-@pytest.mark.parametrize("tones", [0, 1, _BLOCK - 1, _BLOCK + 1, 1000])
+@pytest.mark.parametrize("tones", [0, 1, _BLOCK - 1, _BLOCK + 1, 1000, 10_000])
 def test_buffered_sinh_rule_is_bitwise_single_shot(tones):
     # |Re z| from 3.5 to 10 on both sides of the dip, at spreads where the
     # window x0 +- 13 s holds the spike and where only its extension does

@@ -365,6 +365,21 @@ def test_map_chunks_runs_and_threads(monkeypatch):
     assert {t for _, _, t in expectations._map_chunks(layout, 0, 9 * MC_CHUNK, width=64)} == {main}
 
 
+def test_monte_carlo_expectation_calls_fn_on_the_calling_thread(monkeypatch):
+    # one-element draws always fill runs of several chunks, which never reach the pool
+    seen = set()
+
+    def fn(c):
+        seen.add(threading.get_ident())
+        return c * c
+
+    monkeypatch.setenv("METABCRB_THREADS", "2")
+    est = expectations.expect_over_prior(fn, SensingPrior(mean=0.0, std=1.0),
+                                         MonteCarlo(samples=40 * MC_CHUNK + 3, seed=4))
+    assert est.samples == 40 * MC_CHUNK + 3
+    assert seen == {threading.get_ident()}
+
+
 @pytest.mark.parametrize("count", [1, 5])
 def test_chunk_kernel_matches_mean_of_conditional_fim(count):
     # an independent path: the arrow blocks read out of each draw's dense
