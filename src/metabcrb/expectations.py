@@ -16,10 +16,12 @@ vectorised rules, chosen by s and by |z|, z = (j - x0)/(s sqrt 2):
 
 * Gauss-Hermite at KERNEL_ORDER = 800 nodes when s <= 1 (the kernels are
   smooth on the prior's scale) and, at any s, when |z| >= FAR_ZMIN = 10
-  (the spike at x = 0 carries an exp(-|z|^2) share below roundoff).
+  (the spike at x = 0 carries an exp(-|z|^2) share below roundoff). The
+  nodes ship with the package in _gh800.npy, scipy.special.roots_hermite(800).
 * s > 1 and |z| <= FADDEEVA_ZMAX = 3.5: closed forms in the Faddeeva function
   w(z) = scipy.special.wofz (Voigt integrals; Zaghloul & Ali, ACM TOMS
-  Algorithm 916, 2011).
+  Algorithm 916, 2011). Only these tones, and expect_over_prior's other
+  Gauss-Hermite orders, import scipy.
 * s > 1 and 3.5 < |z| < 10, where the closed form cancels: a trapezoid rule
   in t with x = sinh t, over a window that always holds the dip's spike.
 
@@ -36,7 +38,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import roots_hermite, wofz
 
 from .scenario import SensingPrior
 from .sensor import SensorModel
@@ -53,10 +54,9 @@ _SINH_SPAN = 13.0  # trapezoid window x0 +- _SINH_SPAN * s
 # the Lorentzian's mass and 4e-7 of its square. Against mpmath, the tails left
 # out cost under 1e-12 relative up to s = 1e9 (6e-10 at s = 1e10).
 _SPIKE_SPAN = 100.0
-# Tones per block of a vectorised rule. A block's (block x nodes) temporaries,
-# 200 kB each at 800 nodes, are small enough to be reused without page faults:
-# only a call's first block faults (168 pages at 1e3 and 1e4 tones alike, where
-# 256-tone blocks faulted on every block, 46,062 pages at 1e4 tones).
+# Tones per block of a vectorised rule: a block's (block x nodes) arrays take
+# 200 kB each at 800 nodes, where 256-tone blocks faulted on every block
+# (46,062 pages per 1e4-tone table against 168 for 32-tone temporaries).
 _BLOCK = 32
 
 _INV_SQRT_PI = 1.0 / math.sqrt(math.pi)
@@ -170,8 +170,13 @@ def _map_chunks(fn, seed: int, samples: int, width: int = 1) -> list:
 
 def _gh_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
     if order not in _gh_cache:
-        # scipy's rule stays finite at high orders where numpy's overflows
-        _gh_cache[order] = roots_hermite(order)
+        if order == KERNEL_ORDER:  # roots_hermite(800), stored: kernel_means needs no scipy
+            table = np.load(os.path.join(os.path.dirname(__file__), "_gh800.npy"))
+        else:  # scipy's rule stays finite at high orders where numpy's overflows
+            from scipy.special import roots_hermite
+            table = np.array(roots_hermite(order))
+        table.flags.writeable = False  # a cached rule serves every later table in the process
+        _gh_cache[order] = tuple(table)
     return _gh_cache[order]
 
 
@@ -259,24 +264,27 @@ def detuning_stats(sensor: SensorModel, f, prior: SensingPrior) -> tuple[np.ndar
 def _kernel_means_gh(x0: np.ndarray, s: float, order: int) -> np.ndarray:
     """Stack [E k_sq, E k_lor, E k_odd] over frequencies, one Hermite order.
 
-    Blocks of _BLOCK tones keep the temporaries small enough to be reused
-    without page faults; the table is bitwise that of the whole (tones x order)
-    array.
+    Blocks of _BLOCK tones share one set of (block x order) buffers, since
+    per-block temporaries, once freed, go back to the kernel and fault in again
+    on the next call. The table is bitwise that of the whole (tones x order) array.
     """
     z, w = _gh_nodes(order)
     dx = (math.sqrt(2.0) * s) * z
     wn = w * _INV_SQRT_PI
     out = np.empty((3, x0.size))
+    buf = np.empty((4, min(_BLOCK, x0.size), order))
     for lo in range(0, x0.size, _BLOCK):
         rows = slice(lo, lo + _BLOCK)
-        x = x0[rows, None] + dx
+        x, t, t2, k = buf[:, :x0[rows].size]
+        np.add(x0[rows, None], dx, out=x)
         # far tails square past the float range; 1/inf = 0 is the right limit there
         with np.errstate(over="ignore"):
-            t = 1.0 + x * x
-            t2 = t**2
-        out[0, rows] = np.sum((1.0 / t2) * wn, axis=1)
-        out[1, rows] = np.sum((1.0 / t) * wn, axis=1)
-        out[2, rows] = np.sum((x / t2) * wn, axis=1)
+            np.multiply(x, x, out=t)
+            t += 1.0
+            np.square(t, out=t2)
+        for row, num, den in ((0, 1.0, t2), (1, 1.0, t), (2, x, t2)):
+            np.multiply(np.divide(num, den, out=k), wn, out=k)
+            np.sum(k, axis=1, out=out[row, rows])
     return out
 
 
@@ -287,6 +295,7 @@ def _kernel_means_faddeeva(z: np.ndarray, s: float) -> np.ndarray:
     with w' = -2 z w + 2j/sqrt(pi); then m1 = Re E1, m2 = (Re E2 + m1)/2 and
     mx = -Im E2 / 2.  Accurate to ~1e-12 relative for |z| <= FADDEEVA_ZMAX.
     """
+    from scipy.special import wofz  # deferred: no other rule needs scipy
     w = wofz(z)
     dw = -2.0 * z * w + 2j * _INV_SQRT_PI
     c2 = math.sqrt(math.pi) / (2.0 * s * s)
@@ -305,8 +314,8 @@ def _kernel_means_sinh(x0: np.ndarray, s: float) -> np.ndarray:
     keeps its digits near t0 = asinh(x0). The odd kernel goes by parts,
     E[x/(1+x^2)^2] = -E[(x - x0)/(1+x^2)] / (2 s^2), since its direct form
     cancels the spike's two halves and loses digits in proportion to s.
-    Blocks of _BLOCK tones keep the temporaries small enough to be reused
-    without page faults, with the same bits as the whole (tones x nodes) array.
+    Blocks of _BLOCK tones keep the temporaries cache-sized, with the same
+    bits as the whole (tones x nodes) array.
     """
     u = np.linspace(0.0, 1.0, _SINH_NODES)
     out = np.empty((3, x0.size))
@@ -342,7 +351,8 @@ def kernel_means(sensor: SensorModel, f, prior: SensingPrior) -> np.ndarray:
     near, far = np.abs(z) <= FADDEEVA_ZMAX, np.abs(z) >= FAR_ZMIN
     mid = ~(near | far)
     out = np.empty((3, x0.size))
-    out[:, near] = _kernel_means_faddeeva(z[near], s)
+    if near.any():
+        out[:, near] = _kernel_means_faddeeva(z[near], s)
     out[:, mid] = _kernel_means_sinh(x0[mid], s)
     out[:, far] = _kernel_means_gh(x0[far], s, KERNEL_ORDER)
     return out

@@ -123,8 +123,13 @@ class McBlocks:
     samples: int
     chunk_a: np.ndarray
     chunk_b: np.ndarray
-    chunk_d: np.ndarray
+    chunk_d_parts: np.ndarray
     chunk_sizes: np.ndarray
+
+    @property
+    def chunk_d(self) -> np.ndarray:
+        """Per-chunk channel blocks (chunks, L, 4, 4), expanded from chunk_d_parts (chunks, L, 4)."""
+        return _arrow_d(self.chunk_d_parts)
 
 
 def _sensor_terms(sensor, freqs: np.ndarray, c: np.ndarray):
@@ -264,7 +269,7 @@ def mc_blocks(scenario: Scenario, samples: int, seed: int = 0) -> McBlocks:
     two_over = 2.0 / scenario.noise.variance
     return McBlocks(a=float(a), b=b, d=d, a_se=two_over * a_se, b_se=two_over * b_se,
                     samples=samples, chunk_a=chunk_a, chunk_b=chunk_b,
-                    chunk_d=_arrow_d(d_parts), chunk_sizes=sizes)
+                    chunk_d_parts=d_parts, chunk_sizes=sizes)
 
 
 def _mc_bounds(scenarios, samples: int, seed: int) -> list:

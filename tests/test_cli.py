@@ -1,5 +1,6 @@
 """Command line driver: CSV schemas, exit codes, determinism across thread counts."""
 
+import ast
 import csv
 import functools
 import itertools
@@ -315,25 +316,58 @@ def test_huge_kappa_exits_0_at_the_los_bound(tmp_path, kappa):
         assert float(got["bcrb"]) == pytest.approx(float(want["bcrb"]), rel=1e-12, abs=0.0)
 
 
-def test_narrow_fwhm_sweep_never_imports_scipy_integrate(tmp_path):
-    # no moment rule needs scipy.integrate, and a default-grid fwhm sweep down
-    # to 0.004 must not pull its import cost in through any other path
+def _scipy_modules_after(code):
+    """Names of the scipy modules loaded once `code` has run in a fresh
+    interpreter with this package's source directory on PYTHONPATH."""
     import metabcrb
-    path = tmp_path / "default.cfg"
-    path.write_text("# package defaults\n")
-    script = (
-        "import sys\n"
-        "from metabcrb.cli import main\n"
-        f"rc = main(['sweep', '--config', {str(path)!r}, '--out', {str(tmp_path / 'f.csv')!r}, "
-        "'--axis', 'fwhm', '--log', '--start', '0.004', '--stop', '0.6', '--points', '21'])\n"
-        "assert rc == 0, rc\n"
-        "print('scipy.integrate' in sys.modules)\n"
-    )
+    script = code + "\nimport sys\nprint(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
     src = os.path.dirname(os.path.dirname(metabcrb.__file__))
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    return ast.literal_eval(proc.stdout.splitlines()[-1])
+
+
+def _scipy_modules_after_cli(tmp_path, *argv):
+    """_scipy_modules_after a CLI run on the package defaults that exits 0."""
+    path = tmp_path / "default.cfg"
+    path.write_text("# package defaults\n")
+    full = [*argv, "--config", str(path), "--out", str(tmp_path / "out.csv")]
+    return _scipy_modules_after(f"from metabcrb.cli import main\nassert main({full!r}) == 0")
+
+
+def test_narrow_fwhm_sweep_never_imports_scipy_integrate(tmp_path):
+    # no moment rule needs scipy.integrate, and a default-grid fwhm sweep down
+    # to 0.004 must not pull its import cost in through any other path
+    loaded = _scipy_modules_after_cli(tmp_path, "sweep", "--axis", "fwhm", "--log",
+                                      "--start", "0.004", "--stop", "0.6", "--points", "21")
+    assert "scipy.integrate" not in loaded
+
+
+@pytest.mark.parametrize("module", ["metabcrb", "metabcrb.cli"])
+def test_import_loads_no_scipy(module):
+    assert _scipy_modules_after(f"import {module}") == []
+
+
+@pytest.mark.parametrize("command", [
+    ["sweep", "--axis", "snr_db", "--values", "0,10,20"],
+    ["select", "--budget", "8"],
+    ["validate", "--samples", "4096"],
+])
+def test_default_config_commands_load_no_scipy(tmp_path, command):
+    # package defaults put every tone at s = 1, on the stored Gauss-Hermite nodes
+    assert _scipy_modules_after_cli(tmp_path, *command) == []
+
+
+def test_narrow_fwhm_sweep_loads_scipy_special(tmp_path):
+    # the one route that still needs scipy: s > 1 tones near the dip take wofz
+    assert "scipy.special" in _scipy_modules_after_cli(tmp_path, "sweep", "--axis", "fwhm", "--values", "0.01")
+
+
+def test_narrow_fwhm_sweep_far_from_the_dip_loads_no_scipy(tmp_path):
+    # s = 200, but tones 50 away sit at |z| > 10 and take the stored Gauss-Hermite nodes
+    assert _scipy_modules_after_cli(tmp_path, "sweep", "--axis", "fwhm", "--values", "0.01",
+                                    "--set", "grid.center=50") == []
 
 
 def test_sweep_svg_written(cfg, tmp_path):

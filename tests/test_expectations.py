@@ -19,7 +19,7 @@ from metabcrb import (McEstimate, MonteCarlo, Quadrature, SensingPrior,
 from metabcrb.config import parse_config, scenario_from_settings
 from metabcrb.expectations import (_BLOCK, _SINH_NODES, _SINH_SPAN,
                                    _SPIKE_SPAN, FADDEEVA_ZMAX, FAR_ZMIN,
-                                   _gh_nodes, _kernel_means_gh,
+                                   KERNEL_ORDER, _gh_nodes, _kernel_means_gh,
                                    _kernel_means_sinh, detuning_stats,
                                    kernel_means, prior_moments)
 
@@ -217,6 +217,39 @@ def test_far_tail_adaptive_kernels_do_not_overflow():
     m2, m1, mx = kernel_means(sensor, [1e10], SensingPrior(mean=0.0, std=1.0))[:, 0]
     assert m1 == pytest.approx(1e-300, rel=1e-11, abs=0.0)
     assert m2 == 0.0 and mx == 0.0
+
+
+def test_stored_kernel_nodes_are_scipys_order_800_rule():
+    """_gh_nodes(KERNEL_ORDER) reads _gh800.npy, which holds scipy's rule bit for bit.
+
+    Regenerate the file from the repository root with
+    python3 -c "import numpy as np; from scipy.special import roots_hermite; np.save('src/metabcrb/_gh800.npy', np.stack(roots_hermite(800)))"
+    """
+    from scipy.special import roots_hermite
+    z, w = _gh_nodes(KERNEL_ORDER)
+    ref_z, ref_w = roots_hermite(KERNEL_ORDER)
+    assert np.array_equal(z, ref_z)
+    assert np.array_equal(w, ref_w)
+
+
+@pytest.mark.parametrize("order", [KERNEL_ORDER, 200])
+def test_cached_quadrature_nodes_are_read_only(order):
+    # the cache serves every later table in the process: a caller's in-place
+    # write must fail, not change every bound that follows
+    sensor = SensorModel(absorption_depth=0.9, half_width=1.0, shift_rate=1.0)
+    prior = SensingPrior(mean=0.0, std=1.0)
+    f = np.linspace(-3.0, 3.0, 64)
+
+    def fn(c):
+        return 1.0 / (1.0 + c * c)
+
+    tables = kernel_means(sensor, f, prior).tobytes()
+    expectation = expect_over_prior(fn, prior, Quadrature(order))
+    for nodes in _gh_nodes(order):
+        with pytest.raises(ValueError):
+            nodes *= 2.0
+    assert kernel_means(sensor, f, prior).tobytes() == tables
+    assert expect_over_prior(fn, prior, Quadrature(order)) == expectation
 
 
 def _kernel_means_gh_single_shot(x0, s, order):

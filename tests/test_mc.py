@@ -505,6 +505,15 @@ def test_shared_draws_equal_separate_calls(count):
         assert (est.value, est.std_err) == (ref.value, ref.std_err)
 
 
+def test_mc_blocks_store_four_channel_entries_per_tone():
+    # the (chunks, L, 4, 4) channel blocks hold 4 distinct entries per tone;
+    # only those are stored, and chunk_d expands them on access
+    blocks = mc_blocks(_scenario(count=16), 2_000, 3)
+    assert blocks.chunk_d_parts.shape == (blocks.chunk_sizes.size, 16, 4)
+    assert blocks.chunk_d.shape == (blocks.chunk_sizes.size, 16, 4, 4)
+    assert np.array_equal(blocks.chunk_d, mc._arrow_d(blocks.chunk_d_parts))
+
+
 def test_shared_draws_need_one_prior_sensor_and_grid():
     sc = _scenario(count=4)
     others = (sc.with_grid(SubcarrierGrid.uniform(center=0.0, spacing=0.4, count=5)),
