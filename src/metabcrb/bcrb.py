@@ -185,12 +185,13 @@ def _contributions(scenario: Scenario, sp, corr, rp) -> np.ndarray:
 
 
 def _closed_form_from_kernels(scenario: Scenario, km: np.ndarray) -> BcrbResult:
-    """Closed-form bound from the (3, L) kernel-mean table of the scenario grid.
+    """Closed-form bound from the (3, L) kernel-mean table of the scenario grid, which
+    depends only on the detuning stats (x0, s): depth, noise and kappa enter here."""
+    return _closed_form_from_moments(scenario, *_moments_from_kernels(scenario.sensor, km))
 
-    The table depends only on the detuning stats (x0, s); depth, noise and
-    kappa enter here, so one table serves every point of a sweep along them.
-    """
-    sp, corr, rp = _moments_from_kernels(scenario.sensor, km)
+
+def _closed_form_from_moments(scenario: Scenario, sp, corr, rp) -> BcrbResult:
+    """Closed-form bound from the grid's prior moments, which noise and kappa leave alone."""
     two_over = 2.0 / scenario.noise.variance
     first = two_over * float(np.sum(sp))
     prior_term = scenario.prior.curvature()
@@ -228,20 +229,24 @@ def subcarrier_contribution(scenario: Scenario, k: int) -> float:
     return float(_contributions(scenario, sp, corr, rp)[0])
 
 
+def _greedy_order(scenario: Scenario, freqs: np.ndarray, contrib: np.ndarray) -> np.ndarray:
+    """Tone indices by descending contribution, distance to the resonance, frequency."""
+    center = scenario.sensor.resonance(scenario.prior.mean)
+    return np.lexsort((freqs, np.abs(freqs - center), -contrib))
+
+
 def select_subcarriers(candidates: SubcarrierGrid, scenario: Scenario, budget: int) -> list[float]:
     """Pick `budget` candidate tones by descending information contribution.
 
     Contributions are additive across tones, so the greedy pick is optimal.
     Ties break toward the tone closest to the prior-mean resonance, then
-    toward the lower frequency. scenario.grid is ignored; `candidates` is the
-    menu of frequencies.
+    toward the lower frequency, on computed contributions: mirror tones at
+    resonance +/- f tie in exact arithmetic but come out in the order the
+    last bits of their contributions give. scenario.grid is ignored;
+    `candidates` is the menu of frequencies.
     """
     freqs = candidates.as_array()
     if not 1 <= budget <= freqs.size:
         raise ValueError(f"budget must be in [1, {freqs.size}], got {budget}")
-    sp, corr, rp = _moment_values(scenario, freqs)
-    contrib = _contributions(scenario, sp, corr, rp)
-    center = scenario.sensor.resonance(scenario.prior.mean)
-    order = sorted(range(freqs.size),
-                   key=lambda i: (-contrib[i], abs(freqs[i] - center), freqs[i]))
-    return [float(freqs[i]) for i in order[:budget]]
+    contrib = _contributions(scenario, *_moment_values(scenario, freqs))
+    return freqs[_greedy_order(scenario, freqs, contrib)[:budget]].tolist()

@@ -31,11 +31,12 @@ from . import expectations
 from .asymptotics import (corr_magsq_narrow_limit, corr_magsq_wide_limit,
                           fit_loglog_slope, slope_power_narrow_limit,
                           slope_power_wide_limit, wideband_slope_power_sum)
-from .bcrb import (_closed_form_from_kernels, assemble_bfim, bcrb_closed_form,
-                   bcrb_from_blocks, bcrb_from_dense, select_subcarriers)
+# select_subcarriers stays a name of this module: benchmarks/spans.py traces it here
+from .bcrb import (_closed_form_from_moments, _greedy_order, assemble_bfim, bcrb_closed_form,
+                   bcrb_from_blocks, bcrb_from_dense, select_subcarriers)  # noqa: F401
 from .config import (ConfigError, apply_override, parse_config,
                      scenario_from_settings)
-from .expectations import corr_magsq, detuning_stats, slope_power
+from .expectations import _moments_from_kernels, corr_magsq, detuning_stats, slope_power
 from .mc import _mc_bounds, mc_bound
 from .scenario import SubcarrierGrid, snr_to_noise
 from .svg import write_line_chart
@@ -147,19 +148,24 @@ def cmd_sweep(args) -> int:
         curves.append(("base", settings))
     values = _sweep_values(args)
 
-    # Kernel means depend only on the detuning stats (x0, s), so sweeps along
-    # snr_db, kappa and depth share one table; it lives for this command only.
+    # Kernel means depend only on the detuning stats (x0, s), so sweeps along snr_db,
+    # kappa and depth share one table; moments depend on the table and the sensor, so
+    # points along snr_db and kappa share one moment set. Only the last moment set is
+    # kept, as fwhm points never share one; nothing outlives this command.
     tables = {}
+    moments_key = moments = None
     rows = []
     for label, cur in curves:
         for value in values:
             scenario = scenario_from_settings(_apply_axis(cur, args.axis, value))
-            freqs = scenario.grid.as_array()
-            x0, s = detuning_stats(scenario.sensor, freqs, scenario.prior)
+            sensor, freqs = scenario.sensor, scenario.grid.as_array()
+            x0, s = detuning_stats(sensor, freqs, scenario.prior)
             key = (x0.tobytes(), s)
             if key not in tables:
-                tables[key] = expectations.kernel_means(scenario.sensor, freqs, scenario.prior)
-            res = _closed_form_from_kernels(scenario, tables[key])
+                tables[key] = expectations.kernel_means(sensor, freqs, scenario.prior)
+            if moments_key != (key, sensor):
+                moments_key, moments = (key, sensor), _moments_from_kernels(sensor, tables[key])
+            res = _closed_form_from_moments(scenario, *moments)
             rows.append([f"{args.axis}", label, _fmt(value), _fmt(res.bound),
                          _fmt(res.first_term), _fmt(res.prior_term), _fmt(res.coupling_term)])
 
@@ -248,18 +254,17 @@ def cmd_validate(args) -> int:
 # ---------------------------------------------------------------- select
 
 def cmd_select(args) -> int:
-    settings = _load_settings(args.config)
-    scenario = scenario_from_settings(settings)
-    candidates = scenario.grid
-    if not 1 <= args.budget <= candidates.count:
-        raise ConfigError(f"--budget must be in [1, {candidates.count}]")
-    chosen = select_subcarriers(candidates, scenario, args.budget)
+    scenario = scenario_from_settings(_load_settings(args.config))
+    freqs = scenario.grid.as_array()
+    if not 1 <= args.budget <= freqs.size:
+        raise ConfigError(f"--budget must be in [1, {freqs.size}]")
 
-    # Contributions are additive, so the bound after r picks is the prior plus a
-    # running sum in pick order: one closed form on the candidates, not one per prefix.
+    # Contributions are additive, so the picks are select_subcarriers' and the bound
+    # after r picks is the prior plus a running sum in pick order: one closed form on
+    # the candidates, not one per prefix.
     res = bcrb_closed_form(scenario)
-    by_freq = dict(zip(candidates.frequencies, res.contributions))
-    contrib = [by_freq[freq] for freq in chosen]
+    picks = _greedy_order(scenario, freqs, res.contributions)[:args.budget]
+    chosen, contrib = freqs[picks], res.contributions[picks]
     denom = res.prior_term + (2.0 / scenario.noise.variance) * np.cumsum(contrib)
     bounds = (1.0 / denom).tolist()
     header = ["rank", "frequency", "contribution", "bcrb"]

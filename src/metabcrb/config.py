@@ -6,6 +6,8 @@ rejected. Floats are serialized with repr so a round trip is bit-exact.
 
 from __future__ import annotations
 
+import functools
+
 from .scenario import (NoiseSpec, RicianSpec, Scenario, SensingPrior,
                        SubcarrierGrid, snr_to_noise)
 from .sensor import SensorModel
@@ -96,6 +98,12 @@ def apply_override(settings: dict, assignment: str) -> dict:
     return {**settings, key: _parse_value(key, raw_value)}
 
 
+@functools.lru_cache(maxsize=1)  # sweep points share one grid, which is immutable
+def _uniform_grid(center_hex: str, spacing_hex: str, count: int) -> SubcarrierGrid:
+    """SubcarrierGrid.uniform, remembered by the exact bits of center and spacing."""
+    return SubcarrierGrid.uniform(float.fromhex(center_hex), float.fromhex(spacing_hex), count)
+
+
 def scenario_from_settings(settings: dict) -> Scenario:
     try:
         sensor = SensorModel(
@@ -108,9 +116,8 @@ def scenario_from_settings(settings: dict) -> Scenario:
         channel = RicianSpec(kappa=settings["channel.kappa"],
                              deterministic_los=settings["channel.los"])
         noise = snr_to_noise(settings["noise.snr_db"])
-        grid = SubcarrierGrid.uniform(center=settings["grid.center"],
-                                      spacing=settings["grid.spacing"],
-                                      count=settings["grid.count"])
+        grid = _uniform_grid(float(settings["grid.center"]).hex(),
+                             float(settings["grid.spacing"]).hex(), settings["grid.count"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     return Scenario(sensor=sensor, prior=prior, channel=channel, noise=noise, grid=grid)

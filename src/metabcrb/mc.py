@@ -326,38 +326,28 @@ def posterior_mean_mse(scenario: Scenario, trials: int, grid_points: int = 2000,
         raise ValueError("posterior_mean_mse requires the deterministic LoS mode")
     if trials < 2 or grid_points < 2:
         raise ValueError("need at least 2 trials and 2 grid points")
-    prior = scenario.prior
-    freqs = scenario.grid.as_array()
-    noise_var = scenario.noise.variance
-
+    prior, freqs, noise_var = scenario.prior, scenario.grid.as_array(), scenario.noise.variance
     c_grid = np.linspace(prior.mean - 6.0 * prior.std, prior.mean + 6.0 * prior.std, grid_points)
     g = scenario.sensor.reflection(freqs[None, :], c_grid[:, None])  # (P, L)
-    g_norm = np.sum(np.abs(g) ** 2, axis=1)
+    # log posterior in real arithmetic, [Re y, Im y] @ (2 / v) [Re g; Im g] - |g|^2 / v
+    # + log prior: its per-trial -|y|^2 / v term is dropped, as the row-max shift cancels it
+    g_scaled = (2.0 / noise_var) * np.concatenate([g.real, g.imag], axis=1).T  # (2L, P)
     log_prior = -0.5 * ((c_grid - prior.mean) / prior.std) ** 2
-
-    g_conj_t = np.conj(g.T)
+    bias = log_prior - np.sum(np.abs(g) ** 2, axis=1) / noise_var
+    powers = np.stack([np.ones_like(c_grid), c_grid], axis=1)  # (P, 2): c^0 and c^1
+    noise_std = math.sqrt(noise_var / 2.0)
 
     def trial_sums(rng, size):
         c_true = prior.mean + prior.std * rng.standard_normal(size)
         clean = scenario.sensor.reflection(freqs[None, :], c_true[:, None])
-        noise = math.sqrt(noise_var / 2.0) * (
-            rng.standard_normal((size, freqs.size)) + 1j * rng.standard_normal((size, freqs.size)))
-        y = clean + noise
-
-        # log posterior up to a constant, -(|y|^2 - 2 Re(y g^H) + |g|^2) / noise_var
-        # + log prior, then its normalized exp, in one (size, P) buffer
-        cross = y @ g_conj_t
-        w = np.multiply(2.0, cross.real)
-        del cross
-        np.subtract(np.sum(np.abs(y) ** 2, axis=1)[:, None], w, out=w)
-        np.add(w, g_norm, out=w)
-        np.negative(w, out=w)
-        np.divide(w, noise_var, out=w)
-        np.add(w, log_prior, out=w)
-        np.subtract(w, np.max(w, axis=1, keepdims=True), out=w)
+        y = np.concatenate([clean.real + noise_std * rng.standard_normal((size, freqs.size)),
+                            clean.imag + noise_std * rng.standard_normal((size, freqs.size))], axis=1)
+        w = y @ g_scaled  # (size, P), then its normalized exp in place
+        w += bias
+        w -= np.max(w, axis=1, keepdims=True)
         np.exp(w, out=w)
-        norm = np.sum(w, axis=1)
-        est = np.sum(np.multiply(w, c_grid, out=w), axis=1) / norm
+        norm, first = (w @ powers).T
+        est = first / norm
 
         sq = (est - c_true) ** 2
         return float(np.sum(sq)), float(np.sum(sq**2))

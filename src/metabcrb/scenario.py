@@ -121,7 +121,7 @@ class SubcarrierGrid:
             # anything but a flat numeric sequence goes through float() per
             # element, which raises on None, nesting and non-numbers
             freqs = [float(f) for f in self.frequencies]
-        freqs = np.asarray(freqs, dtype=float)
+        freqs = np.array(freqs, dtype=float)  # a copy: the caller's array stays its own
         if freqs.size == 0:
             raise ValueError("grid needs at least one subcarrier")
         if not np.all(np.isfinite(freqs)):
@@ -129,6 +129,8 @@ class SubcarrierGrid:
         if np.any(freqs[1:] <= freqs[:-1]):
             raise ValueError("subcarrier frequencies must be strictly increasing")
         object.__setattr__(self, "frequencies", tuple(freqs.tolist()))
+        freqs.setflags(write=False)
+        object.__setattr__(self, "_array", freqs)
         if self.spacing is not None and not self.spacing > 0.0:
             raise ValueError(f"spacing must be positive, got {self.spacing}")
 
@@ -156,7 +158,8 @@ class SubcarrierGrid:
         return self.count * self.spacing
 
     def as_array(self) -> np.ndarray:
-        return np.asarray(self.frequencies, dtype=float)
+        """The frequencies as a read-only float array, shared by every caller."""
+        return self._array
 
 
 @dataclass(frozen=True)

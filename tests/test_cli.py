@@ -199,6 +199,46 @@ def test_sweep_kernel_table_lasts_one_command(cfg, tmp_path, monkeypatch):
     assert len(calls) == 7
 
 
+def _count_calls(monkeypatch, module, name):
+    """Replace module.name by a wrapper that appends to the returned list per call."""
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_sweep_shares_a_moment_set_while_table_and_sensor_repeat(cfg, tmp_path, monkeypatch):
+    import metabcrb.cli as cli_mod
+    import metabcrb.expectations as expectations_mod
+    tables = _count_calls(monkeypatch, expectations_mod, "kernel_means")
+    moments = _count_calls(monkeypatch, cli_mod, "_moments_from_kernels")
+    out = str(tmp_path / "sweep.csv")
+    # noise and kappa leave the sensor alone: one table, one moment set for 3 curves
+    assert main(["sweep", "--config", cfg, "--out", out, "--axis", "snr_db",
+                 "--start", "-10", "--stop", "30", "--points", "5",
+                 "--curve", "channel.kappa=0.0", "--curve", "channel.kappa=1.0",
+                 "--curve", "channel.kappa=5.0"]) == 0
+    assert (len(tables), len(moments)) == (1, 1)
+    # depth changes the sensor: one table, one moment set per point
+    del tables[:], moments[:]
+    assert main(["sweep", "--config", cfg, "--out", out, "--axis", "depth",
+                 "--start", "0.1", "--stop", "1.0", "--points", "7"]) == 0
+    assert (len(tables), len(moments)) == (1, 7)
+
+
+def test_select_builds_one_kernel_table(cfg, tmp_path, monkeypatch):
+    import metabcrb.expectations as expectations_mod
+    tables = _count_calls(monkeypatch, expectations_mod, "kernel_means")
+    assert main(["select", "--config", cfg, "--out", str(tmp_path / "sel.csv"),
+                 "--budget", "5"]) == 0
+    assert len(tables) == 1
+
+
 def test_sweep_non_finite_config_exits_1(tmp_path, capsys):
     path = tmp_path / "nan.cfg"
     path.write_text(BASE_CFG.replace("prior.mean = 0.0", "prior.mean = nan"))

@@ -88,6 +88,22 @@ def test_round_trip_is_bit_exact():
     assert scenario_from_settings(parse_config(format_config(settings_from_scenario(sc)))) == sc
 
 
+def test_uniform_grid_memo_keys_on_bits():
+    from metabcrb import SubcarrierGrid
+    settings = parse_config("grid.count = 5\n")
+    centers = (0.0, -0.0, 0.0)
+    grids = [scenario_from_settings({**settings, "grid.center": c}).grid for c in centers]
+    for center, grid in zip(centers, grids):
+        fresh = SubcarrierGrid.uniform(center=center, spacing=settings["grid.spacing"], count=5)
+        assert [f.hex() for f in grid.frequencies] == [f.hex() for f in fresh.frequencies]
+    assert grids[0].frequencies == grids[1].frequencies
+    # repeated bits give the very same grid; a bad grid is rejected, not remembered
+    assert scenario_from_settings(settings).grid is scenario_from_settings(settings).grid
+    for _ in range(2):
+        with pytest.raises(ConfigError):
+            scenario_from_settings({**settings, "grid.spacing": -0.1})
+
+
 def test_settings_from_scenario_rejects_irregular_grid():
     from metabcrb import SubcarrierGrid
     sc = default_scenario().with_grid(SubcarrierGrid.from_frequencies([0.0, 0.3, 1.0]))

@@ -526,7 +526,12 @@ def test_shared_draws_need_one_prior_sensor_and_grid():
 
 
 def _posterior_mse_serial(sc, trials, grid_points, seed):
-    """posterior_mean_mse one chunk at a time with the plain expression chain."""
+    """posterior_mean_mse one chunk at a time with the plain complex expression chain.
+
+    posterior_mean_mse forms the log posterior as one real product, which
+    rounds differently; at the seed of the thread-count test below the two
+    still agree bit for bit.
+    """
     prior, freqs, noise_var = sc.prior, sc.grid.as_array(), sc.noise.variance
     c_grid = np.linspace(prior.mean - 6.0 * prior.std, prior.mean + 6.0 * prior.std, grid_points)
     g = sc.sensor.reflection(freqs[None, :], c_grid[:, None])
@@ -563,6 +568,17 @@ def test_posterior_mean_mse_bitwise_across_thread_counts(grid_points, monkeypatc
         monkeypatch.setenv("METABCRB_THREADS", threads)
         est = posterior_mean_mse(sc, 2_001, grid_points=grid_points, seed=23)
         assert (est.value, est.std_err) == ref, threads
+
+
+@pytest.mark.parametrize("grid_points", [2000, 8])
+def test_posterior_mean_mse_matches_the_complex_expression_chain(grid_points):
+    # the real product rounds differently from the complex chain of
+    # _posterior_mse_serial; at this seed both the value and the error move
+    sc = _scenario(los=True, count=16, spacing=0.4, snr_db=10.0)
+    ref = _posterior_mse_serial(sc, 3_000, grid_points, 2)
+    est = posterior_mean_mse(sc, 3_000, grid_points=grid_points, seed=2)
+    assert (est.value, est.std_err) != ref
+    np.testing.assert_allclose((est.value, est.std_err), ref, rtol=1e-12, atol=0.0)
 
 
 def test_monte_carlo_expectation_bitwise_across_thread_counts(monkeypatch):

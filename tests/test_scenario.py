@@ -138,6 +138,21 @@ def test_grid_stores_a_tuple_of_python_floats():
         assert all(type(f) is float for f in g.frequencies)
 
 
+def test_grid_array_is_a_read_only_copy():
+    g = SubcarrierGrid.uniform(center=0.3, spacing=0.05, count=1024)
+    arr = g.as_array()
+    assert not arr.flags.writeable
+    assert arr.dtype == float and arr.tobytes() == np.array(g.frequencies).tobytes()
+    with pytest.raises(ValueError):
+        arr[0] = 1.0
+    # the grid copies an array it is given; the caller's array stays writeable and its own
+    raw = np.linspace(0.0, 1.0, 5)
+    g = SubcarrierGrid(frequencies=raw)
+    assert raw.flags.writeable and not np.shares_memory(raw, g.as_array())
+    raw[0] = -1.0
+    assert g.frequencies[0] == 0.0 and g.as_array()[0] == 0.0
+
+
 def test_scenario_with_helpers_preserve_other_fields():
     sc = default_scenario()
     assert isinstance(sc, Scenario)
