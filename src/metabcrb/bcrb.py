@@ -16,8 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import expectations
-from .expectations import _moments_from_kernels, prior_moments
+from .expectations import prior_moments
 from .scenario import Scenario, SubcarrierGrid
 
 
@@ -88,9 +87,15 @@ class BcrbResult:
     contributions: np.ndarray
 
 
-def _moment_values(scenario: Scenario, frequencies):
-    sp, corr, rp = prior_moments(scenario.sensor, np.asarray(frequencies, float), scenario.prior)
-    return np.atleast_1d(sp), np.atleast_1d(corr), np.atleast_1d(rp)
+def _arrow_blocks(scenario: Scenario, a_mean, b_mean, d_parts):
+    """Blocks a, b, d, prior included, from unscaled mean information a_mean (...), b_mean
+    (..., L, 4) and d_parts (..., L, 4, see _arrow_d); scales the last two in place."""
+    two_over = 2.0 / scenario.noise.variance
+    b_mean *= two_over
+    d_parts *= two_over
+    d = _arrow_d(d_parts)
+    d[..., np.arange(4), np.arange(4)] += scenario.channel.prior_info_per_coordinate()
+    return two_over * a_mean + scenario.prior.curvature(), b_mean, d
 
 
 def assemble_bfim(scenario: Scenario) -> BfimBlocks:
@@ -102,18 +107,10 @@ def assemble_bfim(scenario: Scenario) -> BfimBlocks:
     ch = scenario.channel
     if ch.deterministic_los:
         raise ValueError("assemble_bfim requires a random channel; deterministic LoS has no channel blocks")
-    sp, corr, rp = _moment_values(scenario, scenario.grid.as_array())
-    two_over = 2.0 / scenario.noise.variance
-    a = two_over * float(np.sum(sp)) + scenario.prior.curvature()
-
-    mean = ch.mean()
-    b = two_over * mean * np.stack(
-        [corr.real, -corr.imag, corr.real, -corr.imag], axis=1
-    )
-
-    v = two_over * rp
-    d = _arrow_d(np.stack([v, v, v * (ch.kappa / (ch.kappa + 1.0)), np.zeros_like(v)], axis=-1))
-    d[:, np.arange(4), np.arange(4)] += ch.prior_info_per_coordinate()
+    sp, corr, rp = prior_moments(scenario.sensor, scenario.grid.as_array(), scenario.prior)
+    b_mean = ch.mean() * np.stack([corr.real, -corr.imag, corr.real, -corr.imag], axis=1)
+    d_parts = np.stack([rp, rp, rp * (ch.kappa / (ch.kappa + 1.0)), np.zeros_like(rp)], axis=-1)
+    a, b, d = _arrow_blocks(scenario, float(np.sum(sp)), b_mean, d_parts)
     return BfimBlocks(a=a, b=b, d=d)
 
 
@@ -184,12 +181,6 @@ def _contributions(scenario: Scenario, sp, corr, rp) -> np.ndarray:
     return sp - 2.0 * kappa * np.abs(corr) ** 2 / denom
 
 
-def _closed_form_from_kernels(scenario: Scenario, km: np.ndarray) -> BcrbResult:
-    """Closed-form bound from the (3, L) kernel-mean table of the scenario grid, which
-    depends only on the detuning stats (x0, s): depth, noise and kappa enter here."""
-    return _closed_form_from_moments(scenario, *_moments_from_kernels(scenario.sensor, km))
-
-
 def _closed_form_from_moments(scenario: Scenario, sp, corr, rp) -> BcrbResult:
     """Closed-form bound from the grid's prior moments, which noise and kappa leave alone."""
     two_over = 2.0 / scenario.noise.variance
@@ -216,8 +207,8 @@ def bcrb_closed_form(scenario: Scenario) -> BcrbResult:
     deterministic LoS mode the channels drop out and the bound reduces to
     1 / ((2 / noise_var) * sum slope_power + prior curvature).
     """
-    km = expectations.kernel_means(scenario.sensor, scenario.grid.as_array(), scenario.prior)
-    return _closed_form_from_kernels(scenario, km)
+    return _closed_form_from_moments(
+        scenario, *prior_moments(scenario.sensor, scenario.grid.as_array(), scenario.prior))
 
 
 def subcarrier_contribution(scenario: Scenario, k: int) -> float:
@@ -225,14 +216,23 @@ def subcarrier_contribution(scenario: Scenario, k: int) -> float:
     freqs = scenario.grid.as_array()
     if not 0 <= k < freqs.size:
         raise IndexError(f"subcarrier index {k} out of range for {freqs.size} tones")
-    sp, corr, rp = _moment_values(scenario, freqs[k])
-    return float(_contributions(scenario, sp, corr, rp)[0])
+    moments = prior_moments(scenario.sensor, freqs[k:k + 1], scenario.prior)
+    return float(_contributions(scenario, *moments)[0])
 
 
-def _greedy_order(scenario: Scenario, freqs: np.ndarray, contrib: np.ndarray) -> np.ndarray:
-    """Tone indices by descending contribution, distance to the resonance, frequency."""
+def _greedy(scenario: Scenario, budget: int):
+    """Frequencies, contributions and bound after each pick of the `budget` best grid
+    tones, by descending contribution, distance to the resonance, frequency. One
+    closed form gives the trajectory: the bound's denominator sums contributions."""
+    freqs = scenario.grid.as_array()
+    if not 1 <= budget <= freqs.size:
+        raise ValueError(f"budget must be in [1, {freqs.size}], got {budget}")
+    res = bcrb_closed_form(scenario)
     center = scenario.sensor.resonance(scenario.prior.mean)
-    return np.lexsort((freqs, np.abs(freqs - center), -contrib))
+    picks = np.lexsort((freqs, np.abs(freqs - center), -res.contributions))[:budget]
+    contrib = res.contributions[picks]
+    bounds = 1.0 / (res.prior_term + (2.0 / scenario.noise.variance) * np.cumsum(contrib))
+    return freqs[picks], contrib, bounds
 
 
 def select_subcarriers(candidates: SubcarrierGrid, scenario: Scenario, budget: int) -> list[float]:
@@ -243,10 +243,7 @@ def select_subcarriers(candidates: SubcarrierGrid, scenario: Scenario, budget: i
     toward the lower frequency, on computed contributions: mirror tones at
     resonance +/- f tie in exact arithmetic but come out in the order the
     last bits of their contributions give. scenario.grid is ignored;
-    `candidates` is the menu of frequencies.
+    `candidates` is the menu of frequencies. Raises ArithmeticError where the
+    bound's denominator over all candidates is not positive (bcrb_closed_form).
     """
-    freqs = candidates.as_array()
-    if not 1 <= budget <= freqs.size:
-        raise ValueError(f"budget must be in [1, {freqs.size}], got {budget}")
-    contrib = _contributions(scenario, *_moment_values(scenario, freqs))
-    return freqs[_greedy_order(scenario, freqs, contrib)[:budget]].tolist()
+    return _greedy(scenario.with_grid(candidates), budget)[0].tolist()

@@ -32,7 +32,7 @@ from .asymptotics import (corr_magsq_narrow_limit, corr_magsq_wide_limit,
                           fit_loglog_slope, slope_power_narrow_limit,
                           slope_power_wide_limit, wideband_slope_power_sum)
 # select_subcarriers stays a name of this module: benchmarks/spans.py traces it here
-from .bcrb import (_closed_form_from_moments, _greedy_order, assemble_bfim, bcrb_closed_form,
+from .bcrb import (_closed_form_from_moments, _greedy, assemble_bfim, bcrb_closed_form,
                    bcrb_from_blocks, bcrb_from_dense, select_subcarriers)  # noqa: F401
 from .config import (ConfigError, apply_override, parse_config,
                      scenario_from_settings)
@@ -255,25 +255,14 @@ def cmd_validate(args) -> int:
 
 def cmd_select(args) -> int:
     scenario = scenario_from_settings(_load_settings(args.config))
-    freqs = scenario.grid.as_array()
-    if not 1 <= args.budget <= freqs.size:
-        raise ConfigError(f"--budget must be in [1, {freqs.size}]")
-
-    # Contributions are additive, so the picks are select_subcarriers' and the bound
-    # after r picks is the prior plus a running sum in pick order: one closed form on
-    # the candidates, not one per prefix.
-    res = bcrb_closed_form(scenario)
-    picks = _greedy_order(scenario, freqs, res.contributions)[:args.budget]
-    chosen, contrib = freqs[picks], res.contributions[picks]
-    denom = res.prior_term + (2.0 / scenario.noise.variance) * np.cumsum(contrib)
-    bounds = (1.0 / denom).tolist()
+    chosen, contrib, bounds = _greedy(scenario, args.budget)
     header = ["rank", "frequency", "contribution", "bcrb"]
     rows = [[str(rank), _fmt(f), _fmt(c), _fmt(b)]
             for rank, (f, c, b) in enumerate(zip(chosen, contrib, bounds), start=1)]
     _write_csv(args.out, header, rows)
     if args.svg:
         write_line_chart(_svg_path(args.out),
-                         [("greedy", list(range(1, len(bounds) + 1)), bounds)],
+                         [("greedy", list(range(1, len(bounds) + 1)), bounds.tolist())],
                          title="bound vs selected tones", xlabel="tones", ylabel="bcrb",
                          ylog=True)
     return 0

@@ -83,7 +83,11 @@ class Quadrature:
 
 @dataclass(frozen=True)
 class MonteCarlo:
-    """Plain Monte Carlo over the prior with a splittable, chunk-keyed generator."""
+    """Plain Monte Carlo over the prior with a splittable, chunk-keyed generator.
+
+    Its integrands give one value per draw, so slope_power, reflection_power,
+    slope_reflection_corr and corr_magsq take one frequency (else ValueError).
+    """
 
     samples: int
     seed: int = 0
@@ -196,6 +200,7 @@ def expect_over_prior(fn, prior: SensingPrior, method=Quadrature()):
     Quadrature returns a float/complex; MonteCarlo returns an McEstimate and
     calls fn once per chunk of draws, always on the calling thread: draws are
     one element wide, so _map_chunks loops over them in runs of 16 chunks.
+    Under MonteCarlo fn(c) must have the shape of c (one value per draw).
     Gauss-Hermite is exact for polynomial integrands up to degree
     2 * order - 1 and refines by doubling until successive estimates agree
     to 1e-9 relative (order cap 1600, with a warning if never reached).
@@ -240,6 +245,8 @@ def _mc_expect(fn, prior: SensingPrior, method: MonteCarlo) -> McEstimate:
     def chunk_sums(rng, size):
         c = prior.mean + prior.std * rng.standard_normal(size)
         vals = np.asarray(fn(c), dtype=complex)
+        if vals.shape != c.shape:
+            raise ValueError(f"integrand must give one value per draw, got shape {vals.shape}")
         return (np.array([np.sum(vals.real), np.sum(vals.imag)]),
                 np.array([np.sum(vals.real**2), np.sum(vals.imag**2)]))
 
@@ -399,34 +406,32 @@ def prior_moments(sensor: SensorModel, f, prior: SensingPrior):
     return slope_power, corr, refl_power
 
 
+def _moment(index: int, integrand, sensor: SensorModel, f, prior: SensingPrior, method):
+    """Moment `index` of prior_moments, or under MonteCarlo the estimate of E_c integrand(c)."""
+    if isinstance(method, Quadrature):
+        return prior_moments(sensor, f, prior)[index]
+    if np.size(f) > 1:
+        raise ValueError(f"MonteCarlo moments take one frequency, got {np.size(f)}")
+    return _mc_expect(integrand, prior, method)
+
+
 def slope_power(sensor: SensorModel, f, prior: SensingPrior, method=Quadrature()):
     """E_c |d gamma / d c|^2 at frequency f (McEstimate under MonteCarlo)."""
-    if isinstance(method, Quadrature):
-        return prior_moments(sensor, f, prior)[0]
-    est = _mc_expect(lambda c: np.abs(sensor.reflection_dc(f, c)) ** 2, prior, method)
-    return McEstimate(value=float(np.real(est.value)), std_err=est.std_err, samples=est.samples)
+    return _moment(0, lambda c: np.abs(sensor.reflection_dc(f, c)) ** 2, sensor, f, prior, method)
 
 
 def slope_reflection_corr(sensor: SensorModel, f, prior: SensingPrior, method=Quadrature()):
     """E_c [conj(d gamma / d c) * gamma], the complex slope/reflection coupling."""
-    if isinstance(method, Quadrature):
-        return prior_moments(sensor, f, prior)[1]
-    return _mc_expect(
-        lambda c: np.conj(sensor.reflection_dc(f, c)) * sensor.reflection(f, c), prior, method
-    )
+    return _moment(1, lambda c: np.conj(sensor.reflection_dc(f, c)) * sensor.reflection(f, c),
+                   sensor, f, prior, method)
 
 
 def corr_magsq(sensor: SensorModel, f, prior: SensingPrior, method=Quadrature()):
     """|E_c [conj(gamma') gamma]|^2, the squared modulus of the coupling moment."""
     val = slope_reflection_corr(sensor, f, prior, method)
-    if isinstance(val, McEstimate):
-        val = val.value
-    return np.abs(val) ** 2
+    return np.abs(val.value if isinstance(val, McEstimate) else val) ** 2
 
 
 def reflection_power(sensor: SensorModel, f, prior: SensingPrior, method=Quadrature()):
     """E_c |gamma|^2 at frequency f, in [0, 1] (McEstimate under MonteCarlo)."""
-    if isinstance(method, Quadrature):
-        return prior_moments(sensor, f, prior)[2]
-    est = _mc_expect(lambda c: np.abs(sensor.reflection(f, c)) ** 2, prior, method)
-    return McEstimate(value=float(np.real(est.value)), std_err=est.std_err, samples=est.samples)
+    return _moment(2, lambda c: np.abs(sensor.reflection(f, c)) ** 2, sensor, f, prior, method)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bcrb import _arrow_d, _schur_coupling, bcrb_closed_form
+from .bcrb import _arrow_blocks, _arrow_d, _schur_coupling, bcrb_closed_form
 from .expectations import MC_CHUNK, McEstimate, _map_chunks, _mean_and_se
 from .scenario import Scenario
 
@@ -235,18 +235,11 @@ def _shared_chunk_means(scenarios, samples: int, seed: int):
 
 def _average_blocks(scenario: Scenario, chunk_means, weights: np.ndarray):
     """Blocks a (R,), b (R, L, 4) and d (R, L, 4, 4) of the chunk means averaged
-    with each row of `weights` (R, n_chunks), prior terms included.
-
-    The channel blocks are expanded from their four distinct entries only
-    after averaging.
-    """
+    with each row of `weights` (R, n_chunks), prior terms included."""
     chunk_a, chunk_b, d_parts = chunk_means
-    two_over = 2.0 / scenario.noise.variance
-    a = two_over * np.sum(weights * chunk_a, axis=1) + scenario.prior.curvature()
-    b = two_over * np.einsum("ri,ikj->rkj", weights, chunk_b)
-    d = _arrow_d(two_over * np.einsum("ri,ikj->rkj", weights, d_parts))
-    d[..., np.arange(4), np.arange(4)] += scenario.channel.prior_info_per_coordinate()
-    return a, b, d
+    return _arrow_blocks(scenario, np.sum(weights * chunk_a, axis=1),
+                         np.einsum("ri,ikj->rkj", weights, chunk_b),
+                         np.einsum("ri,ikj->rkj", weights, d_parts))
 
 
 def mc_blocks(scenario: Scenario, samples: int, seed: int = 0) -> McBlocks:

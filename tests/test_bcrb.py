@@ -12,7 +12,7 @@ from metabcrb import (BfimBlocks, RicianSpec, Scenario, SensingPrior,
                       bcrb_closed_form, bcrb_from_blocks, bcrb_from_dense,
                       bfim_dense, default_scenario, select_subcarriers,
                       snr_to_noise, subcarrier_contribution)
-from metabcrb.bcrb import _closed_form_from_kernels
+from metabcrb.bcrb import _closed_form_from_moments
 from metabcrb.expectations import prior_moments
 
 
@@ -102,8 +102,9 @@ def test_nonpositive_information_raises():
     with pytest.raises(ArithmeticError):
         bcrb_from_blocks(blocks)
     sc = _scenario()
+    nan = np.full(sc.grid.count, np.nan)
     with pytest.raises(ArithmeticError):
-        _closed_form_from_kernels(sc, np.full((3, sc.grid.count), np.nan))
+        _closed_form_from_moments(sc, nan, nan.astype(complex), nan)
 
 
 def test_dense_matrix_layout():
@@ -171,7 +172,7 @@ def _channel_blocks_by_index(scenario):
     _, _, rp = prior_moments(scenario.sensor, scenario.grid.as_array(), scenario.prior)
     two_over = 2.0 / scenario.noise.variance
     diag = two_over * rp + ch.prior_info_per_coordinate()
-    cross = two_over * rp * (ch.kappa / (ch.kappa + 1.0))
+    cross = two_over * (rp * (ch.kappa / (ch.kappa + 1.0)))
     d = np.zeros((rp.size, 4, 4))
     idx = np.arange(4)
     d[:, idx, idx] = diag[:, None]
@@ -346,6 +347,14 @@ EXTREME_CHANNELS = (RicianSpec(kappa=0.0), RicianSpec(kappa=1.0), RicianSpec(kap
 # true value is about x^2 ~ 1e-19), and at 300 dB that rounding dominates the
 # fading term, so the denominator comes out negative. (width, snr_db, depth, kappa)
 KNOWN_NONPOSITIVE = {(1e8, 300.0, 1.0, 1.0), (1e8, 300.0, 1.0, 1e10)}
+
+
+def test_select_raises_where_the_bound_denominator_is_not_positive():
+    # the first KNOWN_NONPOSITIVE cell: select ranks the contributions of the
+    # closed form, so it fails where the closed form does instead of picking
+    sc = _scenario(depth=1.0, width=1e8, std=0.5, snr_db=300.0, kappa=1.0, spacing=0.05)
+    with pytest.raises(ArithmeticError, match="bound denominator is not positive"):
+        select_subcarriers(sc.grid, sc, 3)
 
 
 @pytest.mark.parametrize("spacing", ["half_width", "fixed"])

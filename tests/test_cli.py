@@ -579,10 +579,12 @@ def test_select_trajectory_matches_prefix_grids(tmp_path):
         assert float(row["bcrb"]) == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
-def test_select_budget_validation(cfg, tmp_path):
+def test_select_budget_validation(cfg, tmp_path, capsys):
+    # the library's budget check, so the message is select_subcarriers' own
     out = str(tmp_path / "sel.csv")
-    assert main(["select", "--config", cfg, "--out", out, "--budget", "0"]) == 1
-    assert main(["select", "--config", cfg, "--out", out, "--budget", "17"]) == 1
+    for budget in (0, 17):
+        assert main(["select", "--config", cfg, "--out", out, "--budget", str(budget)]) == 1
+        assert capsys.readouterr().err == f"error: budget must be in [1, 16], got {budget}\n"
 
 
 # --------------------------------------------------------------- asymptotics

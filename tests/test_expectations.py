@@ -407,6 +407,31 @@ def test_monte_carlo_expectation_matches_quadrature():
     assert abs(rp_mc.value - rp_ref) <= 3 * rp_mc.std_err
 
 
+def test_monte_carlo_integrand_gives_one_value_per_draw():
+    # a stacked integrand once came back as one scalar, the sum of its rows' means
+    prior = SensingPrior(mean=0.0, std=1.0)
+
+    def fn(c):
+        return np.stack([c, c ** 2])
+
+    np.testing.assert_allclose(expect_over_prior(fn, prior), [0.0, 1.0], atol=1e-12)
+    with pytest.raises(ValueError, match="one value per draw"):
+        expect_over_prior(fn, prior, MonteCarlo(samples=4096, seed=1))
+
+
+@pytest.mark.parametrize("moment", [slope_power, slope_reflection_corr, reflection_power, corr_magsq])
+def test_monte_carlo_moments_take_one_frequency(moment):
+    # 512 tones against 1,024 draws once paired tone i with draw i; 3 tones
+    # failed to broadcast
+    sensor = SensorModel(absorption_depth=0.9, half_width=1.0, shift_rate=1.0)
+    prior = SensingPrior(mean=0.0, std=1.0)
+    method = MonteCarlo(samples=1024, seed=1)
+    for count in (512, 3):
+        with pytest.raises(ValueError, match=f"MonteCarlo moments take one frequency, got {count}"):
+            moment(sensor, np.linspace(-1.0, 1.0, count), prior, method)
+    assert moment(sensor, np.array([0.3]), prior, method) == moment(sensor, 0.3, prior, method)
+
+
 def test_monte_carlo_is_deterministic_per_seed():
     prior = SensingPrior(mean=0.0, std=1.0)
     a = expect_over_prior(lambda c: c ** 3, prior, MonteCarlo(samples=10_000, seed=5))

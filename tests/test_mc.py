@@ -529,8 +529,7 @@ def _posterior_mse_serial(sc, trials, grid_points, seed):
     """posterior_mean_mse one chunk at a time with the plain complex expression chain.
 
     posterior_mean_mse forms the log posterior as one real product, which
-    rounds differently; at the seed of the thread-count test below the two
-    still agree bit for bit.
+    rounds differently, so the two agree to about 1e-12 relative.
     """
     prior, freqs, noise_var = sc.prior, sc.grid.as_array(), sc.noise.variance
     c_grid = np.linspace(prior.mean - 6.0 * prior.std, prior.mean + 6.0 * prior.std, grid_points)
@@ -561,13 +560,17 @@ def _posterior_mse_serial(sc, trials, grid_points, seed):
 
 @pytest.mark.parametrize("grid_points", [2000, 8])
 def test_posterior_mean_mse_bitwise_across_thread_counts(grid_points, monkeypatch):
-    # 2000 grid points run chunk by chunk on the pool, 8 in runs of chunks
+    # 2000 grid points run chunk by chunk on the pool, 8 in runs of chunks; the
+    # reference is the same arithmetic with every chunk alone, in order
     sc = _scenario(los=True, count=16, spacing=0.4, snr_db=10.0)
-    ref = _posterior_mse_serial(sc, 2_001, grid_points, 23)
-    for threads in THREAD_SETTINGS:
-        monkeypatch.setenv("METABCRB_THREADS", threads)
-        est = posterior_mean_mse(sc, 2_001, grid_points=grid_points, seed=23)
-        assert (est.value, est.std_err) == ref, threads
+    for trials, seed in ((2_001, 23), (3_000, 2)):
+        with monkeypatch.context() as m:
+            m.setattr(mc, "_map_chunks", _one_chunk_at_a_time)
+            ref = posterior_mean_mse(sc, trials, grid_points=grid_points, seed=seed)
+        for threads in THREAD_SETTINGS:
+            monkeypatch.setenv("METABCRB_THREADS", threads)
+            est = posterior_mean_mse(sc, trials, grid_points=grid_points, seed=seed)
+            assert (est.value, est.std_err) == (ref.value, ref.std_err), (threads, seed)
 
 
 @pytest.mark.parametrize("grid_points", [2000, 8])
