@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expectations import prior_moments
+from . import expectations
+from .expectations import _moments_from_kernels, detuning_stats, prior_moments
 from .scenario import Scenario, SubcarrierGrid
 
 
@@ -181,23 +182,32 @@ def _contributions(scenario: Scenario, sp, corr, rp) -> np.ndarray:
     return sp - 2.0 * kappa * np.abs(corr) ** 2 / denom
 
 
-def _closed_form_from_moments(scenario: Scenario, sp, corr, rp) -> BcrbResult:
-    """Closed-form bound from the grid's prior moments, which noise and kappa leave alone."""
-    two_over = 2.0 / scenario.noise.variance
-    first = two_over * float(np.sum(sp))
-    prior_term = scenario.prior.curvature()
-    contrib = _contributions(scenario, sp, corr, rp)
-    coupling = first - two_over * float(np.sum(contrib))
-    denom = first + prior_term - coupling
-    if not denom > 0.0:
-        raise ArithmeticError(f"bound denominator is not positive: {denom!r}")
-    return BcrbResult(
-        bound=1.0 / denom,
-        first_term=first,
-        prior_term=prior_term,
-        coupling_term=coupling,
-        contributions=contrib,
-    )
+def _closed_forms(scenarios):
+    """Yield bcrb_closed_form(scenario) for each scenario. Kernel means depend only on
+    the detuning stats (x0, s) and moments on the table and the sensor, which noise and
+    kappa leave alone: scenarios share one table per (x0, s), consecutive ones on the
+    same table and sensor one moment set, and nothing outlives the call."""
+    tables = {}
+    moments_key = moments = None
+    for scenario in scenarios:
+        sensor, freqs = scenario.sensor, scenario.grid.as_array()
+        x0, s = detuning_stats(sensor, freqs, scenario.prior)
+        key = (x0.tobytes(), s)
+        if key not in tables:  # through the module, so a replaced kernel_means sees every table
+            tables[key] = expectations.kernel_means(sensor, freqs, scenario.prior)
+        if moments_key != (key, sensor):
+            moments_key, moments = (key, sensor), _moments_from_kernels(sensor, tables[key])
+        sp, corr, rp = moments
+        two_over = 2.0 / scenario.noise.variance
+        first = two_over * float(np.sum(sp))
+        prior_term = scenario.prior.curvature()
+        contrib = _contributions(scenario, sp, corr, rp)
+        coupling = first - two_over * float(np.sum(contrib))
+        denom = first + prior_term - coupling
+        if not denom > 0.0:
+            raise ArithmeticError(f"bound denominator is not positive: {denom!r}")
+        yield BcrbResult(bound=1.0 / denom, first_term=first, prior_term=prior_term,
+                         coupling_term=coupling, contributions=contrib)
 
 
 def bcrb_closed_form(scenario: Scenario) -> BcrbResult:
@@ -207,8 +217,7 @@ def bcrb_closed_form(scenario: Scenario) -> BcrbResult:
     deterministic LoS mode the channels drop out and the bound reduces to
     1 / ((2 / noise_var) * sum slope_power + prior curvature).
     """
-    return _closed_form_from_moments(
-        scenario, *prior_moments(scenario.sensor, scenario.grid.as_array(), scenario.prior))
+    return next(_closed_forms((scenario,)))
 
 
 def subcarrier_contribution(scenario: Scenario, k: int) -> float:

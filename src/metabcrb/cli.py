@@ -32,16 +32,17 @@ from .asymptotics import (corr_magsq_narrow_limit, corr_magsq_wide_limit,
                           fit_loglog_slope, slope_power_narrow_limit,
                           slope_power_wide_limit, wideband_slope_power_sum)
 # select_subcarriers stays a name of this module: benchmarks/spans.py traces it here
-from .bcrb import (_closed_form_from_moments, _greedy, assemble_bfim, bcrb_closed_form,
+from .bcrb import (_closed_forms, _greedy, assemble_bfim, bcrb_closed_form,
                    bcrb_from_blocks, bcrb_from_dense, select_subcarriers)  # noqa: F401
 from .config import (ConfigError, apply_override, parse_config,
                      scenario_from_settings)
-from .expectations import _moments_from_kernels, corr_magsq, detuning_stats, slope_power
+from .expectations import corr_magsq, slope_power
 from .mc import _mc_bounds, mc_bound
 from .scenario import SubcarrierGrid, snr_to_noise
 from .svg import write_line_chart
 
-SWEEP_AXES = ("fwhm", "depth", "snr_db", "subcarrier_count", "kappa")
+SWEEP_AXES = {"fwhm": "sensor.half_width", "depth": "sensor.depth", "snr_db": "noise.snr_db",
+              "subcarrier_count": "grid.count", "kappa": "channel.kappa"}
 PAIR_RELTOL = 1e-9
 Z_LIMIT = 4.0
 
@@ -90,23 +91,14 @@ def _svg_path(out: str) -> str:
 # ---------------------------------------------------------------- sweep
 
 def _apply_axis(settings: dict, axis: str, value: float) -> dict:
-    out = dict(settings)
     if axis == "fwhm":
-        out["sensor.half_width"] = value / 2.0  # axis is the full width at half maximum
-    elif axis == "depth":
-        out["sensor.depth"] = value
-    elif axis == "snr_db":
-        out["noise.snr_db"] = value
-    elif axis == "kappa":
-        out["channel.kappa"] = value
+        value = value / 2.0  # axis is the full width at half maximum
     elif axis == "subcarrier_count":
         count = int(round(value))
         if count < 1 or count != value:
             raise ConfigError(f"subcarrier_count values must be positive integers, got {value}")
-        out["grid.count"] = count
-    else:
-        raise ConfigError(f"unknown sweep axis {axis!r}")
-    return out
+        value = count
+    return {**settings, SWEEP_AXES[axis]: value}
 
 
 def _sweep_values(args) -> list[float]:
@@ -147,27 +139,12 @@ def cmd_sweep(args) -> int:
     else:
         curves.append(("base", settings))
     values = _sweep_values(args)
-
-    # Kernel means depend only on the detuning stats (x0, s), so sweeps along snr_db,
-    # kappa and depth share one table; moments depend on the table and the sensor, so
-    # points along snr_db and kappa share one moment set. Only the last moment set is
-    # kept, as fwhm points never share one; nothing outlives this command.
-    tables = {}
-    moments_key = moments = None
-    rows = []
-    for label, cur in curves:
-        for value in values:
-            scenario = scenario_from_settings(_apply_axis(cur, args.axis, value))
-            sensor, freqs = scenario.sensor, scenario.grid.as_array()
-            x0, s = detuning_stats(sensor, freqs, scenario.prior)
-            key = (x0.tobytes(), s)
-            if key not in tables:
-                tables[key] = expectations.kernel_means(sensor, freqs, scenario.prior)
-            if moments_key != (key, sensor):
-                moments_key, moments = (key, sensor), _moments_from_kernels(sensor, tables[key])
-            res = _closed_form_from_moments(scenario, *moments)
-            rows.append([f"{args.axis}", label, _fmt(value), _fmt(res.bound),
-                         _fmt(res.first_term), _fmt(res.prior_term), _fmt(res.coupling_term)])
+    points = [(label, cur, value) for label, cur in curves for value in values]
+    results = _closed_forms(scenario_from_settings(_apply_axis(cur, args.axis, value))
+                            for _, cur, value in points)
+    rows = [[args.axis, label, _fmt(value), _fmt(res.bound),
+             _fmt(res.first_term), _fmt(res.prior_term), _fmt(res.coupling_term)]
+            for (label, _, value), res in zip(points, results)]
 
     header = ["axis", "curve_label", "axis_value", "bcrb",
               "first_term", "prior_term", "coupling_term"]
@@ -217,8 +194,6 @@ def cmd_validate(args) -> int:
             blocks = assemble_bfim(scenario)
             schur = bcrb_from_blocks(blocks)
             if args.dense_check:
-                if blocks.count > 64:
-                    raise ConfigError("--dense-check supports at most 64 subcarriers")
                 dense = bcrb_from_dense(blocks)
             if not shared:
                 estimates = _mc_bounds([sc for _, sc in random], args.samples, args.seed)

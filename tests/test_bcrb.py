@@ -12,7 +12,7 @@ from metabcrb import (BfimBlocks, RicianSpec, Scenario, SensingPrior,
                       bcrb_closed_form, bcrb_from_blocks, bcrb_from_dense,
                       bfim_dense, default_scenario, select_subcarriers,
                       snr_to_noise, subcarrier_contribution)
-from metabcrb.bcrb import _closed_form_from_moments
+import metabcrb.expectations as expectations_mod
 from metabcrb.expectations import prior_moments
 
 
@@ -93,7 +93,12 @@ def test_blocks_validation():
         BfimBlocks(a=1.0, b=np.zeros((3, 4)), d=stack)
 
 
-def test_nonpositive_information_raises():
+def test_blocks_reject_a_channel_stack_of_the_wrong_shape():
+    with pytest.raises(ValueError, match=r"d must have shape \(L, 4, 4\), got \(2, 4, 4\)"):
+        BfimBlocks(a=1.0, b=np.zeros((3, 4)), d=np.stack([np.eye(4)] * 2))
+
+
+def test_nonpositive_information_raises(monkeypatch):
     blocks = BfimBlocks(a=1.0, b=np.array([[2.0, 0, 0, 0]]), d=np.eye(4)[None])
     with pytest.raises(ArithmeticError):
         bcrb_from_blocks(blocks)
@@ -102,9 +107,10 @@ def test_nonpositive_information_raises():
     with pytest.raises(ArithmeticError):
         bcrb_from_blocks(blocks)
     sc = _scenario()
-    nan = np.full(sc.grid.count, np.nan)
-    with pytest.raises(ArithmeticError):
-        _closed_form_from_moments(sc, nan, nan.astype(complex), nan)
+    monkeypatch.setattr(expectations_mod, "kernel_means",
+                        lambda sensor, f, prior: np.full((3, np.size(f)), np.nan))
+    with pytest.raises(ArithmeticError, match="bound denominator is not positive"):
+        bcrb_closed_form(sc)
 
 
 def test_dense_matrix_layout():

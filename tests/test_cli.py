@@ -115,6 +115,14 @@ def test_sweep_usage_errors_exit_1(cfg, tmp_path):
                  "--axis", "subcarrier_count", "--values", "2.5"]) == 1
 
 
+def test_sweep_empty_values_list_exits_1(cfg, tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    assert main(["sweep", "--config", cfg, "--out", str(out), "--axis", "depth",
+                 "--values", ","]) == 1
+    assert capsys.readouterr().err == "config error: sweep needs at least one value\n"
+    assert not out.exists()
+
+
 def test_sweep_is_deterministic_across_thread_counts(cfg, tmp_path, monkeypatch):
     args = ["sweep", "--config", cfg, "--out", "", "--axis", "snr_db",
             "--start", "-5", "--stop", "25", "--points", "7",
@@ -213,10 +221,10 @@ def _count_calls(monkeypatch, module, name):
 
 
 def test_sweep_shares_a_moment_set_while_table_and_sensor_repeat(cfg, tmp_path, monkeypatch):
-    import metabcrb.cli as cli_mod
+    import metabcrb.bcrb as bcrb_mod
     import metabcrb.expectations as expectations_mod
     tables = _count_calls(monkeypatch, expectations_mod, "kernel_means")
-    moments = _count_calls(monkeypatch, cli_mod, "_moments_from_kernels")
+    moments = _count_calls(monkeypatch, bcrb_mod, "_moments_from_kernels")
     out = str(tmp_path / "sweep.csv")
     # noise and kappa leave the sensor alone: one table, one moment set for 3 curves
     assert main(["sweep", "--config", cfg, "--out", out, "--axis", "snr_db",
@@ -492,6 +500,17 @@ def test_validate_names_failed_path_agreement_on_stderr(cfg, tmp_path, monkeypat
         assert deviation == pytest.approx(1e-6, rel=1e-6) and tolerance == 1e-9
 
 
+def test_validate_dense_check_over_64_tones_exits_1(tmp_path, capsys):
+    path = tmp_path / "wide.cfg"
+    path.write_text("grid.count = 65\n")
+    out = tmp_path / "val.csv"
+    assert main(["validate", "--config", str(path), "--out", str(out),
+                 "--samples", "2000", "--dense-check"]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: dense verification path is limited to 64 subcarriers, got 65\n"
+    assert not out.exists()
+
+
 def test_validate_single_chunk_oracle_exits_1(cfg, tmp_path, capsys):
     rc = main(["validate", "--config", cfg, "--out", str(tmp_path / "val.csv"),
                "--samples", "500"])
@@ -621,6 +640,24 @@ def test_asymptotics_names_failed_checks_on_stderr(cfg, tmp_path, monkeypatch, c
 
 
 # --------------------------------------------------------------- misc
+
+@pytest.mark.parametrize("command", [
+    ["validate", "--samples", "20000", "--seed", "1"],
+    ["select", "--budget", "5"],
+    ["asymptotics"],
+], ids=["validate", "select", "asymptotics"])
+def test_svg_chart_leaves_the_csv_alone(cfg, tmp_path, command):
+    import xml.etree.ElementTree as ET
+
+    plain, charted = tmp_path / "plain.csv", tmp_path / "charted.csv"
+    argv = [command[0], "--config", cfg] + command[1:]
+    assert main(argv + ["--out", str(plain)]) == 0
+    assert main(argv + ["--out", str(charted), "--svg"]) == 0
+    assert not plain.with_suffix(".svg").exists()
+    root = ET.parse(charted.with_suffix(".svg")).getroot()
+    assert root.tag.endswith("svg") and any(el.tag.endswith("polyline") for el in root.iter())
+    assert charted.read_bytes() == plain.read_bytes()
+
 
 def test_missing_config_exits_1(tmp_path):
     assert main(["select", "--config", str(tmp_path / "nope.cfg"),

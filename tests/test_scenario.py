@@ -102,6 +102,13 @@ def test_grid_validation():
         _ = irregular.bandwidth
 
 
+def test_grid_rejects_a_nonpositive_spacing():
+    # one tone passes the ordering check, so only the spacing check can catch these
+    for spacing in (0.0, -1.0):
+        with pytest.raises(ValueError, match=f"spacing must be positive, got {spacing}"):
+            SubcarrierGrid.uniform(center=0.0, spacing=spacing, count=1)
+
+
 def test_grid_validation_messages():
     cases = [
         ((), ValueError, "grid needs at least one subcarrier"),
