@@ -18,20 +18,21 @@ vectorised rules, chosen by s and by |z|, z = (j - x0)/(s sqrt 2):
   smooth on the prior's scale) and, at any s, when |z| >= FAR_ZMIN = 10
   (the spike at x = 0 carries an exp(-|z|^2) share below roundoff). The
   nodes ship with the package in _gh800.npy, scipy.special.roots_hermite(800).
-* s > 1 and |z| <= FADDEEVA_ZMAX = 3.5: closed forms in the Faddeeva function
-  w(z) = scipy.special.wofz (Voigt integrals; Zaghloul & Ali, ACM TOMS
-  Algorithm 916, 2011). Only these tones, and expect_over_prior's other
-  Gauss-Hermite orders, import scipy.
-* s > 1 and 3.5 < |z| < 10, where the closed form cancels: a trapezoid rule
+* s > 1 and |z| <= FADDEEVA_ZMAX = 2.5: closed forms in the Faddeeva function
+  w(z) (Voigt integrals), with w from Weideman's N = 40 rational
+  approximation in numpy (SIAM J. Numer. Anal. 31, 1994).
+* s > 1 and 2.5 < |z| < 10, where the closed form cancels: a trapezoid rule
   in t with x = sinh t, over a window that always holds the dip's spike.
 
-Against an mpmath closed form they agree to 3e-12 relative for s from 1e-4
-to 1e8 and |z| up to 1e6. Past s = 1e8 the sinh rule's E[x/(1+x^2)^2] loses
-digits in proportion to s (5e-11 at s = 1e9).
+No rule imports scipy; only expect_over_prior's Gauss-Hermite orders other
+than 800 do. Against an mpmath closed form the rules agree to 3e-12 relative
+for s from 1e-4 to 1e8 and |z| up to 1e6. Past s = 1e8 the sinh rule's
+E[x/(1+x^2)^2] loses digits in proportion to s (5e-11 at s = 1e9).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import warnings
@@ -46,7 +47,9 @@ GH_RELTOL = 1e-9
 GH_ABSTOL = 1e-14
 GH_MAX_ORDER = 1600
 KERNEL_ORDER = 800  # the one Gauss-Hermite order of kernel_means
-FADDEEVA_ZMAX = 3.5  # |z| above which the closed form's w' cancels
+# |z| above which the closed form's w' cancels: Weideman's moments lose digits
+# toward |z| = 3.5, where Re w is small; the sinh rule holds to 4e-14 from 2.5
+FADDEEVA_ZMAX = 2.5
 FAR_ZMIN = 10.0  # |z| from which the spike's exp(-|z|^2) share is below roundoff
 _SINH_NODES = 800  # trapezoid nodes in t = asinh(x)
 _SINH_SPAN = 13.0  # trapezoid window x0 +- _SINH_SPAN * s
@@ -71,7 +74,7 @@ class Quadrature:
     slope_reflection_corr, reflection_power or corr_magsq, it selects the
     deterministic moments of `kernel_means`, whose fixed rules (Gauss-Hermite
     at KERNEL_ORDER, the Faddeeva closed form and the sinh trapezoid rule)
-    take no order.
+    take no order and import no scipy.
     """
 
     order: int = 200
@@ -295,15 +298,59 @@ def _kernel_means_gh(x0: np.ndarray, s: float, order: int) -> np.ndarray:
     return out
 
 
+@functools.cache
+def _weideman_coefficients() -> tuple[float, np.ndarray]:
+    """Scale L and coefficients a_0..a_39 of Weideman's N = 40 rational w(z).
+
+    With Z = (L + iz)/(L - iz), w(z) = 2 p(Z)/(L - iz)^2 + 1/(sqrt(pi) (L - iz))
+    for Im z > 0, where p(Z) = sum_n a_n Z^n and L = sqrt(N / sqrt 2). With
+    f(t) = exp(-t^2) (L^2 + t^2) at t_k = L tan(k pi / 4N), a_n is the cosine sum
+    (f(0) + 2 sum_{k=1}^{2N-1} f(t_k) cos((n+1) k pi / 2N)) / 4N, which is
+    Weideman's FFT of f written out.
+    """
+    n = 40
+    m = 2 * n
+    scale = math.sqrt(n / math.sqrt(2.0))
+    k = np.arange(1, m)
+    t = scale * np.tan(k * (math.pi / (2 * m)))
+    f = np.exp(-t * t) * (scale * scale + t * t)
+    a = (scale * scale + 2.0 * (np.cos(np.outer(np.arange(1, n + 1), k) * (math.pi / m)) @ f)) / (2 * m)
+    a = a.astype(complex)
+    a.flags.writeable = False  # the cached coefficients serve every later call
+    return scale, a
+
+
+def _faddeeva(z: np.ndarray) -> np.ndarray:
+    """w(z) = exp(-z^2) erfc(-jz) for Im z > 0 by Weideman's rational approximation.
+
+    Within 4e-15 relative of scipy.special.wofz on |z| <= FADDEEVA_ZMAX. p(Z)
+    is a power table times the coefficients: blocks of _BLOCK tones share one
+    (block x 40) buffer of Z^0..Z^39, so memory stays flat in the tone count.
+    """
+    scale, a = _weideman_coefficients()
+    den = scale - 1j * z
+    ratio = (scale + 1j * z) / den
+    p = np.empty(z.shape, dtype=complex)
+    buf = np.empty((min(_BLOCK, z.size), a.size), dtype=complex)
+    for lo in range(0, z.size, _BLOCK):
+        rows = slice(lo, lo + _BLOCK)
+        powers = buf[:ratio[rows].size]
+        powers[:] = ratio[rows, None]
+        powers[:, 0] = 1.0
+        np.cumprod(powers, axis=1, out=powers)
+        np.dot(powers, a, out=p[rows])
+    return 2.0 * p / (den * den) + _INV_SQRT_PI / den
+
+
 def _kernel_means_faddeeva(z: np.ndarray, s: float) -> np.ndarray:
     """Kernel means in closed form from w(z), z = (j - x0)/(s sqrt 2).
 
     E[1/(1+jx)] = sqrt(pi/2) w(z) / s and E[1/(1+jx)^2] = -j sqrt(pi) w'(z) / (2 s^2)
     with w' = -2 z w + 2j/sqrt(pi); then m1 = Re E1, m2 = (Re E2 + m1)/2 and
-    mx = -Im E2 / 2.  Accurate to ~1e-12 relative for |z| <= FADDEEVA_ZMAX.
+    mx = -Im E2 / 2.  w is _faddeeva's, in numpy; the means are accurate to
+    ~1e-13 relative for |z| <= FADDEEVA_ZMAX.
     """
-    from scipy.special import wofz  # deferred: no other rule needs scipy
-    w = wofz(z)
+    w = _faddeeva(z)
     dw = -2.0 * z * w + 2j * _INV_SQRT_PI
     c2 = math.sqrt(math.pi) / (2.0 * s * s)
     m1 = math.sqrt(0.5 * math.pi) / s * w.real
@@ -321,25 +368,35 @@ def _kernel_means_sinh(x0: np.ndarray, s: float) -> np.ndarray:
     keeps its digits near t0 = asinh(x0). The odd kernel goes by parts,
     E[x/(1+x^2)^2] = -E[(x - x0)/(1+x^2)] / (2 s^2), since its direct form
     cancels the spike's two halves and loses digits in proportion to s.
-    Blocks of _BLOCK tones keep the temporaries cache-sized, with the same
-    bits as the whole (tones x nodes) array.
+    Blocks of _BLOCK tones share one set of (block x nodes) buffers, as in
+    _kernel_means_gh, with the same bits as the whole (tones x nodes) array.
     """
     u = np.linspace(0.0, 1.0, _SINH_NODES)
     out = np.empty((3, x0.size))
+    buf = np.empty((4, min(_BLOCK, x0.size), _SINH_NODES))
     for lo in range(0, x0.size, _BLOCK):
         rows = slice(lo, lo + _BLOCK)
+        t, d, r, q = buf[:, :x0[rows].size]
         a = np.arcsinh(np.minimum(x0[rows] - _SINH_SPAN * s, -_SPIKE_SPAN))[:, None]
         b = np.arcsinh(np.maximum(x0[rows] + _SINH_SPAN * s, _SPIKE_SPAN))[:, None]
-        t = a + (b - a) * u
         t0 = np.arcsinh(x0[rows])[:, None]
-        d = 2.0 * np.cosh(0.5 * (t + t0)) * np.sinh(0.5 * (t - t0)) / s  # (x - x0) / s
-        r = 1.0 / np.cosh(t)
+        np.multiply(b - a, u, out=t)
+        t += a
+        # d = 2 cosh((t + t0)/2) sinh((t - t0)/2) / s = (x - x0) / s
+        np.cosh(np.multiply(np.add(t, t0, out=d), 0.5, out=d), out=d)
+        d *= 2.0
+        d *= np.sinh(np.multiply(np.subtract(t, t0, out=r), 0.5, out=r), out=r)
+        d /= s
+        np.divide(1.0, np.cosh(t, out=r), out=r)  # r = 1 / cosh t
         # trapezoid weight times density times dx/dt = cosh t, times the 1/cosh^2 t kernel
-        q = np.exp(-0.5 * d * d) * r * ((b - a) / ((_SINH_NODES - 1) * s * math.sqrt(2.0 * math.pi)))
+        np.exp(np.multiply(np.multiply(d, -0.5, out=q), d, out=q), out=q)
+        q *= r
+        q *= (b - a) / ((_SINH_NODES - 1) * s * math.sqrt(2.0 * math.pi))
         q[:, [0, -1]] *= 0.5
-        out[0, rows] = np.sum(q * r * r, axis=1)
-        out[1, rows] = np.sum(q, axis=1)
-        out[2, rows] = np.sum(q * d, axis=1) / (-2.0 * s)
+        np.sum(q, axis=1, out=out[1, rows])
+        np.sum(np.multiply(q, d, out=d), axis=1, out=out[2, rows])
+        out[2, rows] /= -2.0 * s
+        np.sum(np.multiply(np.multiply(q, r, out=t), r, out=t), axis=1, out=out[0, rows])
     return out
 
 

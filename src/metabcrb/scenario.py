@@ -139,6 +139,8 @@ class SubcarrierGrid:
         """Uniform grid of `count` tones straddling `center` symmetrically."""
         if count < 1:
             raise ValueError(f"count must be >= 1, got {count}")
+        if not spacing > 0.0:  # before the tones, whose checks would not name the spacing
+            raise ValueError(f"spacing must be positive, got {spacing}")
         offsets = (np.arange(count) - (count - 1) / 2.0) * spacing
         return cls(frequencies=center + offsets, spacing=spacing)
 

@@ -407,9 +407,28 @@ def test_default_config_commands_load_no_scipy(tmp_path, command):
     assert _scipy_modules_after_cli(tmp_path, *command) == []
 
 
-def test_narrow_fwhm_sweep_loads_scipy_special(tmp_path):
-    # the one route that still needs scipy: s > 1 tones near the dip take wofz
-    assert "scipy.special" in _scipy_modules_after_cli(tmp_path, "sweep", "--axis", "fwhm", "--values", "0.01")
+@pytest.mark.parametrize("command", [
+    ["sweep", "--axis", "fwhm", "--values", "0.01"],
+    ["asymptotics"],
+    ["sweep", "--axis", "fwhm", "--values", "0.01", "--set", "grid.center=3"],
+], ids=["near", "asymptotics", "mid"])
+def test_narrow_dip_commands_load_no_scipy(tmp_path, command):
+    # fwhm 0.01 puts s at 200 and asymptotics' narrow tones at s up to 1000: tones
+    # near the dip take the Faddeeva closed form on a numpy w(z), and with the grid
+    # centred 3 away the tones from |z| 2.5 to 10 take the sinh rule
+    assert _scipy_modules_after_cli(tmp_path, *command) == []
+
+
+@pytest.mark.parametrize("spacing", ["-0.05", "nan"])
+def test_bad_grid_spacing_is_a_named_config_error(tmp_path, capsys, spacing):
+    # on the default 128 tones these once read as frequencies out of order or not finite
+    path = tmp_path / "default.cfg"
+    path.write_text("# package defaults\n")
+    rc = main(["sweep", "--config", str(path), "--out", str(tmp_path / "x.csv"),
+               "--axis", "snr_db", "--values", "0", "--set", f"grid.spacing={spacing}"])
+    assert rc == 1
+    assert capsys.readouterr().err == f"config error: spacing must be positive, got {float(spacing)}\n"
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_narrow_fwhm_sweep_far_from_the_dip_loads_no_scipy(tmp_path):

@@ -19,8 +19,9 @@ from metabcrb import (McEstimate, MonteCarlo, Quadrature, SensingPrior,
 from metabcrb.config import parse_config, scenario_from_settings
 from metabcrb.expectations import (_BLOCK, _SINH_NODES, _SINH_SPAN,
                                    _SPIKE_SPAN, FADDEEVA_ZMAX, FAR_ZMIN,
-                                   KERNEL_ORDER, _gh_nodes, _kernel_means_gh,
-                                   _kernel_means_sinh, detuning_stats,
+                                   KERNEL_ORDER, _faddeeva, _gh_nodes,
+                                   _kernel_means_gh, _kernel_means_sinh,
+                                   detuning_stats,
                                    kernel_means, prior_moments)
 
 # (depth, half_width, shift_rate, offset, prior mean, prior std, frequency)
@@ -340,6 +341,18 @@ def test_unit_spread_default_grids_keep_the_order_800_table(count):
 def _x0_at(abs_z, s):
     """Detuning center with |(j - x0) / (s sqrt 2)| = abs_z."""
     return math.sqrt(2.0 * s * s * abs_z * abs_z - 1.0)
+
+
+@pytest.mark.parametrize("s", [1.0001, 3.0, 100.0, 1e8])
+def test_faddeeva_matches_scipy_wofz(s):
+    # every z the closed form takes, z = (j - x0)/(s sqrt 2) with |z| <= FADDEEVA_ZMAX,
+    # over partial, full and several blocks
+    from scipy.special import wofz
+    for tones in (1, _BLOCK - 1, _BLOCK + 1, 4001):
+        x0 = np.linspace(-1.0, 1.0, tones) * _x0_at(FADDEEVA_ZMAX * (1.0 - 1e-12), s)
+        z = (1j - x0) / (math.sqrt(2.0) * s)
+        assert np.all(np.abs(z) <= FADDEEVA_ZMAX)
+        np.testing.assert_allclose(_faddeeva(z), wofz(z), rtol=1e-14, atol=0.0)
 
 
 def test_kernel_means_are_continuous_across_routing_edges():

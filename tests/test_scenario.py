@@ -103,10 +103,14 @@ def test_grid_validation():
 
 
 def test_grid_rejects_a_nonpositive_spacing():
-    # one tone passes the ordering check, so only the spacing check can catch these
-    for spacing in (0.0, -1.0):
-        with pytest.raises(ValueError, match=f"spacing must be positive, got {spacing}"):
-            SubcarrierGrid.uniform(center=0.0, spacing=spacing, count=1)
+    # the spacing is checked before the tones, whose ordering and finiteness
+    # checks would otherwise report it on grids of more than one tone
+    for count in (1, 2, 128):
+        for spacing in (0.0, -1.0, math.nan):
+            with pytest.raises(ValueError, match=f"spacing must be positive, got {spacing}"):
+                SubcarrierGrid.uniform(center=0.0, spacing=spacing, count=count)
+    with pytest.raises(ValueError, match="spacing must be positive, got -1.0"):
+        SubcarrierGrid(frequencies=(0.0,), spacing=-1.0)
 
 
 def test_grid_validation_messages():
