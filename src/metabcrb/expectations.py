@@ -24,8 +24,8 @@ vectorised rules, chosen by s and by |z|, z = (j - x0)/(s sqrt 2):
 * s > 1 and 2.5 < |z| < 10, where the closed form cancels: a trapezoid rule
   in t with x = sinh t, over a window that always holds the dip's spike.
 
-No rule imports scipy; only expect_over_prior's Gauss-Hermite orders other
-than 800 do. Against an mpmath closed form the rules agree to 3e-12 relative
+No rule imports scipy, nor do expect_over_prior's orders other than 800 (see
+_hermite_rule). Against an mpmath closed form the rules agree to 3e-12 relative
 for s from 1e-4 to 1e8 and |z| up to 1e6. Past s = 1e8 the sinh rule's
 E[x/(1+x^2)^2] loses digits in proportion to s (5e-11 at s = 1e9).
 """
@@ -45,7 +45,7 @@ from .sensor import SensorModel
 
 GH_RELTOL = 1e-9
 GH_ABSTOL = 1e-14
-GH_MAX_ORDER = 1600
+GH_MAX_ORDER = 1600  # _hermite_rule's eigensolve takes order^2 floats: 80 GB at 1e5
 KERNEL_ORDER = 800  # the one Gauss-Hermite order of kernel_means
 # |z| above which the closed form's w' cancels: Weideman's moments lose digits
 # toward |z| = 3.5, where Re w is small; the sinh rule holds to 4e-14 from 2.5
@@ -63,25 +63,24 @@ _SPIKE_SPAN = 100.0
 _BLOCK = 32
 
 _INV_SQRT_PI = 1.0 / math.sqrt(math.pi)
-_gh_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 
 @dataclass(frozen=True)
 class Quadrature:
     """Gauss-Hermite evaluation starting at `order` nodes, refined by doubling.
 
-    Only `expect_over_prior` reads `order`. Given to slope_power,
-    slope_reflection_corr, reflection_power or corr_magsq, it selects the
-    deterministic moments of `kernel_means`, whose fixed rules (Gauss-Hermite
-    at KERNEL_ORDER, the Faddeeva closed form and the sinh trapezoid rule)
-    take no order and import no scipy.
+    Only `expect_over_prior` reads `order`, which lies in [2, GH_MAX_ORDER] =
+    [2, 1600]. Given to slope_power, slope_reflection_corr, reflection_power or
+    corr_magsq, it selects the deterministic moments of `kernel_means`, whose
+    fixed rules (Gauss-Hermite at KERNEL_ORDER, the Faddeeva closed form and
+    the sinh trapezoid rule) take no order and import no scipy.
     """
 
     order: int = 200
 
     def __post_init__(self):
-        if self.order < 2:
-            raise ValueError(f"quadrature order must be >= 2, got {self.order}")
+        if not 2 <= self.order <= GH_MAX_ORDER:
+            raise ValueError(f"quadrature order must be in [2, {GH_MAX_ORDER}], got {self.order}")
 
 
 @dataclass(frozen=True)
@@ -175,16 +174,31 @@ def _map_chunks(fn, seed: int, samples: int, width: int = 1) -> list:
     return [item for result in results for item in result]
 
 
+def _hermite_rule(order: int) -> np.ndarray:
+    """Gauss-Hermite nodes and weights for exp(-x^2), in the two rows of _gh800.npy.
+
+    Golub & Welsch (Math. Comp. 23, 1969): Jacobi eigenvalues, two Newton steps on the orthonormal
+    recurrence h_k, Christoffel weights 1/(order h_{order-1}^2) from logs: tiny ones underflow to 0.
+    """
+    x = np.linalg.eigvalsh(np.diag(np.sqrt(np.arange(1, order) / 2.0), -1))
+    for _ in range(2):  # two Newton steps; the weights take the second one's h_{order-1}
+        prev, h, log_scale = np.zeros(order), np.full(order, math.pi ** -0.25), np.zeros(order)
+        for k in range(order):
+            prev, h = h, math.sqrt(2.0 / (k + 1)) * x * h - math.sqrt(k / (k + 1)) * prev
+            if k % 8 == 7:  # rescale before the next 8 steps can overflow
+                scale = np.maximum(np.abs(h), np.abs(prev))
+                prev, h, log_scale = prev / scale, h / scale, log_scale + np.log(scale)
+        x = x - h / (math.sqrt(2.0 * order) * prev)  # h_order' = sqrt(2 order) h_{order-1}
+    return np.stack([x, np.exp(-math.log(order) - 2.0 * (np.log(np.abs(prev)) + log_scale))])
+
+
+@functools.cache
 def _gh_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
-    if order not in _gh_cache:
-        if order == KERNEL_ORDER:  # roots_hermite(800), stored: kernel_means needs no scipy
-            table = np.load(os.path.join(os.path.dirname(__file__), "_gh800.npy"))
-        else:  # scipy's rule stays finite at high orders where numpy's overflows
-            from scipy.special import roots_hermite
-            table = np.array(roots_hermite(order))
-        table.flags.writeable = False  # a cached rule serves every later table in the process
-        _gh_cache[order] = tuple(table)
-    return _gh_cache[order]
+    # order 800 stays the stored roots_hermite(800), whose bits set select's mirror-tie order
+    table = (np.load(os.path.join(os.path.dirname(__file__), "_gh800.npy")) if order == KERNEL_ORDER
+             else _hermite_rule(order))
+    table.flags.writeable = False  # a cached rule serves every later table in the process
+    return tuple(table)
 
 
 def _gh_apply(fn, prior: SensingPrior, order: int):

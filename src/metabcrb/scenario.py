@@ -89,6 +89,8 @@ class NoiseSpec:
     def __post_init__(self):
         if not (self.variance > 0.0 and np.isfinite(self.variance)):
             raise ValueError(f"noise variance must be positive and finite, got {self.variance}")
+        if not math.isfinite(2.0 / float(self.variance)):
+            raise ValueError(f"noise variance {self.variance!r} is too small: 2 / variance is not a finite float")
 
     @property
     def snr_db(self) -> float:
@@ -98,7 +100,11 @@ class NoiseSpec:
 
 def snr_to_noise(snr_db: float) -> NoiseSpec:
     """Noise variance 10^(-snr_db / 10), i.e. SNR defined as 1 / variance."""
-    return NoiseSpec(variance=10.0 ** (-snr_db / 10.0))
+    try:
+        variance = 10.0 ** (-float(snr_db) / 10.0)
+    except OverflowError:
+        raise ValueError(f"snr_db {snr_db!r} is too low: 10^(-snr_db / 10) overflows a float") from None
+    return NoiseSpec(variance=variance)
 
 
 @dataclass(frozen=True)
@@ -137,8 +143,8 @@ class SubcarrierGrid:
     @classmethod
     def uniform(cls, center: float, spacing: float, count: int) -> "SubcarrierGrid":
         """Uniform grid of `count` tones straddling `center` symmetrically."""
-        if count < 1:
-            raise ValueError(f"count must be >= 1, got {count}")
+        if not (float(count).is_integer() and count >= 1):  # 2.5 tones would sit off centre
+            raise ValueError(f"count must be a whole number >= 1, got {count!r}")
         if not spacing > 0.0:  # before the tones, whose checks would not name the spacing
             raise ValueError(f"spacing must be positive, got {spacing}")
         offsets = (np.arange(count) - (count - 1) / 2.0) * spacing

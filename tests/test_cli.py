@@ -392,9 +392,15 @@ def test_narrow_fwhm_sweep_never_imports_scipy_integrate(tmp_path):
     assert "scipy.integrate" not in loaded
 
 
-@pytest.mark.parametrize("module", ["metabcrb", "metabcrb.cli"])
-def test_import_loads_no_scipy(module):
-    assert _scipy_modules_after(f"import {module}") == []
+@pytest.mark.parametrize("code", [
+    "import metabcrb",
+    "import metabcrb.cli",
+    # Gauss-Hermite rules other than the stored order 800 are built in numpy
+    "from metabcrb import Quadrature, SensingPrior, expect_over_prior\n"
+    "expect_over_prior(lambda c: c * c, SensingPrior(0.0, 1.0), Quadrature(200))",
+], ids=["metabcrb", "metabcrb.cli", "expect_over_prior"])
+def test_import_loads_no_scipy(code):
+    assert _scipy_modules_after(code) == []
 
 
 @pytest.mark.parametrize("command", [
@@ -417,6 +423,21 @@ def test_narrow_dip_commands_load_no_scipy(tmp_path, command):
     # near the dip take the Faddeeva closed form on a numpy w(z), and with the grid
     # centred 3 away the tones from |z| 2.5 to 10 take the sinh rule
     assert _scipy_modules_after_cli(tmp_path, *command) == []
+
+
+@pytest.mark.parametrize("snr_db,message", [
+    ("-3100", "snr_db -3100.0 is too low: 10^(-snr_db / 10) overflows a float"),
+    ("3100", "noise variance 1e-310 is too small: 2 / variance is not a finite float"),
+])
+def test_snr_outside_the_float_range_is_a_named_config_error(tmp_path, capsys, snr_db, message):
+    # these once exited 3: an OverflowError from 10^310, and a bound over 2 / 1e-310 = inf
+    path = tmp_path / "default.cfg"
+    path.write_text("# package defaults\n")
+    rc = main(["sweep", "--config", str(path), "--out", str(tmp_path / "x.csv"),
+               "--axis", "snr_db", f"--values={snr_db}"])
+    assert rc == 1
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "x.csv").exists()
 
 
 @pytest.mark.parametrize("spacing", ["-0.05", "nan"])

@@ -19,7 +19,8 @@ from metabcrb import (McEstimate, MonteCarlo, Quadrature, SensingPrior,
 from metabcrb.config import parse_config, scenario_from_settings
 from metabcrb.expectations import (_BLOCK, _SINH_NODES, _SINH_SPAN,
                                    _SPIKE_SPAN, FADDEEVA_ZMAX, FAR_ZMIN,
-                                   KERNEL_ORDER, _faddeeva, _gh_nodes,
+                                   GH_MAX_ORDER, KERNEL_ORDER, _faddeeva,
+                                   _gh_nodes, _hermite_rule,
                                    _kernel_means_gh, _kernel_means_sinh,
                                    detuning_stats,
                                    kernel_means, prior_moments)
@@ -231,6 +232,19 @@ def test_stored_kernel_nodes_are_scipys_order_800_rule():
     ref_z, ref_w = roots_hermite(KERNEL_ORDER)
     assert np.array_equal(z, ref_z)
     assert np.array_equal(w, ref_w)
+
+
+@pytest.mark.parametrize("order", [2, 3, 10, 200, 400, 800, 1600])
+def test_numpy_hermite_rule_matches_scipys_roots_hermite(order):
+    from scipy.special import roots_hermite
+    z, w = _hermite_rule(order)
+    ref_z, ref_w = roots_hermite(order)
+    np.testing.assert_allclose(z, ref_z, rtol=0.0, atol=1e-12)
+    # below 1e-300 both rules are in or near the subnormal range and may round to 0
+    kept = ref_w > 1e-300
+    np.testing.assert_allclose(w[kept], ref_w[kept], rtol=1e-11, atol=0.0)
+    assert np.all((w[~kept] >= 0.0) & (w[~kept] < 1e-299))
+    assert math.fsum(w) == pytest.approx(math.sqrt(math.pi), rel=0.0, abs=1e-14)
 
 
 @pytest.mark.parametrize("order", [KERNEL_ORDER, 200])
@@ -507,6 +521,13 @@ def test_method_validation():
     prior = SensingPrior(mean=0.0, std=1.0)
     with pytest.raises(ValueError):
         Quadrature(order=1)
+    # an order past the cap is refused before any rule is built: the eigensolve
+    # would need order^2 floats, 80 GB at 1e5 nodes
+    with pytest.raises(ValueError, match=f"quadrature order must be in \\[2, {GH_MAX_ORDER}\\], got 100000"):
+        Quadrature(order=100_000)
+    with pytest.raises(ValueError, match="got 1601"):
+        Quadrature(order=GH_MAX_ORDER + 1)
+    assert Quadrature(order=GH_MAX_ORDER).order == 1600
     with pytest.raises(ValueError):
         MonteCarlo(samples=0)
     with pytest.raises(TypeError):

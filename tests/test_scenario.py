@@ -69,6 +69,16 @@ def test_snr_conversion_round_trips():
     assert snr_to_noise(-10.0).variance == pytest.approx(10.0)
     with pytest.raises(ValueError):
         NoiseSpec(variance=0.0)
+    # 10^310 overflows a float; 10^-310 is a subnormal variance whose 2 / variance
+    # (the Fisher scale of every bound) is inf
+    with pytest.raises(ValueError, match="snr_db -3100.0 is too low"):
+        snr_to_noise(-3100.0)
+    with pytest.raises(ValueError, match="2 / variance is not a finite float"):
+        snr_to_noise(3100.0)
+    with pytest.raises(ValueError, match="noise variance 1e-310 is too small"):
+        NoiseSpec(variance=1e-310)
+    for snr_db in (-200.0, 300.0):  # the extreme-value grid's ends still convert
+        assert snr_to_noise(snr_db).variance == 10.0 ** (-snr_db / 10.0)
 
 
 def test_uniform_grid_layout():
@@ -92,6 +102,12 @@ def test_grid_validation():
         SubcarrierGrid.uniform(center=0.0, spacing=-1.0, count=4)
     with pytest.raises(ValueError):
         SubcarrierGrid.uniform(center=0.0, spacing=1.0, count=0)
+    # 2.5 tones once built (-0.75, 0.25, 1.25), off centre
+    for bad in (2.5, math.nan, math.inf):
+        with pytest.raises(ValueError, match=f"count must be a whole number >= 1, got {bad}"):
+            SubcarrierGrid.uniform(center=0.0, spacing=1.0, count=bad)
+    for whole in (np.int64(3), np.int32(3), 3.0):
+        assert SubcarrierGrid.uniform(center=0.0, spacing=1.0, count=whole).frequencies == (-1.0, 0.0, 1.0)
     for bad in ([math.nan], [0.0, math.inf], [-math.inf, 0.0]):
         with pytest.raises(ValueError, match="must be finite"):
             SubcarrierGrid.from_frequencies(bad)
