@@ -14,16 +14,16 @@ from .asymptotics import (AsymptoticRegime, classify_regime,
 from .bcrb import (BcrbResult, BfimBlocks, assemble_bfim, bcrb_closed_form,
                    bcrb_from_blocks, bcrb_from_dense, bfim_dense,
                    select_subcarriers, subcarrier_contribution)
-from .config import (ConfigError, apply_override, format_config,
-                     load_scenario, parse_config, scenario_from_settings,
-                     settings_from_scenario)
+from .config import (ConfigError, apply_override, default_scenario,
+                     format_config, load_scenario, parse_config,
+                     scenario_from_settings, settings_from_scenario)
 from .expectations import (McEstimate, MonteCarlo, Quadrature, corr_magsq,
                            expect_over_prior, reflection_power, slope_power,
                            slope_reflection_corr)
 from .mc import (McBlocks, ParameterSample, conditional_fim, draw_samples,
                  mc_blocks, mc_bound, posterior_mean_mse)
 from .scenario import (NoiseSpec, RicianSpec, Scenario, SensingPrior,
-                       SubcarrierGrid, default_scenario, snr_to_noise)
+                       SubcarrierGrid, snr_to_noise)
 from .sensor import SensorModel, detuning, reflection, reflection_dc
 
 __version__ = "0.1.0"

@@ -93,11 +93,6 @@ def _svg_path(out: str) -> str:
 def _apply_axis(settings: dict, axis: str, value: float) -> dict:
     if axis == "fwhm":
         value = value / 2.0  # axis is the full width at half maximum
-    elif axis == "subcarrier_count":
-        count = int(round(value))
-        if count < 1 or count != value:
-            raise ConfigError(f"subcarrier_count values must be positive integers, got {value}")
-        value = count
     return {**settings, SWEEP_AXES[axis]: value}
 
 

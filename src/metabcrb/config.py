@@ -2,14 +2,15 @@
 
 One dotted key per scenario field, '#' comments, later duplicate keys are
 rejected. Floats are serialized with repr so a round trip is bit-exact.
+KEYS lists every key with its parser and package default; an empty config
+is default_scenario().
 """
 
 from __future__ import annotations
 
 import functools
 
-from .scenario import (NoiseSpec, RicianSpec, Scenario, SensingPrior,
-                       SubcarrierGrid, snr_to_noise)
+from .scenario import RicianSpec, Scenario, SensingPrior, SubcarrierGrid, snr_to_noise
 from .sensor import SensorModel
 
 
@@ -26,50 +27,36 @@ def _parse_bool(raw: str) -> bool:
     raise ValueError(f"not a boolean: {raw!r}")
 
 
-KEY_TYPES = {
-    "sensor.depth": float,
-    "sensor.half_width": float,
-    "sensor.shift_rate": float,
-    "sensor.offset": float,
-    "prior.mean": float,
-    "prior.std": float,
-    "channel.kappa": float,
-    "channel.los": _parse_bool,
-    "noise.snr_db": float,
-    "grid.center": float,
-    "grid.spacing": float,
-    "grid.count": int,
-}
-
-DEFAULTS = {
-    "sensor.depth": 0.9,
-    "sensor.half_width": 1.0,
-    "sensor.shift_rate": 1.0,
-    "sensor.offset": 0.0,
-    "prior.mean": 0.0,
-    "prior.std": 1.0,
-    "channel.kappa": 1.0,
-    "channel.los": False,
-    "noise.snr_db": 20.0,
-    "grid.center": 0.0,
-    "grid.spacing": 0.05,
-    "grid.count": 128,
+# key: (parser, package default), in the order format_config writes them
+KEYS = {
+    "sensor.depth": (float, 0.9),
+    "sensor.half_width": (float, 1.0),
+    "sensor.shift_rate": (float, 1.0),
+    "sensor.offset": (float, 0.0),
+    "prior.mean": (float, 0.0),
+    "prior.std": (float, 1.0),
+    "channel.kappa": (float, 1.0),
+    "channel.los": (_parse_bool, False),
+    "noise.snr_db": (float, 20.0),
+    "grid.center": (float, 0.0),
+    "grid.spacing": (float, 0.05),
+    "grid.count": (int, 128),
 }
 
 
 def _parse_value(key: str, raw_value: str):
     """The typed value of one entry; ConfigError for an unknown key or a bad value."""
-    if key not in KEY_TYPES:
+    if key not in KEYS:
         raise ConfigError(f"unknown key {key!r}")
     try:
-        return KEY_TYPES[key](raw_value.strip())
+        return KEYS[key][0](raw_value.strip())
     except ValueError as exc:
         raise ConfigError(f"bad value for {key!r}: {exc}") from None
 
 
 def parse_config(text: str) -> dict:
     """Parse key=value lines into a complete settings dict (defaults applied)."""
-    settings = dict(DEFAULTS)
+    settings = {key: default for key, (_, default) in KEYS.items()}
     seen = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -127,6 +114,13 @@ def load_scenario(text: str) -> Scenario:
     return scenario_from_settings(parse_config(text))
 
 
+def default_scenario() -> Scenario:
+    """Reference scenario load_scenario(""), every key at its KEYS default: unit-width
+    dip at 90% depth, standard normal prior, Rician kappa = 1 fading, 20 dB SNR,
+    128 tones at 0.05 half-width spacing centred on the prior-mean resonance."""
+    return load_scenario("")
+
+
 def settings_from_scenario(scenario: Scenario) -> dict:
     grid = scenario.grid
     if grid.spacing is None:
@@ -151,7 +145,7 @@ def settings_from_scenario(scenario: Scenario) -> dict:
 
 def format_config(settings: dict) -> str:
     lines = []
-    for key in KEY_TYPES:
+    for key in KEYS:
         value = settings[key]
         if isinstance(value, bool):
             text = "true" if value else "false"

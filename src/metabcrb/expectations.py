@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scenario import SensingPrior
+from .scenario import SensingPrior, whole_number
 from .sensor import SensorModel
 
 GH_RELTOL = 1e-9
@@ -79,7 +79,8 @@ class Quadrature:
     order: int = 200
 
     def __post_init__(self):
-        if not 2 <= self.order <= GH_MAX_ORDER:
+        object.__setattr__(self, "order", whole_number("quadrature order", self.order, 2))
+        if self.order > GH_MAX_ORDER:
             raise ValueError(f"quadrature order must be in [2, {GH_MAX_ORDER}], got {self.order}")
 
 
@@ -95,8 +96,7 @@ class MonteCarlo:
     seed: int = 0
 
     def __post_init__(self):
-        if self.samples < 1:
-            raise ValueError(f"sample count must be >= 1, got {self.samples}")
+        object.__setattr__(self, "samples", whole_number("samples", self.samples))
 
 
 @dataclass(frozen=True)
@@ -219,23 +219,23 @@ def expect_over_prior(fn, prior: SensingPrior, method=Quadrature()):
     one element wide, so _map_chunks loops over them in runs of 16 chunks.
     Under MonteCarlo fn(c) must have the shape of c (one value per draw).
     Gauss-Hermite is exact for polynomial integrands up to degree
-    2 * order - 1 and refines by doubling until successive estimates agree
-    to 1e-9 relative (order cap 1600, with a warning if never reached).
+    2 * order - 1 and refines by doubling, the last order capped at 1600,
+    until successive estimates agree to 1e-9 relative; it warns if none of
+    them agreed.
     """
     if not isinstance(method, Quadrature):
         return _mc_expect(fn, prior, method)
     order = method.order
     est = _gh_apply(fn, prior, order)
-    if order >= GH_MAX_ORDER:
-        return est
-    while 2 * order <= GH_MAX_ORDER:
-        order *= 2
+    while order < GH_MAX_ORDER:
+        order = min(2 * order, GH_MAX_ORDER)
         new = _gh_apply(fn, prior, order)
         if np.all(np.abs(est - new) <= GH_RELTOL * np.maximum(np.abs(est), np.abs(new)) + GH_ABSTOL):
             return new
         est = new
-    warnings.warn(f"Gauss-Hermite did not converge to {GH_RELTOL:g} relative by order "
-                  f"{GH_MAX_ORDER}; returning the finest estimate", RuntimeWarning)
+    if method.order < GH_MAX_ORDER:  # a lone order-1600 estimate was compared with nothing
+        warnings.warn(f"Gauss-Hermite did not converge to {GH_RELTOL:g} relative by order "
+                      f"{GH_MAX_ORDER}; returning the finest estimate", RuntimeWarning)
     return est
 
 

@@ -26,7 +26,7 @@ import numpy as np
 
 from .bcrb import _arrow_blocks, _arrow_d, _schur_coupling, bcrb_closed_form
 from .expectations import MC_CHUNK, McEstimate, _map_chunks, _mean_and_se
-from .scenario import Scenario
+from .scenario import Scenario, whole_number
 
 BOOTSTRAP_RESAMPLES = 200
 _BOOT_KEY = 0x626F6F74  # distinct stream for bootstrap resampling
@@ -248,6 +248,7 @@ def mc_blocks(scenario: Scenario, samples: int, seed: int = 0) -> McBlocks:
     The standard errors come from the spread of chunk means, so the draws
     must fill at least two chunks of MC_CHUNK.
     """
+    samples = whole_number("samples", samples)
     means, sizes = _shared_chunk_means((scenario,), samples, seed)
     chunk_a, chunk_b, d_parts = means[0]
     weights = sizes / samples
@@ -302,6 +303,7 @@ def mc_bound(scenario: Scenario, samples: int, seed: int = 0) -> McEstimate:
     evaluated by quadrature: the estimate is exact and the standard error is
     zero.
     """
+    samples = whole_number("samples", samples)
     if scenario.channel.deterministic_los:
         return McEstimate(value=bcrb_closed_form(scenario).bound, std_err=0.0, samples=samples)
     return _mc_bounds((scenario,), samples, seed)[0]
@@ -317,8 +319,7 @@ def posterior_mean_mse(scenario: Scenario, trials: int, grid_points: int = 2000,
     """
     if not scenario.channel.deterministic_los:
         raise ValueError("posterior_mean_mse requires the deterministic LoS mode")
-    if trials < 2 or grid_points < 2:
-        raise ValueError("need at least 2 trials and 2 grid points")
+    trials, grid_points = whole_number("trials", trials, 2), whole_number("grid_points", grid_points, 2)
     prior, freqs, noise_var = scenario.prior, scenario.grid.as_array(), scenario.noise.variance
     c_grid = np.linspace(prior.mean - 6.0 * prior.std, prior.mean + 6.0 * prior.std, grid_points)
     g = scenario.sensor.reflection(freqs[None, :], c_grid[:, None])  # (P, L)

@@ -1,4 +1,7 @@
-"""Scenario description: condition prior, fading statistics, noise and subcarrier grid."""
+"""Scenario description: condition prior, fading statistics, noise and subcarrier grid.
+
+The package defaults live in config.KEYS; config.default_scenario() builds them.
+"""
 
 from __future__ import annotations
 
@@ -11,6 +14,13 @@ import numpy as np
 from .sensor import SensorModel
 
 _MAX_STD = math.sqrt(sys.float_info.max)  # largest prior std whose square is a finite float
+
+
+def whole_number(name: str, value, minimum: int = 1) -> int:
+    """`value` as an int; ValueError naming `name` unless it is a whole number >= minimum."""
+    if not (float(value).is_integer() and value >= minimum):  # rejects 2.5, nan and inf
+        raise ValueError(f"{name} must be a whole number >= {minimum}, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -143,8 +153,7 @@ class SubcarrierGrid:
     @classmethod
     def uniform(cls, center: float, spacing: float, count: int) -> "SubcarrierGrid":
         """Uniform grid of `count` tones straddling `center` symmetrically."""
-        if not (float(count).is_integer() and count >= 1):  # 2.5 tones would sit off centre
-            raise ValueError(f"count must be a whole number >= 1, got {count!r}")
+        count = whole_number("count", count)  # 2.5 tones would sit off centre
         if not spacing > 0.0:  # before the tones, whose checks would not name the spacing
             raise ValueError(f"spacing must be positive, got {spacing}")
         offsets = (np.arange(count) - (count - 1) / 2.0) * spacing
@@ -188,19 +197,3 @@ class Scenario:
 
     def with_channel(self, channel: RicianSpec) -> "Scenario":
         return replace(self, channel=channel)
-
-
-def default_scenario() -> Scenario:
-    """Reference scenario: unit-width dip at 90% depth, standard normal prior,
-    Rician kappa = 1 fading, 20 dB SNR, 128 tones at 0.05 half-width spacing
-    centered on the prior-mean resonance."""
-    sensor = SensorModel(absorption_depth=0.9, half_width=1.0, shift_rate=1.0, center_offset=0.0)
-    prior = SensingPrior(mean=0.0, std=1.0)
-    center = sensor.shift_rate * prior.mean + sensor.center_offset
-    return Scenario(
-        sensor=sensor,
-        prior=prior,
-        channel=RicianSpec(kappa=1.0),
-        noise=snr_to_noise(20.0),
-        grid=SubcarrierGrid.uniform(center=center, spacing=0.05, count=128),
-    )

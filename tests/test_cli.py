@@ -95,6 +95,16 @@ def test_sweep_subcarrier_count_axis(cfg, tmp_path):
     assert bounds[0] > bounds[1] > bounds[2]
 
 
+@pytest.mark.parametrize("value, shown", [("inf", "inf"), ("nan", "nan"), ("2.5", "2.5"), ("0", "0.0")])
+def test_sweep_non_whole_subcarrier_count_is_a_config_error(cfg, tmp_path, capsys, value, shown):
+    # SubcarrierGrid.uniform's whole-number rule serves the axis
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--config", cfg, "--out", str(out),
+                 "--axis", "subcarrier_count", "--values", value]) == 1
+    assert capsys.readouterr().err == f"config error: count must be a whole number >= 1, got {shown}\n"
+    assert not out.exists()
+
+
 def test_sweep_set_override(cfg, tmp_path):
     out = str(tmp_path / "sweep.csv")
     assert main(["sweep", "--config", cfg, "--out", out, "--axis", "depth",

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+import metabcrb
 from metabcrb import (ConfigError, RicianSpec, apply_override, default_scenario,
                       format_config, load_scenario, parse_config,
                       scenario_from_settings, settings_from_scenario)
@@ -16,6 +17,29 @@ def test_parse_defaults_from_empty_text():
     assert settings["channel.los"] is False
     sc = scenario_from_settings(settings)
     assert sc == default_scenario()
+
+
+DEFAULT_TEXT = """\
+sensor.depth = 0.9
+sensor.half_width = 1.0
+sensor.shift_rate = 1.0
+sensor.offset = 0.0
+prior.mean = 0.0
+prior.std = 1.0
+channel.kappa = 1.0
+channel.los = false
+noise.snr_db = 20.0
+grid.center = 0.0
+grid.spacing = 0.05
+grid.count = 128
+"""
+
+
+def test_empty_config_is_the_default_scenario():
+    # every key, in table order, at its package default; README shows this block
+    assert format_config(parse_config("")) == DEFAULT_TEXT
+    assert load_scenario("") == default_scenario() == load_scenario(DEFAULT_TEXT)
+    assert metabcrb.default_scenario is metabcrb.config.default_scenario
 
 
 def test_parse_full_config_with_comments_and_blanks():

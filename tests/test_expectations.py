@@ -517,10 +517,29 @@ def test_unconverged_quadrature_warns():
     assert val == pytest.approx(math.sqrt(2.0 / math.pi), rel=1e-3)
 
 
+def test_start_order_refines_to_the_cap():
+    # the ladder from 1000 is 1000, 1600: one comparison, which agrees
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        val = expect_over_prior(lambda c: c * c, SensingPrior(0.0, 1.0), Quadrature(1000))
+    assert abs(val - 1.0) <= 1e-13
+
+
 def test_method_validation():
     prior = SensingPrior(mean=0.0, std=1.0)
     with pytest.raises(ValueError):
         Quadrature(order=1)
+    for bad in (2.5, math.nan, math.inf):
+        with pytest.raises(ValueError, match=f"quadrature order must be a whole number >= 2, got {bad}"):
+            Quadrature(order=bad)
+        with pytest.raises(ValueError, match=f"samples must be a whole number >= 1, got {bad}"):
+            MonteCarlo(samples=bad)
+    # whole floats and numpy integers are used as ints, so results are the int call's bits
+    for whole in (1000.0, np.int64(1000)):
+        assert type(Quadrature(whole).order) is int and Quadrature(whole) == Quadrature(1000)
+        assert type(MonteCarlo(whole).samples) is int and MonteCarlo(whole) == MonteCarlo(1000)
+    assert (expect_over_prior(np.cos, prior, MonteCarlo(1000.0, seed=3))
+            == expect_over_prior(np.cos, prior, MonteCarlo(1000, seed=3)))
     # an order past the cap is refused before any rule is built: the eigensolve
     # would need order^2 floats, 80 GB at 1e5 nodes
     with pytest.raises(ValueError, match=f"quadrature order must be in \\[2, {GH_MAX_ORDER}\\], got 100000"):

@@ -196,6 +196,17 @@ def test_mc_blocks_validation():
         mc_blocks(_scenario(), 512)
     with pytest.raises(ValueError, match="at least 513 samples"):
         mc_bound(_scenario(), 500)
+    # SubcarrierGrid.uniform's whole-number rule: a whole float is the int call, bit for bit
+    sc = _scenario(count=2)
+    for bad in (2.5, math.nan, math.inf):
+        for fn in (mc_blocks, mc_bound):
+            with pytest.raises(ValueError, match=f"samples must be a whole number >= 1, got {bad}"):
+                fn(sc, bad)
+    assert mc_bound(sc, 1e4, seed=1) == mc_bound(sc, 10_000, seed=1)
+    assert mc_bound(_scenario(los=True), 1e4).samples == 10_000
+    blocks, int_blocks = mc_blocks(sc, 1e4, seed=1), mc_blocks(sc, np.int64(10_000), seed=1)
+    assert blocks.samples == 10_000 and blocks.a == int_blocks.a
+    np.testing.assert_array_equal(blocks.d, int_blocks.d)
 
 
 # ------------------------------------------------- the bound
@@ -665,3 +676,10 @@ def test_posterior_mean_mse_requires_los():
         posterior_mean_mse(_scenario(kappa=1.0), trials=100)
     with pytest.raises(ValueError):
         posterior_mean_mse(_scenario(los=True), trials=1)
+    sc = _scenario(los=True, count=2)
+    with pytest.raises(ValueError, match="trials must be a whole number >= 2, got 100.5"):
+        posterior_mean_mse(sc, 100.5)
+    with pytest.raises(ValueError, match="grid_points must be a whole number >= 2, got 2.5"):
+        posterior_mean_mse(sc, 100, grid_points=2.5)
+    assert (posterior_mean_mse(sc, 600.0, grid_points=np.int64(50), seed=2)
+            == posterior_mean_mse(sc, 600, grid_points=50, seed=2))
