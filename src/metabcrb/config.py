@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import functools
 
-from .scenario import RicianSpec, Scenario, SensingPrior, SubcarrierGrid, snr_to_noise
+from .scenario import RicianSpec, Scenario, SensingPrior, SubcarrierGrid, snr_to_noise, whole_number
 from .sensor import SensorModel
 
 
@@ -40,7 +40,7 @@ KEYS = {
     "noise.snr_db": (float, 20.0),
     "grid.center": (float, 0.0),
     "grid.spacing": (float, 0.05),
-    "grid.count": (int, 128),
+    "grid.count": (lambda raw: whole_number("count", float(raw)), 128),  # SubcarrierGrid.uniform's rule
 }
 
 

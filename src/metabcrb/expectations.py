@@ -20,7 +20,8 @@ vectorised rules, chosen by s and by |z|, z = (j - x0)/(s sqrt 2):
   nodes ship with the package in _gh800.npy, scipy.special.roots_hermite(800).
 * s > 1 and |z| <= FADDEEVA_ZMAX = 2.5: closed forms in the Faddeeva function
   w(z) (Voigt integrals), with w from Weideman's N = 40 rational
-  approximation in numpy (SIAM J. Numer. Anal. 31, 1994).
+  approximation in numpy (SIAM J. Numer. Anal. 31, 1994), its polynomial
+  evaluated by Horner's rule on the 40 coefficients.
 * s > 1 and 2.5 < |z| < 10, where the closed form cancels: a trapezoid rule
   in t with x = sinh t, over a window that always holds the dip's spike.
 
@@ -57,8 +58,8 @@ _SINH_SPAN = 13.0  # trapezoid window x0 +- _SINH_SPAN * s
 # the Lorentzian's mass and 4e-7 of its square. Against mpmath, the tails left
 # out cost under 1e-12 relative up to s = 1e9 (6e-10 at s = 1e10).
 _SPIKE_SPAN = 100.0
-# Tones per block of a vectorised rule: a block's (block x nodes) arrays take
-# 200 kB each at 800 nodes, where 256-tone blocks faulted on every block
+# Tones per block of the Gauss-Hermite and sinh rules: a block's (block x nodes)
+# arrays take 200 kB each at 800 nodes, where 256-tone blocks faulted on every block
 # (46,062 pages per 1e4-tone table against 168 for 32-tone temporaries).
 _BLOCK = 32
 
@@ -313,7 +314,7 @@ def _kernel_means_gh(x0: np.ndarray, s: float, order: int) -> np.ndarray:
 
 
 @functools.cache
-def _weideman_coefficients() -> tuple[float, np.ndarray]:
+def _weideman_coefficients() -> tuple[float, tuple[float, ...]]:
     """Scale L and coefficients a_0..a_39 of Weideman's N = 40 rational w(z).
 
     With Z = (L + iz)/(L - iz), w(z) = 2 p(Z)/(L - iz)^2 + 1/(sqrt(pi) (L - iz))
@@ -329,30 +330,23 @@ def _weideman_coefficients() -> tuple[float, np.ndarray]:
     t = scale * np.tan(k * (math.pi / (2 * m)))
     f = np.exp(-t * t) * (scale * scale + t * t)
     a = (scale * scale + 2.0 * (np.cos(np.outer(np.arange(1, n + 1), k) * (math.pi / m)) @ f)) / (2 * m)
-    a = a.astype(complex)
-    a.flags.writeable = False  # the cached coefficients serve every later call
-    return scale, a
+    return scale, tuple(a.tolist())  # Python floats: each Horner step adds one to the array
 
 
 def _faddeeva(z: np.ndarray) -> np.ndarray:
     """w(z) = exp(-z^2) erfc(-jz) for Im z > 0 by Weideman's rational approximation.
 
     Within 4e-15 relative of scipy.special.wofz on |z| <= FADDEEVA_ZMAX. p(Z)
-    is a power table times the coefficients: blocks of _BLOCK tones share one
-    (block x 40) buffer of Z^0..Z^39, so memory stays flat in the tone count.
+    goes by Horner's rule over the 40 real coefficients, in place on the whole
+    tone array.
     """
     scale, a = _weideman_coefficients()
     den = scale - 1j * z
     ratio = (scale + 1j * z) / den
-    p = np.empty(z.shape, dtype=complex)
-    buf = np.empty((min(_BLOCK, z.size), a.size), dtype=complex)
-    for lo in range(0, z.size, _BLOCK):
-        rows = slice(lo, lo + _BLOCK)
-        powers = buf[:ratio[rows].size]
-        powers[:] = ratio[rows, None]
-        powers[:, 0] = 1.0
-        np.cumprod(powers, axis=1, out=powers)
-        np.dot(powers, a, out=p[rows])
+    p = np.full(z.shape, a[-1], dtype=complex)
+    for coefficient in a[-2::-1]:
+        p *= ratio
+        p += coefficient
     return 2.0 * p / (den * den) + _INV_SQRT_PI / den
 
 
@@ -423,7 +417,9 @@ def kernel_means(sensor: SensorModel, f, prior: SensingPrior) -> np.ndarray:
     """
     x0, s = detuning_stats(sensor, f, prior)
     x0 = np.atleast_1d(x0)
-    if s <= 1.0:
+    # s <= 1 is all Gauss-Hermite with no z table (s = 1 wideband grids reach 1e4
+    # tones); an empty grid goes on to the zones, all empty, and calls no rule
+    if s <= 1.0 and x0.size:
         return _kernel_means_gh(x0, s, KERNEL_ORDER)
     z = (1j - x0) / (math.sqrt(2.0) * s)
     near, far = np.abs(z) <= FADDEEVA_ZMAX, np.abs(z) >= FAR_ZMIN
@@ -431,8 +427,10 @@ def kernel_means(sensor: SensorModel, f, prior: SensingPrior) -> np.ndarray:
     out = np.empty((3, x0.size))
     if near.any():
         out[:, near] = _kernel_means_faddeeva(z[near], s)
-    out[:, mid] = _kernel_means_sinh(x0[mid], s)
-    out[:, far] = _kernel_means_gh(x0[far], s, KERNEL_ORDER)
+    if mid.any():
+        out[:, mid] = _kernel_means_sinh(x0[mid], s)
+    if far.any():
+        out[:, far] = _kernel_means_gh(x0[far], s, KERNEL_ORDER)
     return out
 
 

@@ -113,6 +113,22 @@ def test_sweep_set_override(cfg, tmp_path):
     assert float(row["coupling_term"]) == 0.0
 
 
+def test_whole_float_grid_count_override_runs_that_many_tones(cfg, tmp_path, capsys):
+    # --set grid.count takes the sweep axis's whole-number rule
+    csvs = []
+    for count in ("1e2", "100"):
+        out = tmp_path / f"count-{count}.csv"
+        assert main(["sweep", "--config", cfg, "--out", str(out), "--axis", "snr_db",
+                     "--values", "10", "--set", f"grid.count={count}"]) == 0
+        csvs.append(out.read_bytes())
+    assert csvs[0] == csvs[1]
+    for count, shown in (("2.5", "2.5"), ("nan", "nan"), ("inf", "inf"), ("0", "0.0")):
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "bad.csv"), "--axis", "snr_db",
+                     "--values", "10", "--set", f"grid.count={count}"]) == 1
+        assert capsys.readouterr().err == ("config error: bad value for 'grid.count': "
+                                           f"count must be a whole number >= 1, got {shown}\n")
+
+
 def test_sweep_usage_errors_exit_1(cfg, tmp_path):
     out = str(tmp_path / "x.csv")
     base = ["sweep", "--config", cfg, "--out", out, "--axis", "depth"]

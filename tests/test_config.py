@@ -110,6 +110,10 @@ def test_round_trip_is_bit_exact():
     # and once more through a scenario
     sc = scenario_from_settings(settings)
     assert scenario_from_settings(parse_config(format_config(settings_from_scenario(sc)))) == sc
+    # a whole float count parses to an int and is written as one
+    count = parse_config("grid.count = 1e2\n")["grid.count"]
+    assert count == 100 and type(count) is int
+    assert format_config(parse_config("grid.count = 1e2\n")).endswith("grid.count = 100\n")
 
 
 def test_uniform_grid_memo_keys_on_bits():
@@ -142,5 +146,7 @@ def test_invalid_physical_values_surface_as_config_errors():
         load_scenario("prior.std = 0\n")
     with pytest.raises(ConfigError):
         load_scenario("channel.kappa = -2\n")
-    with pytest.raises(ConfigError):
-        load_scenario("grid.count = 0\n")
+    # grid.count takes the sweep axis's whole-number rule and message
+    for raw in ("0", "2.5", "nan", "inf"):
+        with pytest.raises(ConfigError, match="bad value for 'grid.count': count must be a whole number >= 1"):
+            load_scenario(f"grid.count = {raw}\n")

@@ -315,6 +315,26 @@ def test_kernel_means_of_no_tones_is_empty():
         assert kernel_means(sensor, np.array([]), SensingPrior(mean=0.0, std=s)).shape == (3, 0)
 
 
+def test_kernel_means_calls_no_rule_on_an_empty_zone(monkeypatch):
+    from metabcrb import expectations
+    sizes = []
+    for name in ("_kernel_means_faddeeva", "_kernel_means_sinh", "_kernel_means_gh"):
+        def record(tones, *args, rule=getattr(expectations, name), name=name):
+            sizes.append((name, tones.size))
+            return rule(tones, *args)
+        monkeypatch.setattr(expectations, name, record)
+    sensor = SensorModel(absorption_depth=0.9, half_width=1.0, shift_rate=1.0)
+    # s = 0.5 is all Gauss-Hermite; at s = 3, |x0| <= 1 is all near (|z| <= 0.34)
+    # and |x0| <= 60 spans the near, sinh and far zones
+    for s, x0, rules in ((0.5, np.linspace(-5.0, 5.0, 64), 1), (3.0, np.linspace(-1.0, 1.0, 64), 1),
+                         (3.0, np.linspace(-60.0, 60.0, 241), 3),
+                         (0.5, np.array([]), 0), (3.0, np.array([]), 0)):
+        sizes.clear()
+        kernel_means(sensor, x0, SensingPrior(mean=0.0, std=s))
+        assert len(sizes) == rules and all(size > 0 for _, size in sizes), (s, x0.size, sizes)
+        assert sum(size for _, size in sizes) == x0.size
+
+
 def _kernel_means_sinh_single_shot(x0, s):
     """The sinh trapezoid rule on the whole (tones x nodes) array at once."""
     u = np.linspace(0.0, 1.0, _SINH_NODES)
@@ -360,9 +380,9 @@ def _x0_at(abs_z, s):
 @pytest.mark.parametrize("s", [1.0001, 3.0, 100.0, 1e8])
 def test_faddeeva_matches_scipy_wofz(s):
     # every z the closed form takes, z = (j - x0)/(s sqrt 2) with |z| <= FADDEEVA_ZMAX,
-    # over partial, full and several blocks
+    # from one tone to a 1e4-tone grid
     from scipy.special import wofz
-    for tones in (1, _BLOCK - 1, _BLOCK + 1, 4001):
+    for tones in (1, _BLOCK - 1, _BLOCK + 1, 4001, 10_000):
         x0 = np.linspace(-1.0, 1.0, tones) * _x0_at(FADDEEVA_ZMAX * (1.0 - 1e-12), s)
         z = (1j - x0) / (math.sqrt(2.0) * s)
         assert np.all(np.abs(z) <= FADDEEVA_ZMAX)
