@@ -11,13 +11,17 @@ expectation:
 The quadrature path reduces all three to Gaussian expectations of the scalar
 detuning kernels 1/(1+x^2)^2, 1/(1+x^2) and x/(1+x^2)^2 with x ~ N(x0, s^2),
 x0 = (f - resonance(prior mean)) / half_width and s = |shift_rate| * prior
-std / half_width.  `kernel_means` sends each tone to one of three fixed,
+std / half_width.  `kernel_means` sends each tone to one of four fixed,
 vectorised rules, chosen by s and by |z|, z = (j - x0)/(s sqrt 2):
 
-* Gauss-Hermite at KERNEL_ORDER = 800 nodes when s <= 1 (the kernels are
-  smooth on the prior's scale) and, at any s, when |z| >= FAR_ZMIN = 10
-  (the spike at x = 0 carries an exp(-|z|^2) share below roundoff). The
-  nodes ship with the package in _gh800.npy, scipy.special.roots_hermite(800).
+* |z| >= FAR_ZMIN = 10, at any s: the trapezoid rule on 128 uniform nodes,
+  x = x0 + s u with u on [-9, 9] (Trefethen & Weideman, SIAM Review 56, 2014).
+  The kernels' poles x = +-j lie at u = (+-j - x0)/s, sqrt(2)|z| >= 14 from
+  u = 0, so the integrand is smooth on the prior's scale.
+* s <= 1 and |z| < 10: Gauss-Hermite at KERNEL_ORDER = 800 nodes (the kernels
+  are smooth on the prior's scale). The nodes ship with the package in
+  _gh800.npy, scipy.special.roots_hermite(800), whose bits set the order of
+  select's mirror ties on the s = 1 grids.
 * s > 1 and |z| <= FADDEEVA_ZMAX = 2.5: closed forms in the Faddeeva function
   w(z) (Voigt integrals), with w from Weideman's N = 40 rational
   approximation in numpy (SIAM J. Numer. Anal. 31, 1994), its polynomial
@@ -27,8 +31,8 @@ vectorised rules, chosen by s and by |z|, z = (j - x0)/(s sqrt 2):
 
 No rule imports scipy, nor do expect_over_prior's orders other than 800 (see
 _hermite_rule). Against an mpmath closed form the rules agree to 3e-12 relative
-for s from 1e-4 to 1e8 and |z| up to 1e6. Past s = 1e8 the sinh rule's
-E[x/(1+x^2)^2] loses digits in proportion to s (5e-11 at s = 1e9).
+for s from 1e-4 to 1e8 and |z| up to 1e6, the far rule to 1e-15. Past s = 1e8
+the sinh rule's E[x/(1+x^2)^2] loses digits in proportion to s (5e-11 at s = 1e9).
 """
 
 from __future__ import annotations
@@ -52,15 +56,18 @@ KERNEL_ORDER = 800  # the one Gauss-Hermite order of kernel_means
 # toward |z| = 3.5, where Re w is small; the sinh rule holds to 4e-14 from 2.5
 FADDEEVA_ZMAX = 2.5
 FAR_ZMIN = 10.0  # |z| from which the spike's exp(-|z|^2) share is below roundoff
+_FAR_NODES = 128  # far-rule trapezoid nodes in u = (x - x0) / s
+_FAR_SPAN = 9.0  # far-rule window |u| <= _FAR_SPAN: the normal tails past it hold 2e-19
 _SINH_NODES = 800  # trapezoid nodes in t = asinh(x)
 _SINH_SPAN = 13.0  # trapezoid window x0 +- _SINH_SPAN * s
 # The window also holds the dip's spike, x = 0 +- _SPIKE_SPAN: all but 0.6% of
 # the Lorentzian's mass and 4e-7 of its square. Against mpmath, the tails left
 # out cost under 1e-12 relative up to s = 1e9 (6e-10 at s = 1e10).
 _SPIKE_SPAN = 100.0
-# Tones per block of the Gauss-Hermite and sinh rules: a block's (block x nodes)
-# arrays take 200 kB each at 800 nodes, where 256-tone blocks faulted on every block
-# (46,062 pages per 1e4-tone table against 168 for 32-tone temporaries).
+# Tones per block at 800 nodes (order-800 Gauss-Hermite, the sinh rule): a block's
+# (block x nodes) arrays take 200 kB each, where 256-tone blocks faulted on every
+# block (46,062 pages per 1e4-tone table against 168 for 32-tone temporaries).
+# _kernel_table keeps 200 kB at any node count: 200 tones at the far rule's 128.
 _BLOCK = 32
 
 _INV_SQRT_PI = 1.0 / math.sqrt(math.pi)
@@ -73,8 +80,9 @@ class Quadrature:
     Only `expect_over_prior` reads `order`, which lies in [2, GH_MAX_ORDER] =
     [2, 1600]. Given to slope_power, slope_reflection_corr, reflection_power or
     corr_magsq, it selects the deterministic moments of `kernel_means`, whose
-    fixed rules (Gauss-Hermite at KERNEL_ORDER, the Faddeeva closed form and
-    the sinh trapezoid rule) take no order and import no scipy.
+    fixed rules (the far trapezoid rule, Gauss-Hermite at KERNEL_ORDER, the
+    Faddeeva closed form and the sinh trapezoid rule) take no order and import
+    no scipy.
     """
 
     order: int = 200
@@ -286,20 +294,18 @@ def detuning_stats(sensor: SensorModel, f, prior: SensingPrior) -> tuple[np.ndar
     return x0, s
 
 
-def _kernel_means_gh(x0: np.ndarray, s: float, order: int) -> np.ndarray:
-    """Stack [E k_sq, E k_lor, E k_odd] over frequencies, one Hermite order.
+def _kernel_table(x0: np.ndarray, dx: np.ndarray, wn: np.ndarray) -> np.ndarray:
+    """Stack [E k_sq, E k_lor, E k_odd] over tones from nodes x = x0 + dx, weights wn.
 
-    Blocks of _BLOCK tones share one set of (block x order) buffers, since
-    per-block temporaries, once freed, go back to the kernel and fault in again
-    on the next call. The table is bitwise that of the whole (tones x order) array.
+    Blocks of tones (_BLOCK at 800 nodes) share one set of (block x nodes) buffers,
+    since per-block temporaries, once freed, go back to the kernel and fault in again
+    on the next call. The table is bitwise that of the whole (tones x nodes) array.
     """
-    z, w = _gh_nodes(order)
-    dx = (math.sqrt(2.0) * s) * z
-    wn = w * _INV_SQRT_PI
+    block = max(1, _BLOCK * KERNEL_ORDER // dx.size)  # 200 kB per buffer at any node count
     out = np.empty((3, x0.size))
-    buf = np.empty((4, min(_BLOCK, x0.size), order))
-    for lo in range(0, x0.size, _BLOCK):
-        rows = slice(lo, lo + _BLOCK)
+    buf = np.empty((4, min(block, x0.size), dx.size))
+    for lo in range(0, x0.size, block):
+        rows = slice(lo, lo + block)
         x, t, t2, k = buf[:, :x0[rows].size]
         np.add(x0[rows, None], dx, out=x)
         # far tails square past the float range; 1/inf = 0 is the right limit there
@@ -311,6 +317,41 @@ def _kernel_means_gh(x0: np.ndarray, s: float, order: int) -> np.ndarray:
             np.multiply(np.divide(num, den, out=k), wn, out=k)
             np.sum(k, axis=1, out=out[row, rows])
     return out
+
+
+def _kernel_means_gh(x0: np.ndarray, s: float, order: int) -> np.ndarray:
+    """Kernel means by Gauss-Hermite at one order: x = x0 + sqrt(2) s z, weights w / sqrt(pi)."""
+    z, w = _gh_nodes(order)
+    return _kernel_table(x0, (math.sqrt(2.0) * s) * z, w * _INV_SQRT_PI)
+
+
+@functools.cache
+def _far_nodes() -> tuple[np.ndarray, np.ndarray]:
+    """Nodes u and weights of the far rule: the trapezoid rule for a standard normal.
+
+    _FAR_NODES uniform nodes on [-_FAR_SPAN, _FAR_SPAN], weights exp(-u^2/2) h / sqrt(2 pi),
+    halved at the two ends, then divided by their fsum, so that no rounding of h
+    or exp biases every far mean alike (with h = u[1] - u[0] they sum to
+    1 - 1.7e-15, and the far means come out up to 2.3e-15 off).
+    """
+    u = np.linspace(-_FAR_SPAN, _FAR_SPAN, _FAR_NODES)
+    w = np.exp(-0.5 * u * u) * (2.0 * _FAR_SPAN / (_FAR_NODES - 1) / math.sqrt(2.0 * math.pi))
+    w[[0, -1]] *= 0.5
+    w /= math.fsum(w)
+    for nodes in (u, w):
+        nodes.flags.writeable = False  # a cached rule serves every later table in the process
+    return u, w
+
+
+def _kernel_means_far(x0: np.ndarray, s: float) -> np.ndarray:
+    """Kernel means of far tones (|z| >= FAR_ZMIN) by the trapezoid rule: x = x0 + s u.
+
+    The kernels' poles x = +-j lie at u = (+-j - x0)/s, sqrt(2)|z| >= 14 from u = 0,
+    so the Gaussian-weighted integrand is analytic well around the nodes and the
+    uniform rule converges exponentially (Trefethen & Weideman, SIAM Review 56, 2014).
+    """
+    u, w = _far_nodes()
+    return _kernel_table(x0, s * u, w)
 
 
 @functools.cache
@@ -377,7 +418,7 @@ def _kernel_means_sinh(x0: np.ndarray, s: float) -> np.ndarray:
     E[x/(1+x^2)^2] = -E[(x - x0)/(1+x^2)] / (2 s^2), since its direct form
     cancels the spike's two halves and loses digits in proportion to s.
     Blocks of _BLOCK tones share one set of (block x nodes) buffers, as in
-    _kernel_means_gh, with the same bits as the whole (tones x nodes) array.
+    _kernel_table, with the same bits as the whole (tones x nodes) array.
     """
     u = np.linspace(0.0, 1.0, _SINH_NODES)
     out = np.empty((3, x0.size))
@@ -411,26 +452,32 @@ def _kernel_means_sinh(x0: np.ndarray, s: float) -> np.ndarray:
 def kernel_means(sensor: SensorModel, f, prior: SensingPrior) -> np.ndarray:
     """Prior means of the three detuning kernels, shape (3, len(f)).
 
-    One fixed rule per tone, by s and |z|, z = (j - x0)/(s sqrt 2): Gauss-Hermite
-    at KERNEL_ORDER nodes if s <= 1 or |z| >= FAR_ZMIN; else the Faddeeva closed
-    form if |z| <= FADDEEVA_ZMAX; else the sinh trapezoid rule.
+    One fixed rule per tone, by s and |z|, z = (j - x0)/(s sqrt 2): the far
+    trapezoid rule if |z| >= FAR_ZMIN; else Gauss-Hermite at KERNEL_ORDER nodes
+    if s <= 1; else the Faddeeva closed form if |z| <= FADDEEVA_ZMAX; else the
+    sinh trapezoid rule. Each rule runs only on a zone that holds a tone.
     """
     x0, s = detuning_stats(sensor, f, prior)
     x0 = np.atleast_1d(x0)
-    # s <= 1 is all Gauss-Hermite with no z table (s = 1 wideband grids reach 1e4
-    # tones); an empty grid goes on to the zones, all empty, and calls no rule
-    if s <= 1.0 and x0.size:
-        return _kernel_means_gh(x0, s, KERNEL_ORDER)
-    z = (1j - x0) / (math.sqrt(2.0) * s)
-    near, far = np.abs(z) <= FADDEEVA_ZMAX, np.abs(z) >= FAR_ZMIN
-    mid = ~(near | far)
+    # |z| >= FAR_ZMIN as |j - x0| >= sqrt(2) FAR_ZMIN s: hypot and a product of
+    # Python floats give inf, not OverflowError, at any x0 and s
+    far = np.hypot(1.0, x0) >= math.sqrt(2.0) * FAR_ZMIN * s
+    rest = np.flatnonzero(~far)
     out = np.empty((3, x0.size))
-    if near.any():
-        out[:, near] = _kernel_means_faddeeva(z[near], s)
-    if mid.any():
-        out[:, mid] = _kernel_means_sinh(x0[mid], s)
     if far.any():
-        out[:, far] = _kernel_means_gh(x0[far], s, KERNEL_ORDER)
+        out[:, far] = _kernel_means_far(x0[far], s)
+    # s <= 1 is Gauss-Hermite with no z table; the near tones of the s = 1 select
+    # grids keep the order-800 table bit for bit, and with it select's mirror-tie order
+    if s <= 1.0:
+        if rest.size:
+            out[:, rest] = _kernel_means_gh(x0[rest], s, KERNEL_ORDER)
+        return out
+    z = (1j - x0[rest]) / (math.sqrt(2.0) * s)
+    near = np.abs(z) <= FADDEEVA_ZMAX
+    if near.any():
+        out[:, rest[near]] = _kernel_means_faddeeva(z[near], s)
+    if not near.all():
+        out[:, rest[~near]] = _kernel_means_sinh(x0[rest[~near]], s)
     return out
 
 

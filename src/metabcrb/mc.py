@@ -149,6 +149,9 @@ def _sensor_terms(sensor, freqs: np.ndarray, c: np.ndarray):
         x2 = x * x  # inf once |x| passes 1.3e154
         q = 1.0 / (1.0 + 1.0 / x2)
     r = 1.0 / (1.0 + x2)
+    # 1 + x^2 rounds to 1 for x^2 < 1.1e-16, which would bias every such draw's r
+    # by the same -x^2; 1 - q keeps it where x^2 < 1, so q < 1/2 and nothing cancels
+    np.subtract(1.0, q, out=r, where=x2 < 1.0)
     sr = (d * sensor.shift_rate / sensor.half_width) * r
     core_re = (-(2.0 - d) * x) * (r * sr)
     core_im = ((1.0 - d) * r - q) * sr

@@ -479,7 +479,7 @@ def test_bad_grid_spacing_is_a_named_config_error(tmp_path, capsys, spacing):
 
 
 def test_narrow_fwhm_sweep_far_from_the_dip_loads_no_scipy(tmp_path):
-    # s = 200, but tones 50 away sit at |z| > 10 and take the stored Gauss-Hermite nodes
+    # s = 200, but tones 50 away sit at |z| > 10 and take the far trapezoid rule
     assert _scipy_modules_after_cli(tmp_path, "sweep", "--axis", "fwhm", "--values", "0.01",
                                     "--set", "grid.center=50") == []
 

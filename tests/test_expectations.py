@@ -17,10 +17,11 @@ from metabcrb import (McEstimate, MonteCarlo, Quadrature, SensingPrior,
                       SensorModel, corr_magsq, expect_over_prior,
                       reflection_power, slope_power, slope_reflection_corr)
 from metabcrb.config import parse_config, scenario_from_settings
-from metabcrb.expectations import (_BLOCK, _SINH_NODES, _SINH_SPAN,
-                                   _SPIKE_SPAN, FADDEEVA_ZMAX, FAR_ZMIN,
-                                   GH_MAX_ORDER, KERNEL_ORDER, _faddeeva,
-                                   _gh_nodes, _hermite_rule,
+from metabcrb.expectations import (_BLOCK, _FAR_NODES, _SINH_NODES,
+                                   _SINH_SPAN, _SPIKE_SPAN, FADDEEVA_ZMAX,
+                                   FAR_ZMIN, GH_MAX_ORDER, KERNEL_ORDER,
+                                   _faddeeva, _far_nodes, _gh_nodes,
+                                   _hermite_rule, _kernel_means_far,
                                    _kernel_means_gh, _kernel_means_sinh,
                                    detuning_stats,
                                    kernel_means, prior_moments)
@@ -159,13 +160,13 @@ HIGH_PRECISION = [
     (200000.0, 100000.0, 8.480881189174326e-07, 1.696204234940929e-06, 1.696172235706818e-11),
     (300000.0, 100000.0, 6.961531209168643e-08, 1.3924857413573803e-07, 2.0885320288053367e-12),
     (400000.0, 100000.0, 2.1022002720328876e-09, 4.212559056084232e-09, 8.411598298218815e-14),
-    # far band, |z| ~ 2357 >= FAR_ZMIN: the far Gauss-Hermite zone, whose means lie
+    # far band, |z| ~ 2357 >= FAR_ZMIN: the far trapezoid zone, whose means lie
     # far below any fixed absolute error floor (same mpmath construction at 50 digits)
     (1e4, 3.0, 1.0000008800008131e-16, 1.0000002600001126e-08, 1.0000005200003379e-12),
     # Same construction at 60 digits, cross-checked against mpmath quadrature at
     # 40 digits (equal as doubles). x0 = zeta s sqrt 2 to 6 digits, zeta = |Re z|.
     # The sinh zone, s in {1.2, 2.86, 100, 1e5} x zeta in {3.6, 5, 8}, then
-    # far tones of the s <= 1 Gauss-Hermite zone, s in {1e-3, 0.5, 1} x zeta in {30, 1e4}.
+    # far tones at s <= 1, s in {1e-3, 0.5, 1} x zeta in {30, 1e4}.
     (6.1094, 1.2, 0.001098632974064919, 0.02959397100448447, 0.005383940930635188),
     (8.48528, 1.2, 0.00023368089432349135, 0.014582006299509285, 0.001807093173119357),
     (13.5765, 1.2, 3.1565061674705775e-05, 0.005525968703223875, 0.0004146642538375156),
@@ -205,9 +206,46 @@ def test_narrow_kernel_means_match_high_precision_table(x0, s, m2, m1, mx):
     assert km == pytest.approx([m2, m1, mx], rel=1e-11, abs=0.0)
 
 
+# Far-zone kernel means, the Faddeeva closed form in mpmath's erfc at 80 digits
+# (mpmath 1.3.0; equal to 1e-55 at 120 digits, and within 1e-19 of mpmath
+# quadrature of the raw kernels, 1e-15 for m2 at s = 1e8). |z| is 10 (1 + 1e-13),
+# 14 and 40 with x0 = _x0_at(|z|, s); at s = 1e-8 and 1e-3 no tone reaches so small
+# a |z| (it is at least 1 / (s sqrt 2)), so there |Re z| takes those values,
+# x0 = |Re z| s sqrt 2.  (x0, s) -> (m2, m1, mx)
+FAR_HIGH_PRECISION = [
+    (1.4142135623732365e-07, 1e-08, 0.9999999999999598, 0.9999999999999799, 1.414213562373179e-07),
+    (1.9798989873223334e-07, 1e-08, 0.9999999999999214, 0.9999999999999607, 1.979898987322177e-07),
+    (5.656854249492381e-07, 1e-08, 0.9999999999993598, 0.9999999999996799, 5.656854249488756e-07),
+    (0.014142135623732363, 0.001, 0.999598123574573, 0.9997990411943928, 0.014136395698713486),
+    (0.019798989873223333, 0.001, 0.9992144678068909, 0.9996071559564664, 0.01978335802709976),
+    (0.05656854249492381, 0.001, 0.9936286464488762, 0.996809226386694, 0.05620790019704392),
+    (14.1067359796673, 1.0, 2.6311178560212917e-05, 0.005076403592420129, 0.00036354750183574465),
+    (19.77371993328519, 1.0, 6.677759247465068e-06, 0.002570728059830078, 0.00013067917745097796),
+    (56.55970296951709, 1.0, 9.796231546145086e-08, 0.00031279330487296825, 5.533782714469631e-06),
+    (42.414620120901226, 3.0, 3.2492458855350326e-07, 0.0005640981907160287, 1.3498631925904408e-05),
+    (59.388551085204966, 3.0, 8.244747082945426e-08, 0.00028564326928787084, 4.845816785143176e-06),
+    (169.7026811809407, 3.0, 1.2094125689245016e-09, 3.475482376562577e-05, 2.0498360269477138e-07),
+    (141421.3562337881, 10000.0, 2.6319856366643878e-21, 5.076943751964127e-11, 3.645774201367364e-16),
+    (197989.89872970793, 10000.0, 6.678305881864421e-22, 2.5707970946915748e-11, 1.3085677748674636e-16),
+    (565685.4249483541, 10000.0, 9.796243091058794e-24, 3.127934275178547e-12, 5.534654085142636e-18),
+    (1414213562.3732362, 1e8, 2.631985636673074e-37, 5.076943751969532e-19, 3.645774201470279e-28),
+    (1979898987.322333, 1e8, 6.678305881869888e-38, 2.570797094692265e-19, 1.3085677748852146e-28),
+    (5656854249.49238, 1e8, 9.796243091058911e-40, 3.1279342751785594e-20, 5.53465408515135e-30),
+]
+
+
+@pytest.mark.parametrize("x0,s,m2,m1,mx", FAR_HIGH_PRECISION)
+def test_far_kernel_means_match_high_precision_table(x0, s, m2, m1, mx):
+    sensor = SensorModel(absorption_depth=0.9, half_width=1.0, shift_rate=1.0)
+    assert abs((1j - x0) / (math.sqrt(2.0) * s)) >= FAR_ZMIN
+    km = kernel_means(sensor, [x0, -x0], SensingPrior(mean=0.0, std=s))
+    assert km[:, 0] == pytest.approx([m2, m1, mx], rel=1e-14, abs=0.0)
+    assert km[:, 1] == pytest.approx([m2, m1, -mx], rel=1e-14, abs=0.0)
+
+
 def test_far_tail_adaptive_kernels_do_not_overflow():
     # a tone 1e10 away from a 1e-140-wide dip: x ~ 1e150, so (1 + x^2)^2 exceeds
-    # the float range on the far Gauss-Hermite route; the kernels must go to 0
+    # the float range on the far trapezoid route; the kernels must go to 0
     # there without raising or warning (the test run turns RuntimeWarning into errors)
     sensor = SensorModel(absorption_depth=0.9, half_width=1e-140, shift_rate=1.0)
     sp, corr, rp = prior_moments(sensor, 1e10, SensingPrior(mean=0.0, std=1.0))
@@ -309,6 +347,24 @@ def test_buffered_gauss_hermite_far_tail_block_is_silent():
     assert np.all(km[:, _BLOCK - 2:-1] == 0.0)
 
 
+@pytest.mark.parametrize("tones", [0, 1, _BLOCK * KERNEL_ORDER // _FAR_NODES + 1, 10_000])
+def test_far_rule_is_bitwise_single_shot(tones):
+    # the far rule's 128-node blocks hold more tones than order 800's; blocking
+    # must not change a tone's bits there either, and the cached nodes are read-only
+    u, w = _far_nodes()
+    assert math.fsum(w) == pytest.approx(1.0, rel=0.0, abs=2.3e-16)
+    for nodes in (u, w):
+        with pytest.raises(ValueError):
+            nodes *= 2.0
+    x0 = np.sort(np.random.default_rng(tones).uniform(-60.0, 60.0, tones))
+    for s in (1e-3, 1.0, 1e8):
+        x = x0[:, None] + s * u
+        single = np.stack([np.sum(1.0 / (1.0 + x * x) ** 2 * w, axis=1),
+                           np.sum(1.0 / (1.0 + x * x) * w, axis=1),
+                           np.sum(x / (1.0 + x * x) ** 2 * w, axis=1)])
+        assert np.array_equal(_kernel_means_far(x0, s), single)
+
+
 def test_kernel_means_of_no_tones_is_empty():
     sensor = SensorModel(absorption_depth=0.9, half_width=1.0, shift_rate=1.0)
     for s in (0.5, 3.0):
@@ -318,15 +374,20 @@ def test_kernel_means_of_no_tones_is_empty():
 def test_kernel_means_calls_no_rule_on_an_empty_zone(monkeypatch):
     from metabcrb import expectations
     sizes = []
-    for name in ("_kernel_means_faddeeva", "_kernel_means_sinh", "_kernel_means_gh"):
+    for name in ("_kernel_means_faddeeva", "_kernel_means_sinh", "_kernel_means_gh",
+                 "_kernel_means_far"):
         def record(tones, *args, rule=getattr(expectations, name), name=name):
             sizes.append((name, tones.size))
             return rule(tones, *args)
         monkeypatch.setattr(expectations, name, record)
     sensor = SensorModel(absorption_depth=0.9, half_width=1.0, shift_rate=1.0)
-    # s = 0.5 is all Gauss-Hermite; at s = 3, |x0| <= 1 is all near (|z| <= 0.34)
-    # and |x0| <= 60 spans the near, sinh and far zones
-    for s, x0, rules in ((0.5, np.linspace(-5.0, 5.0, 64), 1), (3.0, np.linspace(-1.0, 1.0, 64), 1),
+    # s = 0.5: |x0| <= 5 is all Gauss-Hermite (|z| <= 7.2) and |x0| <= 20 spans it
+    # and the far zone (|x0| >= 7); s = 0.01 is all far (|z| >= 70.7); at s = 3,
+    # |x0| <= 1 is all near (|z| <= 0.34) and |x0| <= 60 spans the near, sinh and
+    # far zones
+    for s, x0, rules in ((0.5, np.linspace(-5.0, 5.0, 64), 1), (0.5, np.linspace(-20.0, 20.0, 81), 2),
+                         (0.01, np.linspace(-5.0, 5.0, 64), 1),
+                         (3.0, np.linspace(-1.0, 1.0, 64), 1),
                          (3.0, np.linspace(-60.0, 60.0, 241), 3),
                          (0.5, np.array([]), 0), (3.0, np.array([]), 0)):
         sizes.clear()
@@ -362,14 +423,20 @@ def test_buffered_sinh_rule_is_bitwise_single_shot(tones):
 
 @pytest.mark.parametrize("count", [16, 128, 1024])
 def test_unit_spread_default_grids_keep_the_order_800_table(count):
-    # At s = 1 every tone takes Gauss-Hermite at order 800. `select` orders
-    # exactly tied +-f tones by the last bit of this table, and the benchmark's
-    # stored `select` output pins that tie order, so the table must not move.
+    # At s = 1 every tone with |z| < FAR_ZMIN takes Gauss-Hermite at order 800.
+    # `select` orders exactly tied +-f tones by the last bit of this table, and
+    # the benchmark's stored `select` output pins that tie order, so the table
+    # must not move there; no pick of the 1024-tone grid's 256 is a far tone.
+    from metabcrb.bcrb import _greedy
     sc = scenario_from_settings(parse_config(f"grid.count = {count}\n"))
     freqs = sc.grid.as_array()
     x0, s = detuning_stats(sc.sensor, freqs, sc.prior)
     assert s == 1.0
-    assert np.array_equal(kernel_means(sc.sensor, freqs, sc.prior), _kernel_means_gh(x0, 1.0, 800))
+    near = np.abs((1j - x0) / math.sqrt(2.0)) < FAR_ZMIN
+    assert np.array_equal(kernel_means(sc.sensor, freqs, sc.prior)[:, near],
+                          _kernel_means_gh(x0[near], 1.0, 800))
+    picks, _, _ = _greedy(sc, min(256, count))
+    assert np.all(np.isin(picks, freqs[near]))
 
 
 def _x0_at(abs_z, s):
@@ -405,6 +472,26 @@ def test_kernel_means_are_continuous_across_routing_edges():
             assert z[0] < edge < z[1]
             below, above = km(x0, s).T
             np.testing.assert_allclose(above, below, rtol=1e-11, atol=0.0)
+
+
+@pytest.mark.parametrize("s", [1e-3, 0.5, 1.0])
+def test_kernel_means_are_continuous_across_the_far_edge_up_to_unit_spread(s):
+    # At s <= 1 the far trapezoid rule takes over from order-800 Gauss-Hermite at
+    # |z| = FAR_ZMIN, and both rules agree on the tones either side of that edge. At
+    # s = 1e-3 every tone is far (|z| >= 1/(s sqrt 2) = 707), so there they are
+    # compared on tones near the dip instead.
+    sensor = SensorModel(absorption_depth=0.9, half_width=1.0, shift_rate=1.0)
+    if math.sqrt(2.0) * FAR_ZMIN * s > 1.0:
+        x0 = np.array([_x0_at(FAR_ZMIN * (1.0 - 1e-13), s), _x0_at(FAR_ZMIN * (1.0 + 1e-13), s)])
+        below, above = kernel_means(sensor, x0, SensingPrior(mean=0.0, std=s)).T
+        assert np.array_equal(below, _kernel_means_gh(x0[:1], s, KERNEL_ORDER)[:, 0])
+        assert np.array_equal(above, _kernel_means_far(x0[1:], s)[:, 0])
+        # the two tones' x0 differ by 2e-13 relative, and their means by up to 1e-12
+        np.testing.assert_allclose(above, below, rtol=1e-11, atol=0.0)
+    else:
+        x0 = np.array([0.5 * s, 3.0 * s, 0.5])
+    np.testing.assert_allclose(_kernel_means_far(x0, s), _kernel_means_gh(x0, s, KERNEL_ORDER),
+                               rtol=1e-14, atol=0.0)
 
 
 def test_gauss_hermite_polynomial_exactness():

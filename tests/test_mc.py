@@ -449,6 +449,16 @@ def test_sensor_terms_match_extended_precision_at_any_detuning(depth):
         np.testing.assert_allclose(g[0, :, 0], w.astype(float), rtol=1e-14, atol=1e-300)
 
 
+def test_sensor_terms_keep_a_square_detuning_that_vanishes_beside_one():
+    # for 5.6e-17 < x^2 < 1.1e-16, 1 + x^2 rounds to 1, so r = 1 / (1 + x^2)
+    # would be 1 at every such draw, a bias of -x^2 that no bootstrap spread
+    # shows; the nearest double to the true r is 1 - 2^-53
+    sensor = SensorModel(absorption_depth=1.0, half_width=1.0, shift_rate=1.0)
+    c = np.array([8e-9, 9e-9, 1e-8, 1.05e-8])
+    slope_sq = mc._sensor_terms(sensor, np.array([0.0]), c[None])[0]
+    assert np.all(slope_sq == (1.0 - 2.0**-53) ** 2)
+
+
 @pytest.mark.parametrize("count", [1, 2, 5, 16])
 def test_batched_block_means_equal_chunk_by_chunk(count):
     sc = _scenario(count=count, kappa=2.0)
