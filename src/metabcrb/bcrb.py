@@ -18,7 +18,7 @@ import numpy as np
 
 from . import expectations
 from .expectations import _moments_from_kernels, detuning_stats, prior_moments
-from .scenario import Scenario, SubcarrierGrid
+from .scenario import Scenario, SubcarrierGrid, whole_number
 
 
 @dataclass(frozen=True)
@@ -110,7 +110,7 @@ def assemble_bfim(scenario: Scenario) -> BfimBlocks:
         raise ValueError("assemble_bfim requires a random channel; deterministic LoS has no channel blocks")
     sp, corr, rp = prior_moments(scenario.sensor, scenario.grid.as_array(), scenario.prior)
     b_mean = ch.mean() * np.stack([corr.real, -corr.imag, corr.real, -corr.imag], axis=1)
-    d_parts = np.stack([rp, rp, rp * (ch.kappa / (ch.kappa + 1.0)), np.zeros_like(rp)], axis=-1)
+    d_parts = np.stack([rp, rp, rp * (1.0 - ch.scatter_variance()), np.zeros_like(rp)], axis=-1)
     a, b, d = _arrow_blocks(scenario, float(np.sum(sp)), b_mean, d_parts)
     return BfimBlocks(a=a, b=b, d=d)
 
@@ -160,26 +160,19 @@ def bcrb_from_dense(blocks: BfimBlocks) -> float:
 def _contributions(scenario: Scenario, sp, corr, rp) -> np.ndarray:
     """Per-subcarrier information after fading loss.
 
+    With u = 1 / (kappa + 1) the diffuse power of the fading (0 in
+    deterministic LoS mode, the kappa -> inf limit),
+
     contribution_k = slope_power_k
-                     - 2 kappa |corr_k|^2 / ((2 kappa + 1) reflection_power_k
-                                             + noise_var (kappa + 1)^2)
+                     - 2 (1 - u) u |corr_k|^2 / ((2 - u) u reflection_power_k + noise_var)
 
     Positive whenever the dip has nonzero depth, by Cauchy-Schwarz
-    (|corr|^2 <= slope_power * reflection_power). Where (kappa + 1)^2
-    overflows (kappa above ~1.3e154) the fraction is divided through by it:
-    with u = 1 / (kappa + 1) it reads 2 (1 - u) u |corr|^2 / ((2 - u) u rp + noise_var).
+    (|corr|^2 <= slope_power * reflection_power). The fading term is 0 at
+    u = 0 (LoS) and u = 1 (Rayleigh), and no factor overflows at any finite kappa.
     """
-    ch = scenario.channel
-    if ch.deterministic_los:
-        return np.array(sp, dtype=float, copy=True)
-    kappa = ch.kappa
-    try:
-        denom = (2.0 * kappa + 1.0) * rp + scenario.noise.variance * (kappa + 1.0) ** 2
-    except OverflowError:
-        u = 1.0 / (kappa + 1.0)
-        denom = (2.0 - u) * u * rp + scenario.noise.variance
-        return sp - 2.0 * (1.0 - u) * u * np.abs(corr) ** 2 / denom
-    return sp - 2.0 * kappa * np.abs(corr) ** 2 / denom
+    u = scenario.channel.scatter_variance()
+    denom = (2.0 - u) * u * rp + scenario.noise.variance
+    return sp - 2.0 * (1.0 - u) * u * np.abs(corr) ** 2 / denom
 
 
 def _closed_forms(scenarios):
@@ -236,6 +229,7 @@ def _greedy(scenario: Scenario, budget: int):
     freqs = scenario.grid.as_array()
     if not 1 <= budget <= freqs.size:
         raise ValueError(f"budget must be in [1, {freqs.size}], got {budget}")
+    budget = whole_number("budget", budget)  # 2.0 picks two tones, 2.5 is an error
     res = bcrb_closed_form(scenario)
     center = scenario.sensor.resonance(scenario.prior.mean)
     picks = np.lexsort((freqs, np.abs(freqs - center), -res.contributions))[:budget]

@@ -450,7 +450,7 @@ def _kernel_means_sinh(x0: np.ndarray, s: float) -> np.ndarray:
 
 
 def kernel_means(sensor: SensorModel, f, prior: SensingPrior) -> np.ndarray:
-    """Prior means of the three detuning kernels, shape (3, len(f)).
+    """Prior means of the three detuning kernels at the flattened f, shape (3, f.size).
 
     One fixed rule per tone, by s and |z|, z = (j - x0)/(s sqrt 2): the far
     trapezoid rule if |z| >= FAR_ZMIN; else Gauss-Hermite at KERNEL_ORDER nodes
@@ -458,7 +458,7 @@ def kernel_means(sensor: SensorModel, f, prior: SensingPrior) -> np.ndarray:
     sinh trapezoid rule. Each rule runs only on a zone that holds a tone.
     """
     x0, s = detuning_stats(sensor, f, prior)
-    x0 = np.atleast_1d(x0)
+    x0 = np.ravel(x0)
     # |z| >= FAR_ZMIN as |j - x0| >= sqrt(2) FAR_ZMIN s: hypot and a product of
     # Python floats give inf, not OverflowError, at any x0 and s
     far = np.hypot(1.0, x0) >= math.sqrt(2.0) * FAR_ZMIN * s
@@ -493,10 +493,7 @@ def _moments_from_kernels(sensor: SensorModel, km: np.ndarray):
     """
     d = sensor.absorption_depth
     scale = d * sensor.shift_rate / sensor.half_width
-    try:
-        scale_sq = scale**2
-    except OverflowError:
-        scale_sq = math.inf
+    scale_sq = scale * scale
     if not math.isfinite(scale_sq):
         raise ArithmeticError(
             f"slope scale depth * shift_rate / half_width = {scale!r} overflows when squared; "
@@ -514,12 +511,12 @@ def prior_moments(sensor: SensorModel, f, prior: SensingPrior):
 
     Returns (slope_power, corr, reflection_power) arrays matching the shape of f.
     """
-    scalar = np.isscalar(f) or np.ndim(f) == 0
     km = kernel_means(sensor, f, prior)
     slope_power, corr, refl_power = _moments_from_kernels(sensor, km)
-    if scalar:
+    if np.ndim(f) == 0:
         return float(slope_power[0]), complex(corr[0]), float(refl_power[0])
-    return slope_power, corr, refl_power
+    shape = np.shape(f)
+    return slope_power.reshape(shape), corr.reshape(shape), refl_power.reshape(shape)
 
 
 def _moment(index: int, integrand, sensor: SensorModel, f, prior: SensingPrior, method):

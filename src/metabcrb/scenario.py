@@ -51,10 +51,11 @@ class SensingPrior:
 
 @dataclass(frozen=True)
 class RicianSpec:
-    """Rician fading with unit mean power: h ~ CN(sqrt(k/(k+1)), 1/(k+1)).
+    """Rician fading with unit mean power: h ~ CN(sqrt(1 - u), u), u = 1/(kappa + 1).
 
-    kappa = 0 is Rayleigh fading; deterministic_los models the kappa -> inf
-    limit where both channels are identically 1 and carry no uncertainty.
+    kappa = 0 is Rayleigh fading (u = 1); deterministic_los models the
+    kappa -> inf limit u = 0, where both channels are identically 1 and carry
+    no uncertainty. The bound reads the fading through u alone.
     """
 
     kappa: float = 0.0
@@ -65,10 +66,8 @@ class RicianSpec:
             raise ValueError(f"kappa must be finite and >= 0, got {self.kappa}")
 
     def mean(self) -> float:
-        """LoS component sqrt(kappa / (kappa + 1)); 1 in deterministic LoS mode."""
-        if self.deterministic_los:
-            return 1.0
-        return math.sqrt(self.kappa / (self.kappa + 1.0))
+        """LoS component sqrt(1 - u) = sqrt(kappa / (kappa + 1)); 1 in deterministic LoS mode."""
+        return math.sqrt(1.0 - self.scatter_variance())
 
     def scatter_variance(self) -> float:
         """Variance of the diffuse component, 1 / (kappa + 1); 0 in deterministic LoS mode."""

@@ -37,10 +37,11 @@ def write_line_chart(path, series, title="", xlabel="", ylabel="",
         raise ValueError("log axes need positive data")
     x_lo, x_hi = min(xs_all), max(xs_all)
     y_lo, y_hi = min(ys_all), max(ys_all)
+    # a lone value gets a decade each way on a log axis, where -1 would leave the domain
     if x_lo == x_hi:
-        x_lo, x_hi = x_lo - 1.0, x_hi + 1.0
+        x_lo, x_hi = (x_lo / 10.0, x_hi * 10.0) if xlog else (x_lo - 1.0, x_hi + 1.0)
     if y_lo == y_hi:
-        y_lo, y_hi = y_lo - 1.0, y_hi + 1.0
+        y_lo, y_hi = (y_lo / 10.0, y_hi * 10.0) if ylog else (y_lo - 1.0, y_hi + 1.0)
 
     plot_w = WIDTH - MARGIN_L - MARGIN_R
     plot_h = HEIGHT - MARGIN_T - MARGIN_B

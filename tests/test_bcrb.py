@@ -13,6 +13,8 @@ from metabcrb import (BfimBlocks, RicianSpec, Scenario, SensingPrior,
                       bfim_dense, default_scenario, select_subcarriers,
                       snr_to_noise, subcarrier_contribution)
 import metabcrb.expectations as expectations_mod
+from metabcrb.bcrb import _contributions
+from metabcrb.config import load_scenario
 from metabcrb.expectations import prior_moments
 
 
@@ -219,16 +221,42 @@ def test_partial_fading_knowledge_costs_information():
         assert res.bound > ray
 
 
-@pytest.mark.parametrize("kappa", [1e150, 1e154, 1e155, 1e200, 1e300, 1e308])
+@pytest.mark.parametrize("kappa", [1e150, 1e154, 1.3e154, math.nextafter(1.3e154, math.inf),
+                                   1e155, 1e200, 1e300, 1e308])
 def test_huge_kappa_bound_is_the_los_bound(kappa):
-    # (kappa + 1)^2 overflows a float past ~1.3e154, where the fading term
-    # switches to its 1/(kappa + 1) form; both sides reach the LoS limit
+    # (kappa + 1)^2 would overflow a float past ~1.3e154; the fading term reads
+    # kappa only through u = 1/(kappa + 1), which goes to the LoS limit u = 0
     los = bcrb_closed_form(_scenario(los=True))
     res = bcrb_closed_form(_scenario(kappa=kappa))
     assert res.bound == pytest.approx(los.bound, rel=1e-12, abs=0.0)
     np.testing.assert_allclose(res.contributions, los.contributions, rtol=1e-12, atol=0.0)
     sc = _scenario(kappa=kappa)
     assert subcarrier_contribution(sc, 3) == pytest.approx(los.contributions[3], rel=1e-12, abs=0.0)
+
+
+def test_fading_term_in_u_keeps_the_kappa_form_bits_that_order_select():
+    # select's mirror ties come out in the order of the contributions' last bits;
+    # on its 1024-tone grid the u = 1/(kappa + 1) form has the written-out kappa
+    # form's bits at kappa = 0 and 1 (at 1 it is that form divided through by 4)
+    sc = load_scenario("grid.count = 1024\n")
+    sp, corr, rp = prior_moments(sc.sensor, sc.grid.as_array(), sc.prior)
+    var = sc.noise.variance
+
+    def kappa_form(kappa):
+        denom = (2.0 * kappa + 1.0) * rp + var * (kappa + 1.0) ** 2
+        return sp - 2.0 * kappa * np.abs(corr) ** 2 / denom
+
+    for kappa in (0.0, 1.0):
+        got = _contributions(sc.with_channel(RicianSpec(kappa=kappa)), sp, corr, rp)
+        assert np.array_equal(got, kappa_form(kappa)), kappa
+    los = _contributions(sc.with_channel(RicianSpec(deterministic_los=True)), sp, corr, rp)
+    assert np.array_equal(los, sp)
+    # elsewhere the two forms round apart, by under 1e-15 of slope_power: measured
+    # against the contribution the gap grows where the fading term takes most of
+    # slope_power (2.8e-15 relative at kappa = 5, where it takes 87%)
+    for kappa in (0.5, 2.0, 5.0, 1e10):
+        got = _contributions(sc.with_channel(RicianSpec(kappa=kappa)), sp, corr, rp)
+        assert np.all(np.abs(got - kappa_form(kappa)) <= 1e-15 * sp), kappa
 
 
 def test_decomposition_identity():
@@ -328,6 +356,13 @@ def test_selection_orders_by_contribution_with_stable_ties():
         select_subcarriers(candidates, sc, 0)
     with pytest.raises(ValueError):
         select_subcarriers(candidates, sc, 7)
+
+
+def test_select_budget_is_a_whole_number():
+    sc = _scenario()
+    assert select_subcarriers(sc.grid, sc, 2.0) == select_subcarriers(sc.grid, sc, 2)
+    with pytest.raises(ValueError, match="budget"):
+        select_subcarriers(sc.grid, sc, 2.5)
 
 
 def test_selection_prefers_tones_near_resonance():

@@ -372,18 +372,15 @@ def test_cli_over_extreme_values(tmp_path, capsys):
 
 @pytest.mark.parametrize("kappa", ["1e155", "1e200", "1e300", "1e308"])
 def test_huge_kappa_exits_0_at_the_los_bound(tmp_path, kappa):
-    # (kappa + 1)^2 overflows a float past ~1.3e154; the bound must still reach
-    # the deterministic-LoS limit. validate's prior channel information
-    # 2 (kappa + 1) overflows at 1e308, so it is checked up to 1e300 only.
+    # the bound must reach the deterministic-LoS limit wherever (kappa + 1)^2
+    # would overflow. At 1e308 validate's prior channel information 2 (kappa + 1)
+    # is inf, which gives d^-1 = 0 in the Schur path: the LoS limit again.
     path = tmp_path / "kappa.cfg"
     path.write_text(BASE_CFG.replace("channel.kappa = 1.0", f"channel.kappa = {kappa}"))
     los = tmp_path / "los.cfg"
     los.write_text(BASE_CFG + "channel.los = true\n")
     sweep = ["sweep", "--axis", "snr_db", "--values", "0,20"]
-    commands = [sweep, ["select", "--budget", "4"]]
-    if kappa != "1e308":
-        commands.append(["validate", "--samples", "2000"])
-    for cmd in commands:
+    for cmd in (sweep, ["select", "--budget", "4"], ["validate", "--samples", "2000"]):
         assert main([*cmd, "--config", str(path), "--out", str(tmp_path / f"{cmd[0]}.csv")]) == 0, cmd
     assert main([*sweep, "--config", str(los), "--out", str(tmp_path / "los.csv")]) == 0
     for got, want in zip(_rows(tmp_path / "sweep.csv"), _rows(tmp_path / "los.csv"), strict=True):
@@ -710,8 +707,9 @@ def test_asymptotics_names_failed_checks_on_stderr(cfg, tmp_path, monkeypatch, c
 @pytest.mark.parametrize("command", [
     ["validate", "--samples", "20000", "--seed", "1"],
     ["select", "--budget", "5"],
+    ["select", "--budget", "1"],
     ["asymptotics"],
-], ids=["validate", "select", "asymptotics"])
+], ids=["validate", "select", "select-one-tone", "asymptotics"])
 def test_svg_chart_leaves_the_csv_alone(cfg, tmp_path, command):
     import xml.etree.ElementTree as ET
 

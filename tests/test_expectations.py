@@ -371,6 +371,18 @@ def test_kernel_means_of_no_tones_is_empty():
         assert kernel_means(sensor, np.array([]), SensingPrior(mean=0.0, std=s)).shape == (3, 0)
 
 
+@pytest.mark.parametrize("std", [0.5, 3.0])
+def test_moments_of_a_2d_frequency_array_keep_its_shape(std):
+    # tones in the far zone and near the dip, at s <= 1 and s > 1
+    sensor = SensorModel(absorption_depth=0.9, half_width=1.0, shift_rate=1.0)
+    prior = SensingPrior(mean=0.0, std=std)
+    f = np.array([-60.0, -1.0, 0.0, 0.3, 2.0, 45.0])
+    for moment in (slope_power, slope_reflection_corr, reflection_power):
+        got = moment(sensor, f.reshape(2, 3), prior)
+        assert got.shape == (2, 3)
+        assert np.array_equal(got, moment(sensor, f, prior).reshape(2, 3)), moment.__name__
+
+
 def test_kernel_means_calls_no_rule_on_an_empty_zone(monkeypatch):
     from metabcrb import expectations
     sizes = []

@@ -31,3 +31,7 @@ def test_single_point_series_renders(tmp_path):
     path = tmp_path / "p.svg"
     write_line_chart(str(path), [("only", [1.0], [5.0])])
     assert path.read_text().startswith("<svg")
+    # a lone value below 1 on a log axis, where +-1 around it would leave the log domain
+    for axes in ({"xlog": True}, {"ylog": True}):
+        write_line_chart(str(path), [("only", [5e-3], [5e-3])], **axes)
+        assert path.read_text().startswith("<svg"), axes
