@@ -98,8 +98,8 @@ def _apply_axis(settings: dict, axis: str, value: float) -> dict:
 
 def _sweep_values(args) -> list[float]:
     if args.values is not None:
-        if args.start is not None or args.stop is not None or args.points is not None:
-            raise ConfigError("--values cannot be combined with --start/--stop/--points")
+        if args.start is not None or args.stop is not None or args.points is not None or args.log:
+            raise ConfigError("--values cannot be combined with --start/--stop/--points/--log")
         try:
             vals = [float(v) for v in args.values.split(",") if v.strip()]
         except ValueError as exc:
@@ -161,9 +161,10 @@ def cmd_sweep(args) -> int:
 def cmd_validate(args) -> int:
     """Closed form against the Schur blocks, the dense inverse and Monte Carlo.
 
-    The random-channel variants (configured and Rayleigh) share prior, sensor
-    and grid, so one Monte Carlo pass serves them all: each chunk draws its
-    normals once. det_los is exact (mc_bound returns its closed form).
+    The variants (configured, Rayleigh, det_los) share prior, sensor and grid,
+    so their closed forms share one kernel table, and one Monte Carlo pass
+    serves the random-channel ones: each chunk draws its normals once.
+    det_los is exact (mc_bound returns its closed form).
     """
     settings = _load_settings(args.config)
     base = scenario_from_settings(settings)
@@ -173,15 +174,16 @@ def cmd_validate(args) -> int:
         variants.append(("rayleigh", scenario_from_settings(rayleigh)))
     los = apply_override(settings, "channel.los=true")
     variants.append(("det_los", scenario_from_settings(los)))
-    random = [(label, sc) for label, sc in variants if not sc.channel.deterministic_los]
+    random = {label: sc for label, sc in variants if not sc.channel.deterministic_los}
 
     header = ["scenario_label", "closed_form", "schur_from_blocks", "dense_inverse",
               "mc_estimate", "mc_std_err", "z_score"]
     rows = []
     failures = []  # (check, deviation, tolerance)
-    shared = {}  # Monte Carlo estimates of the random variants, drawn at the first of them
-    for label, scenario in variants:
-        closed = bcrb_closed_form(scenario).bound
+    closed_forms = [res.bound for res in _closed_forms([sc for _, sc in variants])]
+    shared = (dict(zip(random, _mc_bounds(list(random.values()), args.samples, args.seed)))
+              if random else {})
+    for (label, scenario), closed in zip(variants, closed_forms):
         schur = dense = None
         if scenario.channel.deterministic_los:
             est = mc_bound(scenario, args.samples, args.seed)
@@ -190,9 +192,6 @@ def cmd_validate(args) -> int:
             schur = bcrb_from_blocks(blocks)
             if args.dense_check:
                 dense = bcrb_from_dense(blocks)
-            if not shared:
-                estimates = _mc_bounds([sc for _, sc in random], args.samples, args.seed)
-                shared = dict(zip([name for name, _ in random], estimates))
             est = shared[label]
         diff = est.value - closed
         if est.std_err == 0.0:

@@ -106,6 +106,7 @@ class MonteCarlo:
 
     def __post_init__(self):
         object.__setattr__(self, "samples", whole_number("samples", self.samples))
+        object.__setattr__(self, "seed", whole_number("seed", self.seed, 0))
 
 
 @dataclass(frozen=True)
@@ -127,7 +128,7 @@ _RUN_ELEMENTS = 1 << 13
 
 def chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
     """Counter-style generator for one chunk; identical under any execution order."""
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(chunk_index,))
+    ss = np.random.SeedSequence(entropy=whole_number("seed", seed, 0), spawn_key=(chunk_index,))
     return np.random.Generator(np.random.Philox(ss))
 
 
@@ -153,34 +154,37 @@ def _worker_count() -> int:
     return min(usable, 8)
 
 
-def _map_chunks(fn, seed: int, samples: int, width: int = 1) -> list:
-    """fn over the MC_CHUNK-draw chunks of `samples` draws, results in chunk order.
+def _map_chunks(fn, seed: int, samples: int, width: int = 1):
+    """fn's arrays over the MC_CHUNK-draw chunks of `samples` draws, and the chunk sizes.
 
-    `width` counts the array elements per draw (tones, grid points). A run
-    holds as many consecutive full chunks as fit in _RUN_ELEMENTS elements,
-    at least one; a partial last chunk runs alone. fn takes a run as a list
-    of (generator, size) pairs and returns one result per chunk. Runs of
-    several chunks go in a loop on this thread; single-chunk runs go to a
-    pool of _worker_count() threads. Every chunk draws from its own
-    chunk_rng, so the returned list does not depend on the thread count.
-    """
+    The one owner of the chunk layout. `width` counts the array elements per
+    draw (tones, grid points). A run holds as many consecutive full chunks as
+    fit in _RUN_ELEMENTS elements, at least one; a partial last chunk runs
+    alone. fn(rngs, size) gets a run's generators, one chunk_rng per chunk,
+    and their shared size, and returns arrays whose leading axis runs over
+    those chunks. Runs of several chunks loop on this thread; single-chunk
+    runs go to a pool of _worker_count() threads. Returns fn's arrays joined
+    in chunk order and the float sizes (n_chunks,): neither depends on the
+    thread count."""
     run = max(1, _RUN_ELEMENTS // (MC_CHUNK * width))
     n_full, rest = divmod(samples, MC_CHUNK)
-    runs = [range(lo, min(lo + run, n_full)) for lo in range(0, n_full, run)]
+    runs = [(range(lo, min(lo + run, n_full)), MC_CHUNK) for lo in range(0, n_full, run)]
     if rest:
-        runs.append(range(n_full, n_full + 1))
+        runs.append((range(n_full, n_full + 1), rest))
 
-    def one_run(chunks):
-        return fn([(chunk_rng(seed, i), min(MC_CHUNK, samples - i * MC_CHUNK)) for i in chunks])
+    def one_run(chunks_and_size):
+        chunks, size = chunks_and_size
+        return fn([chunk_rng(seed, i) for i in chunks], size)
 
     workers = min(_worker_count(), len(runs))
     if run > 1 or workers <= 1:
-        results = map(one_run, runs)
+        results = list(map(one_run, runs))
     else:
         from concurrent.futures import ThreadPoolExecutor  # deferred: serial runs never need it
         with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(one_run, runs))
-    return [item for result in results for item in result]
+    sizes = np.array([size for chunks, size in runs for _ in chunks], dtype=float)
+    return [np.concatenate(parts) for parts in zip(*results)], sizes
 
 
 def _hermite_rule(order: int) -> np.ndarray:
@@ -248,16 +252,11 @@ def expect_over_prior(fn, prior: SensingPrior, method=Quadrature()):
     return est
 
 
-def _mean_and_se(chunk_sums, n: int):
-    """Mean of n draws and its standard error from per-chunk (sum, sum of squares).
-
-    The pairs are floats or arrays, reduced componentwise and in the order
-    given; with a single draw the error is inf.
-    """
-    sums = sums_sq = 0.0
-    for s, sq in chunk_sums:
-        sums = sums + s
-        sums_sq = sums_sq + sq
+def _chunk_mean_and_se(chunk_sums: np.ndarray, n: int):
+    """Mean of n draws and its standard error from chunk_sums (chunks, 2, ...), each chunk's
+    sum and sum of squares, reduced componentwise; with a single draw the error is inf.
+    The builtin sum folds chunks in chunk order, where numpy's would pair them."""
+    sums, sums_sq = sum(chunk_sums)
     mean = sums / n
     if n < 2:
         return mean, math.inf
@@ -273,12 +272,13 @@ def _mc_expect(fn, prior: SensingPrior, method: MonteCarlo) -> McEstimate:
         vals = np.asarray(fn(c), dtype=complex)
         if vals.shape != c.shape:
             raise ValueError(f"integrand must give one value per draw, got shape {vals.shape}")
-        return (np.array([np.sum(vals.real), np.sum(vals.imag)]),
-                np.array([np.sum(vals.real**2), np.sum(vals.imag**2)]))
+        return ([np.sum(vals.real), np.sum(vals.imag)],
+                [np.sum(vals.real**2), np.sum(vals.imag**2)])
 
     n = method.samples
-    mean, se = _mean_and_se(_map_chunks(lambda run: [chunk_sums(*chunk) for chunk in run],
-                                        method.seed, n), n)
+    (sums,), _ = _map_chunks(lambda rngs, size: [np.array([chunk_sums(rng, size) for rng in rngs])],
+                             method.seed, n)
+    mean, se = _chunk_mean_and_se(sums, n)
     se = float(np.max(se))
     value = complex(mean[0], mean[1])
     if value.imag == 0.0:

@@ -6,11 +6,12 @@ model y_k = h_r gamma_k(c) h_t + noise for every draw, average, add the
 prior information, invert. Nothing here reuses the analytic fading
 averages, so agreement with bcrb_closed_form validates them.
 
-Draws come in chunks of MC_CHUNK, each from its own counter-based
-generator. A chunk's standard normals depend only on the prior, the tone
-count and (seed, chunk index); the channel enters only through the map
-mean + sigma z. So one draw per chunk serves every scenario that differs
-only in its channel, such as validate's configured and Rayleigh variants.
+Draws come in chunks from expectations._map_chunks, which alone knows their
+sizes; each chunk has its own counter-based generator. A chunk's standard
+normals depend only on the prior, the tone count and (seed, chunk index);
+the channel enters only through the map mean + sigma z. So one draw per
+chunk serves every scenario that differs only in its channel, such as
+validate's configured and Rayleigh variants.
 
 Blocks are weighted averages of the chunk means: by chunk size for
 mc_blocks and the bound, plus BOOTSTRAP_RESAMPLES resampled weightings,
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bcrb import _arrow_blocks, _arrow_d, _schur_coupling, bcrb_closed_form
-from .expectations import MC_CHUNK, McEstimate, _map_chunks, _mean_and_se
+from .expectations import MC_CHUNK, McEstimate, _chunk_mean_and_se, _map_chunks, chunk_rng
 from .scenario import Scenario, whole_number
 
 BOOTSTRAP_RESAMPLES = 200
@@ -45,7 +46,7 @@ def _draw_normals(prior, rng: np.random.Generator, z: np.ndarray) -> np.ndarray:
     """Condition draws (size,) for one chunk, and the channels' standard normals.
 
     z (4, size, L) is filled in place, in generator order, with the normals
-    of Re h_r, Im h_r, Re h_t and Im h_t. A z with L = 0 draws none.
+    of Re h_r, Im h_r, Re h_t and Im h_t.
     """
     c = prior.mean + prior.std * rng.standard_normal(z.shape[1])
     rng.standard_normal(out=z)
@@ -64,16 +65,12 @@ def _channels(channel, z: np.ndarray) -> np.ndarray:
 
 
 def draw_samples(scenario: Scenario, size: int, rng: np.random.Generator):
-    """Vectorized draws; channels are CN(mean, scatter_variance) per tone."""
-    count = scenario.grid.count
-    los = scenario.channel.deterministic_los
-    z = np.empty((4, size, 0 if los else count))
+    """Vectorized draws; channels are CN(mean, scatter_variance) per tone, so
+    exactly 1 in deterministic LoS mode, where scatter_variance is 0."""
+    z = np.empty((4, size, scenario.grid.count))
     c = _draw_normals(scenario.prior, rng, z)
-    if los:
-        ones = np.ones((size, count), dtype=complex)
-        return c, ones, ones.copy()
     parts = _channels(scenario.channel, z)
-    h = np.empty((2, size, count), dtype=complex)
+    h = np.empty((2, size, scenario.grid.count), dtype=complex)
     h.real = parts[0::2]
     h.imag = parts[1::2]
     return c, h[0], h[1]
@@ -221,19 +218,17 @@ def _shared_chunk_means(scenarios, samples: int, seed: int):
                          f"to estimate the Monte Carlo error, got {samples}")
     freqs = first.grid.as_array()
 
-    def run_means(chunks):
-        # a run's chunks share one size; its normals are the only draws held
-        z = np.empty((len(chunks), 4, chunks[0][1], freqs.size))
-        c = np.array([_draw_normals(first.prior, rng, zk) for (rng, _), zk in zip(chunks, z)])
+    def run_means(rngs, size):
+        # the run's normals are the only draws held
+        z = np.empty((len(rngs), 4, size, freqs.size))
+        c = np.array([_draw_normals(first.prior, rng, zk) for rng, zk in zip(rngs, z)])
         terms = _sensor_terms(first.sensor, freqs, c)
         z = np.moveaxis(z, 1, 0)
-        means = [_chunk_block_means(terms, _channels(sc.channel, z)) for sc in scenarios]
-        # one result per chunk: its (a, b, d_parts) for each scenario
-        return [[tuple(m[k] for m in parts) for parts in means] for k in range(len(chunks))]
+        # each scenario's (a, b, d_parts) in turn, flat for _map_chunks
+        return [m for sc in scenarios for m in _chunk_block_means(terms, _channels(sc.channel, z))]
 
-    per_chunk = _map_chunks(run_means, seed, samples, freqs.size)
-    sizes = np.minimum(MC_CHUNK, samples - MC_CHUNK * np.arange(len(per_chunk))).astype(float)
-    return [[np.array(parts) for parts in zip(*means)] for means in zip(*per_chunk)], sizes
+    means, sizes = _map_chunks(run_means, seed, samples, freqs.size)
+    return [means[i:i + 3] for i in range(0, len(means), 3)], sizes
 
 
 def _average_blocks(scenario: Scenario, chunk_means, weights: np.ndarray):
@@ -276,8 +271,7 @@ def _mc_bounds(scenarios, samples: int, seed: int) -> list:
     every scenario uses the same BOOTSTRAP_RESAMPLES picks of chunks.
     """
     means, sizes = _shared_chunk_means(scenarios, samples, seed)
-    rng = np.random.Generator(np.random.Philox(
-        np.random.SeedSequence(entropy=seed, spawn_key=(_BOOT_KEY,))))
+    rng = chunk_rng(seed, _BOOT_KEY)
     picks = rng.integers(0, sizes.size, size=(BOOTSTRAP_RESAMPLES, sizes.size))
     # each resample weighs a chunk by its size times how often it was picked
     resampled = np.zeros(picks.shape)
@@ -347,8 +341,9 @@ def posterior_mean_mse(scenario: Scenario, trials: int, grid_points: int = 2000,
         est = first / norm
 
         sq = (est - c_true) ** 2
-        return float(np.sum(sq)), float(np.sum(sq**2))
+        return np.sum(sq), np.sum(sq**2)
 
-    mse, se = _mean_and_se(_map_chunks(lambda run: [trial_sums(*chunk) for chunk in run], seed,
-                                       trials, grid_points), trials)
-    return McEstimate(value=mse, std_err=float(se), samples=trials)
+    (sums,), _ = _map_chunks(lambda rngs, size: [np.array([trial_sums(rng, size) for rng in rngs])],
+                             seed, trials, grid_points)
+    mse, se = _chunk_mean_and_se(sums, trials)
+    return McEstimate(value=float(mse), std_err=float(se), samples=trials)

@@ -136,6 +136,7 @@ def test_sweep_usage_errors_exit_1(cfg, tmp_path):
     assert main(base + ["--start", "0.1"]) == 1
     assert main(base + ["--start", "0.1", "--stop", "1.0", "--points", "1"]) == 1
     assert main(base + ["--start", "-1", "--stop", "1", "--points", "3", "--log"]) == 1
+    assert main(base + ["--values", "0.5", "--log"]) == 1  # --log spaces only --start/--stop
     assert main(base + ["--values", "0.5", "--set", "bogus.key=1"]) == 1
     assert main(["sweep", "--config", cfg, "--out", out,
                  "--axis", "subcarrier_count", "--values", "2.5"]) == 1
@@ -579,6 +580,13 @@ def test_validate_single_chunk_oracle_exits_1(cfg, tmp_path, capsys):
                "--samples", "500"])
     assert rc == 1
     assert "at least 513 samples" in capsys.readouterr().err
+
+
+def test_validate_negative_seed_exits_1_naming_the_seed(cfg, tmp_path, capsys):
+    rc = main(["validate", "--config", cfg, "--out", str(tmp_path / "val.csv"),
+               "--samples", "2000", "--seed", "-1"])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: seed must be a whole number >= 0, got -1\n"
 
 
 @pytest.mark.parametrize("entries, samples", [

@@ -2,6 +2,7 @@
 averaged blocks against the analytic assembly, bound against the closed form."""
 
 import math
+import re
 import threading
 
 import numpy as np
@@ -161,6 +162,8 @@ def test_draw_samples_los_returns_unit_gains():
     c, h_r, h_t = draw_samples(sc, 10, chunk_rng(0, 0))
     assert np.all(h_r == 1.0) and np.all(h_t == 1.0)
     assert c.shape == (10,)
+    # the conditions are drawn before the channel normals, as with a random channel
+    assert np.array_equal(c, draw_samples(_scenario(count=3), 10, chunk_rng(0, 0))[0])
 
 
 # ------------------------------------------------- averaged blocks
@@ -207,6 +210,24 @@ def test_mc_blocks_validation():
     blocks, int_blocks = mc_blocks(sc, 1e4, seed=1), mc_blocks(sc, np.int64(10_000), seed=1)
     assert blocks.samples == 10_000 and blocks.a == int_blocks.a
     np.testing.assert_array_equal(blocks.d, int_blocks.d)
+
+
+def test_seeds_are_whole_numbers_from_zero():
+    # a bad seed raises ValueError naming it, a MonteCarlo at construction and
+    # the oracle functions before any draw; a whole float is the int seed, bit for bit
+    sc, los = _scenario(count=2), _scenario(los=True, count=2)
+    for bad in (-1, 1.5, math.nan):
+        message = re.escape(f"seed must be a whole number >= 0, got {bad}")
+        with pytest.raises(ValueError, match=message):
+            MonteCarlo(1000, seed=bad)
+        for call in (lambda: mc_bound(sc, 2_000, bad), lambda: mc_blocks(sc, 2_000, bad),
+                     lambda: posterior_mean_mse(los, 100, grid_points=8, seed=bad)):
+            with pytest.raises(ValueError, match=message):
+                call()
+    assert MonteCarlo(1000, seed=2.0) == MonteCarlo(1000, seed=2)
+    assert mc_bound(sc, 2_000, 2.0) == mc_bound(sc, 2_000, 2)
+    assert (posterior_mean_mse(los, 100, grid_points=8, seed=2.0)
+            == posterior_mean_mse(los, 100, grid_points=8, seed=2))
 
 
 # ------------------------------------------------- the bound
@@ -346,34 +367,35 @@ def _serial_chunk_means(sc, samples, seed):
 
 def _one_chunk_at_a_time(fn, seed, samples, width=1):
     """_map_chunks without runs or threads: every chunk alone, in order."""
-    out = []
-    for i, start in enumerate(range(0, samples, MC_CHUNK)):
-        out += fn([(chunk_rng(seed, i), min(MC_CHUNK, samples - start))])
-    return out
+    sizes = [min(MC_CHUNK, samples - start) for start in range(0, samples, MC_CHUNK)]
+    results = [fn([chunk_rng(seed, i)], size) for i, size in enumerate(sizes)]
+    return [np.concatenate(parts) for parts in zip(*results)], np.array(sizes, dtype=float)
 
 
 THREAD_SETTINGS = ("1", "2", "0")
 
 
 def test_map_chunks_runs_and_threads(monkeypatch):
-    def layout(run):
-        return [(len(run), size, threading.get_ident()) for _, size in run]
+    def layout(rngs, size):
+        return [np.array([(len(rngs), size, threading.get_ident())] * len(rngs), dtype=object)]
 
     main = threading.get_ident()
     monkeypatch.setenv("METABCRB_THREADS", "2")
     # narrow draws: runs of _RUN_ELEMENTS // MC_CHUNK chunks on this thread,
     # the partial last chunk alone
     assert expectations._RUN_ELEMENTS // MC_CHUNK == 16
-    narrow = expectations._map_chunks(layout, 0, 100 * MC_CHUNK + 7)
+    (narrow,), sizes = expectations._map_chunks(layout, 0, 100 * MC_CHUNK + 7)
     assert [n for n, _, _ in narrow] == [16] * 96 + [4] * 4 + [1]
     assert [s for _, s, _ in narrow] == [MC_CHUNK] * 100 + [7]
+    assert sizes.tolist() == [MC_CHUNK] * 100 + [7]
     assert {t for _, _, t in narrow} == {main}
     # wide draws: one chunk per run, on the pool
-    wide = expectations._map_chunks(layout, 0, 9 * MC_CHUNK, width=64)
+    (wide,), _ = expectations._map_chunks(layout, 0, 9 * MC_CHUNK, width=64)
     assert [(n, s) for n, s, _ in wide] == [(1, MC_CHUNK)] * 9
     assert main not in {t for _, _, t in wide}
     monkeypatch.setenv("METABCRB_THREADS", "1")
-    assert {t for _, _, t in expectations._map_chunks(layout, 0, 9 * MC_CHUNK, width=64)} == {main}
+    (serial,), _ = expectations._map_chunks(layout, 0, 9 * MC_CHUNK, width=64)
+    assert {t for _, _, t in serial} == {main}
 
 
 def test_monte_carlo_expectation_calls_fn_on_the_calling_thread(monkeypatch):
