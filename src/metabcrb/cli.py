@@ -36,9 +36,9 @@ from .bcrb import (_closed_forms, _greedy, assemble_bfim, bcrb_closed_form,
                    bcrb_from_blocks, bcrb_from_dense, select_subcarriers)  # noqa: F401
 from .config import (ConfigError, apply_override, parse_config,
                      scenario_from_settings)
-from .expectations import corr_magsq, slope_power
-from .mc import _mc_bounds, mc_bound
-from .scenario import SubcarrierGrid, snr_to_noise
+from .expectations import McEstimate, corr_magsq, slope_power
+from .mc import _mc_bounds, mc_bound  # noqa: F401 (benchmarks/spans.py traces mc_bound here)
+from .scenario import SubcarrierGrid, snr_to_noise, whole_number
 from .svg import write_line_chart
 
 SWEEP_AXES = {"fwhm": "sensor.half_width", "depth": "sensor.depth", "snr_db": "noise.snr_db",
@@ -164,8 +164,10 @@ def cmd_validate(args) -> int:
     The variants (configured, Rayleigh, det_los) share prior, sensor and grid,
     so their closed forms share one kernel table, and one Monte Carlo pass
     serves the random-channel ones: each chunk draws its normals once.
-    det_los is exact (mc_bound returns its closed form).
+    det_los's estimate is its exact closed form; --samples and --seed are checked first.
     """
+    samples = whole_number("samples", args.samples)
+    seed = whole_number("seed", args.seed, 0)
     settings = _load_settings(args.config)
     base = scenario_from_settings(settings)
     variants = [("configured", base)]
@@ -181,12 +183,11 @@ def cmd_validate(args) -> int:
     rows = []
     failures = []  # (check, deviation, tolerance)
     closed_forms = [res.bound for res in _closed_forms([sc for _, sc in variants])]
-    shared = (dict(zip(random, _mc_bounds(list(random.values()), args.samples, args.seed)))
-              if random else {})
+    shared = dict(zip(random, _mc_bounds(list(random.values()), samples, seed))) if random else {}
     for (label, scenario), closed in zip(variants, closed_forms):
         schur = dense = None
         if scenario.channel.deterministic_los:
-            est = mc_bound(scenario, args.samples, args.seed)
+            est = McEstimate(value=closed, std_err=0.0, samples=samples)
         else:
             blocks = assemble_bfim(scenario)
             schur = bcrb_from_blocks(blocks)

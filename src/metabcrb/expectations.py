@@ -29,10 +29,12 @@ vectorised rules, chosen by s and by |z|, z = (j - x0)/(s sqrt 2):
 * s > 1 and 2.5 < |z| < 10, where the closed form cancels: a trapezoid rule
   in t with x = sinh t, over a window that always holds the dip's spike.
 
-No rule imports scipy, nor do expect_over_prior's orders other than 800 (see
-_hermite_rule). Against an mpmath closed form the rules agree to 3e-12 relative
-for s from 1e-4 to 1e8 and |z| up to 1e6, the far rule to 1e-15. Past s = 1e8
-the sinh rule's E[x/(1+x^2)^2] loses digits in proportion to s (5e-11 at s = 1e9).
+Nodes with x^2 < 2^-53, where 1 + x^2 rounds to 1, take the kernels' series
+1 - 2x^2, 1 - x^2 and x (1 - 2x^2). No rule imports scipy, nor do
+expect_over_prior's orders other than 800 (see _hermite_rule). Against an
+mpmath closed form the rules agree to 3e-12 relative for s from 1e-4 to 1e8
+and |z| up to 1e6, the far rule to 1e-15. Past s = 1e8 the sinh rule's
+E[x/(1+x^2)^2] loses digits in proportion to s (5e-11 at s = 1e9).
 """
 
 from __future__ import annotations
@@ -69,6 +71,7 @@ _SPIKE_SPAN = 100.0
 # block (46,062 pages per 1e4-tone table against 168 for 32-tone temporaries).
 # _kernel_table keeps 200 kB at any node count: 200 tones at the far rule's 128.
 _BLOCK = 32
+_TINY_SQ = 2.0**-53  # x^2 below which 1 + x^2 rounds to 1
 
 _INV_SQRT_PI = 1.0 / math.sqrt(math.pi)
 
@@ -127,9 +130,9 @@ _RUN_ELEMENTS = 1 << 13
 
 
 def chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
-    """Counter-style generator for one chunk; identical under any execution order."""
+    """SFC64 generator for one chunk, keyed by (seed, chunk index); the same in any run order."""
     ss = np.random.SeedSequence(entropy=whole_number("seed", seed, 0), spawn_key=(chunk_index,))
-    return np.random.Generator(np.random.Philox(ss))
+    return np.random.Generator(np.random.SFC64(ss))
 
 
 def _worker_count() -> int:
@@ -300,6 +303,7 @@ def _kernel_table(x0: np.ndarray, dx: np.ndarray, wn: np.ndarray) -> np.ndarray:
     Blocks of tones (_BLOCK at 800 nodes) share one set of (block x nodes) buffers,
     since per-block temporaries, once freed, go back to the kernel and fault in again
     on the next call. The table is bitwise that of the whole (tones x nodes) array.
+    Nodes with x^2 < 2^-53 take the kernels' series, found by one min per block.
     """
     block = max(1, _BLOCK * KERNEL_ORDER // dx.size)  # 200 kB per buffer at any node count
     out = np.empty((3, x0.size))
@@ -308,13 +312,20 @@ def _kernel_table(x0: np.ndarray, dx: np.ndarray, wn: np.ndarray) -> np.ndarray:
         rows = slice(lo, lo + block)
         x, t, t2, k = buf[:, :x0[rows].size]
         np.add(x0[rows, None], dx, out=x)
+        series = None
         # far tails square past the float range; 1/inf = 0 is the right limit there
         with np.errstate(over="ignore"):
             np.multiply(x, x, out=t)
+            if t.min() < _TINY_SQ:  # 1 + x^2 rounds to 1 at some node
+                tiny = t < _TINY_SQ
+                series = (1.0 - 2.0 * t[tiny], 1.0 - t[tiny], x[tiny] * (1.0 - 2.0 * t[tiny]))
             t += 1.0
             np.square(t, out=t2)
         for row, num, den in ((0, 1.0, t2), (1, 1.0, t), (2, x, t2)):
-            np.multiply(np.divide(num, den, out=k), wn, out=k)
+            np.divide(num, den, out=k)
+            if series is not None:
+                k[tiny] = series[row]
+            np.multiply(k, wn, out=k)
             np.sum(k, axis=1, out=out[row, rows])
     return out
 

@@ -1,17 +1,19 @@
 """Monte Carlo oracle: averaged exact conditional Fisher information.
 
 Independent check of the closed-form bound. Draw (c, channels) from the
-prior, form the exact conditional Fisher information of the observation
-model y_k = h_r gamma_k(c) h_t + noise for every draw, average, add the
-prior information, invert. Nothing here reuses the analytic fading
-averages, so agreement with bcrb_closed_form validates them.
+prior, average the exact conditional Fisher information of the observation
+model y_k = h_r gamma_k(c) h_t + noise, add the prior information, invert.
+Nothing here reuses the analytic fading averages, so agreement with
+bcrb_closed_form validates them. c, h_r and h_t are independent, so each
+entry's chunk mean is the product of a sensor, a receive-hop and a
+transmit-hop mean, all taken from the chunk's draws (factorised means).
 
 Draws come in chunks from expectations._map_chunks, which alone knows their
-sizes; each chunk has its own counter-based generator. A chunk's standard
-normals depend only on the prior, the tone count and (seed, chunk index);
-the channel enters only through the map mean + sigma z. So one draw per
-chunk serves every scenario that differs only in its channel, such as
-validate's configured and Rayleigh variants.
+sizes; each chunk has its own SFC64 generator keyed by (seed, chunk index).
+A chunk's standard normals depend only on the prior, the tone count and
+that key; the channel enters only through the map mean + sigma z. So one
+draw per chunk serves every scenario that differs only in its channel, such
+as validate's configured and Rayleigh variants.
 
 Blocks are weighted averages of the chunk means: by chunk size for
 mc_blocks and the bound, plus BOOTSTRAP_RESAMPLES resampled weightings,
@@ -45,10 +47,10 @@ class ParameterSample:
 def _draw_normals(prior, rng: np.random.Generator, z: np.ndarray) -> np.ndarray:
     """Condition draws (size,) for one chunk, and the channels' standard normals.
 
-    z (4, size, L) is filled in place, in generator order, with the normals
-    of Re h_r, Im h_r, Re h_t and Im h_t.
+    z (4, L, size) is filled in place, in generator order, with the normals
+    of Re h_r, Im h_r, Re h_t and Im h_t, draws on the last axis.
     """
-    c = prior.mean + prior.std * rng.standard_normal(z.shape[1])
+    c = prior.mean + prior.std * rng.standard_normal(z.shape[-1])
     rng.standard_normal(out=z)
     return c
 
@@ -66,10 +68,11 @@ def _channels(channel, z: np.ndarray) -> np.ndarray:
 
 def draw_samples(scenario: Scenario, size: int, rng: np.random.Generator):
     """Vectorized draws; channels are CN(mean, scatter_variance) per tone, so
-    exactly 1 in deterministic LoS mode, where scatter_variance is 0."""
-    z = np.empty((4, size, scenario.grid.count))
+    exactly 1 in deterministic LoS mode, where scatter_variance is 0. Each
+    (draw, tone) gets the normal that the oracle's chunk gives it."""
+    z = np.empty((4, scenario.grid.count, size))
     c = _draw_normals(scenario.prior, rng, z)
-    parts = _channels(scenario.channel, z)
+    parts = np.swapaxes(_channels(scenario.channel, z), 1, 2)
     h = np.empty((2, size, scenario.grid.count), dtype=complex)
     h.real = parts[0::2]
     h.imag = parts[1::2]
@@ -109,8 +112,9 @@ def conditional_fim(scenario: Scenario, sample: ParameterSample) -> np.ndarray:
 
 @dataclass(frozen=True)
 class McBlocks:
-    """Chunk-averaged information blocks (prior included) with the per-chunk
-    means they average. b_se bounds the standard error of each cross entry."""
+    """Chunk-averaged information blocks (prior included) with the per-chunk factorised
+    means they average, drawn from SFC64 streams keyed by (seed, chunk index).
+    b_se bounds the standard error of each cross entry."""
 
     a: float
     b: np.ndarray
@@ -130,7 +134,7 @@ class McBlocks:
 
 
 def _sensor_terms(sensor, freqs: np.ndarray, c: np.ndarray):
-    """Per-draw sensor terms of conditions c (..., n) on tones freqs (L,), each (..., n, L).
+    """Per-draw sensor terms of conditions c (..., n) on tones freqs (L,), each (..., L, n).
 
     With x the detuning, r = 1 / (1 + x^2), q = x^2 r, d the depth and
     S = depth * shift_rate / half_width: |gamma'|^2 = (S r)^2,
@@ -141,7 +145,7 @@ def _sensor_terms(sensor, freqs: np.ndarray, c: np.ndarray):
     Returns (|gamma'|^2, Re and Im of conj(gamma') gamma, |gamma|^2).
     """
     d = sensor.absorption_depth
-    x = sensor.detuning(freqs, c[..., None])
+    x = sensor.detuning(freqs[:, None], c[..., None, :])
     with np.errstate(over="ignore", divide="ignore"):
         x2 = x * x  # inf once |x| passes 1.3e154
         q = 1.0 / (1.0 + 1.0 / x2)
@@ -156,56 +160,38 @@ def _sensor_terms(sensor, freqs: np.ndarray, c: np.ndarray):
     return sr * sr, core_re, core_im, power
 
 
-def _draw_sum(*factors) -> np.ndarray:
-    """Sum over draws (axis -2) of the product of (..., n, L) factors, with no temporaries."""
-    return np.einsum(",".join(["...nl"] * len(factors)) + "->...l", *factors)
+def _chunk_block_means(sensor_means, parts: np.ndarray):
+    """Chunk means (a (K,), b (K, L, 4), d_parts (K, L, 4)) as products of independent means.
 
-
-def _chunk_block_means(terms, parts: np.ndarray):
-    """Per-sample conditional-information entries averaged over each chunk.
-
-    The derivative algebra of conditional_fim folded into the arrow blocks, in
-    real arithmetic. `terms` come from _sensor_terms and `parts` from
-    _channels: Re h_r, Im h_r, Re h_t, Im h_t, each stacked by chunk (K, n, L).
-    Returns (a_mean (K,), b_mean (K, L, 4), d_parts (K, L, 4)) without the
+    `sensor_means` are the chunk means (K, L) of _sensor_terms' four terms and
+    `parts` _channels' Re h_r, Im h_r, Re h_t, Im h_t (4, K, L, n), draws last,
+    whose pairwise means are the channel means. A product of independent sample
+    means is unbiased, and at one draw the blocks are conditional_fim's. No
     2/noise_var scale or prior terms; d_parts holds the four distinct entries
     of each channel block, see _arrow_d.
     """
-    slope_sq, core_re, core_im, power = terms
-    p, q, u, v = parts
-    n = p.shape[-2]
-    mag_r = np.einsum("i...,i...->...", parts[:2], parts[:2])
-    mag_t = np.einsum("i...,i...->...", parts[2:], parts[2:])
-    # per-draw sums over tones, then a pairwise mean over draws: the terms are
-    # all positive, so this keeps the rounding at log2(n) ulp, not n
-    a_mean = np.mean(np.einsum("...nl,...nl,...nl->...n", slope_sq, mag_r, mag_t), axis=-1)
-
+    slope_sq, core_re, core_im, power = sensor_means
+    p, q, u, v = np.mean(parts, axis=-1)
+    squares = np.mean(parts * parts, axis=-1)
+    mag_r, mag_t = squares[0] + squares[1], squares[2] + squares[3]
+    a = np.sum(slope_sq * mag_r * mag_t, axis=-1)
     # conj(h_r) |h_t|^2 core and |h_r|^2 conj(h_t) core, split into parts
-    b_mean = np.stack([
-        _draw_sum(mag_t, p, core_re) + _draw_sum(mag_t, q, core_im),
-        _draw_sum(mag_t, q, core_re) - _draw_sum(mag_t, p, core_im),
-        _draw_sum(mag_r, u, core_re) + _draw_sum(mag_r, v, core_im),
-        _draw_sum(mag_r, v, core_re) - _draw_sum(mag_r, u, core_im),
-    ], axis=-1) / n
-
+    b = np.stack([mag_t * (p * core_re + q * core_im), mag_t * (q * core_re - p * core_im),
+                  mag_r * (u * core_re + v * core_im), mag_r * (v * core_re - u * core_im)],
+                 axis=-1)
     # |gamma|^2 times |h_t|^2, |h_r|^2 and h_r conj(h_t)
-    d_parts = np.stack([
-        _draw_sum(power, mag_t),
-        _draw_sum(power, mag_r),
-        _draw_sum(power, p, u) + _draw_sum(power, q, v),
-        _draw_sum(power, q, u) - _draw_sum(power, p, v),
-    ], axis=-1) / n
-    return a_mean, b_mean, d_parts
+    d_parts = power[..., None] * np.stack([mag_t, mag_r, p * u + q * v, q * u - p * v], axis=-1)
+    return a, b, d_parts
 
 
 def _shared_chunk_means(scenarios, samples: int, seed: int):
     """Chunk means (a, b, d_parts) of each scenario from one set of draws, and the chunk sizes.
 
     The scenarios must share prior, sensor and grid and have random channels.
-    Each chunk draws its standard normals once and forms the sensor terms
-    once; only the channel map and the channel-dependent sums run per
-    scenario. So every scenario gets bitwise the chunk means that a call
-    with it alone gives.
+    Each chunk draws its standard normals once and forms the sensor means
+    once; only the channel map and the channel means run per scenario. So
+    every scenario gets bitwise the chunk means that a call with it alone
+    gives.
     """
     first = scenarios[0]
     for sc in scenarios:
@@ -220,12 +206,13 @@ def _shared_chunk_means(scenarios, samples: int, seed: int):
 
     def run_means(rngs, size):
         # the run's normals are the only draws held
-        z = np.empty((len(rngs), 4, size, freqs.size))
+        z = np.empty((len(rngs), 4, freqs.size, size))
         c = np.array([_draw_normals(first.prior, rng, zk) for rng, zk in zip(rngs, z)])
-        terms = _sensor_terms(first.sensor, freqs, c)
+        sensor_means = [np.mean(t, axis=-1) for t in _sensor_terms(first.sensor, freqs, c)]
         z = np.moveaxis(z, 1, 0)
         # each scenario's (a, b, d_parts) in turn, flat for _map_chunks
-        return [m for sc in scenarios for m in _chunk_block_means(terms, _channels(sc.channel, z))]
+        return [m for sc in scenarios
+                for m in _chunk_block_means(sensor_means, _channels(sc.channel, z))]
 
     means, sizes = _map_chunks(run_means, seed, samples, freqs.size)
     return [means[i:i + 3] for i in range(0, len(means), 3)], sizes

@@ -3,6 +3,7 @@
 import itertools
 import math
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -422,3 +423,36 @@ def test_closed_form_over_extreme_values(spacing):
         if depth == 0.0:
             assert bound == prior_var, cell
     assert failing == (KNOWN_NONPOSITIVE if spacing == "fixed" else set())
+
+
+def _series_kernel_means(x0: np.ndarray, s: float) -> np.ndarray:
+    """Kernel means (m2, m1, mx) of x ~ N(x0, s^2) from the kernels' Taylor series
+    in exact rational arithmetic, rounded once. For |x| ~ 1e-8 the terms past x^6
+    are below 1e-47 relative; the table equals a 60-digit mpmath quadrature of
+    the same means value for value."""
+    v = Fraction(s) ** 2
+    table = []
+    for c in map(Fraction, x0.tolist()):
+        e2, e3 = c * c + v, c**3 + 3 * c * v
+        e4, e5 = c**4 + 6 * c * c * v + 3 * v * v, c**5 + 10 * c**3 * v + 15 * c * v * v
+        e6 = c**6 + 15 * c**4 * v + 45 * c * c * v * v + 15 * v**3
+        table.append((float(1 - 2 * e2 + 3 * e4 - 4 * e6), float(1 - e2 + e4 - e6),
+                      float(c - 2 * e3 + 3 * e5)))
+    return np.array(table).T
+
+
+@pytest.mark.parametrize("depth", [0.5, 1.0])
+def test_closed_form_where_one_plus_x_squared_rounds_to_one(depth, monkeypatch):
+    # half-width 1e8, 300 dB, kappa 1e300, 8 tones 0.05 apart: every node of
+    # every tone has x^2 below 1e-14, and the nodes that carry most of the
+    # weight have x^2 below 2^-53, where 1 + x^2 rounds to 1. The closed form
+    # must stay within 1 ulp of the bound on the exact kernel means (2 ulp
+    # when every node took 1 / (1 + x^2)).
+    sc = load_scenario(f"sensor.half_width = 1e8\nnoise.snr_db = 300\nsensor.depth = {depth}\n"
+                       "channel.kappa = 1e300\ngrid.count = 8\ngrid.spacing = 0.05\n")
+    got = bcrb_closed_form(sc).bound
+    x0, s = expectations_mod.detuning_stats(sc.sensor, sc.grid.as_array(), sc.prior)
+    monkeypatch.setattr(expectations_mod, "kernel_means",
+                        lambda sensor, f, prior: _series_kernel_means(x0, s))
+    want = bcrb_closed_form(sc).bound
+    assert abs(got - want) <= np.spacing(want), (got, want)

@@ -521,11 +521,10 @@ def _failure_lines(err, command):
 
 
 def _replace_oracle(monkeypatch, estimate):
-    """Give validate `estimate` as its Monte Carlo oracle, for the variants that share
-    draws and for the exact det_los call alike."""
+    """Give validate `estimate` as its Monte Carlo oracle for the variants that share
+    draws; det_los takes its closed form, which no oracle touches."""
     import metabcrb.cli as cli_mod
 
-    monkeypatch.setattr(cli_mod, "mc_bound", estimate)
     monkeypatch.setattr(cli_mod, "_mc_bounds", lambda scenarios, samples, seed=0:
                         [estimate(sc, samples, seed) for sc in scenarios])
 
@@ -540,7 +539,7 @@ def test_validate_biased_oracle_exits_2(cfg, tmp_path, monkeypatch, capsys):
                "--samples", "1000"])
     assert rc == 2
     failures = _failure_lines(capsys.readouterr().err, "validate")
-    assert [f[0] for f in failures] == ["configured.z_score", "rayleigh.z_score", "det_los.z_score"]
+    assert [f[0] for f in failures] == ["configured.z_score", "rayleigh.z_score"]
     for _, deviation, tolerance in failures:
         assert deviation == pytest.approx(50.0, rel=1e-9) and tolerance == 4.0
 
@@ -589,6 +588,36 @@ def test_validate_negative_seed_exits_1_naming_the_seed(cfg, tmp_path, capsys):
     assert capsys.readouterr().err == "error: seed must be a whole number >= 0, got -1\n"
 
 
+def test_validate_checks_the_seed_on_a_deterministic_los_config(tmp_path, capsys):
+    # no variant of an LoS config draws, and the seed is still checked before any work
+    path = tmp_path / "los.cfg"
+    path.write_text(BASE_CFG + "channel.los = true\n")
+    out = tmp_path / "val.csv"
+    rc = main(["validate", "--config", str(path), "--out", str(out), "--seed", "-1"])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: seed must be a whole number >= 0, got -1\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("los", [False, True])
+def test_validate_det_los_estimate_is_its_closed_form(tmp_path, monkeypatch, los):
+    # the det_los row reuses the shared closed-form pass: mc_bound never runs
+    import metabcrb.cli as cli_mod
+
+    def unused(*args):
+        raise AssertionError("mc_bound called")
+
+    monkeypatch.setattr(cli_mod, "mc_bound", unused)
+    path = tmp_path / "scenario.cfg"
+    path.write_text(BASE_CFG + ("channel.los = true\n" if los else ""))
+    out = str(tmp_path / "val.csv")
+    assert main(["validate", "--config", str(path), "--out", out, "--samples", "2000"]) == 0
+    row = _rows(out)[-1]
+    assert row["scenario_label"] == "det_los"
+    assert row["mc_estimate"] == row["closed_form"]
+    assert float(row["mc_std_err"]) == 0.0 and float(row["z_score"]) == 0.0
+
+
 @pytest.mark.parametrize("entries, samples", [
     ("sensor.half_width = 1e-8\nsensor.depth = 0.5\ngrid.count = 8\ngrid.spacing = 0.05\n", "4000"),
     ("prior.std = 1e154\ngrid.count = 4\n", "2000"),
@@ -621,8 +650,7 @@ def test_validate_non_finite_oracle_exits_2(cfg, tmp_path, monkeypatch, capsys, 
                "--samples", "1000"])
     assert rc == 2
     failures = _failure_lines(capsys.readouterr().err, "validate")
-    assert [f[0] for f in failures] == ["configured.mc_std_err", "rayleigh.mc_std_err",
-                                        "det_los.mc_std_err"]
+    assert [f[0] for f in failures] == ["configured.mc_std_err", "rayleigh.mc_std_err"]
     assert all(not math.isfinite(deviation) and tolerance == 1.0 for _, deviation, tolerance in failures)
 
 

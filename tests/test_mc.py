@@ -272,8 +272,7 @@ def test_mc_bound_bootstrap_matches_plain_loop():
     est = mc_bound(sc, samples, seed=seed)
     blocks = mc_blocks(sc, samples, seed=seed)
     n_chunks = blocks.chunk_sizes.size
-    rng = np.random.Generator(np.random.Philox(
-        np.random.SeedSequence(entropy=seed, spawn_key=(_BOOT_KEY,))))
+    rng = chunk_rng(seed, _BOOT_KEY)
     two_over = 2.0 / sc.noise.variance
     info = sc.channel.prior_info_per_coordinate() * np.eye(4)
     bounds = []
@@ -311,44 +310,49 @@ def test_mc_bound_reruns_bit_identical():
 # ------------------------------------------------- chunk runs and threads
 
 def _block_means_one_chunk(sc, c, h_r, h_t):
-    """Block means of one (n, L) chunk in the complex algebra of the seed's chunk loop, kept as
-    the reference. Also returns the draw means of |term| behind each b and z12 entry, the
-    scale a rounding error of their sums is relative to."""
+    """Factorised block means of one (n, L) chunk in complex algebra, kept as the reference:
+    each entry is its sensor mean times its receive-hop and transmit-hop means. Also returns
+    the magnitude of each b and z12 entry's factors, the scale a rounding error of the
+    (possibly cancelled) entry is relative to."""
     freqs = sc.grid.as_array()
     gamma = sc.sensor.reflection(freqs[None, :], c[:, None])
     dgamma = sc.sensor.reflection_dc(freqs[None, :], c[:, None])
-    a_mean = np.mean(np.sum(np.abs(h_r * dgamma * h_t) ** 2, axis=1))
-    core = np.conj(dgamma) * gamma
-    w1 = np.conj(h_r) * np.abs(h_t) ** 2 * core
-    w2 = np.abs(h_r) ** 2 * np.conj(h_t) * core
-    b_mean = np.stack([np.mean(w1.real, axis=0), np.mean(-w1.imag, axis=0),
-                       np.mean(w2.real, axis=0), np.mean(-w2.imag, axis=0)], axis=1)
-    power = np.abs(gamma) ** 2
-    d11 = np.mean(power * np.abs(h_t) ** 2, axis=0)
-    d22 = np.mean(power * np.abs(h_r) ** 2, axis=0)
-    z12 = np.mean(h_r * np.conj(h_t) * power, axis=0)
+    slope = np.mean(np.abs(dgamma) ** 2, axis=0)
+    core = np.mean(np.conj(dgamma) * gamma, axis=0)
+    power = np.mean(np.abs(gamma) ** 2, axis=0)
+    mean_r, mean_t = np.mean(h_r, axis=0), np.mean(h_t, axis=0)
+    mag_r, mag_t = np.mean(np.abs(h_r) ** 2, axis=0), np.mean(np.abs(h_t) ** 2, axis=0)
+    a_mean = np.sum(slope * mag_r * mag_t)
+    w1 = np.conj(mean_r) * mag_t * core
+    w2 = mag_r * np.conj(mean_t) * core
+    b_mean = np.stack([w1.real, -w1.imag, w2.real, -w2.imag], axis=1)
+    z12 = mean_r * np.conj(mean_t) * power
     d_mean = np.zeros((freqs.size, 4, 4))
-    d_mean[:, 0, 0] = d_mean[:, 1, 1] = d11
-    d_mean[:, 2, 2] = d_mean[:, 3, 3] = d22
+    d_mean[:, 0, 0] = d_mean[:, 1, 1] = power * mag_t
+    d_mean[:, 2, 2] = d_mean[:, 3, 3] = power * mag_r
     d_mean[:, 0, 2] = d_mean[:, 2, 0] = z12.real
     d_mean[:, 1, 3] = d_mean[:, 3, 1] = z12.real
     d_mean[:, 0, 3] = d_mean[:, 3, 0] = -z12.imag
     d_mean[:, 1, 2] = d_mean[:, 2, 1] = z12.imag
-    b_scale = np.stack([np.mean(np.abs(w1), axis=0)] * 2 + [np.mean(np.abs(w2), axis=0)] * 2, axis=1)
-    z_scale = np.mean(np.abs(h_r * h_t) * power, axis=0)
+    b_scale = np.stack([np.abs(mean_r) * mag_t * np.abs(core)] * 2
+                       + [mag_r * np.abs(mean_t) * np.abs(core)] * 2, axis=1)
+    z_scale = np.abs(mean_r) * np.abs(mean_t) * power
     return (a_mean, b_mean, d_mean), (b_scale, z_scale)
 
 
 def _parts(h_r, h_t):
-    """The real channel parts the kernel reads: Re h_r, Im h_r, Re h_t, Im h_t."""
-    return np.stack([h_r.real, h_r.imag, h_t.real, h_t.imag])
+    """The real channel parts the kernel reads: Re h_r, Im h_r, Re h_t, Im h_t (4, ..., L, n),
+    with the draws of h_r and h_t (..., n, L) moved to the last, contiguous axis."""
+    return np.ascontiguousarray(np.swapaxes(np.stack([h_r.real, h_r.imag, h_t.real, h_t.imag]),
+                                            -1, -2))
 
 
 def _kernel(sc, c, h_r, h_t):
     """The chunk kernel on draws stacked by chunk: c (K, n), h_r and h_t (K, n, L),
     with its channel blocks expanded to (K, L, 4, 4)."""
     terms = mc._sensor_terms(sc.sensor, sc.grid.as_array(), c)
-    a, b, d_parts = mc._chunk_block_means(terms, _parts(h_r, h_t))
+    sensor_means = [np.mean(t, axis=-1) for t in terms]
+    a, b, d_parts = mc._chunk_block_means(sensor_means, _parts(h_r, h_t))
     return a, b, mc._arrow_d(d_parts)
 
 
@@ -413,32 +417,51 @@ def test_monte_carlo_expectation_calls_fn_on_the_calling_thread(monkeypatch):
     assert seen == {threading.get_ident()}
 
 
-@pytest.mark.parametrize("count", [1, 5])
-def test_chunk_kernel_matches_mean_of_conditional_fim(count):
-    # an independent path: the arrow blocks read out of each draw's dense
-    # conditional information matrix, averaged over the chunk
-    sc = _scenario(count=count, spacing=0.5, kappa=2.0)
-    c, h_r, h_t = draw_samples(sc, 64, chunk_rng(31, 0))
-    fims = [conditional_fim(sc, ParameterSample(condition=c[i], receive=h_r[i], transmit=h_t[i]))
-            for i in range(c.size)]
-    mean = np.mean(fims, axis=0) / (2.0 / sc.noise.variance)
-    a, b, d = _kernel_one_chunk(sc, c, h_r, h_t)
-    blocks = [slice(1 + 4 * k, 5 + 4 * k) for k in range(count)]
-    assert a == pytest.approx(mean[0, 0], rel=1e-12)
+def _assert_kernel_matches_fim(sc, kernel, fim):
+    """The kernel's (a, b, d) against the arrow blocks read out of a dense information
+    matrix `fim` without its 2/noise_var scale."""
+    a, b, d = kernel
+    blocks = [slice(1 + 4 * k, 5 + 4 * k) for k in range(sc.grid.count)]
+    assert a == pytest.approx(fim[0, 0], rel=1e-12)
     # entries that are exact zeros of the block pattern may carry a rounding
     # residue in the dense product: allow 1e-12 of the largest entry there
-    np.testing.assert_allclose(b, [mean[0, k] for k in blocks], rtol=1e-12,
+    np.testing.assert_allclose(b, [fim[0, k] for k in blocks], rtol=1e-12,
                                atol=1e-12 * np.max(np.abs(b)))
-    np.testing.assert_allclose(d, [mean[k, k] for k in blocks], rtol=1e-12,
+    np.testing.assert_allclose(d, [fim[k, k] for k in blocks], rtol=1e-12,
                                atol=1e-12 * np.max(np.abs(d)))
+
+
+@pytest.mark.parametrize("count", [1, 5])
+def test_chunk_kernel_matches_mean_of_conditional_fim(count):
+    # an independent path: c, h_r and h_t are independent, so the factorised
+    # means of n draws each are the mean of the dense conditional information
+    # over all n^3 combinations of a condition, a receive and a transmit draw
+    sc = _scenario(count=count, spacing=0.5, kappa=2.0)
+    n = 6
+    c, h_r, h_t = draw_samples(sc, n, chunk_rng(31, 0))
+    fims = [conditional_fim(sc, ParameterSample(condition=c[i], receive=h_r[j], transmit=h_t[k]))
+            for i in range(n) for j in range(n) for k in range(n)]
+    mean = np.mean(fims, axis=0) / (2.0 / sc.noise.variance)
+    _assert_kernel_matches_fim(sc, _kernel_one_chunk(sc, c, h_r, h_t), mean)
+
+
+@pytest.mark.parametrize("count", [1, 5, 128])
+def test_chunk_kernel_at_one_draw_is_conditional_fim(count):
+    # a chunk of one draw: every mean is that draw's value, so the blocks are
+    # conditional_fim's own
+    sc = _scenario(count=count, spacing=0.05, kappa=2.0)
+    c, h_r, h_t = draw_samples(sc, 1, chunk_rng(32, 0))
+    fim = conditional_fim(sc, ParameterSample(condition=c[0], receive=h_r[0], transmit=h_t[0]))
+    _assert_kernel_matches_fim(sc, _kernel_one_chunk(sc, c, h_r, h_t),
+                               fim / (2.0 / sc.noise.variance))
 
 
 @pytest.mark.parametrize("kappa", [0.0, 2.0])
 @pytest.mark.parametrize("count", [1, 5, 128])
 def test_chunk_kernel_matches_complex_algebra(count, kappa):
-    # the seed's complex products against the real-arithmetic kernel; a b or
-    # z12 entry is a sum of signed terms, so its rounding error is relative to
-    # the mean |term|, not to the (possibly cancelled) mean itself
+    # factorised means in complex products against the real-arithmetic kernel;
+    # a b or z12 entry is a sum of signed terms, so its rounding error is
+    # relative to the size of its factors, not to the (possibly cancelled) entry
     sc = _scenario(count=count, spacing=0.05, kappa=kappa)
     draw = draw_samples(sc, MC_CHUNK, chunk_rng(5, 0))
     (ref_a, ref_b, ref_d), (b_scale, z_scale) = _block_means_one_chunk(sc, *draw)
@@ -467,8 +490,8 @@ def test_sensor_terms_match_extended_precision_at_any_detuning(depth):
     want = (scale**2 / t**2, -(2 - d) * scale * x / t**2, scale * (1 - d - x * x) / t**2,
             ((1 - d) ** 2 + x * x) / t)
     for g, w in zip(got, want):
-        assert g.shape == (1, c.size, 1)
-        np.testing.assert_allclose(g[0, :, 0], w.astype(float), rtol=1e-14, atol=1e-300)
+        assert g.shape == (1, 1, c.size)
+        np.testing.assert_allclose(g[0, 0], w.astype(float), rtol=1e-14, atol=1e-300)
 
 
 def test_sensor_terms_keep_a_square_detuning_that_vanishes_beside_one():
