@@ -105,10 +105,14 @@ def assemble_bfim(scenario: Scenario) -> BfimBlocks:
     Deterministic LoS has no channel uncertainty and therefore no channel
     blocks; use bcrb_closed_form for that mode.
     """
-    ch = scenario.channel
-    if ch.deterministic_los:
+    if scenario.channel.deterministic_los:
         raise ValueError("assemble_bfim requires a random channel; deterministic LoS has no channel blocks")
-    sp, corr, rp = prior_moments(scenario.sensor, scenario.grid.as_array(), scenario.prior)
+    return _assemble(scenario, *prior_moments(scenario.sensor, scenario.grid.as_array(), scenario.prior))
+
+
+def _assemble(scenario: Scenario, sp, corr, rp) -> BfimBlocks:
+    """assemble_bfim from the scenario's prior moments (slope power, corr, reflection power)."""
+    ch = scenario.channel
     b_mean = ch.mean() * np.stack([corr.real, -corr.imag, corr.real, -corr.imag], axis=1)
     d_parts = np.stack([rp, rp, rp * (1.0 - ch.scatter_variance()), np.zeros_like(rp)], axis=-1)
     a, b, d = _arrow_blocks(scenario, float(np.sum(sp)), b_mean, d_parts)
@@ -175,11 +179,11 @@ def _contributions(scenario: Scenario, sp, corr, rp) -> np.ndarray:
     return sp - 2.0 * (1.0 - u) * u * np.abs(corr) ** 2 / denom
 
 
-def _closed_forms(scenarios):
-    """Yield bcrb_closed_form(scenario) for each scenario. Kernel means depend only on
-    the detuning stats (x0, s) and moments on the table and the sensor, which noise and
-    kappa leave alone: scenarios share one table per (x0, s), consecutive ones on the
-    same table and sensor one moment set, and nothing outlives the call."""
+def _shared_moments(scenarios):
+    """Yield (scenario, (sp, corr, rp)), its prior moments, for each scenario. Kernel means
+    depend only on the detuning stats (x0, s) and moments on the table and the sensor, which
+    noise and kappa leave alone: scenarios share one table per (x0, s), consecutive ones on
+    the same table and sensor one moment set, and nothing outlives the call."""
     tables = {}
     moments_key = moments = None
     for scenario in scenarios:
@@ -190,17 +194,27 @@ def _closed_forms(scenarios):
             tables[key] = expectations.kernel_means(sensor, freqs, scenario.prior)
         if moments_key != (key, sensor):
             moments_key, moments = (key, sensor), _moments_from_kernels(sensor, tables[key])
-        sp, corr, rp = moments
-        two_over = 2.0 / scenario.noise.variance
-        first = two_over * float(np.sum(sp))
-        prior_term = scenario.prior.curvature()
-        contrib = _contributions(scenario, sp, corr, rp)
-        coupling = first - two_over * float(np.sum(contrib))
-        denom = first + prior_term - coupling
-        if not denom > 0.0:
-            raise ArithmeticError(f"bound denominator is not positive: {denom!r}")
-        yield BcrbResult(bound=1.0 / denom, first_term=first, prior_term=prior_term,
-                         coupling_term=coupling, contributions=contrib)
+        yield scenario, moments
+
+
+def _closed_form(scenario: Scenario, sp, corr, rp) -> BcrbResult:
+    """bcrb_closed_form from the scenario's prior moments."""
+    two_over = 2.0 / scenario.noise.variance
+    first = two_over * float(np.sum(sp))
+    prior_term = scenario.prior.curvature()
+    contrib = _contributions(scenario, sp, corr, rp)
+    coupling = first - two_over * float(np.sum(contrib))
+    denom = first + prior_term - coupling
+    if not denom > 0.0:
+        raise ArithmeticError(f"bound denominator is not positive: {denom!r}")
+    return BcrbResult(bound=1.0 / denom, first_term=first, prior_term=prior_term,
+                      coupling_term=coupling, contributions=contrib)
+
+
+def _closed_forms(scenarios):
+    """Yield bcrb_closed_form(scenario) for each scenario, on _shared_moments' tables."""
+    for scenario, moments in _shared_moments(scenarios):
+        yield _closed_form(scenario, *moments)
 
 
 def bcrb_closed_form(scenario: Scenario) -> BcrbResult:

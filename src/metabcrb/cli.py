@@ -31,9 +31,10 @@ from . import expectations
 from .asymptotics import (corr_magsq_narrow_limit, corr_magsq_wide_limit,
                           fit_loglog_slope, slope_power_narrow_limit,
                           slope_power_wide_limit, wideband_slope_power_sum)
-# select_subcarriers stays a name of this module: benchmarks/spans.py traces it here
-from .bcrb import (_closed_forms, _greedy, assemble_bfim, bcrb_closed_form,
-                   bcrb_from_blocks, bcrb_from_dense, select_subcarriers)  # noqa: F401
+# assemble_bfim and select_subcarriers stay names of this module: benchmarks/spans.py traces them here
+from .bcrb import (_assemble, _closed_form, _closed_forms, _greedy, _shared_moments,
+                   assemble_bfim, bcrb_closed_form, bcrb_from_blocks, bcrb_from_dense,
+                   select_subcarriers)  # noqa: F401
 from .config import (ConfigError, apply_override, parse_config,
                      scenario_from_settings)
 from .expectations import McEstimate, corr_magsq, slope_power
@@ -162,8 +163,9 @@ def cmd_validate(args) -> int:
     """Closed form against the Schur blocks, the dense inverse and Monte Carlo.
 
     The variants (configured, Rayleigh, det_los) share prior, sensor and grid,
-    so their closed forms share one kernel table, and one Monte Carlo pass
-    serves the random-channel ones: each chunk draws its normals once.
+    so their closed forms and the random-channel ones' blocks share one kernel
+    table, and one Monte Carlo pass serves the random-channel ones: each chunk
+    draws its conditions and channel statistics once.
     det_los's estimate is its exact closed form; --samples and --seed are checked first.
     """
     samples = whole_number("samples", args.samples)
@@ -182,14 +184,15 @@ def cmd_validate(args) -> int:
               "mc_estimate", "mc_std_err", "z_score"]
     rows = []
     failures = []  # (check, deviation, tolerance)
-    closed_forms = [res.bound for res in _closed_forms([sc for _, sc in variants])]
+    moments = [m for _, m in _shared_moments([sc for _, sc in variants])]
     shared = dict(zip(random, _mc_bounds(list(random.values()), samples, seed))) if random else {}
-    for (label, scenario), closed in zip(variants, closed_forms):
+    for (label, scenario), moment in zip(variants, moments):
+        closed = _closed_form(scenario, *moment).bound
         schur = dense = None
         if scenario.channel.deterministic_los:
             est = McEstimate(value=closed, std_err=0.0, samples=samples)
         else:
-            blocks = assemble_bfim(scenario)
+            blocks = _assemble(scenario, *moment)
             schur = bcrb_from_blocks(blocks)
             if args.dense_check:
                 dense = bcrb_from_dense(blocks)

@@ -29,8 +29,9 @@ vectorised rules, chosen by s and by |z|, z = (j - x0)/(s sqrt 2):
 * s > 1 and 2.5 < |z| < 10, where the closed form cancels: a trapezoid rule
   in t with x = sinh t, over a window that always holds the dip's spike.
 
-Nodes with x^2 < 2^-53, where 1 + x^2 rounds to 1, take the kernels' series
-1 - 2x^2, 1 - x^2 and x (1 - 2x^2). No rule imports scipy, nor do
+On a tone with a node where x^2 < 2^-53, so that 1 + x^2 rounds to 1, the
+kernels at x^2 < 1 are written 1 - e with e to its last digit, and the
+weighted e is summed apart and subtracted once. No rule imports scipy, nor do
 expect_over_prior's orders other than 800 (see _hermite_rule). Against an
 mpmath closed form the rules agree to 3e-12 relative for s from 1e-4 to 1e8
 and |z| up to 1e6, the far rule to 1e-15. Past s = 1e8 the sinh rule's
@@ -303,7 +304,7 @@ def _kernel_table(x0: np.ndarray, dx: np.ndarray, wn: np.ndarray) -> np.ndarray:
     Blocks of tones (_BLOCK at 800 nodes) share one set of (block x nodes) buffers,
     since per-block temporaries, once freed, go back to the kernel and fault in again
     on the next call. The table is bitwise that of the whole (tones x nodes) array.
-    Nodes with x^2 < 2^-53 take the kernels' series, found by one min per block.
+    Tones with a node where x^2 < 2^-53, found by one min per block, take _near_means.
     """
     block = max(1, _BLOCK * KERNEL_ORDER // dx.size)  # 200 kB per buffer at any node count
     out = np.empty((3, x0.size))
@@ -312,22 +313,43 @@ def _kernel_table(x0: np.ndarray, dx: np.ndarray, wn: np.ndarray) -> np.ndarray:
         rows = slice(lo, lo + block)
         x, t, t2, k = buf[:, :x0[rows].size]
         np.add(x0[rows, None], dx, out=x)
-        series = None
+        near = None
         # far tails square past the float range; 1/inf = 0 is the right limit there
         with np.errstate(over="ignore"):
             np.multiply(x, x, out=t)
             if t.min() < _TINY_SQ:  # 1 + x^2 rounds to 1 at some node
-                tiny = t < _TINY_SQ
-                series = (1.0 - 2.0 * t[tiny], 1.0 - t[tiny], x[tiny] * (1.0 - 2.0 * t[tiny]))
+                near = np.flatnonzero(np.min(t, axis=1) < _TINY_SQ)
             t += 1.0
             np.square(t, out=t2)
         for row, num, den in ((0, 1.0, t2), (1, 1.0, t), (2, x, t2)):
             np.divide(num, den, out=k)
-            if series is not None:
-                k[tiny] = series[row]
             np.multiply(k, wn, out=k)
             np.sum(k, axis=1, out=out[row, rows])
+        if near is not None:
+            out[:, lo + near] = _near_means(x[near], wn)
     return out
+
+
+def _near_means(x: np.ndarray, wn: np.ndarray) -> np.ndarray:
+    """_kernel_table's [E k_sq, E k_lor, E k_odd] of tones with nodes x where 1 + x^2 rounds to 1.
+
+    At nodes with x^2 < 1 the kernels are 1 - e, 1 - q and x (1 - e), with
+    q = x^2 / (1 + x^2) and e = q (2 - q), both to their last digits at any
+    such x; the weighted q and e are summed apart and subtracted once, so
+    their digits do not round away node by node (1 - x^2 rounds to 1 below
+    x^2 = 2^-54). Nodes with x^2 >= 1 take 1/(1+x^2)^2, 1/(1+x^2) and x/(1+x^2)^2.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):  # nodes past 1e154 square to inf
+        t = x * x
+        small = t < 1.0
+        r = 1.0 / (1.0 + t)
+        q = np.where(small, t * r, 0.0)
+    e = q * (2.0 - q)
+    k_sq, k_lor = np.where(small, 1.0, r * r) * wn, np.where(small, 1.0, r) * wn
+    e, q = e * wn, q * wn
+    return np.stack([np.sum(k_sq, axis=1) - np.sum(e, axis=1),
+                     np.sum(k_lor, axis=1) - np.sum(q, axis=1),
+                     np.sum(x * k_sq, axis=1) - np.sum(x * e, axis=1)])
 
 
 def _kernel_means_gh(x0: np.ndarray, s: float, order: int) -> np.ndarray:

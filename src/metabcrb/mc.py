@@ -10,10 +10,14 @@ transmit-hop mean, all taken from the chunk's draws (factorised means).
 
 Draws come in chunks from expectations._map_chunks, which alone knows their
 sizes; each chunk has its own SFC64 generator keyed by (seed, chunk index).
-A chunk's standard normals depend only on the prior, the tone count and
-that key; the channel enters only through the map mean + sigma z. So one
-draw per chunk serves every scenario that differs only in its channel, such
-as validate's configured and Rayleigh variants.
+A chunk's channel means read its draws only through two numbers per channel
+part and tone, the mean and the mean square of that part's n standard
+normals z. So a chunk draws those statistics, not the 4 L n normals: after
+its n conditions, one N(0, 1/n) normal for each mean z_mean and one
+chi^2(n - 1) sum of squares about it (Cochran's theorem), which gives
+mean(z^2) = z_mean^2 + chi^2 / n. The channel enters only through the map
+mean + sigma z, so one draw per chunk serves every scenario that differs
+only in its channel, such as validate's configured and Rayleigh variants.
 
 Blocks are weighted averages of the chunk means: by chunk size for
 mc_blocks and the bound, plus BOOTSTRAP_RESAMPLES resampled weightings,
@@ -44,35 +48,44 @@ class ParameterSample:
     transmit: np.ndarray
 
 
-def _draw_normals(prior, rng: np.random.Generator, z: np.ndarray) -> np.ndarray:
-    """Condition draws (size,) for one chunk, and the channels' standard normals.
+def _draw_statistics(prior, rng: np.random.Generator, count: int, size: int):
+    """One chunk's condition draws (size,) and channel statistics z_mean and spread (4, count).
 
-    z (4, L, size) is filled in place, in generator order, with the normals
-    of Re h_r, Im h_r, Re h_t and Im h_t, draws on the last axis.
+    For the size standard normals z of each of Re h_r, Im h_r, Re h_t and Im h_t
+    at each tone, z_mean = mean(z) ~ N(0, 1/size) and the sum of squares about
+    it is chi^2(size - 1), independent of z_mean; spread = chi^2 / size, so
+    mean(z^2) = z_mean^2 + spread. Drawn in that order after the conditions,
+    chi^2 as twice a standard_gamma((size - 1) / 2): 0 at one draw.
     """
-    c = prior.mean + prior.std * rng.standard_normal(z.shape[-1])
-    rng.standard_normal(out=z)
-    return c
+    c = prior.mean + prior.std * rng.standard_normal(size)
+    z_mean = rng.standard_normal((4, count)) / math.sqrt(size)
+    spread = 2.0 * rng.standard_gamma((size - 1) / 2.0, (4, count)) / size
+    return c, z_mean, spread
 
 
-def _channels(channel, z: np.ndarray) -> np.ndarray:
-    """Re h_r, Im h_r, Re h_t, Im h_t (4, ..., L) from the normals z of _draw_normals.
+def _channel_moments(channel, z_mean: np.ndarray, spread: np.ndarray):
+    """Means and mean squares (4, ...) of Re h_r, Im h_r, Re h_t, Im h_t from _draw_statistics.
 
     The real parts are mean + sigma z and the imaginary parts sigma z, so h_r
-    and h_t are CN(mean, scatter_variance) per tone.
+    and h_t are CN(mean, scatter_variance) per tone; a part's mean square is
+    its squared mean plus sigma^2 spread.
     """
-    parts = np.multiply(math.sqrt(channel.scatter_variance() / 2.0), z)
-    parts[0::2] += channel.mean()
-    return parts
+    variance = channel.scatter_variance() / 2.0
+    means = math.sqrt(variance) * z_mean
+    means[0::2] += channel.mean()
+    return means, means * means + variance * spread
 
 
 def draw_samples(scenario: Scenario, size: int, rng: np.random.Generator):
-    """Vectorized draws; channels are CN(mean, scatter_variance) per tone, so
-    exactly 1 in deterministic LoS mode, where scatter_variance is 0. Each
-    (draw, tone) gets the normal that the oracle's chunk gives it."""
-    z = np.empty((4, scenario.grid.count, size))
-    c = _draw_normals(scenario.prior, rng, z)
-    parts = np.swapaxes(_channels(scenario.channel, z), 1, 2)
+    """Vectorized draws of c (size,), h_r and h_t (size, L); channels are CN(mean,
+    scatter_variance) per tone, so exactly 1 in deterministic LoS mode, where
+    scatter_variance is 0. The conditions come first from rng, bitwise those of
+    an oracle chunk on the same generator, which then draws only statistics."""
+    c = scenario.prior.mean + scenario.prior.std * rng.standard_normal(size)
+    z = rng.standard_normal((4, scenario.grid.count, size))
+    parts = np.multiply(math.sqrt(scenario.channel.scatter_variance() / 2.0), z)
+    parts[0::2] += scenario.channel.mean()
+    parts = np.swapaxes(parts, 1, 2)
     h = np.empty((2, size, scenario.grid.count), dtype=complex)
     h.real = parts[0::2]
     h.imag = parts[1::2]
@@ -151,8 +164,13 @@ def _sensor_terms(sensor, freqs: np.ndarray, c: np.ndarray):
         q = 1.0 / (1.0 + 1.0 / x2)
     r = 1.0 / (1.0 + x2)
     # 1 + x^2 rounds to 1 for x^2 < 1.1e-16, which would bias every such draw's r
-    # by the same -x^2; 1 - q keeps it where x^2 < 1, so q < 1/2 and nothing cancels
-    np.subtract(1.0, q, out=r, where=x2 < 1.0)
+    # by the same -x^2; 1 - q keeps it where x^2 < 1, so q < 1/2 and nothing cancels.
+    # There both r and 1 - q lie in [1/2, 1], so their difference is exact and adding
+    # it back gives 1 - q bit for bit: a blend without a masked loop over the draws
+    fix = np.subtract(1.0, q)
+    fix -= r
+    fix *= x2 < 1.0
+    r += fix
     sr = (d * sensor.shift_rate / sensor.half_width) * r
     core_re = (-(2.0 - d) * x) * (r * sr)
     core_im = ((1.0 - d) * r - q) * sr
@@ -160,19 +178,18 @@ def _sensor_terms(sensor, freqs: np.ndarray, c: np.ndarray):
     return sr * sr, core_re, core_im, power
 
 
-def _chunk_block_means(sensor_means, parts: np.ndarray):
+def _chunk_block_means(sensor_means, means: np.ndarray, squares: np.ndarray):
     """Chunk means (a (K,), b (K, L, 4), d_parts (K, L, 4)) as products of independent means.
 
-    `sensor_means` are the chunk means (K, L) of _sensor_terms' four terms and
-    `parts` _channels' Re h_r, Im h_r, Re h_t, Im h_t (4, K, L, n), draws last,
-    whose pairwise means are the channel means. A product of independent sample
+    `sensor_means` are the chunk means (K, L) of _sensor_terms' four terms, and
+    `means` and `squares` (4, K, L) those of Re h_r, Im h_r, Re h_t, Im h_t
+    and of their squares (_channel_moments). A product of independent sample
     means is unbiased, and at one draw the blocks are conditional_fim's. No
     2/noise_var scale or prior terms; d_parts holds the four distinct entries
     of each channel block, see _arrow_d.
     """
     slope_sq, core_re, core_im, power = sensor_means
-    p, q, u, v = np.mean(parts, axis=-1)
-    squares = np.mean(parts * parts, axis=-1)
+    p, q, u, v = means
     mag_r, mag_t = squares[0] + squares[1], squares[2] + squares[3]
     a = np.sum(slope_sq * mag_r * mag_t, axis=-1)
     # conj(h_r) |h_t|^2 core and |h_r|^2 conj(h_t) core, split into parts
@@ -188,10 +205,10 @@ def _shared_chunk_means(scenarios, samples: int, seed: int):
     """Chunk means (a, b, d_parts) of each scenario from one set of draws, and the chunk sizes.
 
     The scenarios must share prior, sensor and grid and have random channels.
-    Each chunk draws its standard normals once and forms the sensor means
-    once; only the channel map and the channel means run per scenario. So
-    every scenario gets bitwise the chunk means that a call with it alone
-    gives.
+    Each chunk draws its conditions and channel statistics once and forms the
+    sensor means once; only the channel moments and the block means run per
+    scenario. So every scenario gets bitwise the chunk means that a call with
+    it alone gives.
     """
     first = scenarios[0]
     for sc in scenarios:
@@ -205,14 +222,13 @@ def _shared_chunk_means(scenarios, samples: int, seed: int):
     freqs = first.grid.as_array()
 
     def run_means(rngs, size):
-        # the run's normals are the only draws held
-        z = np.empty((len(rngs), 4, freqs.size, size))
-        c = np.array([_draw_normals(first.prior, rng, zk) for rng, zk in zip(rngs, z)])
+        draws = [_draw_statistics(first.prior, rng, freqs.size, size) for rng in rngs]
+        # c (K, size); z_mean and spread (4, K, L)
+        c, z_mean, spread = (np.stack(parts, axis=-2) for parts in zip(*draws))
         sensor_means = [np.mean(t, axis=-1) for t in _sensor_terms(first.sensor, freqs, c)]
-        z = np.moveaxis(z, 1, 0)
         # each scenario's (a, b, d_parts) in turn, flat for _map_chunks
         return [m for sc in scenarios
-                for m in _chunk_block_means(sensor_means, _channels(sc.channel, z))]
+                for m in _chunk_block_means(sensor_means, *_channel_moments(sc.channel, z_mean, spread))]
 
     means, sizes = _map_chunks(run_means, seed, samples, freqs.size)
     return [means[i:i + 3] for i in range(0, len(means), 3)], sizes

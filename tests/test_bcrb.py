@@ -391,6 +391,15 @@ EXTREME_CHANNELS = (RicianSpec(kappa=0.0), RicianSpec(kappa=1.0), RicianSpec(kap
 KNOWN_NONPOSITIVE = {(1e8, 300.0, 1.0, 1.0), (1e8, 300.0, 1.0, 1e10)}
 
 
+def test_closed_form_on_a_dip_1e8_half_widths_wide_at_full_depth():
+    # the KNOWN_NONPOSITIVE cell at prior std 1, where reflection_power = 1 - m1 is
+    # 2^-53 on the correctly rounded m1 = 1 - 1.03e-16: the bound is positive and
+    # within 1e-3 of the 60-digit bound on the mpmath means (6.30391713018828e-16),
+    # where a kernel table that rounded each node's 1 - x^2 to 1 got reflection_power 0
+    sc = _scenario(depth=1.0, width=1e8, std=1.0, snr_db=300.0, kappa=1.0, spacing=0.05)
+    assert bcrb_closed_form(sc).bound == pytest.approx(6.30391713018828e-16, rel=1e-3)
+
+
 def test_select_raises_where_the_bound_denominator_is_not_positive():
     # the first KNOWN_NONPOSITIVE cell: select ranks the contributions of the
     # closed form, so it fails where the closed form does instead of picking
@@ -446,8 +455,8 @@ def test_closed_form_where_one_plus_x_squared_rounds_to_one(depth, monkeypatch):
     # half-width 1e8, 300 dB, kappa 1e300, 8 tones 0.05 apart: every node of
     # every tone has x^2 below 1e-14, and the nodes that carry most of the
     # weight have x^2 below 2^-53, where 1 + x^2 rounds to 1. The closed form
-    # must stay within 1 ulp of the bound on the exact kernel means (2 ulp
-    # when every node took 1 / (1 + x^2)).
+    # must be the bound on the exact kernel means, bit for bit (2 ulp off when
+    # every node took 1 / (1 + x^2), 1 ulp when each node's 1 - x^2 rounded).
     sc = load_scenario(f"sensor.half_width = 1e8\nnoise.snr_db = 300\nsensor.depth = {depth}\n"
                        "channel.kappa = 1e300\ngrid.count = 8\ngrid.spacing = 0.05\n")
     got = bcrb_closed_form(sc).bound
@@ -455,4 +464,4 @@ def test_closed_form_where_one_plus_x_squared_rounds_to_one(depth, monkeypatch):
     monkeypatch.setattr(expectations_mod, "kernel_means",
                         lambda sensor, f, prior: _series_kernel_means(x0, s))
     want = bcrb_closed_form(sc).bound
-    assert abs(got - want) <= np.spacing(want), (got, want)
+    assert got == want

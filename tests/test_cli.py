@@ -274,6 +274,18 @@ def test_select_builds_one_kernel_table(cfg, tmp_path, monkeypatch):
     assert len(tables) == 1
 
 
+def test_validate_builds_one_kernel_table(cfg, tmp_path, monkeypatch):
+    # the closed forms of all three variants and the blocks of the random ones
+    # come from one table; --dense-check reads the same blocks
+    import metabcrb.expectations as expectations_mod
+    tables = _count_calls(monkeypatch, expectations_mod, "kernel_means")
+    assert main(["validate", "--config", cfg, "--out", str(tmp_path / "val.csv")]) == 0
+    assert len(tables) == 1
+    assert main(["validate", "--config", cfg, "--out", str(tmp_path / "dense.csv"),
+                 "--samples", "2000", "--dense-check"]) == 0
+    assert len(tables) == 2
+
+
 def test_sweep_non_finite_config_exits_1(tmp_path, capsys):
     path = tmp_path / "nan.cfg"
     path.write_text(BASE_CFG.replace("prior.mean = 0.0", "prior.mean = nan"))
@@ -332,14 +344,19 @@ EXTREME_SWEEPS = {
     "depth": ("0,0.5,1", 2, (0.0, 0.5, 1.0)),
     "kappa": ("0,1,1e300", 3, (0.0, 1.0, 1e300)),
 }
-# Pinned: the one cell of the grid whose closed form fails (see
-# KNOWN_NONPOSITIVE in test_bcrb.py). Every command that evaluates it exits 3.
-NONPOSITIVE_CELL = (1e8, 300.0, 1.0, 1.0)
+
+# Pinned: validate on the 1e8 half-width, 300 dB, full-depth cell at kappa 1e300,
+# where the oracle's standard error (2.1e-32) is a fifth of an ulp of the bound,
+# so |z| counts rounding: the closed form is the correctly rounded bound and the
+# oracle, whose per-draw sensor terms round near 1, one ulp below it (|z| = 4.7).
+SUB_ULP_VALIDATE_CELL = (1e8, 300.0, 1.0, 1e300)
 
 
 def test_cli_over_extreme_values(tmp_path, capsys):
     # Every command on a 3^4 grid of half-width, SNR, depth and kappa, with 8
-    # tones 0.05 apart, exits 0 or names its failure. Pinned exit 2 on a dip
+    # tones 0.05 apart, exits 0 or names its failure; no closed form fails (the
+    # 1e8 half-width, 300 dB, full-depth cells fail only at prior std 0.5, see
+    # KNOWN_NONPOSITIVE in test_bcrb.py). Pinned exit 2 on a dip
     # 1e-8 wide: at -200 dB no Monte Carlo draw carries information above
     # rounding, so every bootstrap bound is the prior variance, the standard
     # error is 0 and |z| = inf; at 20 and 300 dB the rare draws that land in
@@ -360,13 +377,12 @@ def test_cli_over_extreme_values(tmp_path, capsys):
         for argv, points in commands:
             rc = main(argv + ["--config", str(path), "--out", out])
             err = capsys.readouterr().err
-            if NONPOSITIVE_CELL in points:
-                assert rc == 3, (cell, argv)
-                assert err.startswith("numerical failure: bound denominator is not positive")
-            elif argv[0] == "validate" and width == 1e-8 and depth > 0.0:
+            if argv[0] == "validate" and width == 1e-8 and depth > 0.0:
                 assert rc == 2, (cell, argv)
                 check = "z_score failed: deviation inf" if snr_db == -200.0 else "mc_std_err failed"
                 assert err.startswith(f"validate: check configured.{check}"), (cell, err)
+            elif argv[0] == "validate" and cell == SUB_ULP_VALIDATE_CELL:
+                assert rc == 2 and err.startswith("validate: check configured.z_score failed"), err
             else:
                 assert rc == 0 and err == "", (cell, argv, err)
 

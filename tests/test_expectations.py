@@ -243,6 +243,32 @@ def test_far_kernel_means_match_high_precision_table(x0, s, m2, m1, mx):
     assert km[:, 1] == pytest.approx([m2, m1, -mx], rel=1e-14, abs=0.0)
 
 
+# The 8 tones of the half-width 1e8, 300 dB extreme-value cells: tones 0.05 apart
+# on a dip 1e8 half-widths wide, so x0 = +-(0.25, 0.75, 1.25, 1.75) 1e-9 and s = 1e-8.
+# Every node has x^2 below 1e-14, most of the weight below 2^-53. mpmath 1.3.0 at 60
+# digits, quadrature of the raw kernels against the normal density in x = x0 + s u,
+# to 25 digits. |x0| -> (m2, m1), even in x0.
+TINY_X_HIGH_PRECISION = {
+    1.75e-09: ("0.999999999999999793875", "0.9999999999999998969375"),
+    1.25e-09: ("0.999999999999999796875", "0.9999999999999998984375"),
+    7.5e-10: ("0.999999999999999798875", "0.9999999999999998994375"),
+    2.5e-10: ("0.999999999999999799875", "0.9999999999999998999375"),
+}
+
+
+def test_tiny_x_kernel_means_are_correctly_rounded():
+    # m2 = 1 - 2.06e-16 and m1 = 1 - 1.03e-16 round to 1 - 2^-52 and 1 - 2^-53;
+    # where each node's 1 - x^2 rounds to 1, the weighted x^2 must be summed apart
+    sc = scenario_from_settings(parse_config(
+        "sensor.half_width = 1e8\nnoise.snr_db = 300\ngrid.count = 8\ngrid.spacing = 0.05\n"))
+    x0, s = detuning_stats(sc.sensor, sc.grid.as_array(), sc.prior)
+    assert s == 1e-8
+    m2, m1, _ = kernel_means(sc.sensor, sc.grid.as_array(), sc.prior)
+    want = np.array([[float(v) for v in TINY_X_HIGH_PRECISION[round(abs(c), 20)]] for c in x0]).T
+    assert np.array_equal(want, [[1.0 - 2.0**-52] * 8, [1.0 - 2.0**-53] * 8])
+    assert np.array_equal(m2, want[0]) and np.array_equal(m1, want[1])
+
+
 def test_far_tail_adaptive_kernels_do_not_overflow():
     # a tone 1e10 away from a 1e-140-wide dip: x ~ 1e150, so (1 + x^2)^2 exceeds
     # the float range on the far trapezoid route; the kernels must go to 0

@@ -340,11 +340,13 @@ def _block_means_one_chunk(sc, c, h_r, h_t):
     return (a_mean, b_mean, d_mean), (b_scale, z_scale)
 
 
-def _parts(h_r, h_t):
-    """The real channel parts the kernel reads: Re h_r, Im h_r, Re h_t, Im h_t (4, ..., L, n),
-    with the draws of h_r and h_t (..., n, L) moved to the last, contiguous axis."""
-    return np.ascontiguousarray(np.swapaxes(np.stack([h_r.real, h_r.imag, h_t.real, h_t.imag]),
+def _channel_moments(h_r, h_t):
+    """The channel moments the kernel reads, taken from draws of h_r and h_t (..., n, L): the
+    means and mean squares (4, ..., L) of Re h_r, Im h_r, Re h_t, Im h_t over the n draws,
+    moved to the last, contiguous axis for numpy's pairwise sum."""
+    parts = np.ascontiguousarray(np.swapaxes(np.stack([h_r.real, h_r.imag, h_t.real, h_t.imag]),
                                             -1, -2))
+    return np.mean(parts, axis=-1), np.mean(parts * parts, axis=-1)
 
 
 def _kernel(sc, c, h_r, h_t):
@@ -352,7 +354,7 @@ def _kernel(sc, c, h_r, h_t):
     with its channel blocks expanded to (K, L, 4, 4)."""
     terms = mc._sensor_terms(sc.sensor, sc.grid.as_array(), c)
     sensor_means = [np.mean(t, axis=-1) for t in terms]
-    a, b, d_parts = mc._chunk_block_means(sensor_means, _parts(h_r, h_t))
+    a, b, d_parts = mc._chunk_block_means(sensor_means, *_channel_moments(h_r, h_t))
     return a, b, mc._arrow_d(d_parts)
 
 
@@ -362,10 +364,24 @@ def _kernel_one_chunk(sc, c, h_r, h_t):
 
 
 def _serial_chunk_means(sc, samples, seed):
-    """Chunk means drawn by draw_samples and reduced one chunk at a time, in index order."""
-    means = [_kernel_one_chunk(sc, *draw_samples(sc, min(MC_CHUNK, samples - start),
-                                                 chunk_rng(seed, i)))
-             for i, start in enumerate(range(0, samples, MC_CHUNK))]
+    """Chunk means drawn and reduced one chunk at a time, in index order, written out:
+    each chunk's generator gives its n conditions, then the mean of each channel part's
+    n standard normals, N(0, 1/n), then half the chi^2(n - 1) sum of squares about it."""
+    freqs, count = sc.grid.as_array(), sc.grid.count
+    variance = sc.channel.scatter_variance() / 2.0
+    shift = np.array([sc.channel.mean(), 0.0, sc.channel.mean(), 0.0])[:, None]
+    means = []
+    for i, start in enumerate(range(0, samples, MC_CHUNK)):
+        rng, n = chunk_rng(seed, i), min(MC_CHUNK, samples - start)
+        c = sc.prior.mean + sc.prior.std * rng.standard_normal(n)
+        z_mean = rng.standard_normal((4, count)) / math.sqrt(n)
+        chi2 = 2.0 * rng.standard_gamma((n - 1) / 2.0, (4, count))
+        mean = math.sqrt(variance) * z_mean + shift
+        square = mean * mean + variance * (chi2 / n)
+        terms = mc._sensor_terms(sc.sensor, freqs, c[None])
+        a, b, d_parts = mc._chunk_block_means([np.mean(t, axis=-1) for t in terms],
+                                              mean[:, None], square[:, None])
+        means.append((a[0], b[0], mc._arrow_d(d_parts[0])))
     return [np.array(parts) for parts in zip(*means)]
 
 
@@ -453,6 +469,84 @@ def test_chunk_kernel_at_one_draw_is_conditional_fim(count):
     c, h_r, h_t = draw_samples(sc, 1, chunk_rng(32, 0))
     fim = conditional_fim(sc, ParameterSample(condition=c[0], receive=h_r[0], transmit=h_t[0]))
     _assert_kernel_matches_fim(sc, _kernel_one_chunk(sc, c, h_r, h_t),
+                               fim / (2.0 / sc.noise.variance))
+
+
+def _statistic_batches(z_mean, square, batches=40):
+    """Mean z_mean, var z_mean, mean of mean z^2, its variance and its covariances with
+    z_mean and z_mean^2, each averaged over `batches` batches, with that average's
+    standard error from the batches' spread."""
+    zm, sq = z_mean.reshape(batches, -1), square.reshape(batches, -1)
+
+    def cov(x, y):
+        return np.mean((x - np.mean(x, axis=1, keepdims=True)) * (y - np.mean(y, axis=1, keepdims=True)),
+                       axis=1)
+
+    per = np.array([np.mean(zm, axis=1), cov(zm, zm), np.mean(sq, axis=1), cov(sq, sq),
+                    cov(zm, sq), cov(zm * zm, sq)])
+    return np.mean(per, axis=1), np.std(per, axis=1, ddof=1) / math.sqrt(batches)
+
+
+@pytest.mark.parametrize("n", [MC_CHUNK, 2])
+def test_chunk_statistics_match_explicit_draws(n):
+    # the (z_mean, mean z^2) a chunk draws for each channel part and tone against the
+    # same two statistics of n explicit standard normals, 40,000 pairs each: means,
+    # variances and covariances agree within 4.5 standard errors, and match the normal
+    # law's 0, 1/n, 1, 2/n, 0 and 2/n^2 (n = 2 tells a chi^2 of n - 1 from one of n)
+    prior = SensingPrior(mean=0.0, std=1.0)
+    count, chunks = 100, 100
+    drawn = [mc._draw_statistics(prior, chunk_rng(40, i), count, n)[1:] for i in range(chunks)]
+    z_mean = np.concatenate([zm.ravel() for zm, _ in drawn])
+    square = np.concatenate([(zm * zm + spread).ravel() for zm, spread in drawn])
+    rng = chunk_rng(41, 0)
+    explicit = [rng.standard_normal((4 * count, n)) for _ in range(chunks)]
+    explicit_mean = np.concatenate([np.mean(z, axis=1) for z in explicit])
+    explicit_square = np.concatenate([np.mean(z * z, axis=1) for z in explicit])
+    got, got_se = _statistic_batches(z_mean, square)
+    want, want_se = _statistic_batches(explicit_mean, explicit_square)
+    assert np.all(np.abs(got - want) <= 4.5 * np.hypot(got_se, want_se)), (got, want)
+    exact = np.array([0.0, 1.0 / n, 1.0, 2.0 / n, 0.0, 2.0 / n**2])
+    assert np.all(np.abs(got - exact) <= 4.5 * got_se), (got, exact)
+
+
+@pytest.mark.parametrize("count", [1, 128])
+def test_chunk_conditions_are_those_of_draw_samples(count, monkeypatch):
+    # each chunk's generator gives its conditions first, bitwise draw_samples' on it;
+    # one tone runs chunks 16 at a time, 128 tones one at a time
+    sc = _scenario(count=count, spacing=0.05)
+    samples, seed = 20 * MC_CHUNK + 3, 13
+    seen = []
+    sensor_terms = mc._sensor_terms
+
+    def recorded(sensor, freqs, c):
+        seen.extend(c.copy())
+        return sensor_terms(sensor, freqs, c)
+
+    monkeypatch.setattr(mc, "_sensor_terms", recorded)
+    monkeypatch.setenv("METABCRB_THREADS", "1")
+    mc_blocks(sc, samples, seed)
+    sizes = [MC_CHUNK] * 20 + [3]
+    assert [c.size for c in seen] == sizes
+    for i, (c, size) in enumerate(zip(seen, sizes)):
+        assert np.array_equal(c, draw_samples(sc, size, chunk_rng(seed, i))[0])
+
+
+@pytest.mark.parametrize("count", [1, 16])
+def test_one_draw_last_chunk_has_no_spread(count):
+    # 512 k + 1 draws end in a chunk of one draw, whose chi^2 has shape 0: mean z^2
+    # is z_mean^2 exactly, and the chunk's blocks are conditional_fim at one draw
+    # with the channel that z_mean gives
+    sc = _scenario(count=count, spacing=0.05, kappa=2.0)
+    samples, seed = 3 * MC_CHUNK + 1, 19
+    c, z_mean, spread = mc._draw_statistics(sc.prior, chunk_rng(seed, 3), count, 1)
+    assert np.array_equal(z_mean * z_mean + spread, z_mean * z_mean)
+    means, squares = mc._channel_moments(sc.channel, z_mean, spread)
+    assert np.array_equal(squares, means * means)
+    blocks = mc_blocks(sc, samples, seed)
+    assert blocks.chunk_sizes.tolist() == [MC_CHUNK] * 3 + [1]
+    fim = conditional_fim(sc, ParameterSample(condition=c[0], receive=means[0] + 1j * means[1],
+                                              transmit=means[2] + 1j * means[3]))
+    _assert_kernel_matches_fim(sc, (blocks.chunk_a[-1], blocks.chunk_b[-1], blocks.chunk_d[-1]),
                                fim / (2.0 / sc.noise.variance))
 
 
