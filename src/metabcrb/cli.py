@@ -31,7 +31,8 @@ from . import expectations
 from .asymptotics import (corr_magsq_narrow_limit, corr_magsq_wide_limit,
                           fit_loglog_slope, slope_power_narrow_limit,
                           slope_power_wide_limit, wideband_slope_power_sum)
-# assemble_bfim and select_subcarriers stay names of this module: benchmarks/spans.py traces them here
+# assemble_bfim and select_subcarriers are unused here but stay names of this module:
+# benchmarks/spans.py traces them here (validate assembles through _assemble; see ROADMAP item 4)
 from .bcrb import (_assemble, _closed_form, _closed_forms, _greedy, _shared_moments,
                    assemble_bfim, bcrb_closed_form, bcrb_from_blocks, bcrb_from_dense,
                    select_subcarriers)  # noqa: F401

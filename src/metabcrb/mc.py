@@ -7,6 +7,8 @@ Nothing here reuses the analytic fading averages, so agreement with
 bcrb_closed_form validates them. c, h_r and h_t are independent, so each
 entry's chunk mean is the product of a sensor, a receive-hop and a
 transmit-hop mean, all taken from the chunk's draws (factorised means).
+Where a draw's 1 + x^2 rounds to 1, the sensor means carry x^2 apart from
+the leading 1s (_near_sensor_means), as the closed form's kernel table does.
 
 Draws come in chunks from expectations._map_chunks, which alone knows their
 sizes; each chunk has its own SFC64 generator keyed by (seed, chunk index).
@@ -32,7 +34,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bcrb import _arrow_blocks, _arrow_d, _schur_coupling, bcrb_closed_form
-from .expectations import MC_CHUNK, McEstimate, _chunk_mean_and_se, _map_chunks, chunk_rng
+from .expectations import (_TINY_SQ, MC_CHUNK, McEstimate, _chunk_mean_and_se, _map_chunks,
+                           chunk_rng)
 from .scenario import Scenario, whole_number
 
 BOOTSTRAP_RESAMPLES = 200
@@ -48,6 +51,22 @@ class ParameterSample:
     transmit: np.ndarray
 
 
+def _draw_conditions(prior, rng: np.random.Generator, size: int) -> np.ndarray:
+    """size conditions c ~ N(prior mean, prior std^2): a chunk generator's first draws."""
+    return prior.mean + prior.std * rng.standard_normal(size)
+
+
+def _channel_map(channel, z: np.ndarray) -> np.ndarray:
+    """Re h_r, Im h_r, Re h_t, Im h_t (4, ...) from standard normals z (4, ...).
+
+    The real parts are mean + sigma z and the imaginary parts sigma z, so h_r
+    and h_t are CN(mean, scatter_variance) per tone.
+    """
+    parts = np.multiply(math.sqrt(channel.scatter_variance() / 2.0), z)
+    parts[0::2] += channel.mean()
+    return parts
+
+
 def _draw_statistics(prior, rng: np.random.Generator, count: int, size: int):
     """One chunk's condition draws (size,) and channel statistics z_mean and spread (4, count).
 
@@ -57,23 +76,18 @@ def _draw_statistics(prior, rng: np.random.Generator, count: int, size: int):
     mean(z^2) = z_mean^2 + spread. Drawn in that order after the conditions,
     chi^2 as twice a standard_gamma((size - 1) / 2): 0 at one draw.
     """
-    c = prior.mean + prior.std * rng.standard_normal(size)
+    c = _draw_conditions(prior, rng, size)
     z_mean = rng.standard_normal((4, count)) / math.sqrt(size)
     spread = 2.0 * rng.standard_gamma((size - 1) / 2.0, (4, count)) / size
     return c, z_mean, spread
 
 
 def _channel_moments(channel, z_mean: np.ndarray, spread: np.ndarray):
-    """Means and mean squares (4, ...) of Re h_r, Im h_r, Re h_t, Im h_t from _draw_statistics.
-
-    The real parts are mean + sigma z and the imaginary parts sigma z, so h_r
-    and h_t are CN(mean, scatter_variance) per tone; a part's mean square is
-    its squared mean plus sigma^2 spread.
-    """
-    variance = channel.scatter_variance() / 2.0
-    means = math.sqrt(variance) * z_mean
-    means[0::2] += channel.mean()
-    return means, means * means + variance * spread
+    """Means and mean squares (4, ...) of Re h_r, Im h_r, Re h_t, Im h_t from _draw_statistics:
+    the means are _channel_map's of z_mean, and a part's mean square is its squared mean
+    plus sigma^2 spread."""
+    means = _channel_map(channel, z_mean)
+    return means, means * means + (channel.scatter_variance() / 2.0) * spread
 
 
 def draw_samples(scenario: Scenario, size: int, rng: np.random.Generator):
@@ -81,11 +95,9 @@ def draw_samples(scenario: Scenario, size: int, rng: np.random.Generator):
     scatter_variance) per tone, so exactly 1 in deterministic LoS mode, where
     scatter_variance is 0. The conditions come first from rng, bitwise those of
     an oracle chunk on the same generator, which then draws only statistics."""
-    c = scenario.prior.mean + scenario.prior.std * rng.standard_normal(size)
+    c = _draw_conditions(scenario.prior, rng, size)
     z = rng.standard_normal((4, scenario.grid.count, size))
-    parts = np.multiply(math.sqrt(scenario.channel.scatter_variance() / 2.0), z)
-    parts[0::2] += scenario.channel.mean()
-    parts = np.swapaxes(parts, 1, 2)
+    parts = np.swapaxes(_channel_map(scenario.channel, z), 1, 2)
     h = np.empty((2, size, scenario.grid.count), dtype=complex)
     h.real = parts[0::2]
     h.imag = parts[1::2]
@@ -146,18 +158,13 @@ class McBlocks:
         return _arrow_d(self.chunk_d_parts)
 
 
-def _sensor_terms(sensor, freqs: np.ndarray, c: np.ndarray):
-    """Per-draw sensor terms of conditions c (..., n) on tones freqs (L,), each (..., L, n).
+def _detuning_ratios(sensor, freqs: np.ndarray, c: np.ndarray):
+    """Detuning x of conditions c (..., n) on tones freqs (L,), its square x2,
+    q = x^2 / (1 + x^2) and r = 1 / (1 + x^2), each (..., L, n).
 
-    With x the detuning, r = 1 / (1 + x^2), q = x^2 r, d the depth and
-    S = depth * shift_rate / half_width: |gamma'|^2 = (S r)^2,
-    |gamma|^2 = (1 - d)^2 r + q and conj(gamma') gamma =
-    S r (-(2 - d) x r + j ((1 - d) r - q)). Nothing cancels near the dip
-    centre, and a detuning whose square leaves the float range gives the
-    limits r = 0 and q = 1, not inf * 0.
-    Returns (|gamma'|^2, Re and Im of conj(gamma') gamma, |gamma|^2).
+    A detuning whose square leaves the float range gives the limits r = 0 and
+    q = 1, not inf * 0.
     """
-    d = sensor.absorption_depth
     x = sensor.detuning(freqs[:, None], c[..., None, :])
     with np.errstate(over="ignore", divide="ignore"):
         x2 = x * x  # inf once |x| passes 1.3e154
@@ -171,6 +178,12 @@ def _sensor_terms(sensor, freqs: np.ndarray, c: np.ndarray):
     fix -= r
     fix *= x2 < 1.0
     r += fix
+    return x, x2, q, r
+
+
+def _terms(sensor, x, q, r):
+    """_sensor_terms from _detuning_ratios' x, q and r."""
+    d = sensor.absorption_depth
     sr = (d * sensor.shift_rate / sensor.half_width) * r
     core_re = (-(2.0 - d) * x) * (r * sr)
     core_im = ((1.0 - d) * r - q) * sr
@@ -178,10 +191,64 @@ def _sensor_terms(sensor, freqs: np.ndarray, c: np.ndarray):
     return sr * sr, core_re, core_im, power
 
 
+def _sensor_terms(sensor, freqs: np.ndarray, c: np.ndarray):
+    """Per-draw sensor terms of conditions c (..., n) on tones freqs (L,), each (..., L, n).
+
+    With x the detuning, r = 1 / (1 + x^2), q = x^2 r, d the depth and
+    S = depth * shift_rate / half_width: |gamma'|^2 = (S r)^2,
+    |gamma|^2 = (1 - d)^2 r + q and conj(gamma') gamma =
+    S r (-(2 - d) x r + j ((1 - d) r - q)). Nothing cancels near the dip
+    centre, and the far limits are exact (see _detuning_ratios).
+    Returns (|gamma'|^2, Re and Im of conj(gamma') gamma, |gamma|^2).
+    """
+    x, _, q, r = _detuning_ratios(sensor, freqs, c)
+    return _terms(sensor, x, q, r)
+
+
+def _sensor_means(sensor, freqs: np.ndarray, c: np.ndarray):
+    """Means (..., L) over the draws c (..., n) of _sensor_terms' four terms.
+
+    A row (chunk and tone) with a draw where x^2 < 2^-53, so that r = 1 - q
+    rounds q away and every such draw's r errs the same way, takes
+    _near_sensor_means instead.
+    """
+    x, x2, q, r = _detuning_ratios(sensor, freqs, c)
+    means = [np.mean(t, axis=-1) for t in _terms(sensor, x, q, r)]
+    near = np.min(x2, axis=-1) < _TINY_SQ
+    if near.any():
+        for mean, exact in zip(means, _near_sensor_means(sensor, x[near], x2[near], q[near], r[near])):
+            mean[near] = exact
+    return means
+
+
+def _near_sensor_means(sensor, x, x2, q, r):
+    """_sensor_means of rows (m, n) with a draw where 1 + x^2 rounds to 1.
+
+    At draws with x^2 < 1, r = 1 - q and r^2 = 1 - e with e = q (2 - q), both
+    q and e to their last digits; the means of r and r^2 are the means of their
+    leading 1s less the mean q and e, summed apart as expectations._near_means
+    does for the kernel table, and the four terms are written through them:
+    S^2 r^2, -(2 - d) S x r^2, S ((1 - d) r^2 - q r) and (1 - d)^2 r + q.
+    """
+    d = sensor.absorption_depth
+    scale = d * sensor.shift_rate / sensor.half_width
+    small = x2 < 1.0
+    lead = np.where(small, 1.0, r)
+    lead_sq = lead * lead
+    tail_q = np.where(small, q, 0.0)
+    tail_e = tail_q * (2.0 - tail_q)
+    mean_r = np.mean(lead, axis=-1) - np.mean(tail_q, axis=-1)
+    mean_r_sq = np.mean(lead_sq, axis=-1) - np.mean(tail_e, axis=-1)
+    mean_x_r_sq = np.mean(x * lead_sq, axis=-1) - np.mean(x * tail_e, axis=-1)
+    return (scale * scale * mean_r_sq, (-(2.0 - d) * scale) * mean_x_r_sq,
+            scale * ((1.0 - d) * mean_r_sq - np.mean(q * r, axis=-1)),
+            (1.0 - d) ** 2 * mean_r + np.mean(q, axis=-1))
+
+
 def _chunk_block_means(sensor_means, means: np.ndarray, squares: np.ndarray):
     """Chunk means (a (K,), b (K, L, 4), d_parts (K, L, 4)) as products of independent means.
 
-    `sensor_means` are the chunk means (K, L) of _sensor_terms' four terms, and
+    `sensor_means` are the chunk means (K, L) of _sensor_terms' four terms (_sensor_means), and
     `means` and `squares` (4, K, L) those of Re h_r, Im h_r, Re h_t, Im h_t
     and of their squares (_channel_moments). A product of independent sample
     means is unbiased, and at one draw the blocks are conditional_fim's. No
@@ -225,7 +292,7 @@ def _shared_chunk_means(scenarios, samples: int, seed: int):
         draws = [_draw_statistics(first.prior, rng, freqs.size, size) for rng in rngs]
         # c (K, size); z_mean and spread (4, K, L)
         c, z_mean, spread = (np.stack(parts, axis=-2) for parts in zip(*draws))
-        sensor_means = [np.mean(t, axis=-1) for t in _sensor_terms(first.sensor, freqs, c)]
+        sensor_means = _sensor_means(first.sensor, freqs, c)
         # each scenario's (a, b, d_parts) in turn, flat for _map_chunks
         return [m for sc in scenarios
                 for m in _chunk_block_means(sensor_means, *_channel_moments(sc.channel, z_mean, spread))]

@@ -516,13 +516,13 @@ def test_chunk_conditions_are_those_of_draw_samples(count, monkeypatch):
     sc = _scenario(count=count, spacing=0.05)
     samples, seed = 20 * MC_CHUNK + 3, 13
     seen = []
-    sensor_terms = mc._sensor_terms
+    sensor_means = mc._sensor_means
 
     def recorded(sensor, freqs, c):
         seen.extend(c.copy())
-        return sensor_terms(sensor, freqs, c)
+        return sensor_means(sensor, freqs, c)
 
-    monkeypatch.setattr(mc, "_sensor_terms", recorded)
+    monkeypatch.setattr(mc, "_sensor_means", recorded)
     monkeypatch.setenv("METABCRB_THREADS", "1")
     mc_blocks(sc, samples, seed)
     sizes = [MC_CHUNK] * 20 + [3]
@@ -596,6 +596,28 @@ def test_sensor_terms_keep_a_square_detuning_that_vanishes_beside_one():
     c = np.array([8e-9, 9e-9, 1e-8, 1.05e-8])
     slope_sq = mc._sensor_terms(sensor, np.array([0.0]), c[None])[0]
     assert np.all(slope_sq == (1.0 - 2.0**-53) ** 2)
+
+
+@pytest.mark.parametrize("depth", [0.5, 1.0])
+def test_sensor_means_carry_a_square_detuning_that_rounds_beside_one(depth):
+    # conditions N(0, 5e-9^2) put x^2 around 1e-16 on the first two tones, where
+    # r = 1 - q rounds q to a multiple of 2^-53 at every draw, so the plain mean
+    # of |gamma'|^2 sits 2 ulps off the long-double mean; the chunk means keep
+    # each term within an ulp of it there, and on the far tone are the plain means
+    sensor = SensorModel(absorption_depth=depth, half_width=1.0, shift_rate=2.0)
+    c = 5e-9 * chunk_rng(7, 0).standard_normal((3, MC_CHUNK))
+    freqs = np.array([0.0, 6e-9, 2.0])
+    got = mc._sensor_means(sensor, freqs, c)
+    plain = [np.mean(t, axis=-1) for t in mc._sensor_terms(sensor, freqs, c)]
+    x = freqs[:, None].astype(np.longdouble) - 2.0 * c[:, None, :].astype(np.longdouble)
+    d, scale, t = np.longdouble(depth), np.longdouble(2.0 * depth), 1 + x * x
+    want = [np.mean(w, axis=-1).astype(float) for w in
+            (scale**2 / t**2, -(2 - d) * scale * x / t**2, scale * (1 - d - x * x) / t**2,
+             ((1 - d) ** 2 + x * x) / t)]
+    for g, p, w in zip(got, plain, want):
+        assert np.all(np.abs(g[:, :2] - w[:, :2]) <= np.spacing(np.abs(w[:, :2]))), (g, w)
+        assert np.array_equal(g[:, 2], p[:, 2])
+    assert np.max(np.abs(plain[0][:, :2] - want[0][:, :2]) / np.spacing(want[0][:, :2])) >= 2.0
 
 
 @pytest.mark.parametrize("count", [1, 2, 5, 16])
