@@ -123,11 +123,13 @@ class McEstimate:
 
 
 MC_CHUNK = 512  # small enough that chunk means make a usable bootstrap population
-# Elements (draws x width) per run of chunks. A narrow chunk's time goes to
-# per-chunk Python overhead, which threads cannot overlap, so runs of narrow
-# chunks loop on the calling thread: a 1-tone mc_bound of 1e6 draws took
-# 0.36-0.40 s this way against 0.59-0.63 s with its chunks in a 2-thread pool.
-_RUN_ELEMENTS = 1 << 13
+# Elements (draws x width) per run of chunks: runs of 128 chunks at one tone, 8 at 16
+# tones, one at 128. A narrow chunk's time goes to per-chunk Python overhead, which
+# threads cannot overlap, so runs of several chunks loop on the calling thread:
+# mc_bound's configured and Rayleigh pair of 1e5 draws on 16 tones took 49-54 ms
+# this way against 77-84 ms (1 thread) and 81-93 ms (2 threads) in runs of 2 chunks.
+# The Monte Carlo kernel is real arithmetic, so a run's size changes no byte.
+_RUN_ELEMENTS = 1 << 16
 
 
 def chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
@@ -166,7 +168,8 @@ def _map_chunks(fn, seed: int, samples: int, width: int = 1):
     fit in _RUN_ELEMENTS elements, at least one; a partial last chunk runs
     alone. fn(rngs, size) gets a run's generators, one chunk_rng per chunk,
     and their shared size, and returns arrays whose leading axis runs over
-    those chunks. Runs of several chunks loop on this thread; single-chunk
+    those chunks. Runs of several chunks (draws of up to 64 elements: 128
+    chunks a run at one element, 8 at 16) loop on this thread; single-chunk
     runs go to a pool of _worker_count() threads. Returns fn's arrays joined
     in chunk order and the float sizes (n_chunks,): neither depends on the
     thread count."""
@@ -233,7 +236,7 @@ def expect_over_prior(fn, prior: SensingPrior, method=Quadrature()):
 
     Quadrature returns a float/complex; MonteCarlo returns an McEstimate and
     calls fn once per chunk of draws, always on the calling thread: draws are
-    one element wide, so _map_chunks loops over them in runs of 16 chunks.
+    one element wide, so _map_chunks loops over them in runs of 128 chunks.
     Under MonteCarlo fn(c) must have the shape of c (one value per draw).
     Gauss-Hermite is exact for polynomial integrands up to degree
     2 * order - 1 and refines by doubling, the last order capped at 1600,

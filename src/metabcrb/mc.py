@@ -7,8 +7,11 @@ Nothing here reuses the analytic fading averages, so agreement with
 bcrb_closed_form validates them. c, h_r and h_t are independent, so each
 entry's chunk mean is the product of a sensor, a receive-hop and a
 transmit-hop mean, all taken from the chunk's draws (factorised means).
-Where a draw's 1 + x^2 rounds to 1, the sensor means carry x^2 apart from
-the leading 1s (_near_sensor_means), as the closed form's kernel table does.
+The sensor means are written through five base means over the draws, of
+r, q, r^2, x r^2 and q r (x the detuning, r = 1 / (1 + x^2), q = x^2 r).
+Where a draw's 1 + x^2 rounds to 1, the means of r, r^2 and x r^2 carry x^2
+apart from the leading 1s (_near_ratio_means), as the closed form's kernel
+table does.
 
 Draws come in chunks from expectations._map_chunks, which alone knows their
 sizes; each chunk has its own SFC64 generator keyed by (seed, chunk index).
@@ -17,9 +20,12 @@ part and tone, the mean and the mean square of that part's n standard
 normals z. So a chunk draws those statistics, not the 4 L n normals: after
 its n conditions, one N(0, 1/n) normal for each mean z_mean and one
 chi^2(n - 1) sum of squares about it (Cochran's theorem), which gives
-mean(z^2) = z_mean^2 + chi^2 / n. The channel enters only through the map
-mean + sigma z, so one draw per chunk serves every scenario that differs
-only in its channel, such as validate's configured and Rayleigh variants.
+mean(z^2) = z_mean^2 + chi^2 / n. A run of chunks does only these draws and
+the sensor means. The channel enters only through the map mean + sigma z,
+so the channel moments and the block means run after all runs, once per
+scenario on the stacked (n_chunks, L) statistics, and one draw per chunk
+serves every scenario that differs only in its channel, such as validate's
+configured and Rayleigh variants.
 
 Blocks are weighted averages of the chunk means: by chunk size for
 mc_blocks and the bound, plus BOOTSTRAP_RESAMPLES resampled weightings,
@@ -181,16 +187,6 @@ def _detuning_ratios(sensor, freqs: np.ndarray, c: np.ndarray):
     return x, x2, q, r
 
 
-def _terms(sensor, x, q, r):
-    """_sensor_terms from _detuning_ratios' x, q and r."""
-    d = sensor.absorption_depth
-    sr = (d * sensor.shift_rate / sensor.half_width) * r
-    core_re = (-(2.0 - d) * x) * (r * sr)
-    core_im = ((1.0 - d) * r - q) * sr
-    power = (1.0 - d) ** 2 * r + q
-    return sr * sr, core_re, core_im, power
-
-
 def _sensor_terms(sensor, freqs: np.ndarray, c: np.ndarray):
     """Per-draw sensor terms of conditions c (..., n) on tones freqs (L,), each (..., L, n).
 
@@ -199,50 +195,57 @@ def _sensor_terms(sensor, freqs: np.ndarray, c: np.ndarray):
     |gamma|^2 = (1 - d)^2 r + q and conj(gamma') gamma =
     S r (-(2 - d) x r + j ((1 - d) r - q)). Nothing cancels near the dip
     centre, and the far limits are exact (see _detuning_ratios).
-    Returns (|gamma'|^2, Re and Im of conj(gamma') gamma, |gamma|^2).
+    Returns (|gamma'|^2, Re and Im of conj(gamma') gamma, |gamma|^2): the
+    per-draw reference for the means that _sensor_means forms.
     """
     x, _, q, r = _detuning_ratios(sensor, freqs, c)
-    return _terms(sensor, x, q, r)
+    d = sensor.absorption_depth
+    sr = (d * sensor.shift_rate / sensor.half_width) * r
+    core_re = (-(2.0 - d) * x) * (r * sr)
+    core_im = ((1.0 - d) * r - q) * sr
+    power = (1.0 - d) ** 2 * r + q
+    return sr * sr, core_re, core_im, power
 
 
 def _sensor_means(sensor, freqs: np.ndarray, c: np.ndarray):
     """Means (..., L) over the draws c (..., n) of _sensor_terms' four terms.
 
+    They are written through five base means, of r, q, r^2, x r^2 and q r:
+    S^2 r^2, -(2 - d) S x r^2, S ((1 - d) r^2 - q r) and (1 - d)^2 r + q.
     A row (chunk and tone) with a draw where x^2 < 2^-53, so that r = 1 - q
-    rounds q away and every such draw's r errs the same way, takes
-    _near_sensor_means instead.
+    rounds q away and every such draw's r errs the same way, takes the means
+    of r, r^2 and x r^2 from _near_ratio_means instead.
     """
     x, x2, q, r = _detuning_ratios(sensor, freqs, c)
-    means = [np.mean(t, axis=-1) for t in _terms(sensor, x, q, r)]
+    r_sq = r * r
+    mean_r, mean_r_sq, mean_x_r_sq, mean_q, mean_q_r = (
+        np.mean(t, axis=-1) for t in (r, r_sq, x * r_sq, q, q * r))
     near = np.min(x2, axis=-1) < _TINY_SQ
     if near.any():
-        for mean, exact in zip(means, _near_sensor_means(sensor, x[near], x2[near], q[near], r[near])):
-            mean[near] = exact
-    return means
-
-
-def _near_sensor_means(sensor, x, x2, q, r):
-    """_sensor_means of rows (m, n) with a draw where 1 + x^2 rounds to 1.
-
-    At draws with x^2 < 1, r = 1 - q and r^2 = 1 - e with e = q (2 - q), both
-    q and e to their last digits; the means of r and r^2 are the means of their
-    leading 1s less the mean q and e, summed apart as expectations._near_means
-    does for the kernel table, and the four terms are written through them:
-    S^2 r^2, -(2 - d) S x r^2, S ((1 - d) r^2 - q r) and (1 - d)^2 r + q.
-    """
+        near_means = _near_ratio_means(x[near], x2[near], q[near], r[near])
+        mean_r[near], mean_r_sq[near], mean_x_r_sq[near] = near_means
     d = sensor.absorption_depth
     scale = d * sensor.shift_rate / sensor.half_width
+    return (scale * scale * mean_r_sq, (-(2.0 - d) * scale) * mean_x_r_sq,
+            scale * ((1.0 - d) * mean_r_sq - mean_q_r), (1.0 - d) ** 2 * mean_r + mean_q)
+
+
+def _near_ratio_means(x, x2, q, r):
+    """Means of r, r^2 and x r^2 over rows (m, n) with a draw where 1 + x^2 rounds to 1.
+
+    At draws with x^2 < 1, r = 1 - q and r^2 = 1 - e with e = q (2 - q), both
+    q and e to their last digits; each mean is the mean of its leading 1s less
+    the mean q or e, summed apart as expectations._near_means does for the
+    kernel table.
+    """
     small = x2 < 1.0
     lead = np.where(small, 1.0, r)
     lead_sq = lead * lead
     tail_q = np.where(small, q, 0.0)
     tail_e = tail_q * (2.0 - tail_q)
-    mean_r = np.mean(lead, axis=-1) - np.mean(tail_q, axis=-1)
-    mean_r_sq = np.mean(lead_sq, axis=-1) - np.mean(tail_e, axis=-1)
-    mean_x_r_sq = np.mean(x * lead_sq, axis=-1) - np.mean(x * tail_e, axis=-1)
-    return (scale * scale * mean_r_sq, (-(2.0 - d) * scale) * mean_x_r_sq,
-            scale * ((1.0 - d) * mean_r_sq - np.mean(q * r, axis=-1)),
-            (1.0 - d) ** 2 * mean_r + np.mean(q, axis=-1))
+    return (np.mean(lead, axis=-1) - np.mean(tail_q, axis=-1),
+            np.mean(lead_sq, axis=-1) - np.mean(tail_e, axis=-1),
+            np.mean(x * lead_sq, axis=-1) - np.mean(x * tail_e, axis=-1))
 
 
 def _chunk_block_means(sensor_means, means: np.ndarray, squares: np.ndarray):
@@ -272,10 +275,11 @@ def _shared_chunk_means(scenarios, samples: int, seed: int):
     """Chunk means (a, b, d_parts) of each scenario from one set of draws, and the chunk sizes.
 
     The scenarios must share prior, sensor and grid and have random channels.
-    Each chunk draws its conditions and channel statistics once and forms the
-    sensor means once; only the channel moments and the block means run per
-    scenario. So every scenario gets bitwise the chunk means that a call with
-    it alone gives.
+    The chunk runs only draw the conditions and channel statistics and take
+    the sensor means; the channel moments and the block means then run once
+    per scenario on all chunks at once. Both are elementwise or reduce over
+    tones alone, so every scenario gets bitwise the chunk means that a call
+    with it alone, or one chunk at a time, gives.
     """
     first = scenarios[0]
     for sc in scenarios:
@@ -290,15 +294,14 @@ def _shared_chunk_means(scenarios, samples: int, seed: int):
 
     def run_means(rngs, size):
         draws = [_draw_statistics(first.prior, rng, freqs.size, size) for rng in rngs]
-        # c (K, size); z_mean and spread (4, K, L)
-        c, z_mean, spread = (np.stack(parts, axis=-2) for parts in zip(*draws))
-        sensor_means = _sensor_means(first.sensor, freqs, c)
-        # each scenario's (a, b, d_parts) in turn, flat for _map_chunks
-        return [m for sc in scenarios
-                for m in _chunk_block_means(sensor_means, *_channel_moments(sc.channel, z_mean, spread))]
+        # c (K, size); z_mean and spread (K, 4, L)
+        c, z_mean, spread = (np.stack(parts) for parts in zip(*draws))
+        return [*_sensor_means(first.sensor, freqs, c), z_mean, spread]
 
-    means, sizes = _map_chunks(run_means, seed, samples, freqs.size)
-    return [means[i:i + 3] for i in range(0, len(means), 3)], sizes
+    (*sensor_means, z_mean, spread), sizes = _map_chunks(run_means, seed, samples, freqs.size)
+    z_mean, spread = np.moveaxis(z_mean, 1, 0), np.moveaxis(spread, 1, 0)  # (4, n_chunks, L)
+    return [_chunk_block_means(sensor_means, *_channel_moments(sc.channel, z_mean, spread))
+            for sc in scenarios], sizes
 
 
 def _average_blocks(scenario: Scenario, chunk_means, weights: np.ndarray):
@@ -344,8 +347,9 @@ def _mc_bounds(scenarios, samples: int, seed: int) -> list:
     rng = chunk_rng(seed, _BOOT_KEY)
     picks = rng.integers(0, sizes.size, size=(BOOTSTRAP_RESAMPLES, sizes.size))
     # each resample weighs a chunk by its size times how often it was picked
-    resampled = np.zeros(picks.shape)
-    np.add.at(resampled, (np.arange(BOOTSTRAP_RESAMPLES)[:, None], picks), sizes[picks])
+    rows = np.arange(BOOTSTRAP_RESAMPLES)[:, None] * sizes.size
+    counts = np.bincount((rows + picks).ravel(), minlength=picks.size).reshape(picks.shape)
+    resampled = counts * sizes
     resampled /= np.sum(resampled, axis=1, keepdims=True)
     weights = np.vstack([sizes / samples, resampled])
     estimates = []

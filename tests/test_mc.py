@@ -352,8 +352,7 @@ def _channel_moments(h_r, h_t):
 def _kernel(sc, c, h_r, h_t):
     """The chunk kernel on draws stacked by chunk: c (K, n), h_r and h_t (K, n, L),
     with its channel blocks expanded to (K, L, 4, 4)."""
-    terms = mc._sensor_terms(sc.sensor, sc.grid.as_array(), c)
-    sensor_means = [np.mean(t, axis=-1) for t in terms]
+    sensor_means = mc._sensor_means(sc.sensor, sc.grid.as_array(), c)
     a, b, d_parts = mc._chunk_block_means(sensor_means, *_channel_moments(h_r, h_t))
     return a, b, mc._arrow_d(d_parts)
 
@@ -366,7 +365,8 @@ def _kernel_one_chunk(sc, c, h_r, h_t):
 def _serial_chunk_means(sc, samples, seed):
     """Chunk means drawn and reduced one chunk at a time, in index order, written out:
     each chunk's generator gives its n conditions, then the mean of each channel part's
-    n standard normals, N(0, 1/n), then half the chi^2(n - 1) sum of squares about it."""
+    n standard normals, N(0, 1/n), then half the chi^2(n - 1) sum of squares about it.
+    The sensor means are mc._sensor_means', the production five-mean arithmetic."""
     freqs, count = sc.grid.as_array(), sc.grid.count
     variance = sc.channel.scatter_variance() / 2.0
     shift = np.array([sc.channel.mean(), 0.0, sc.channel.mean(), 0.0])[:, None]
@@ -378,8 +378,7 @@ def _serial_chunk_means(sc, samples, seed):
         chi2 = 2.0 * rng.standard_gamma((n - 1) / 2.0, (4, count))
         mean = math.sqrt(variance) * z_mean + shift
         square = mean * mean + variance * (chi2 / n)
-        terms = mc._sensor_terms(sc.sensor, freqs, c[None])
-        a, b, d_parts = mc._chunk_block_means([np.mean(t, axis=-1) for t in terms],
+        a, b, d_parts = mc._chunk_block_means(mc._sensor_means(sc.sensor, freqs, c[None]),
                                               mean[:, None], square[:, None])
         means.append((a[0], b[0], mc._arrow_d(d_parts[0])))
     return [np.array(parts) for parts in zip(*means)]
@@ -403,18 +402,22 @@ def test_map_chunks_runs_and_threads(monkeypatch):
     monkeypatch.setenv("METABCRB_THREADS", "2")
     # narrow draws: runs of _RUN_ELEMENTS // MC_CHUNK chunks on this thread,
     # the partial last chunk alone
-    assert expectations._RUN_ELEMENTS // MC_CHUNK == 16
-    (narrow,), sizes = expectations._map_chunks(layout, 0, 100 * MC_CHUNK + 7)
-    assert [n for n, _, _ in narrow] == [16] * 96 + [4] * 4 + [1]
-    assert [s for _, s, _ in narrow] == [MC_CHUNK] * 100 + [7]
-    assert sizes.tolist() == [MC_CHUNK] * 100 + [7]
+    assert expectations._RUN_ELEMENTS // MC_CHUNK == 128
+    (narrow,), sizes = expectations._map_chunks(layout, 0, 300 * MC_CHUNK + 7)
+    assert [n for n, _, _ in narrow] == [128] * 256 + [44] * 44 + [1]
+    assert [s for _, s, _ in narrow] == [MC_CHUNK] * 300 + [7]
+    assert sizes.tolist() == [MC_CHUNK] * 300 + [7]
     assert {t for _, _, t in narrow} == {main}
+    # 16 tones: runs of 8 chunks, still on this thread
+    (tones16,), _ = expectations._map_chunks(layout, 0, 20 * MC_CHUNK + 7, width=16)
+    assert [(n, s) for n, s, _ in tones16] == [(8, MC_CHUNK)] * 16 + [(4, MC_CHUNK)] * 4 + [(1, 7)]
+    assert {t for _, _, t in tones16} == {main}
     # wide draws: one chunk per run, on the pool
-    (wide,), _ = expectations._map_chunks(layout, 0, 9 * MC_CHUNK, width=64)
+    (wide,), _ = expectations._map_chunks(layout, 0, 9 * MC_CHUNK, width=128)
     assert [(n, s) for n, s, _ in wide] == [(1, MC_CHUNK)] * 9
     assert main not in {t for _, _, t in wide}
     monkeypatch.setenv("METABCRB_THREADS", "1")
-    (serial,), _ = expectations._map_chunks(layout, 0, 9 * MC_CHUNK, width=64)
+    (serial,), _ = expectations._map_chunks(layout, 0, 9 * MC_CHUNK, width=128)
     assert {t for _, _, t in serial} == {main}
 
 
@@ -512,7 +515,7 @@ def test_chunk_statistics_match_explicit_draws(n):
 @pytest.mark.parametrize("count", [1, 128])
 def test_chunk_conditions_are_those_of_draw_samples(count, monkeypatch):
     # each chunk's generator gives its conditions first, bitwise draw_samples' on it;
-    # one tone runs chunks 16 at a time, 128 tones one at a time
+    # one tone runs chunks 128 at a time, 128 tones one at a time
     sc = _scenario(count=count, spacing=0.05)
     samples, seed = 20 * MC_CHUNK + 3, 13
     seen = []
@@ -603,7 +606,9 @@ def test_sensor_means_carry_a_square_detuning_that_rounds_beside_one(depth):
     # conditions N(0, 5e-9^2) put x^2 around 1e-16 on the first two tones, where
     # r = 1 - q rounds q to a multiple of 2^-53 at every draw, so the plain mean
     # of |gamma'|^2 sits 2 ulps off the long-double mean; the chunk means keep
-    # each term within an ulp of it there, and on the far tone are the plain means
+    # each term within an ulp of it there. On the far tone |gamma'|^2 and |gamma|^2
+    # are within an ulp too, and the two signed cross terms within 1e-13 of the
+    # mean |term|, the scale their rounding is relative to
     sensor = SensorModel(absorption_depth=depth, half_width=1.0, shift_rate=2.0)
     c = 5e-9 * chunk_rng(7, 0).standard_normal((3, MC_CHUNK))
     freqs = np.array([0.0, 6e-9, 2.0])
@@ -611,12 +616,14 @@ def test_sensor_means_carry_a_square_detuning_that_rounds_beside_one(depth):
     plain = [np.mean(t, axis=-1) for t in mc._sensor_terms(sensor, freqs, c)]
     x = freqs[:, None].astype(np.longdouble) - 2.0 * c[:, None, :].astype(np.longdouble)
     d, scale, t = np.longdouble(depth), np.longdouble(2.0 * depth), 1 + x * x
-    want = [np.mean(w, axis=-1).astype(float) for w in
-            (scale**2 / t**2, -(2 - d) * scale * x / t**2, scale * (1 - d - x * x) / t**2,
-             ((1 - d) ** 2 + x * x) / t)]
-    for g, p, w in zip(got, plain, want):
+    terms = (scale**2 / t**2, -(2 - d) * scale * x / t**2, scale * (1 - d - x * x) / t**2,
+             ((1 - d) ** 2 + x * x) / t)
+    want = [np.mean(w, axis=-1).astype(float) for w in terms]
+    size = [np.mean(np.abs(w), axis=-1).astype(float) for w in terms]
+    for k, (g, w) in enumerate(zip(got, want)):
         assert np.all(np.abs(g[:, :2] - w[:, :2]) <= np.spacing(np.abs(w[:, :2]))), (g, w)
-        assert np.array_equal(g[:, 2], p[:, 2])
+        far = np.spacing(np.abs(w[:, 2])) if k in (0, 3) else 1e-13 * size[k][:, 2]
+        assert np.all(np.abs(g[:, 2] - w[:, 2]) <= far), (k, g, w)
     assert np.max(np.abs(plain[0][:, :2] - want[0][:, :2]) / np.spacing(want[0][:, :2])) >= 2.0
 
 
@@ -645,7 +652,7 @@ def test_large_batches_round_as_single_chunks(count):
             assert np.array_equal(got[k], want)
 
 
-@pytest.mark.parametrize("count", [1, 16])
+@pytest.mark.parametrize("count", [1, 16, 128])
 def test_mc_bound_bitwise_across_thread_counts(count, monkeypatch):
     # 50,001 draws: 97 full chunks and a partial one of 337
     sc = _scenario(count=count, kappa=2.0)
