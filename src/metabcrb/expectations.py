@@ -123,12 +123,19 @@ class McEstimate:
 
 
 MC_CHUNK = 512  # small enough that chunk means make a usable bootstrap population
-# Elements (draws x width) per run of chunks: runs of 128 chunks at one tone, 8 at 16
-# tones, one at 128. A narrow chunk's time goes to per-chunk Python overhead, which
-# threads cannot overlap, so runs of several chunks loop on the calling thread:
-# mc_bound's configured and Rayleigh pair of 1e5 draws on 16 tones took 49-54 ms
-# this way against 77-84 ms (1 thread) and 81-93 ms (2 threads) in runs of 2 chunks.
-# The Monte Carlo kernel is real arithmetic, so a run's size changes no byte.
+# Elements (draws x width) per run of chunks: runs of 128 chunks at one tone, 8 at
+# 16 tones, 4 at 32, 2 at 64 and one from 65 tones on. A narrow chunk's time goes to
+# per-chunk Python overhead, which threads cannot overlap, so runs of several chunks
+# loop on the calling thread and single-chunk runs go to the pool. Measured on 2 vCPUs
+# with _mc_bounds' configured and Rayleigh pair of 1e5 draws (BENCH_24.json): against
+# runs of 2^13 elements, 16-tone calls went from 77-93 to 49-54 ms (run_layout_ms).
+# In a process that has run the oracle's 1- and 128-tone calls, sending the runs of
+# 16, 32 or 64 tones to the pool at 2 threads made calls 3-25% slower
+# (run_layout_warm_ms), while 128-tone chunks took 195-262 ms on the pool against
+# 249-331 ms on one thread. Only in a fresh process, where glibc faults each run's
+# 512 KiB temporaries in anew, was the pool faster, at 32 and 64 tones
+# (run_layout_fresh_ms). The Monte Carlo kernel is real arithmetic, so a run's size
+# changes no byte.
 _RUN_ELEMENTS = 1 << 16
 
 

@@ -346,10 +346,11 @@ def _mc_bounds(scenarios, samples: int, seed: int) -> list:
     means, sizes = _shared_chunk_means(scenarios, samples, seed)
     rng = chunk_rng(seed, _BOOT_KEY)
     picks = rng.integers(0, sizes.size, size=(BOOTSTRAP_RESAMPLES, sizes.size))
-    # each resample weighs a chunk by its size times how often it was picked
-    rows = np.arange(BOOTSTRAP_RESAMPLES)[:, None] * sizes.size
-    counts = np.bincount((rows + picks).ravel(), minlength=picks.size).reshape(picks.shape)
-    resampled = counts * sizes
+    # each resample weighs a chunk by its size times how often it was picked;
+    # offset by row, every resample counts its picks in bins of its own
+    picks += np.arange(BOOTSTRAP_RESAMPLES)[:, None] * sizes.size
+    resampled = np.bincount(picks.ravel(), minlength=picks.size).reshape(picks.shape) * sizes
+    del picks  # as large as the weights: freed before the blocks are averaged
     resampled /= np.sum(resampled, axis=1, keepdims=True)
     weights = np.vstack([sizes / samples, resampled])
     estimates = []

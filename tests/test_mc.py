@@ -591,6 +591,34 @@ def test_sensor_terms_match_extended_precision_at_any_detuning(depth):
         np.testing.assert_allclose(g[0, 0], w.astype(float), rtol=1e-14, atol=1e-300)
 
 
+@pytest.mark.parametrize("depth", [0.9, 1.0])
+def test_sensor_means_match_extended_precision_at_any_detuning(depth):
+    # the production means, through their five base means, against long-double
+    # means of the textbook terms at the detunings of the per-draw test above:
+    # one row of draws per scale, through the dip centre (a row holding x = 0
+    # and draws with x^2 < 2^-53, so the near-one means), across the sign change
+    # of Im conj(gamma') gamma at depth 0.9, and out to where x^2 leaves the float
+    # range. |gamma'|^2 and |gamma|^2 are positive and held relative to their
+    # means; the signed cross terms to 1e-14 of the mean |term|
+    sensor = SensorModel(absorption_depth=depth, half_width=1.0, shift_rate=2.0)
+    base = np.array([1e-12, 3e-9, 0.25, 0.5, 1.7, 40.0, 1e5, 1e75, 1e150, -1e155, 1e300])
+    c = np.vstack([np.linspace(-1e-8, 1e-8, 17), base[:, None] * np.linspace(0.5, 1.5, 17)])
+    got = mc._sensor_means(sensor, np.array([0.0]), c)
+    x = -2.0 * c.astype(np.longdouble)
+    d, scale = np.longdouble(depth), np.longdouble(2.0 * depth)
+    t = 1 + x * x
+    terms = (scale**2 / t**2, -(2 - d) * scale * x / t**2, scale * (1 - d - x * x) / t**2,
+             ((1 - d) ** 2 + x * x) / t)
+    for k, (g, w) in enumerate(zip(got, terms)):
+        assert g.shape == (c.shape[0], 1)
+        want = np.mean(w, axis=-1).astype(float)
+        if k in (0, 3):
+            np.testing.assert_allclose(g[:, 0], want, rtol=1e-14, atol=1e-300)
+        else:
+            size = np.mean(np.abs(w), axis=-1).astype(float)
+            assert np.all(np.abs(g[:, 0] - want) <= 1e-14 * size + 1e-300), (k, g[:, 0], want)
+
+
 def test_sensor_terms_keep_a_square_detuning_that_vanishes_beside_one():
     # for 5.6e-17 < x^2 < 1.1e-16, 1 + x^2 rounds to 1, so r = 1 / (1 + x^2)
     # would be 1 at every such draw, a bias of -x^2 that no bootstrap spread
