@@ -120,12 +120,36 @@ def _assemble(scenario: Scenario, sp, corr, rp) -> BfimBlocks:
 
 
 def _schur_coupling(b: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """sum_k b_k^T d_k^{-1} b_k over the tone axis, batched over any leading axes.
+    """sum_k b_k^T d_k^{-1} b_k over the tone axis for general symmetric blocks, as
+    bcrb_from_blocks takes them from a user: one batched LAPACK solve.
 
-    b has shape (..., L, 4) and d shape (..., L, 4, 4); the result has shape (...).
+    b has shape (L, 4) and d shape (L, 4, 4), or both with more leading axes; the result
+    has the leading shape. Blocks in arrow form take _arrow_coupling instead.
     """
     x = np.linalg.solve(d, b[..., None])[..., 0]
     return np.sum(b * x, axis=(-2, -1))
+
+
+def _arrow_coupling(b: np.ndarray, d_parts: np.ndarray, prior_info: float) -> np.ndarray:
+    """sum_k b_k^T d_k^{-1} b_k over the tone axis for channel blocks given by their distinct
+    entries (A, B, zr, zi) = d_parts (..., L, 4), see _arrow_d; b is (..., L, 4).
+
+    d_k = [[A I, Z], [Z^T, B I]] + prior_info I with Z = [[zr, -zi], [zi, zr]], a scaled
+    rotation, so Z^T Z = |z|^2 I. Eliminating the receive pair first (the block LDL^T step),
+    with A' = A + prior_info and B' = B + prior_info,
+
+        b^T d^{-1} b = |b_1|^2 / A' + |b_2 - Z^T b_1 / A'|^2 / (B' - |z|^2 / A').
+
+    No product A' B' is formed, so the determinant's overflow at huge kappa never happens,
+    and an infinite prior_info gives a zero coupling.
+    """
+    recv, trans, zr, zi = np.moveaxis(d_parts, -1, 0)
+    recv = recv + prior_info
+    t1, t2 = b[..., 0] / recv, b[..., 1] / recv
+    w1 = b[..., 2] - (zr * t1 + zi * t2)
+    w2 = b[..., 3] - (zr * t2 - zi * t1)
+    schur = (trans + prior_info) - (zr * (zr / recv) + zi * (zi / recv))
+    return np.sum(b[..., 0] * t1 + b[..., 1] * t2 + (w1 * w1 + w2 * w2) / schur, axis=-1)
 
 
 def bcrb_from_blocks(blocks: BfimBlocks) -> float:

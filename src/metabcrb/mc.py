@@ -27,9 +27,12 @@ scenario on the stacked (n_chunks, L) statistics, and one draw per chunk
 serves every scenario that differs only in its channel, such as validate's
 configured and Rayleigh variants.
 
-Blocks are weighted averages of the chunk means: by chunk size for
+Blocks are weighted averages of the chunk means, one BLAS product of the
+weight rows with each block's (n_chunks, ...) chunk means: by chunk size for
 mc_blocks and the bound, plus BOOTSTRAP_RESAMPLES resampled weightings,
-drawn once per call, whose spread gives the bound's standard error.
+drawn once per call, whose spread gives the bound's standard error. The
+bound of each row reads only the four distinct entries of each channel
+block (bcrb._arrow_coupling), so no (R, L, 4, 4) blocks are built or solved.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bcrb import _arrow_blocks, _arrow_d, _schur_coupling, bcrb_closed_form
+from .bcrb import _arrow_blocks, _arrow_coupling, _arrow_d, bcrb_closed_form
 from .expectations import (_TINY_SQ, MC_CHUNK, McEstimate, _chunk_mean_and_se, _map_chunks,
                            chunk_rng)
 from .scenario import Scenario, whole_number
@@ -304,13 +307,22 @@ def _shared_chunk_means(scenarios, samples: int, seed: int):
             for sc in scenarios], sizes
 
 
-def _average_blocks(scenario: Scenario, chunk_means, weights: np.ndarray):
-    """Blocks a (R,), b (R, L, 4) and d (R, L, 4, 4) of the chunk means averaged
-    with each row of `weights` (R, n_chunks), prior terms included."""
-    chunk_a, chunk_b, d_parts = chunk_means
-    return _arrow_blocks(scenario, np.sum(weights * chunk_a, axis=1),
-                         np.einsum("ri,ikj->rkj", weights, chunk_b),
-                         np.einsum("ri,ikj->rkj", weights, d_parts))
+def _weighted_means(weights: np.ndarray, chunk: np.ndarray) -> np.ndarray:
+    """Averages (R, ...) of per-chunk values (n_chunks, ...) under each row of weights
+    (R, n_chunks): one BLAS product over the chunk axis."""
+    flat = weights @ chunk.reshape(chunk.shape[0], -1)
+    return flat.reshape(weights.shape[:1] + chunk.shape[1:])
+
+
+def _bounds(scenario: Scenario, chunk_means, weights: np.ndarray) -> np.ndarray:
+    """Bounds (R,) of the chunk means averaged with each row of weights (R, n_chunks),
+    prior terms included. For the same rows, a, b and the channel entries are bitwise
+    those of mc_blocks' a, b and d; the coupling reads d's four distinct entries per tone
+    (_arrow_coupling)."""
+    two_over = 2.0 / scenario.noise.variance
+    a, b, d_parts = (two_over * _weighted_means(weights, m) for m in chunk_means)
+    coupling = _arrow_coupling(b, d_parts, scenario.channel.prior_info_per_coordinate())
+    return 1.0 / (a + scenario.prior.curvature() - coupling)
 
 
 def mc_blocks(scenario: Scenario, samples: int, seed: int = 0) -> McBlocks:
@@ -322,17 +334,16 @@ def mc_blocks(scenario: Scenario, samples: int, seed: int = 0) -> McBlocks:
     samples = whole_number("samples", samples)
     means, sizes = _shared_chunk_means((scenario,), samples, seed)
     chunk_a, chunk_b, d_parts = means[0]
-    weights = sizes / samples
-    (a,), (b,), (d,) = _average_blocks(scenario, means[0], weights[None])
+    weights = (sizes / samples)[None]
+    a_mean, b_mean, d_mean = (_weighted_means(weights, m)[0] for m in means[0])
 
     # spread of chunk means gives the standard error of the weighted mean
     n_chunks = sizes.size
-    a_mean = np.sum(weights * chunk_a)
-    b_mean = np.einsum("i,ikj->kj", weights, chunk_b)
-    a_se = float(np.sqrt(np.sum(weights**2 * (chunk_a - a_mean) ** 2) * n_chunks / (n_chunks - 1)))
-    b_se = np.sqrt(np.einsum("i,ikj->kj", weights**2, (chunk_b - b_mean) ** 2) * n_chunks / (n_chunks - 1))
+    a_se, b_se = (np.sqrt(_weighted_means(weights**2, (m - mean) ** 2)[0] * n_chunks / (n_chunks - 1))
+                  for m, mean in ((chunk_a, a_mean), (chunk_b, b_mean)))
+    a, b, d = _arrow_blocks(scenario, a_mean, b_mean, d_mean)
     two_over = 2.0 / scenario.noise.variance
-    return McBlocks(a=float(a), b=b, d=d, a_se=two_over * a_se, b_se=two_over * b_se,
+    return McBlocks(a=float(a), b=b, d=d, a_se=two_over * float(a_se), b_se=two_over * b_se,
                     samples=samples, chunk_a=chunk_a, chunk_b=chunk_b,
                     chunk_d_parts=d_parts, chunk_sizes=sizes)
 
@@ -341,7 +352,9 @@ def _mc_bounds(scenarios, samples: int, seed: int) -> list:
     """mc_bound of each random-channel scenario, all from one set of draws.
 
     The bound's standard error comes from a block bootstrap over chunk means;
-    every scenario uses the same BOOTSTRAP_RESAMPLES picks of chunks.
+    every scenario uses the same BOOTSTRAP_RESAMPLES picks of chunks. The value
+    takes its own one-row average, as mc_blocks does: a row of a many-row BLAS
+    product need not round as a one-row product does.
     """
     means, sizes = _shared_chunk_means(scenarios, samples, seed)
     rng = chunk_rng(seed, _BOOT_KEY)
@@ -352,14 +365,13 @@ def _mc_bounds(scenarios, samples: int, seed: int) -> list:
     resampled = np.bincount(picks.ravel(), minlength=picks.size).reshape(picks.shape) * sizes
     del picks  # as large as the weights: freed before the blocks are averaged
     resampled /= np.sum(resampled, axis=1, keepdims=True)
-    weights = np.vstack([sizes / samples, resampled])
     estimates = []
     for sc, chunk_means in zip(scenarios, means):
-        a, b, d = _average_blocks(sc, chunk_means, weights)
-        bounds = 1.0 / (a - _schur_coupling(b, d))
+        (value,) = _bounds(sc, chunk_means, (sizes / samples)[None])
+        bounds = _bounds(sc, chunk_means, resampled)
         with np.errstate(over="ignore"):  # bounds near the float limit spread to inf
-            std_err = float(np.std(bounds[1:], ddof=1))
-        estimates.append(McEstimate(value=float(bounds[0]), std_err=std_err, samples=samples))
+            std_err = float(np.std(bounds, ddof=1))
+        estimates.append(McEstimate(value=float(value), std_err=std_err, samples=samples))
     return estimates
 
 
@@ -370,8 +382,8 @@ def mc_bound(scenario: Scenario, samples: int, seed: int = 0) -> McEstimate:
     is a nonlinear function of the averaged entries, so the uncertainty must
     be propagated through the inversion); random channels therefore need the
     two-chunk minimum of mc_blocks, and the value is the bound of mc_blocks'
-    a, b and d. Deterministic LoS has no sampling dimension left that the
-    bound actually depends on beyond the condition average, which is
+    a, b and d, bit for bit. Deterministic LoS has no sampling dimension left
+    that the bound actually depends on beyond the condition average, which is
     evaluated by quadrature: the estimate is exact and the standard error is
     zero.
     """

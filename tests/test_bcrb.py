@@ -14,7 +14,7 @@ from metabcrb import (BfimBlocks, RicianSpec, Scenario, SensingPrior,
                       bfim_dense, default_scenario, select_subcarriers,
                       snr_to_noise, subcarrier_contribution)
 import metabcrb.expectations as expectations_mod
-from metabcrb.bcrb import _contributions
+from metabcrb.bcrb import _arrow_coupling, _arrow_d, _contributions, _schur_coupling
 from metabcrb.config import load_scenario
 from metabcrb.expectations import prior_moments
 
@@ -74,6 +74,69 @@ def test_structured_block_reduction_equals_generic_solve():
         d = 0.5 * (d + np.swapaxes(d, 1, 2))  # exactly symmetric
         blocks = BfimBlocks(a=1000.0, b=rng.normal(size=(5, 4)), d=d)
         assert bcrb_from_blocks(blocks) == pytest.approx(bcrb_from_dense(blocks), rel=1e-12)
+
+
+def _arrow_parts(rng, count, rho, prior_info):
+    """count random arrow blocks whose receive and transmit entries A', B' (prior_info
+    included) have 1 - |z|^2 / (A' B') = rho, with random b (count, 4): d_parts (count, 4)
+    without the prior, as the Monte Carlo bootstrap hands them to _arrow_coupling."""
+    recv, trans = np.exp(rng.uniform(-2.0, 2.0, (2, count)))
+    mag, angle = np.sqrt((1.0 - rho) * recv * trans), rng.uniform(0.0, 2.0 * np.pi, count)
+    parts = np.stack([recv - prior_info, trans - prior_info,
+                      mag * np.cos(angle), mag * np.sin(angle)], axis=-1)
+    return rng.normal(size=(count, 4)), parts
+
+
+def _exact_arrow_coupling(b, parts, prior_info):
+    """b^T d^{-1} b per block in exact rational arithmetic, on the doubles both routes
+    see: A + prior_info and B + prior_info rounded once, as the diagonal gets them."""
+    out = []
+    for bk, (recv, trans, zr, zi) in zip(b, parts):
+        recv, trans = Fraction(float(recv + prior_info)), Fraction(float(trans + prior_info))
+        zr, zi = Fraction(float(zr)), Fraction(float(zi))
+        b1, b2, b3, b4 = (Fraction(float(v)) for v in bk)
+        # d^{-1} through its 2x2 determinant recv trans - |z|^2, no elimination
+        det = recv * trans - zr * zr - zi * zi
+        w1, w2 = zr * b1 + zi * b2, zr * b2 - zi * b1  # Z^T b_1
+        cross = b3 * w1 + b4 * w2
+        out.append(float((trans * (b1 * b1 + b2 * b2) + recv * (b3 * b3 + b4 * b4)
+                          - 2 * cross) / det))
+    return np.array(out)
+
+
+def test_arrow_coupling_matches_the_general_solve():
+    # well conditioned blocks: the elimination and LAPACK agree to rounding
+    rng = np.random.default_rng(12)
+    for rho in (0.1, 0.5, 1.0):
+        b, parts = _arrow_parts(rng, 60, rho, 0.5)
+        b, parts = b.reshape(3, 20, 4), parts.reshape(3, 20, 4)  # batched over a leading axis
+        general = _schur_coupling(b, _arrow_d(parts) + 0.5 * np.eye(4))
+        assert _arrow_coupling(b, parts, 0.5) == pytest.approx(general, rel=1e-13, abs=0.0)
+
+
+def test_arrow_coupling_is_as_accurate_as_lapack_where_the_blocks_near_singular():
+    # As 1 - |z|^2 / (A' B') -> 0 both routes lose digits to the cancellation; against the
+    # exact coupling of the same doubles, the elimination's rms error is no larger than
+    # the batched LAPACK solve's (about 7% below it at each rho on 2,000 blocks).
+    rng = np.random.default_rng(5)
+    for rho in (1e-1, 1e-4, 1e-8, 1e-12):
+        b, parts = _arrow_parts(rng, 2000, rho, 0.5)
+        exact = _exact_arrow_coupling(b, parts, 0.5)
+        arrow = _arrow_coupling(b[:, None], parts[:, None], 0.5)
+        general = _schur_coupling(b[:, None], _arrow_d(parts[:, None]) + 0.5 * np.eye(4))
+        arrow_err, general_err = (np.sqrt(np.mean((v / exact - 1.0) ** 2)) for v in (arrow, general))
+        assert arrow_err <= general_err, (rho, arrow_err, general_err)
+        assert arrow_err < 1e-15 / rho, rho
+
+
+@pytest.mark.parametrize("prior_info", [1e300, math.inf])
+def test_arrow_coupling_under_a_huge_channel_prior_is_finite(prior_info):
+    # kappa -> inf: A' and B' reach 1e300 or inf, where A' B' would overflow; the
+    # coupling falls to |b|^2 / prior_info, 0 at inf, with no RuntimeWarning
+    b, parts = _arrow_parts(np.random.default_rng(3), 16, 0.3, 0.0)
+    coupling = _arrow_coupling(b, parts, prior_info)
+    assert np.isfinite(coupling)
+    assert coupling == pytest.approx(np.sum(b * b) / prior_info, rel=1e-12, abs=0.0)
 
 
 def test_blocks_validation():

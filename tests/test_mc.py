@@ -15,6 +15,7 @@ from metabcrb import (MonteCarlo, ParameterSample, RicianSpec, Scenario,
                       bcrb_closed_form, conditional_fim, draw_samples,
                       mc_blocks, mc_bound, posterior_mean_mse,
                       reflection_power, snr_to_noise)
+from metabcrb.bcrb import _arrow_coupling
 from metabcrb.expectations import MC_CHUNK, chunk_rng
 from metabcrb.mc import _BOOT_KEY, BOOTSTRAP_RESAMPLES
 
@@ -290,12 +291,15 @@ def test_mc_bound_bootstrap_matches_plain_loop():
 
 @pytest.mark.parametrize("count", [1, 16, 128])
 def test_mc_bound_is_the_bound_of_mc_blocks(count):
-    # one averaging path: the point estimate is the Schur bound of mc_blocks' a, b and d
+    # one averaging path: the point estimate is the bound of mc_blocks' a, b and d, with
+    # the coupling from the four distinct entries (A', B', zr, zi) of each d block
     sc = _scenario(count=count, spacing=0.05, kappa=2.0)
     samples, seed = 3_001, 11
     blocks = mc_blocks(sc, samples, seed)
-    x = np.linalg.solve(blocks.d, blocks.b[..., None])[..., 0]
-    assert mc_bound(sc, samples, seed).value == 1.0 / (blocks.a - np.sum(blocks.b * x))
+    parts = blocks.d[:, [0, 2, 0, 1], [0, 2, 2, 2]]
+    assert np.array_equal(mc._arrow_d(parts), blocks.d)
+    coupling = _arrow_coupling(blocks.b, parts, 0.0)
+    assert mc_bound(sc, samples, seed).value == 1.0 / (blocks.a - coupling)
 
 
 def test_mc_bound_reruns_bit_identical():
