@@ -123,26 +123,60 @@ class McEstimate:
 
 
 MC_CHUNK = 512  # small enough that chunk means make a usable bootstrap population
-# Elements (draws x width) per run of chunks: runs of 128 chunks at one tone, 8 at
-# 16 tones, 4 at 32, 2 at 64 and one from 65 tones on. A narrow chunk's time goes to
-# per-chunk Python overhead, which threads cannot overlap, so runs of several chunks
-# loop on the calling thread and single-chunk runs go to the pool. Measured on 2 vCPUs
-# with _mc_bounds' configured and Rayleigh pair of 1e5 draws (BENCH_24.json): against
-# runs of 2^13 elements, 16-tone calls went from 77-93 to 49-54 ms (run_layout_ms).
-# In a process that has run the oracle's 1- and 128-tone calls, sending the runs of
-# 16, 32 or 64 tones to the pool at 2 threads made calls 3-25% slower
-# (run_layout_warm_ms), while 128-tone chunks took 195-262 ms on the pool against
-# 249-331 ms on one thread. Only in a fresh process, where glibc faults each run's
-# 512 KiB temporaries in anew, was the pool faster, at 32 and 64 tones
-# (run_layout_fresh_ms). The Monte Carlo kernel is real arithmetic, so a run's size
-# changes no byte.
+# Elements (draws x width) per run of chunks: 128 chunks at one tone, 8 at 16, one from 65
+# tones on. Multi-chunk runs loop on the calling thread, single-chunk runs go to the pool
+# (BENCH_24.json: run_layout_ms, run_layout_warm_ms, run_layout_fresh_ms); no byte moves.
 _RUN_ELEMENTS = 1 << 16
 
+# numpy's SeedSequence (O'Neill's seed_seq, pcg-random.org 2015) and SFC64 seeding
+_MASK32, _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0xFFFFFFFF, 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
 
-def chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
-    """SFC64 generator for one chunk, keyed by (seed, chunk index); the same in any run order."""
-    ss = np.random.SeedSequence(entropy=whole_number("seed", seed, 0), spawn_key=(chunk_index,))
-    return np.random.Generator(np.random.SFC64(ss))
+
+def _chunk_states(seed: int, keys) -> np.ndarray:
+    """SFC64 states (K, 4) of SFC64(SeedSequence(seed, spawn_key=(key,))) for 32-bit keys (K,).
+
+    numpy's steps on one uint32 array per word over all keys: the seed's
+    little-endian 32-bit words, zero-padded to four, and the key hashed into a
+    four-word pool and cross-mixed, generate_state(3, uint64) from the pool,
+    then SFC64's 12 seeding rounds from a counter of 1. Every key takes the same
+    hash constants, so one pass replaces a SeedSequence and an SFC64 per key.
+    """
+    seed, keys = whole_number("seed", seed, 0), np.asarray(keys, dtype=np.uint32)
+    words = [np.full(keys.shape, (seed >> shift) & _MASK32, dtype=np.uint32)
+             for shift in range(0, max(seed.bit_length(), 128), 32)] + [keys]
+    hash_const = _INIT_A
+
+    def hashmix(value, mult=_MULT_A):  # advances the hash constant
+        nonlocal hash_const
+        value = (value ^ np.uint32(hash_const)) * np.uint32(hash_const := hash_const * mult & _MASK32)
+        return value ^ (value >> np.uint32(16))
+
+    def mix(x, y):
+        value = np.uint32(0xCA01F9DD) * x - np.uint32(0x4973F715) * y
+        return value ^ (value >> np.uint32(16))
+
+    pool = [hashmix(w) for w in words[:4]]
+    for src, dst in ((src, dst) for src in range(4) for dst in range(4) if src != dst):
+        pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[4:]:
+        pool = [mix(p, hashmix(word)) for p in pool]
+    hash_const = _INIT_B  # generate_state(3, uint64): six words over the pool, paired little-endian
+    halves = [hashmix(pool[i % 4], _MULT_B).astype(np.uint64) for i in range(6)]
+    a, b, c = (lo | (hi << np.uint64(32)) for lo, hi in zip(halves[0::2], halves[1::2]))
+    for counter in range(1, 13):  # sfc64_set_seed: 12 rounds, the counter from 1
+        a, b, c = (b ^ (b >> np.uint64(11)), c + (c << np.uint64(3)),
+                   ((c << np.uint64(24)) | (c >> np.uint64(40))) + (a + b + np.uint64(counter)))
+    return np.stack([a, b, c, np.full(keys.shape, 13, dtype=np.uint64)], axis=-1)
+
+
+def _chunk_streams(states: np.ndarray):
+    """One Generator, re-set to each SFC64 state of states (K, 4) in turn and yielded,
+    so each stream starts as a fresh SFC64 would: draw from it before taking the next."""
+    rng = np.random.Generator(np.random.SFC64(0))
+    for state in states:
+        rng.bit_generator.state = {"bit_generator": "SFC64", "state": {"state": state},
+                                   "has_uint32": 0, "uinteger": 0}
+        yield rng
 
 
 def _worker_count() -> int:
@@ -170,25 +204,27 @@ def _worker_count() -> int:
 def _map_chunks(fn, seed: int, samples: int, width: int = 1):
     """fn's arrays over the MC_CHUNK-draw chunks of `samples` draws, and the chunk sizes.
 
-    The one owner of the chunk layout. `width` counts the array elements per
-    draw (tones, grid points). A run holds as many consecutive full chunks as
-    fit in _RUN_ELEMENTS elements, at least one; a partial last chunk runs
-    alone. fn(rngs, size) gets a run's generators, one chunk_rng per chunk,
-    and their shared size, and returns arrays whose leading axis runs over
-    those chunks. Runs of several chunks (draws of up to 64 elements: 128
-    chunks a run at one element, 8 at 16) loop on this thread; single-chunk
-    runs go to a pool of _worker_count() threads. Returns fn's arrays joined
-    in chunk order and the float sizes (n_chunks,): neither depends on the
-    thread count."""
+    The one owner of the chunk layout. `width` counts the array elements per draw (tones,
+    grid points). A run holds as many consecutive full chunks as fit in _RUN_ELEMENTS
+    elements, at least one; a partial last chunk runs alone. Chunk i < 2^32 draws from
+    SFC64(SeedSequence(seed, spawn_key=(i,))), its state from one _chunk_states pass per
+    call. fn(rngs, count, size) gets an iterator over a run's count generators
+    (_chunk_streams) and their size and returns arrays whose leading axis runs over those
+    chunks. Multi-chunk runs loop on this thread, single-chunk runs go to a pool of
+    _worker_count() threads. Returns fn's arrays joined in chunk order and the float sizes
+    (n_chunks,): neither depends on the thread count."""
+    if samples >= 2**32 * MC_CHUNK:  # chunk keys are one 32-bit word
+        raise ValueError(f"Monte Carlo draws must number fewer than 2**32 * {MC_CHUNK}, got {samples}")
     run = max(1, _RUN_ELEMENTS // (MC_CHUNK * width))
     n_full, rest = divmod(samples, MC_CHUNK)
     runs = [(range(lo, min(lo + run, n_full)), MC_CHUNK) for lo in range(0, n_full, run)]
     if rest:
         runs.append((range(n_full, n_full + 1), rest))
+    states = _chunk_states(seed, np.arange(n_full + (rest > 0)))
 
     def one_run(chunks_and_size):
         chunks, size = chunks_and_size
-        return fn([chunk_rng(seed, i) for i in chunks], size)
+        return fn(_chunk_streams(states[chunks.start:chunks.stop]), len(chunks), size)
 
     workers = min(_worker_count(), len(runs))
     if run > 1 or workers <= 1:
@@ -266,11 +302,14 @@ def expect_over_prior(fn, prior: SensingPrior, method=Quadrature()):
     return est
 
 
-def _chunk_mean_and_se(chunk_sums: np.ndarray, n: int):
-    """Mean of n draws and its standard error from chunk_sums (chunks, 2, ...), each chunk's
-    sum and sum of squares, reduced componentwise; with a single draw the error is inf.
-    The builtin sum folds chunks in chunk order, where numpy's would pair them."""
-    sums, sums_sq = sum(chunk_sums)
+def _chunk_mean_and_se(chunk_sums, seed: int, n: int, width: int = 1):
+    """Mean of n draws and its standard error, from chunk_sums(rng, size) of each chunk of
+    _map_chunks: that chunk's sum and sum of squares (2, ...), reduced componentwise; with a
+    single draw the error is inf. The builtin sum folds chunks in chunk order, where numpy's
+    would pair them."""
+    (per_chunk,), _ = _map_chunks(lambda rngs, count, size: [np.array([chunk_sums(r, size) for r in rngs])],
+                                  seed, n, width)
+    sums, sums_sq = sum(per_chunk)
     mean = sums / n
     if n < 2:
         return mean, math.inf
@@ -289,15 +328,11 @@ def _mc_expect(fn, prior: SensingPrior, method: MonteCarlo) -> McEstimate:
         return ([np.sum(vals.real), np.sum(vals.imag)],
                 [np.sum(vals.real**2), np.sum(vals.imag**2)])
 
-    n = method.samples
-    (sums,), _ = _map_chunks(lambda rngs, size: [np.array([chunk_sums(rng, size) for rng in rngs])],
-                             method.seed, n)
-    mean, se = _chunk_mean_and_se(sums, n)
-    se = float(np.max(se))
+    mean, se = _chunk_mean_and_se(chunk_sums, method.seed, method.samples)
     value = complex(mean[0], mean[1])
     if value.imag == 0.0:
         value = value.real
-    return McEstimate(value=value, std_err=se, samples=n)
+    return McEstimate(value=value, std_err=float(np.max(se)), samples=method.samples)
 
 
 def detuning_stats(sensor: SensorModel, f, prior: SensingPrior) -> tuple[np.ndarray, float]:

@@ -14,14 +14,15 @@ apart from the leading 1s (_near_ratio_means), as the closed form's kernel
 table does.
 
 Draws come in chunks from expectations._map_chunks, which alone knows their
-sizes; each chunk has its own SFC64 generator keyed by (seed, chunk index).
-A chunk's channel means read its draws only through two numbers per channel
-part and tone, the mean and the mean square of that part's n standard
-normals z. So a chunk draws those statistics, not the 4 L n normals: after
-its n conditions, one N(0, 1/n) normal for each mean z_mean and one
-chi^2(n - 1) sum of squares about it (Cochran's theorem), which gives
-mean(z^2) = z_mean^2 + chi^2 / n. A run of chunks does only these draws and
-the sensor means. The channel enters only through the map mean + sigma z,
+sizes; chunk i draws from the SFC64 stream of SeedSequence(seed, spawn_key=(i,)),
+its state from one pass per call. A chunk's channel means read its draws only
+through the mean and the mean square of each channel part's n standard normals
+z at each tone. So a chunk draws, in this order, its n conditions, one
+N(0, 1/n) normal for each mean z_mean and one chi^2(n - 1) sum of squares
+about it (Cochran's theorem; twice a standard_gamma((n - 1) / 2)), which gives
+mean(z^2) = z_mean^2 + chi^2 / n. A run of chunks draws into (K, n) and
+(K, 4, L) buffers, scales them at once and takes the sensor means. The
+channel enters only through the map mean + sigma z,
 so the channel moments and the block means run after all runs, once per
 scenario on the stacked (n_chunks, L) statistics, and one draw per chunk
 serves every scenario that differs only in its channel, such as validate's
@@ -43,8 +44,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bcrb import _arrow_blocks, _arrow_coupling, _arrow_d, bcrb_closed_form
-from .expectations import (_TINY_SQ, MC_CHUNK, McEstimate, _chunk_mean_and_se, _map_chunks,
-                           chunk_rng)
+from .expectations import (_TINY_SQ, MC_CHUNK, McEstimate, _chunk_mean_and_se, _chunk_states,
+                           _chunk_streams, _map_chunks)
 from .scenario import Scenario, whole_number
 
 BOOTSTRAP_RESAMPLES = 200
@@ -60,11 +61,6 @@ class ParameterSample:
     transmit: np.ndarray
 
 
-def _draw_conditions(prior, rng: np.random.Generator, size: int) -> np.ndarray:
-    """size conditions c ~ N(prior mean, prior std^2): a chunk generator's first draws."""
-    return prior.mean + prior.std * rng.standard_normal(size)
-
-
 def _channel_map(channel, z: np.ndarray) -> np.ndarray:
     """Re h_r, Im h_r, Re h_t, Im h_t (4, ...) from standard normals z (4, ...).
 
@@ -76,25 +72,10 @@ def _channel_map(channel, z: np.ndarray) -> np.ndarray:
     return parts
 
 
-def _draw_statistics(prior, rng: np.random.Generator, count: int, size: int):
-    """One chunk's condition draws (size,) and channel statistics z_mean and spread (4, count).
-
-    For the size standard normals z of each of Re h_r, Im h_r, Re h_t and Im h_t
-    at each tone, z_mean = mean(z) ~ N(0, 1/size) and the sum of squares about
-    it is chi^2(size - 1), independent of z_mean; spread = chi^2 / size, so
-    mean(z^2) = z_mean^2 + spread. Drawn in that order after the conditions,
-    chi^2 as twice a standard_gamma((size - 1) / 2): 0 at one draw.
-    """
-    c = _draw_conditions(prior, rng, size)
-    z_mean = rng.standard_normal((4, count)) / math.sqrt(size)
-    spread = 2.0 * rng.standard_gamma((size - 1) / 2.0, (4, count)) / size
-    return c, z_mean, spread
-
-
 def _channel_moments(channel, z_mean: np.ndarray, spread: np.ndarray):
-    """Means and mean squares (4, ...) of Re h_r, Im h_r, Re h_t, Im h_t from _draw_statistics:
-    the means are _channel_map's of z_mean, and a part's mean square is its squared mean
-    plus sigma^2 spread."""
+    """Means and mean squares (4, ...) of Re h_r, Im h_r, Re h_t, Im h_t from the channel
+    statistics z_mean and spread = chi^2 / n: the means are _channel_map's of z_mean, and a
+    part's mean square is its squared mean plus sigma^2 spread."""
     means = _channel_map(channel, z_mean)
     return means, means * means + (channel.scatter_variance() / 2.0) * spread
 
@@ -104,7 +85,7 @@ def draw_samples(scenario: Scenario, size: int, rng: np.random.Generator):
     scatter_variance) per tone, so exactly 1 in deterministic LoS mode, where
     scatter_variance is 0. The conditions come first from rng, bitwise those of
     an oracle chunk on the same generator, which then draws only statistics."""
-    c = _draw_conditions(scenario.prior, rng, size)
+    c = scenario.prior.mean + scenario.prior.std * rng.standard_normal(size)
     z = rng.standard_normal((4, scenario.grid.count, size))
     parts = np.swapaxes(_channel_map(scenario.channel, z), 1, 2)
     h = np.empty((2, size, scenario.grid.count), dtype=complex)
@@ -190,31 +171,14 @@ def _detuning_ratios(sensor, freqs: np.ndarray, c: np.ndarray):
     return x, x2, q, r
 
 
-def _sensor_terms(sensor, freqs: np.ndarray, c: np.ndarray):
-    """Per-draw sensor terms of conditions c (..., n) on tones freqs (L,), each (..., L, n).
+def _sensor_means(sensor, freqs: np.ndarray, c: np.ndarray):
+    """Means (..., L) over the draws c (..., n) of |gamma'|^2, Re and Im of conj(gamma') gamma,
+    and |gamma|^2.
 
     With x the detuning, r = 1 / (1 + x^2), q = x^2 r, d the depth and
-    S = depth * shift_rate / half_width: |gamma'|^2 = (S r)^2,
-    |gamma|^2 = (1 - d)^2 r + q and conj(gamma') gamma =
-    S r (-(2 - d) x r + j ((1 - d) r - q)). Nothing cancels near the dip
-    centre, and the far limits are exact (see _detuning_ratios).
-    Returns (|gamma'|^2, Re and Im of conj(gamma') gamma, |gamma|^2): the
-    per-draw reference for the means that _sensor_means forms.
-    """
-    x, _, q, r = _detuning_ratios(sensor, freqs, c)
-    d = sensor.absorption_depth
-    sr = (d * sensor.shift_rate / sensor.half_width) * r
-    core_re = (-(2.0 - d) * x) * (r * sr)
-    core_im = ((1.0 - d) * r - q) * sr
-    power = (1.0 - d) ** 2 * r + q
-    return sr * sr, core_re, core_im, power
-
-
-def _sensor_means(sensor, freqs: np.ndarray, c: np.ndarray):
-    """Means (..., L) over the draws c (..., n) of _sensor_terms' four terms.
-
-    They are written through five base means, of r, q, r^2, x r^2 and q r:
-    S^2 r^2, -(2 - d) S x r^2, S ((1 - d) r^2 - q r) and (1 - d)^2 r + q.
+    S = depth * shift_rate / half_width, they are S^2 r^2, -(2 - d) S x r^2,
+    S ((1 - d) r^2 - q r) and (1 - d)^2 r + q, written through five base
+    means, of r, q, r^2, x r^2 and q r.
     A row (chunk and tone) with a draw where x^2 < 2^-53, so that r = 1 - q
     rounds q away and every such draw's r errs the same way, takes the means
     of r, r^2 and x r^2 from _near_ratio_means instead.
@@ -254,7 +218,7 @@ def _near_ratio_means(x, x2, q, r):
 def _chunk_block_means(sensor_means, means: np.ndarray, squares: np.ndarray):
     """Chunk means (a (K,), b (K, L, 4), d_parts (K, L, 4)) as products of independent means.
 
-    `sensor_means` are the chunk means (K, L) of _sensor_terms' four terms (_sensor_means), and
+    `sensor_means` are the four sensor chunk means (K, L) of _sensor_means, and
     `means` and `squares` (4, K, L) those of Re h_r, Im h_r, Re h_t, Im h_t
     and of their squares (_channel_moments). A product of independent sample
     means is unbiased, and at one draw the blocks are conditional_fim's. No
@@ -295,10 +259,17 @@ def _shared_chunk_means(scenarios, samples: int, seed: int):
                          f"to estimate the Monte Carlo error, got {samples}")
     freqs = first.grid.as_array()
 
-    def run_means(rngs, size):
-        draws = [_draw_statistics(first.prior, rng, freqs.size, size) for rng in rngs]
-        # c (K, size); z_mean and spread (K, 4, L)
-        c, z_mean, spread = (np.stack(parts) for parts in zip(*draws))
+    def run_means(rngs, count, size):  # spread = chi^2 / size, see the module docstring
+        c, (z_mean, spread) = np.empty((count, size)), np.empty((2, count, 4, freqs.size))
+        for k, rng in enumerate(rngs):
+            rng.standard_normal(out=c[k])
+            rng.standard_normal(out=z_mean[k])
+            rng.standard_gamma((size - 1) / 2.0, out=spread[k])
+        c *= first.prior.std
+        c += first.prior.mean
+        z_mean /= math.sqrt(size)
+        spread *= 2.0
+        spread /= size
         return [*_sensor_means(first.sensor, freqs, c), z_mean, spread]
 
     (*sensor_means, z_mean, spread), sizes = _map_chunks(run_means, seed, samples, freqs.size)
@@ -356,8 +327,9 @@ def _mc_bounds(scenarios, samples: int, seed: int) -> list:
     takes its own one-row average, as mc_blocks does: a row of a many-row BLAS
     product need not round as a one-row product does.
     """
+    # seeded before the draws: after them, this pass raised validate's peak RSS by ~4 MB
+    rng = next(_chunk_streams(_chunk_states(seed, [_BOOT_KEY])))
     means, sizes = _shared_chunk_means(scenarios, samples, seed)
-    rng = chunk_rng(seed, _BOOT_KEY)
     picks = rng.integers(0, sizes.size, size=(BOOTSTRAP_RESAMPLES, sizes.size))
     # each resample weighs a chunk by its size times how often it was picked;
     # offset by row, every resample counts its picks in bins of its own
@@ -378,14 +350,11 @@ def _mc_bounds(scenarios, samples: int, seed: int) -> list:
 def mc_bound(scenario: Scenario, samples: int, seed: int = 0) -> McEstimate:
     """Bound from Monte Carlo averaged conditional information.
 
-    Standard error comes from a block bootstrap over chunk means (the bound
-    is a nonlinear function of the averaged entries, so the uncertainty must
-    be propagated through the inversion); random channels therefore need the
+    Standard error comes from a block bootstrap over chunk means (the bound is
+    nonlinear in the averaged entries); random channels therefore need the
     two-chunk minimum of mc_blocks, and the value is the bound of mc_blocks'
-    a, b and d, bit for bit. Deterministic LoS has no sampling dimension left
-    that the bound actually depends on beyond the condition average, which is
-    evaluated by quadrature: the estimate is exact and the standard error is
-    zero.
+    a, b and d, bit for bit. Under deterministic LoS only the condition average
+    is left, done by quadrature: the estimate is exact, its error zero.
     """
     samples = whole_number("samples", samples)
     if scenario.channel.deterministic_los:
@@ -425,12 +394,8 @@ def posterior_mean_mse(scenario: Scenario, trials: int, grid_points: int = 2000,
         w -= np.max(w, axis=1, keepdims=True)
         np.exp(w, out=w)
         norm, first = (w @ powers).T
-        est = first / norm
-
-        sq = (est - c_true) ** 2
+        sq = (first / norm - c_true) ** 2
         return np.sum(sq), np.sum(sq**2)
 
-    (sums,), _ = _map_chunks(lambda rngs, size: [np.array([trial_sums(rng, size) for rng in rngs])],
-                             seed, trials, grid_points)
-    mse, se = _chunk_mean_and_se(sums, trials)
+    mse, se = _chunk_mean_and_se(trial_sums, seed, trials, grid_points)
     return McEstimate(value=float(mse), std_err=float(se), samples=trials)

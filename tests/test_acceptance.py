@@ -26,8 +26,8 @@ from metabcrb import (ParameterSample, RicianSpec, Scenario, SensingPrior,
                       mc_bound, posterior_mean_mse, select_subcarriers,
                       slope_power, slope_power_narrow_limit, snr_to_noise)
 from metabcrb.cli import main
-from metabcrb.expectations import chunk_rng
 from test_mc import _fd_fim
+from test_streams import chunk_rng
 
 
 def _report(num: int, ok: bool, detail: str) -> None:

@@ -16,8 +16,9 @@ from metabcrb import (MonteCarlo, ParameterSample, RicianSpec, Scenario,
                       mc_blocks, mc_bound, posterior_mean_mse,
                       reflection_power, snr_to_noise)
 from metabcrb.bcrb import _arrow_coupling
-from metabcrb.expectations import MC_CHUNK, chunk_rng
+from metabcrb.expectations import MC_CHUNK
 from metabcrb.mc import _BOOT_KEY, BOOTSTRAP_RESAMPLES
+from test_streams import chunk_rng
 
 
 def _scenario(depth=0.9, width=1.0, rate=1.0, mean=0.0, std=1.0, kappa=1.0,
@@ -366,22 +367,31 @@ def _kernel_one_chunk(sc, c, h_r, h_t):
     return [m[0] for m in _kernel(sc, c[None], h_r[None], h_t[None])]
 
 
+def _draw_statistics(prior, rng, count, size):
+    """One chunk's draws, written out: its size conditions (size,), then for the size
+    standard normals z of each of Re h_r, Im h_r, Re h_t and Im h_t at each tone
+    z_mean = mean(z) ~ N(0, 1/size) (4, count), then the chi^2(size - 1) sum of squares
+    about it as twice a standard_gamma((size - 1) / 2), as spread = chi^2 / size
+    (4, count), so mean(z^2) = z_mean^2 + spread."""
+    c = prior.mean + prior.std * rng.standard_normal(size)
+    z_mean = rng.standard_normal((4, count)) / math.sqrt(size)
+    spread = 2.0 * rng.standard_gamma((size - 1) / 2.0, (4, count)) / size
+    return c, z_mean, spread
+
+
 def _serial_chunk_means(sc, samples, seed):
-    """Chunk means drawn and reduced one chunk at a time, in index order, written out:
-    each chunk's generator gives its n conditions, then the mean of each channel part's
-    n standard normals, N(0, 1/n), then half the chi^2(n - 1) sum of squares about it.
-    The sensor means are mc._sensor_means', the production five-mean arithmetic."""
+    """Chunk means drawn and reduced one chunk at a time, in index order, from numpy's own
+    generator for each chunk (_draw_statistics). The sensor means are mc._sensor_means',
+    the production five-mean arithmetic."""
     freqs, count = sc.grid.as_array(), sc.grid.count
     variance = sc.channel.scatter_variance() / 2.0
     shift = np.array([sc.channel.mean(), 0.0, sc.channel.mean(), 0.0])[:, None]
     means = []
     for i, start in enumerate(range(0, samples, MC_CHUNK)):
-        rng, n = chunk_rng(seed, i), min(MC_CHUNK, samples - start)
-        c = sc.prior.mean + sc.prior.std * rng.standard_normal(n)
-        z_mean = rng.standard_normal((4, count)) / math.sqrt(n)
-        chi2 = 2.0 * rng.standard_gamma((n - 1) / 2.0, (4, count))
+        n = min(MC_CHUNK, samples - start)
+        c, z_mean, spread = _draw_statistics(sc.prior, chunk_rng(seed, i), count, n)
         mean = math.sqrt(variance) * z_mean + shift
-        square = mean * mean + variance * (chi2 / n)
+        square = mean * mean + variance * spread
         a, b, d_parts = mc._chunk_block_means(mc._sensor_means(sc.sensor, freqs, c[None]),
                                               mean[:, None], square[:, None])
         means.append((a[0], b[0], mc._arrow_d(d_parts[0])))
@@ -389,9 +399,10 @@ def _serial_chunk_means(sc, samples, seed):
 
 
 def _one_chunk_at_a_time(fn, seed, samples, width=1):
-    """_map_chunks without runs or threads: every chunk alone, in order."""
+    """_map_chunks without runs, threads or the state pass: every chunk alone, in order,
+    on numpy's own generator for it."""
     sizes = [min(MC_CHUNK, samples - start) for start in range(0, samples, MC_CHUNK)]
-    results = [fn([chunk_rng(seed, i)], size) for i, size in enumerate(sizes)]
+    results = [fn(iter([chunk_rng(seed, i)]), 1, size) for i, size in enumerate(sizes)]
     return [np.concatenate(parts) for parts in zip(*results)], np.array(sizes, dtype=float)
 
 
@@ -399,8 +410,9 @@ THREAD_SETTINGS = ("1", "2", "0")
 
 
 def test_map_chunks_runs_and_threads(monkeypatch):
-    def layout(rngs, size):
-        return [np.array([(len(rngs), size, threading.get_ident())] * len(rngs), dtype=object)]
+    def layout(rngs, count, size):
+        assert len(list(rngs)) == count
+        return [np.array([(count, size, threading.get_ident())] * count, dtype=object)]
 
     main = threading.get_ident()
     monkeypatch.setenv("METABCRB_THREADS", "2")
@@ -496,13 +508,14 @@ def _statistic_batches(z_mean, square, batches=40):
 
 @pytest.mark.parametrize("n", [MC_CHUNK, 2])
 def test_chunk_statistics_match_explicit_draws(n):
-    # the (z_mean, mean z^2) a chunk draws for each channel part and tone against the
-    # same two statistics of n explicit standard normals, 40,000 pairs each: means,
+    # the (z_mean, mean z^2) a chunk draws for each channel part and tone (_draw_statistics,
+    # which the chunk runs match bitwise, see test_mc_bound_bitwise_across_thread_counts)
+    # against the same two statistics of n explicit standard normals, 40,000 pairs each: means,
     # variances and covariances agree within 4.5 standard errors, and match the normal
     # law's 0, 1/n, 1, 2/n, 0 and 2/n^2 (n = 2 tells a chi^2 of n - 1 from one of n)
     prior = SensingPrior(mean=0.0, std=1.0)
     count, chunks = 100, 100
-    drawn = [mc._draw_statistics(prior, chunk_rng(40, i), count, n)[1:] for i in range(chunks)]
+    drawn = [_draw_statistics(prior, chunk_rng(40, i), count, n)[1:] for i in range(chunks)]
     z_mean = np.concatenate([zm.ravel() for zm, _ in drawn])
     square = np.concatenate([(zm * zm + spread).ravel() for zm, spread in drawn])
     rng = chunk_rng(41, 0)
@@ -545,7 +558,7 @@ def test_one_draw_last_chunk_has_no_spread(count):
     # with the channel that z_mean gives
     sc = _scenario(count=count, spacing=0.05, kappa=2.0)
     samples, seed = 3 * MC_CHUNK + 1, 19
-    c, z_mean, spread = mc._draw_statistics(sc.prior, chunk_rng(seed, 3), count, 1)
+    c, z_mean, spread = _draw_statistics(sc.prior, chunk_rng(seed, 3), count, 1)
     assert np.array_equal(z_mean * z_mean + spread, z_mean * z_mean)
     means, squares = mc._channel_moments(sc.channel, z_mean, spread)
     assert np.array_equal(squares, means * means)
@@ -576,6 +589,25 @@ def test_chunk_kernel_matches_complex_algebra(count, kappa):
     assert np.all(off <= 1e-13 * z_scale[:, None, None])
 
 
+def _sensor_terms(sensor, freqs, c):
+    """Per-draw sensor terms of conditions c (..., n) on tones freqs (L,), each (..., L, n).
+
+    With x the detuning, r = 1 / (1 + x^2), q = x^2 r, d the depth and
+    S = depth * shift_rate / half_width: |gamma'|^2 = (S r)^2,
+    |gamma|^2 = (1 - d)^2 r + q and conj(gamma') gamma =
+    S r (-(2 - d) x r + j ((1 - d) r - q)), on mc._detuning_ratios' x, q and r.
+    Returns (|gamma'|^2, Re and Im of conj(gamma') gamma, |gamma|^2): the
+    per-draw reference for the means that mc._sensor_means forms.
+    """
+    x, _, q, r = mc._detuning_ratios(sensor, freqs, c)
+    d = sensor.absorption_depth
+    sr = (d * sensor.shift_rate / sensor.half_width) * r
+    core_re = (-(2.0 - d) * x) * (r * sr)
+    core_im = ((1.0 - d) * r - q) * sr
+    power = (1.0 - d) ** 2 * r + q
+    return sr * sr, core_re, core_im, power
+
+
 @pytest.mark.parametrize("depth", [0.9, 1.0])
 def test_sensor_terms_match_extended_precision_at_any_detuning(depth):
     # textbook forms in long double, whose range holds x^2 and (1 + x^2)^2
@@ -584,7 +616,7 @@ def test_sensor_terms_match_extended_precision_at_any_detuning(depth):
     # limits |gamma|^2 = 1 and zero slope terms once x^2 leaves the float range
     sensor = SensorModel(absorption_depth=depth, half_width=1.0, shift_rate=2.0)
     c = np.array([0.0, 1e-12, 3e-9, 0.25, 0.5, 1.7, 40.0, 1e5, 1e75, 1e150, -1e155, 1e300])
-    got = mc._sensor_terms(sensor, np.array([0.0]), c[None])
+    got = _sensor_terms(sensor, np.array([0.0]), c[None])
     x = -2.0 * c.astype(np.longdouble)
     d, scale = np.longdouble(depth), np.longdouble(2.0 * depth)
     t = 1 + x * x
@@ -629,7 +661,7 @@ def test_sensor_terms_keep_a_square_detuning_that_vanishes_beside_one():
     # shows; the nearest double to the true r is 1 - 2^-53
     sensor = SensorModel(absorption_depth=1.0, half_width=1.0, shift_rate=1.0)
     c = np.array([8e-9, 9e-9, 1e-8, 1.05e-8])
-    slope_sq = mc._sensor_terms(sensor, np.array([0.0]), c[None])[0]
+    slope_sq = _sensor_terms(sensor, np.array([0.0]), c[None])[0]
     assert np.all(slope_sq == (1.0 - 2.0**-53) ** 2)
 
 
@@ -645,7 +677,7 @@ def test_sensor_means_carry_a_square_detuning_that_rounds_beside_one(depth):
     c = 5e-9 * chunk_rng(7, 0).standard_normal((3, MC_CHUNK))
     freqs = np.array([0.0, 6e-9, 2.0])
     got = mc._sensor_means(sensor, freqs, c)
-    plain = [np.mean(t, axis=-1) for t in mc._sensor_terms(sensor, freqs, c)]
+    plain = [np.mean(t, axis=-1) for t in _sensor_terms(sensor, freqs, c)]
     x = freqs[:, None].astype(np.longdouble) - 2.0 * c[:, None, :].astype(np.longdouble)
     d, scale, t = np.longdouble(depth), np.longdouble(2.0 * depth), 1 + x * x
     terms = (scale**2 / t**2, -(2 - d) * scale * x / t**2, scale * (1 - d - x * x) / t**2,
@@ -684,11 +716,10 @@ def test_large_batches_round_as_single_chunks(count):
             assert np.array_equal(got[k], want)
 
 
-@pytest.mark.parametrize("count", [1, 16, 128])
-def test_mc_bound_bitwise_across_thread_counts(count, monkeypatch):
-    # 50,001 draws: 97 full chunks and a partial one of 337
-    sc = _scenario(count=count, kappa=2.0)
-    samples, seed = 50_001, 17
+def _assert_bitwise_across_thread_counts(sc, samples, seed, monkeypatch):
+    """mc_blocks' chunk means and mc_bound at every thread setting against chunk means
+    drawn one chunk at a time from numpy's own generators, and mc_bound run that way."""
+    n_full, rest = divmod(samples, MC_CHUNK)
     ref_a, ref_b, ref_d = _serial_chunk_means(sc, samples, seed)
     with monkeypatch.context() as m:
         m.setattr(mc, "_map_chunks", _one_chunk_at_a_time)
@@ -702,9 +733,24 @@ def test_mc_bound_bitwise_across_thread_counts(count, monkeypatch):
         assert np.array_equal(blocks.chunk_a, ref_a)
         assert np.array_equal(blocks.chunk_b, ref_b)
         assert np.array_equal(blocks.chunk_d, ref_d)
-        assert blocks.chunk_sizes.tolist() == [MC_CHUNK] * 97 + [337]
+        assert blocks.chunk_sizes.tolist() == [MC_CHUNK] * n_full + [rest]
         est = mc_bound(sc, samples, seed)
         assert (est.value, est.std_err) == (ref.value, ref.std_err), threads
+
+
+@pytest.mark.parametrize("count", [1, 16, 128])
+def test_mc_bound_bitwise_across_thread_counts(count, monkeypatch):
+    # 50,001 draws: 97 full chunks and a partial one of 337
+    _assert_bitwise_across_thread_counts(_scenario(count=count, kappa=2.0), 50_001, 17, monkeypatch)
+
+
+@pytest.mark.parametrize("rest", [1, 7])
+@pytest.mark.parametrize("count", [1, 16, 128])
+def test_mc_bound_bitwise_with_a_short_last_chunk(count, rest, monkeypatch):
+    # 16 full chunks, in two runs of 8 at 16 tones, one of 16 at one tone and one chunk
+    # a run at 128, then a last chunk of 1 or 7 draws
+    _assert_bitwise_across_thread_counts(_scenario(count=count, kappa=2.0), 16 * MC_CHUNK + rest, 29,
+                                         monkeypatch)
 
 
 @pytest.mark.parametrize("count", [1, 16])
@@ -786,7 +832,7 @@ def test_posterior_mean_mse_bitwise_across_thread_counts(grid_points, monkeypatc
     sc = _scenario(los=True, count=16, spacing=0.4, snr_db=10.0)
     for trials, seed in ((2_001, 23), (3_000, 2)):
         with monkeypatch.context() as m:
-            m.setattr(mc, "_map_chunks", _one_chunk_at_a_time)
+            m.setattr(expectations, "_map_chunks", _one_chunk_at_a_time)
             ref = posterior_mean_mse(sc, trials, grid_points=grid_points, seed=seed)
         for threads in THREAD_SETTINGS:
             monkeypatch.setenv("METABCRB_THREADS", threads)
