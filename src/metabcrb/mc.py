@@ -8,10 +8,11 @@ bcrb_closed_form validates them. c, h_r and h_t are independent, so each
 entry's chunk mean is the product of a sensor, a receive-hop and a
 transmit-hop mean, all taken from the chunk's draws (factorised means).
 The sensor means are written through five base means over the draws, of
-r, q, r^2, x r^2 and q r (x the detuning, r = 1 / (1 + x^2), q = x^2 r).
-Where a draw's 1 + x^2 rounds to 1, the means of r, r^2 and x r^2 carry x^2
-apart from the leading 1s (_near_ratio_means), as the closed form's kernel
-table does.
+r, q, r^2, x r^2 and q r (x the detuning, r = 1 / (1 + x^2), q = x^2 r),
+from three arrays per run: x, x^2 turned into q in place, and r; r and q are
+summed pairwise, the rest by a BLAS dot per row. Rows with a draw where
+1 + x^2 rounds to 1 or x^2 overflows redo their means per draw, r, r^2 and
+x r^2 by expectations._near_means, as the closed form's kernel table does.
 
 Draws come in chunks from expectations._map_chunks, which alone knows their
 sizes; chunk i draws from the SFC64 stream of SeedSequence(seed, spawn_key=(i,)),
@@ -34,6 +35,11 @@ mc_blocks and the bound, plus BOOTSTRAP_RESAMPLES resampled weightings,
 drawn once per call, whose spread gives the bound's standard error. The
 bound of each row reads only the four distinct entries of each channel
 block (bcrb._arrow_coupling), so no (R, L, 4, 4) blocks are built or solved.
+
+posterior_mean_mse's log posterior is one real product of the trials
+[Re y, Im y, 1] with the grid's [(2 / v) [Re g; Im g]; bias], taken with its
+row max, exp and moment product in blocks of _POSTERIOR_ROWS trials in one
+reused buffer (1 MB at 2,000 grid points) that stays in cache.
 """
 
 from __future__ import annotations
@@ -45,10 +51,11 @@ import numpy as np
 
 from .bcrb import _arrow_blocks, _arrow_coupling, _arrow_d, bcrb_closed_form
 from .expectations import (_TINY_SQ, MC_CHUNK, McEstimate, _chunk_mean_and_se, _chunk_states,
-                           _chunk_streams, _map_chunks)
+                           _chunk_streams, _map_chunks, _near_means)
 from .scenario import Scenario, whole_number
 
 BOOTSTRAP_RESAMPLES = 200
+_POSTERIOR_ROWS = 64  # trials per block of posterior_mean_mse: (64, 2000) floats are 1 MB
 _BOOT_KEY = 0x626F6F74  # distinct stream for bootstrap resampling
 
 
@@ -148,29 +155,6 @@ class McBlocks:
         return _arrow_d(self.chunk_d_parts)
 
 
-def _detuning_ratios(sensor, freqs: np.ndarray, c: np.ndarray):
-    """Detuning x of conditions c (..., n) on tones freqs (L,), its square x2,
-    q = x^2 / (1 + x^2) and r = 1 / (1 + x^2), each (..., L, n).
-
-    A detuning whose square leaves the float range gives the limits r = 0 and
-    q = 1, not inf * 0.
-    """
-    x = sensor.detuning(freqs[:, None], c[..., None, :])
-    with np.errstate(over="ignore", divide="ignore"):
-        x2 = x * x  # inf once |x| passes 1.3e154
-        q = 1.0 / (1.0 + 1.0 / x2)
-    r = 1.0 / (1.0 + x2)
-    # 1 + x^2 rounds to 1 for x^2 < 1.1e-16, which would bias every such draw's r
-    # by the same -x^2; 1 - q keeps it where x^2 < 1, so q < 1/2 and nothing cancels.
-    # There both r and 1 - q lie in [1/2, 1], so their difference is exact and adding
-    # it back gives 1 - q bit for bit: a blend without a masked loop over the draws
-    fix = np.subtract(1.0, q)
-    fix -= r
-    fix *= x2 < 1.0
-    r += fix
-    return x, x2, q, r
-
-
 def _sensor_means(sensor, freqs: np.ndarray, c: np.ndarray):
     """Means (..., L) over the draws c (..., n) of |gamma'|^2, Re and Im of conj(gamma') gamma,
     and |gamma|^2.
@@ -178,41 +162,42 @@ def _sensor_means(sensor, freqs: np.ndarray, c: np.ndarray):
     With x the detuning, r = 1 / (1 + x^2), q = x^2 r, d the depth and
     S = depth * shift_rate / half_width, they are S^2 r^2, -(2 - d) S x r^2,
     S ((1 - d) r^2 - q r) and (1 - d)^2 r + q, written through five base
-    means, of r, q, r^2, x r^2 and q r.
-    A row (chunk and tone) with a draw where x^2 < 2^-53, so that r = 1 - q
-    rounds q away and every such draw's r errs the same way, takes the means
-    of r, r^2 and x r^2 from _near_ratio_means instead.
+    means, of r, q, r^2, x r^2 and q r. r and q are summed pairwise by numpy;
+    r^2, x r^2 and q r by a BLAS dot per row (a matmul of (..., 1, n) by
+    (..., n, 1) stacks), which forms no product array and, with several
+    accumulators, keeps the means within an ulp where einsum's one running sum
+    does not. A row (chunk and tone) with a draw where x^2 < 2^-53, so that
+    1 + x^2 rounds to 1 and every such draw's r errs the same way, or whose q sum
+    is not finite (x^2 overflowed, q = inf * 0) redoes its means by exact
+    per-draw forms: r, r^2 and x r^2 by expectations._near_means at equal
+    weights, q = 1 / (1 + 1 / x^2) and r = 1 / (1 + x^2), whose limits where x^2
+    overflows are q = 1 and r = 0.
     """
-    x, x2, q, r = _detuning_ratios(sensor, freqs, c)
-    r_sq = r * r
-    mean_r, mean_r_sq, mean_x_r_sq, mean_q, mean_q_r = (
-        np.mean(t, axis=-1) for t in (r, r_sq, x * r_sq, q, q * r))
-    near = np.min(x2, axis=-1) < _TINY_SQ
-    if near.any():
-        near_means = _near_ratio_means(x[near], x2[near], q[near], r[near])
-        mean_r[near], mean_r_sq[near], mean_x_r_sq[near] = near_means
+    x = sensor.detuning(freqs[:, None], c[..., None, :])
+    with np.errstate(over="ignore", invalid="ignore"):  # x^2 is inf once |x| passes 1.3e154
+        q = x * x
+        near = np.min(q, axis=-1) < _TINY_SQ
+        r = np.add(q, 1.0)
+        np.divide(1.0, r, out=r)
+        q *= r
+        x *= r
+    n = c.shape[-1]
+    mean_r, mean_q = (np.add.reduce(t, axis=-1) / n for t in (r, q))
+    mean_r_sq, mean_x_r_sq, mean_q_r = (np.matmul(t[..., None, :], r[..., None])[..., 0, 0] / n
+                                        for t in (r, x, q))
+    special = near | ~np.isfinite(mean_q)
+    if special.any():
+        rows = np.nonzero(special)
+        x = sensor.detuning(freqs[rows[-1], None], c[rows[:-1]])  # (rows, n)
+        with np.errstate(over="ignore", divide="ignore"):
+            x2 = x * x
+            q = 1.0 / (1.0 + 1.0 / x2)
+        mean_r_sq[special], mean_r[special], mean_x_r_sq[special] = _near_means(x, 1.0 / n)
+        mean_q[special], mean_q_r[special] = np.mean(q, axis=-1), np.mean(q / (1.0 + x2), axis=-1)
     d = sensor.absorption_depth
     scale = d * sensor.shift_rate / sensor.half_width
     return (scale * scale * mean_r_sq, (-(2.0 - d) * scale) * mean_x_r_sq,
             scale * ((1.0 - d) * mean_r_sq - mean_q_r), (1.0 - d) ** 2 * mean_r + mean_q)
-
-
-def _near_ratio_means(x, x2, q, r):
-    """Means of r, r^2 and x r^2 over rows (m, n) with a draw where 1 + x^2 rounds to 1.
-
-    At draws with x^2 < 1, r = 1 - q and r^2 = 1 - e with e = q (2 - q), both
-    q and e to their last digits; each mean is the mean of its leading 1s less
-    the mean q or e, summed apart as expectations._near_means does for the
-    kernel table.
-    """
-    small = x2 < 1.0
-    lead = np.where(small, 1.0, r)
-    lead_sq = lead * lead
-    tail_q = np.where(small, q, 0.0)
-    tail_e = tail_q * (2.0 - tail_q)
-    return (np.mean(lead, axis=-1) - np.mean(tail_q, axis=-1),
-            np.mean(lead_sq, axis=-1) - np.mean(tail_e, axis=-1),
-            np.mean(x * lead_sq, axis=-1) - np.mean(x * tail_e, axis=-1))
 
 
 def _chunk_block_means(sensor_means, means: np.ndarray, squares: np.ndarray):
@@ -376,24 +361,30 @@ def posterior_mean_mse(scenario: Scenario, trials: int, grid_points: int = 2000,
     prior, freqs, noise_var = scenario.prior, scenario.grid.as_array(), scenario.noise.variance
     c_grid = np.linspace(prior.mean - 6.0 * prior.std, prior.mean + 6.0 * prior.std, grid_points)
     g = scenario.sensor.reflection(freqs[None, :], c_grid[:, None])  # (P, L)
-    # log posterior in real arithmetic, [Re y, Im y] @ (2 / v) [Re g; Im g] - |g|^2 / v
-    # + log prior: its per-trial -|y|^2 / v term is dropped, as the row-max shift cancels it
-    g_scaled = (2.0 / noise_var) * np.concatenate([g.real, g.imag], axis=1).T  # (2L, P)
+    # log posterior in real arithmetic, [Re y, Im y, 1] @ [(2 / v) [Re g; Im g]; bias]: the bias
+    # row is -|g|^2 / v + log prior; the per-trial -|y|^2 / v term is dropped, as the row-max
+    # shift cancels it
     log_prior = -0.5 * ((c_grid - prior.mean) / prior.std) ** 2
     bias = log_prior - np.sum(np.abs(g) ** 2, axis=1) / noise_var
+    g_scaled = np.vstack([(2.0 / noise_var) * np.concatenate([g.real, g.imag], axis=1).T, bias])
     powers = np.stack([np.ones_like(c_grid), c_grid], axis=1)  # (P, 2): c^0 and c^1
-    noise_std = math.sqrt(noise_var / 2.0)
+    noise_std, count = math.sqrt(noise_var / 2.0), freqs.size
 
     def trial_sums(rng, size):
         c_true = prior.mean + prior.std * rng.standard_normal(size)
         clean = scenario.sensor.reflection(freqs[None, :], c_true[:, None])
-        y = np.concatenate([clean.real + noise_std * rng.standard_normal((size, freqs.size)),
-                            clean.imag + noise_std * rng.standard_normal((size, freqs.size))], axis=1)
-        w = y @ g_scaled  # (size, P), then its normalized exp in place
-        w += bias
-        w -= np.max(w, axis=1, keepdims=True)
-        np.exp(w, out=w)
-        norm, first = (w @ powers).T
+        y = np.ones((size, 2 * count + 1))
+        y[:, :count] = clean.real + noise_std * rng.standard_normal((size, count))
+        y[:, count:-1] = clean.imag + noise_std * rng.standard_normal((size, count))
+        # a block's (rows, P) log posterior, then its normalized exp in place, in one buffer
+        buf, moments = np.empty((min(_POSTERIOR_ROWS, size), grid_points)), np.empty((size, 2))
+        for lo in range(0, size, _POSTERIOR_ROWS):
+            hi = min(lo + _POSTERIOR_ROWS, size)
+            w = np.matmul(y[lo:hi], g_scaled, out=buf[:hi - lo])
+            w -= np.max(w, axis=1, keepdims=True)
+            np.exp(w, out=w)
+            np.matmul(w, powers, out=moments[lo:hi])
+        norm, first = moments.T
         sq = (first / norm - c_true) ** 2
         return np.sum(sq), np.sum(sq**2)
 

@@ -589,17 +589,40 @@ def test_chunk_kernel_matches_complex_algebra(count, kappa):
     assert np.all(off <= 1e-13 * z_scale[:, None, None])
 
 
+def _detuning_ratios(sensor, freqs, c):
+    """Detuning x of conditions c (..., n) on tones freqs (L,), its square x2,
+    q = x^2 / (1 + x^2) and r = 1 / (1 + x^2), each (..., L, n).
+
+    A detuning whose square leaves the float range gives the limits r = 0 and
+    q = 1, not inf * 0.
+    """
+    x = sensor.detuning(freqs[:, None], c[..., None, :])
+    with np.errstate(over="ignore", divide="ignore"):
+        x2 = x * x  # inf once |x| passes 1.3e154
+        q = 1.0 / (1.0 + 1.0 / x2)
+    r = 1.0 / (1.0 + x2)
+    # 1 + x^2 rounds to 1 for x^2 < 1.1e-16, which would bias every such draw's r
+    # by the same -x^2; 1 - q keeps it where x^2 < 1, so q < 1/2 and nothing cancels.
+    # There both r and 1 - q lie in [1/2, 1], so their difference is exact and adding
+    # it back gives 1 - q bit for bit: a blend without a masked loop over the draws
+    fix = np.subtract(1.0, q)
+    fix -= r
+    fix *= x2 < 1.0
+    r += fix
+    return x, x2, q, r
+
+
 def _sensor_terms(sensor, freqs, c):
     """Per-draw sensor terms of conditions c (..., n) on tones freqs (L,), each (..., L, n).
 
     With x the detuning, r = 1 / (1 + x^2), q = x^2 r, d the depth and
     S = depth * shift_rate / half_width: |gamma'|^2 = (S r)^2,
     |gamma|^2 = (1 - d)^2 r + q and conj(gamma') gamma =
-    S r (-(2 - d) x r + j ((1 - d) r - q)), on mc._detuning_ratios' x, q and r.
+    S r (-(2 - d) x r + j ((1 - d) r - q)), on _detuning_ratios' x, q and r.
     Returns (|gamma'|^2, Re and Im of conj(gamma') gamma, |gamma|^2): the
     per-draw reference for the means that mc._sensor_means forms.
     """
-    x, _, q, r = mc._detuning_ratios(sensor, freqs, c)
+    x, _, q, r = _detuning_ratios(sensor, freqs, c)
     d = sensor.absorption_depth
     sr = (d * sensor.shift_rate / sensor.half_width) * r
     core_re = (-(2.0 - d) * x) * (r * sr)
@@ -639,6 +662,9 @@ def test_sensor_means_match_extended_precision_at_any_detuning(depth):
     sensor = SensorModel(absorption_depth=depth, half_width=1.0, shift_rate=2.0)
     base = np.array([1e-12, 3e-9, 0.25, 0.5, 1.7, 40.0, 1e5, 1e75, 1e150, -1e155, 1e300])
     c = np.vstack([np.linspace(-1e-8, 1e-8, 17), base[:, None] * np.linspace(0.5, 1.5, 17)])
+    # one row holds both kinds of draw that the plain sums cannot take: x^2 < 2^-53
+    # (near one) and x^2 = inf (q = inf * 0)
+    c = np.vstack([c, np.r_[np.linspace(-1e-8, 1e-8, 13), 0.3, -2.0, 1e300, -1e200]])
     got = mc._sensor_means(sensor, np.array([0.0]), c)
     x = -2.0 * c.astype(np.longdouble)
     d, scale = np.longdouble(depth), np.longdouble(2.0 * depth)
@@ -700,6 +726,26 @@ def test_batched_block_means_equal_chunk_by_chunk(count):
     for k, draw in enumerate(draws):
         for got, want in zip(batched, _kernel_one_chunk(sc, *draw)):
             assert np.array_equal(got[k], want)
+
+
+@pytest.mark.parametrize("count", [1, 16, 128])
+def test_sensor_means_bitwise_whole_by_chunk_and_by_tone(count):
+    # a run of chunks, each chunk alone and each tone alone give the same bits: each
+    # row's dot products read that row alone. The middle tone sits on the resonance of
+    # c = 0, so rows with a c = 0 draw take the near-one means, and rows with c = 1e300
+    # those for x^2 = inf
+    sensor = SensorModel(absorption_depth=0.9, half_width=1.0, shift_rate=1.0)
+    freqs = sensor.resonance(0.0) + 0.05 * (np.arange(count) - count // 2)
+    run = max(1, expectations._RUN_ELEMENTS // (MC_CHUNK * count))
+    c = np.stack([chunk_rng(3, i).standard_normal(MC_CHUNK) for i in range(run)])
+    c[::2, 7], c[1::3, 9] = 0.0, 1e300
+    whole = mc._sensor_means(sensor, freqs, c)
+    for k in range(run):
+        for got, want in zip(mc._sensor_means(sensor, freqs, c[k]), whole):
+            assert np.array_equal(got, want[k])
+    for tone in range(count):
+        for got, want in zip(mc._sensor_means(sensor, freqs[tone:tone + 1], c), whole):
+            assert np.array_equal(got[:, 0], want[:, tone])
 
 
 @pytest.mark.parametrize("count", [1, 8, 16, 128])
