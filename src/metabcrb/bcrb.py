@@ -175,10 +175,14 @@ def bfim_dense(blocks: BfimBlocks) -> np.ndarray:
     return m
 
 
+def _check_dense(count: int) -> None:  # the dense oracle's limit, L <= 64
+    if count > 64:
+        raise ValueError(f"dense verification path is limited to 64 subcarriers, got {count}")
+
+
 def bcrb_from_dense(blocks: BfimBlocks) -> float:
     """Oracle path: (1,1) element of the dense inverse. Verification only, L <= 64."""
-    if blocks.count > 64:
-        raise ValueError(f"dense verification path is limited to 64 subcarriers, got {blocks.count}")
+    _check_dense(blocks.count)
     m = bfim_dense(blocks)
     e0 = np.zeros(m.shape[0])
     e0[0] = 1.0

@@ -33,7 +33,7 @@ from .asymptotics import (corr_magsq_narrow_limit, corr_magsq_wide_limit,
                           slope_power_wide_limit, wideband_slope_power_sum)
 # assemble_bfim and select_subcarriers are unused here but stay names of this module:
 # benchmarks/spans.py traces them here (validate assembles through _assemble; see ROADMAP item 4)
-from .bcrb import (_assemble, _closed_form, _closed_forms, _greedy, _shared_moments,
+from .bcrb import (_assemble, _check_dense, _closed_form, _closed_forms, _greedy, _shared_moments,
                    assemble_bfim, bcrb_closed_form, bcrb_from_blocks, bcrb_from_dense,
                    select_subcarriers)  # noqa: F401
 from .config import (ConfigError, apply_override, parse_config,
@@ -167,12 +167,14 @@ def cmd_validate(args) -> int:
     so their closed forms and the random-channel ones' blocks share one kernel
     table, and one Monte Carlo pass serves the random-channel ones: each chunk
     draws its conditions and channel statistics once.
-    det_los's estimate is its exact closed form; --samples and --seed are checked first.
+    det_los's estimate is its exact closed form; --samples, --seed and the dense grid come first.
     """
     samples = whole_number("samples", args.samples)
     seed = whole_number("seed", args.seed, 0)
     settings = _load_settings(args.config)
     base = scenario_from_settings(settings)
+    if args.dense_check:
+        _check_dense(base.grid.count)
     variants = [("configured", base)]
     if not base.channel.deterministic_los:
         rayleigh = apply_override(settings, "channel.kappa=0.0")

@@ -43,7 +43,6 @@ from __future__ import annotations
 import functools
 import math
 import os
-import threading
 import warnings
 from dataclasses import dataclass
 
@@ -170,11 +169,11 @@ def _chunk_states(seed: int, keys) -> np.ndarray:
     return np.stack([a, b, c, np.full(keys.shape, 13, dtype=np.uint64)], axis=-1)
 
 
-def _chunk_streams(states: np.ndarray, rng: np.random.Generator | None = None):
-    """One SFC64 Generator, rng or a new one, re-set to each SFC64 state of states (K, 4)
-    in turn and yielded, so each stream starts as a fresh SFC64 would: draw from it before
-    taking the next."""
-    rng = np.random.Generator(np.random.SFC64(0)) if rng is None else rng
+def _chunk_streams(states: np.ndarray):
+    """One new SFC64 Generator, re-set to each SFC64 state of states (K, 4) in turn and
+    yielded, so each stream starts as a fresh SFC64 would: draw from it before taking the
+    next."""
+    rng = np.random.Generator(np.random.SFC64(0))
     for state in states:
         rng.bit_generator.state = {"bit_generator": "SFC64", "state": {"state": state},
                                    "has_uint32": 0, "uinteger": 0}
@@ -210,12 +209,11 @@ def _map_chunks(fn, seed: int, samples: int, width: int = 1):
     grid points). A run holds as many consecutive full chunks as fit in _RUN_ELEMENTS
     elements, at least one; a partial last chunk runs alone. Chunk i < 2^32 draws from
     SFC64(SeedSequence(seed, spawn_key=(i,))), its state from one _chunk_states pass per
-    call. fn(rngs, count, size) gets an iterator over a run's count generators
-    (_chunk_streams) and their size and returns arrays whose leading axis runs over those
-    chunks. Multi-chunk runs loop on this thread, single-chunk runs go to a pool of
-    _worker_count() threads. Returns fn's arrays joined in chunk order and the float sizes
-    (n_chunks,): neither depends on the thread count. Each thread re-sets one generator,
-    built once per call, for all its runs."""
+    call. fn(rngs, count, size) gets a run's count chunks as _chunk_streams, one generator
+    per run, and their size, and returns arrays whose leading axis runs over those chunks.
+    Multi-chunk runs loop on this thread, single-chunk runs go to a pool of _worker_count()
+    threads. Returns fn's arrays joined in chunk order and the float sizes (n_chunks,):
+    neither depends on the thread count."""
     if samples >= 2**32 * MC_CHUNK:  # chunk keys are one 32-bit word
         raise ValueError(f"Monte Carlo draws must number fewer than 2**32 * {MC_CHUNK}, got {samples}")
     run = max(1, _RUN_ELEMENTS // (MC_CHUNK * width))
@@ -224,22 +222,17 @@ def _map_chunks(fn, seed: int, samples: int, width: int = 1):
     if rest:
         runs.append((range(n_full, n_full + 1), rest))
     states = _chunk_states(seed, np.arange(n_full + (rest > 0)))
-    local = threading.local()
-
-    def new_generator():
-        local.rng = np.random.Generator(np.random.SFC64(0))
 
     def one_run(chunks_and_size):
         chunks, size = chunks_and_size
-        return fn(_chunk_streams(states[chunks.start:chunks.stop], local.rng), len(chunks), size)
+        return fn(_chunk_streams(states[chunks.start:chunks.stop]), len(chunks), size)
 
     workers = min(_worker_count(), len(runs))
     if run > 1 or workers <= 1:
-        new_generator()
         results = list(map(one_run, runs))
     else:
         from concurrent.futures import ThreadPoolExecutor  # deferred: serial runs never need it
-        with ThreadPoolExecutor(max_workers=workers, initializer=new_generator) as pool:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(one_run, runs))
     sizes = np.array([size for chunks, size in runs for _ in chunks], dtype=float)
     return [np.concatenate(parts) for parts in zip(*results)], sizes

@@ -15,19 +15,18 @@ summed pairwise, the rest by a BLAS dot per row. Rows with a draw where
 x r^2 by expectations._near_means, as the closed form's kernel table does.
 
 Draws come in chunks from expectations._map_chunks, which alone knows their
-sizes; chunk i draws from the SFC64 stream of SeedSequence(seed, spawn_key=(i,)),
-its state from one pass per call. A chunk's channel means read its draws only
-through the mean and the mean square of each channel part's n standard normals
-z at each tone. So a chunk draws, in this order, its n conditions, one
-N(0, 1/n) normal for each mean z_mean and one chi^2(n - 1) sum of squares
-about it (Cochran's theorem; twice a standard_gamma((n - 1) / 2)), which gives
-mean(z^2) = z_mean^2 + chi^2 / n. A run of chunks draws into (K, n) and
-(K, 4, L) buffers, scales them at once and takes the sensor means. The
-channel enters only through the map mean + sigma z,
-so the channel moments and the block means run after all runs, once per
-scenario on the stacked (n_chunks, L) statistics, and one draw per chunk
-serves every scenario that differs only in its channel, such as validate's
-configured and Rayleigh variants.
+sizes. Chunk i draws from SFC64(SeedSequence(seed, spawn_key=(i,))), the
+bootstrap from numpy's own stream of chunk _BOOT_KEY, which _mc_bounds never
+reaches. A chunk's channel means read its draws only through the mean and the
+mean square of each channel part's n standard normals z at each tone. So a
+chunk draws, in this order, its n conditions, one N(0, 1/n) normal for each
+mean z_mean and one chi^2(n - 1) sum of squares about it (Cochran's theorem;
+twice a standard_gamma((n - 1) / 2)): mean(z^2) = z_mean^2 + chi^2 / n. A run
+of chunks draws into (K, n) and (K, 4, L) buffers, scales them at once and
+takes the sensor means. The channel enters only through the map mean + sigma z,
+so the channel moments and the block means run once per scenario after all
+runs, and one draw per chunk serves every scenario that differs only in its
+channel, such as validate's configured and Rayleigh variants.
 
 Blocks are weighted averages of the chunk means, one BLAS product of the
 weight rows with each block's (n_chunks, ...) chunk means: by chunk size for
@@ -50,13 +49,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bcrb import _arrow_blocks, _arrow_coupling, _arrow_d, bcrb_closed_form
-from .expectations import (_TINY_SQ, MC_CHUNK, McEstimate, _chunk_mean_and_se, _chunk_states,
-                           _chunk_streams, _map_chunks, _near_means)
+from .expectations import _TINY_SQ, MC_CHUNK, McEstimate, _chunk_mean_and_se, _map_chunks, _near_means
 from .scenario import Scenario, whole_number
 
 BOOTSTRAP_RESAMPLES = 200
 _POSTERIOR_ROWS = 64  # trials per block of posterior_mean_mse: (64, 2000) floats are 1 MB
-_BOOT_KEY = 0x626F6F74  # distinct stream for bootstrap resampling
+_BOOT_KEY = 0x626F6F74  # the bootstrap's spawn key, past every chunk index _mc_bounds allows
 
 
 @dataclass(frozen=True)
@@ -226,12 +224,10 @@ def _chunk_block_means(sensor_means, means: np.ndarray, squares: np.ndarray):
 def _shared_chunk_means(scenarios, samples: int, seed: int):
     """Chunk means (a, b, d_parts) of each scenario from one set of draws, and the chunk sizes.
 
-    The scenarios must share prior, sensor and grid and have random channels.
-    The chunk runs only draw the conditions and channel statistics and take
-    the sensor means; the channel moments and the block means then run once
-    per scenario on all chunks at once. Both are elementwise or reduce over
-    tones alone, so every scenario gets bitwise the chunk means that a call
-    with it alone, or one chunk at a time, gives.
+    The scenarios must share prior, sensor and grid and have random channels. The
+    channel moments and the block means are elementwise or reduce over tones alone, so
+    every scenario gets bitwise the chunk means that a call with it alone, or one chunk
+    at a time, gives.
     """
     first = scenarios[0]
     for sc in scenarios:
@@ -312,8 +308,11 @@ def _mc_bounds(scenarios, samples: int, seed: int) -> list:
     takes its own one-row average, as mc_blocks does: a row of a many-row BLAS
     product need not round as a one-row product does.
     """
-    # seeded before the draws: after them, this pass raised validate's peak RSS by ~4 MB
-    rng = next(_chunk_streams(_chunk_states(seed, [_BOOT_KEY])))
+    seed = whole_number("seed", seed, 0)
+    if samples > _BOOT_KEY * MC_CHUNK:
+        raise ValueError(f"Monte Carlo bounds take at most {_BOOT_KEY * MC_CHUNK} draws, got "
+                         f"{samples}: chunk {_BOOT_KEY} would draw the bootstrap's stream")
+    rng = np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed, spawn_key=(_BOOT_KEY,))))
     means, sizes = _shared_chunk_means(scenarios, samples, seed)
     picks = rng.integers(0, sizes.size, size=(BOOTSTRAP_RESAMPLES, sizes.size))
     # each resample weighs a chunk by its size times how often it was picked;

@@ -570,7 +570,14 @@ def test_validate_names_failed_path_agreement_on_stderr(cfg, tmp_path, monkeypat
         assert deviation == pytest.approx(1e-6, rel=1e-6) and tolerance == 1e-9
 
 
-def test_validate_dense_check_over_64_tones_exits_1(tmp_path, capsys):
+def test_validate_dense_check_over_64_tones_exits_1(tmp_path, capsys, monkeypatch):
+    # the grid is checked before any moment or Monte Carlo draw
+    import metabcrb.cli as cli_mod
+
+    def no_draws(*args):
+        raise AssertionError("no Monte Carlo draw may run")
+
+    monkeypatch.setattr(cli_mod, "_mc_bounds", no_draws)
     path = tmp_path / "wide.cfg"
     path.write_text("grid.count = 65\n")
     out = tmp_path / "val.csv"

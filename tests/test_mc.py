@@ -232,6 +232,22 @@ def test_seeds_are_whole_numbers_from_zero():
             == posterior_mean_mse(los, 100, grid_points=8, seed=2))
 
 
+def test_mc_bounds_stop_short_of_the_bootstrap_stream(monkeypatch):
+    # the bootstrap draws the stream of chunk _BOOT_KEY, so a call may fill chunks 0 to
+    # _BOOT_KEY - 1 and no more; the check comes before any draw
+    def no_draws(scenarios, samples, seed):
+        raise LookupError(samples)
+
+    monkeypatch.setattr(mc, "_shared_chunk_means", no_draws)
+    sc, limit = _scenario(count=2), _BOOT_KEY * MC_CHUNK
+    assert limit == 845_552_740_352
+    for samples in (limit + 1, 2**32 * MC_CHUNK):
+        with pytest.raises(ValueError, match=f"at most {limit} draws, got {samples}: chunk {_BOOT_KEY}"):
+            mc_bound(sc, samples)
+    with pytest.raises(LookupError, match=str(limit)):
+        mc_bound(sc, limit)
+
+
 # ------------------------------------------------- the bound
 
 def test_mc_bound_matches_closed_form():
@@ -428,6 +444,14 @@ def test_map_chunks_runs_and_threads(monkeypatch):
     (tones16,), _ = expectations._map_chunks(layout, 0, 20 * MC_CHUNK + 7, width=16)
     assert [(n, s) for n, s, _ in tones16] == [(8, MC_CHUNK)] * 16 + [(4, MC_CHUNK)] * 4 + [(1, 7)]
     assert {t for _, _, t in tones16} == {main}
+    # 64 tones, the widest on this thread: runs of 2 chunks
+    (tones64,), _ = expectations._map_chunks(layout, 0, 5 * MC_CHUNK, width=64)
+    assert [(n, s) for n, s, _ in tones64] == [(2, MC_CHUNK)] * 4 + [(1, MC_CHUNK)]
+    assert {t for _, _, t in tones64} == {main}
+    # 65 tones, the narrowest on the pool: one chunk per run
+    (tones65,), _ = expectations._map_chunks(layout, 0, 5 * MC_CHUNK, width=65)
+    assert [(n, s) for n, s, _ in tones65] == [(1, MC_CHUNK)] * 5
+    assert main not in {t for _, _, t in tones65}
     # wide draws: one chunk per run, on the pool
     (wide,), _ = expectations._map_chunks(layout, 0, 9 * MC_CHUNK, width=128)
     assert [(n, s) for n, s, _ in wide] == [(1, MC_CHUNK)] * 9
