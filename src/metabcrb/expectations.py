@@ -29,6 +29,8 @@ vectorised rules, chosen by s and by |z|, z = (j - x0)/(s sqrt 2):
 * s > 1 and 2.5 < |z| < 10, where the closed form cancels: a trapezoid rule
   in t with x = sinh t, over a window that always holds the dip's spike.
 
+slope_power and reflection_power ask `kernel_means` for the one row they read
+(m2, m1): the far and Gauss-Hermite rules skip the others, which come back NaN.
 On a tone with a node where x^2 < 2^-53, so that 1 + x^2 rounds to 1, the
 kernels at x^2 < 1 are written 1 - e with e to its last digit, and the
 weighted e is summed apart and subtracted once. No rule imports scipy, nor do
@@ -67,10 +69,9 @@ _SINH_SPAN = 13.0  # trapezoid window x0 +- _SINH_SPAN * s
 # the Lorentzian's mass and 4e-7 of its square. Against mpmath, the tails left
 # out cost under 1e-12 relative up to s = 1e9 (6e-10 at s = 1e10).
 _SPIKE_SPAN = 100.0
-# Tones per block at 800 nodes (order-800 Gauss-Hermite, the sinh rule): a block's
-# (block x nodes) arrays take 200 kB each, where 256-tone blocks faulted on every
-# block (46,062 pages per 1e4-tone table against 168 for 32-tone temporaries).
-# _kernel_table keeps 200 kB at any node count: 200 tones at the far rule's 128.
+# Tones per block at 800 nodes (order-800 Gauss-Hermite, the sinh rule), so that each
+# (block x nodes) buffer takes 200 kB at any node count: _kernel_table takes 200 tones at
+# the far rule's 128. Blocks keep every bit, and with them the order-800 table's ties.
 _BLOCK = 32
 _TINY_SQ = 2.0**-53  # x^2 below which 1 + x^2 rounds to 1
 
@@ -169,11 +170,16 @@ def _chunk_states(seed: int, keys) -> np.ndarray:
     return np.stack([a, b, c, np.full(keys.shape, 13, dtype=np.uint64)], axis=-1)
 
 
+@functools.cache  # hashed once per process, and numpy.random imported only on first use
+def _zero_seed() -> np.random.SeedSequence:
+    return np.random.SeedSequence(0)
+
+
 def _chunk_streams(states: np.ndarray):
     """One new SFC64 Generator, re-set to each SFC64 state of states (K, 4) in turn and
     yielded, so each stream starts as a fresh SFC64 would: draw from it before taking the
     next."""
-    rng = np.random.Generator(np.random.SFC64(0))
+    rng = np.random.Generator(np.random.SFC64(_zero_seed()))  # the state is set per chunk
     for state in states:
         rng.bit_generator.state = {"bit_generator": "SFC64", "state": {"state": state},
                                    "has_uint32": 0, "uinteger": 0}
@@ -344,21 +350,24 @@ def detuning_stats(sensor: SensorModel, f, prior: SensingPrior) -> tuple[np.ndar
     return x0, s
 
 
-def _kernel_table(x0: np.ndarray, dx: np.ndarray, wn: np.ndarray) -> np.ndarray:
+def _kernel_table(x0: np.ndarray, dx: np.ndarray, wn: np.ndarray, rows=(0, 1, 2)) -> np.ndarray:
     """Stack [E k_sq, E k_lor, E k_odd] over tones from nodes x = x0 + dx, weights wn.
 
+    Only the rows in `rows` are formed, bitwise as in the full table; the others
+    are NaN, and t^2 = (1 + x^2)^2 is skipped when row 1 alone is asked for.
     Blocks of tones (_BLOCK at 800 nodes) share one set of (block x nodes) buffers,
     since per-block temporaries, once freed, go back to the kernel and fault in again
     on the next call. The table is bitwise that of the whole (tones x nodes) array.
     Tones with a node where x^2 < 2^-53, found by one min per block, take _near_means.
     """
-    block = max(1, _BLOCK * KERNEL_ORDER // dx.size)  # 200 kB per buffer at any node count
-    out = np.empty((3, x0.size))
+    block = max(1, _BLOCK * KERNEL_ORDER // dx.size)
+    rows = list(rows)
+    out = np.full((3, x0.size), np.nan)
     buf = np.empty((4, min(block, x0.size), dx.size))
     for lo in range(0, x0.size, block):
-        rows = slice(lo, lo + block)
-        x, t, t2, k = buf[:, :x0[rows].size]
-        np.add(x0[rows, None], dx, out=x)
+        tones = slice(lo, lo + block)
+        x, t, t2, k = buf[:, :x0[tones].size]
+        np.add(x0[tones, None], dx, out=x)
         near = None
         # far tails square past the float range; 1/inf = 0 is the right limit there
         with np.errstate(over="ignore"):
@@ -366,13 +375,15 @@ def _kernel_table(x0: np.ndarray, dx: np.ndarray, wn: np.ndarray) -> np.ndarray:
             if t.min() < _TINY_SQ:  # 1 + x^2 rounds to 1 at some node
                 near = np.flatnonzero(np.min(t, axis=1) < _TINY_SQ)
             t += 1.0
-            np.square(t, out=t2)
+            if rows != [1]:
+                np.square(t, out=t2)
         for row, num, den in ((0, 1.0, t2), (1, 1.0, t), (2, x, t2)):
-            np.divide(num, den, out=k)
-            np.multiply(k, wn, out=k)
-            np.sum(k, axis=1, out=out[row, rows])
+            if row in rows:
+                np.divide(num, den, out=k)
+                np.multiply(k, wn, out=k)
+                np.sum(k, axis=1, out=out[row, tones])
         if near is not None:
-            out[:, lo + near] = _near_means(x[near], wn)
+            out[np.ix_(rows, lo + near)] = _near_means(x[near], wn)[rows]
     return out
 
 
@@ -399,10 +410,10 @@ def _near_means(x: np.ndarray, wn) -> np.ndarray:
                      np.sum(x * k_sq, axis=1) - np.sum(x * e, axis=1)])
 
 
-def _kernel_means_gh(x0: np.ndarray, s: float, order: int) -> np.ndarray:
+def _kernel_means_gh(x0: np.ndarray, s: float, order: int, rows=(0, 1, 2)) -> np.ndarray:
     """Kernel means by Gauss-Hermite at one order: x = x0 + sqrt(2) s z, weights w / sqrt(pi)."""
     z, w = _gh_nodes(order)
-    return _kernel_table(x0, (math.sqrt(2.0) * s) * z, w * _INV_SQRT_PI)
+    return _kernel_table(x0, (math.sqrt(2.0) * s) * z, w * _INV_SQRT_PI, rows)
 
 
 @functools.cache
@@ -423,7 +434,7 @@ def _far_nodes() -> tuple[np.ndarray, np.ndarray]:
     return u, w
 
 
-def _kernel_means_far(x0: np.ndarray, s: float) -> np.ndarray:
+def _kernel_means_far(x0: np.ndarray, s: float, rows=(0, 1, 2)) -> np.ndarray:
     """Kernel means of far tones (|z| >= FAR_ZMIN) by the trapezoid rule: x = x0 + s u.
 
     The kernels' poles x = +-j lie at u = (+-j - x0)/s, sqrt(2)|z| >= 14 from u = 0,
@@ -431,7 +442,7 @@ def _kernel_means_far(x0: np.ndarray, s: float) -> np.ndarray:
     uniform rule converges exponentially (Trefethen & Weideman, SIAM Review 56, 2014).
     """
     u, w = _far_nodes()
-    return _kernel_table(x0, s * u, w)
+    return _kernel_table(x0, s * u, w, rows)
 
 
 @functools.cache
@@ -529,13 +540,15 @@ def _kernel_means_sinh(x0: np.ndarray, s: float) -> np.ndarray:
     return out
 
 
-def kernel_means(sensor: SensorModel, f, prior: SensingPrior) -> np.ndarray:
+def kernel_means(sensor: SensorModel, f, prior: SensingPrior, rows=(0, 1, 2)) -> np.ndarray:
     """Prior means of the three detuning kernels at the flattened f, shape (3, f.size).
 
     One fixed rule per tone, by s and |z|, z = (j - x0)/(s sqrt 2): the far
     trapezoid rule if |z| >= FAR_ZMIN; else Gauss-Hermite at KERNEL_ORDER nodes
     if s <= 1; else the Faddeeva closed form if |z| <= FADDEEVA_ZMAX; else the
     sinh trapezoid rule. Each rule runs only on a zone that holds a tone.
+    `rows` (0 m2, 1 m1, 2 mx) are those the caller reads: the far and Gauss-Hermite rules form
+    only them, bitwise as in the full table, and leave the rest NaN; Faddeeva and sinh form all.
     """
     x0, s = detuning_stats(sensor, f, prior)
     x0 = np.ravel(x0)
@@ -545,12 +558,12 @@ def kernel_means(sensor: SensorModel, f, prior: SensingPrior) -> np.ndarray:
     rest = np.flatnonzero(~far)
     out = np.empty((3, x0.size))
     if far.any():
-        out[:, far] = _kernel_means_far(x0[far], s)
+        out[:, far] = _kernel_means_far(x0[far], s, rows)
     # s <= 1 is Gauss-Hermite with no z table; the near tones of the s = 1 select
     # grids keep the order-800 table bit for bit, and with it select's mirror-tie order
     if s <= 1.0:
         if rest.size:
-            out[:, rest] = _kernel_means_gh(x0[rest], s, KERNEL_ORDER)
+            out[:, rest] = _kernel_means_gh(x0[rest], s, KERNEL_ORDER, rows)
         return out
     z = (1j - x0[rest]) / (math.sqrt(2.0) * s)
     near = np.abs(z) <= FADDEEVA_ZMAX
@@ -600,9 +613,11 @@ def prior_moments(sensor: SensorModel, f, prior: SensingPrior):
 
 
 def _moment(index: int, integrand, sensor: SensorModel, f, prior: SensingPrior, method):
-    """Moment `index` of prior_moments, or under MonteCarlo the estimate of E_c integrand(c)."""
+    """Moment `index` of prior_moments from the kernel rows it reads; under MonteCarlo, E_c integrand(c)."""
     if isinstance(method, Quadrature):
-        return prior_moments(sensor, f, prior)[index]
+        km = kernel_means(sensor, f, prior, rows=((0,), (0, 1, 2), (1,))[index])
+        value = _moments_from_kernels(sensor, km)[index]
+        return value.reshape(np.shape(f)) if np.ndim(f) else value[0].item()
     if np.size(f) > 1:
         raise ValueError(f"MonteCarlo moments take one frequency, got {np.size(f)}")
     return _mc_expect(integrand, prior, method)

@@ -8,13 +8,14 @@ involved. The live oracle in _oracle_moments recomputes them the same way.
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 from metabcrb import (McEstimate, MonteCarlo, Quadrature, SensingPrior,
-                      SensorModel, corr_magsq, expect_over_prior,
+                      SensorModel, SubcarrierGrid, corr_magsq, expect_over_prior,
                       reflection_power, slope_power, slope_reflection_corr)
 from metabcrb.config import parse_config, scenario_from_settings
 from metabcrb.expectations import (_BLOCK, _FAR_NODES, _SINH_NODES,
@@ -389,6 +390,52 @@ def test_far_rule_is_bitwise_single_shot(tones):
                            np.sum(1.0 / (1.0 + x * x) * w, axis=1),
                            np.sum(x / (1.0 + x * x) ** 2 * w, axis=1)])
         assert np.array_equal(_kernel_means_far(x0, s), single)
+
+
+def _row_path_cases():
+    """(name, sensors, frequencies, prior): grids where slope_power and reflection_power
+    form only their kernel row."""
+    sc = scenario_from_settings(parse_config("# defaults\n"))
+    center = sc.sensor.resonance(sc.prior.mean)
+    wide = SubcarrierGrid.uniform(center=center, spacing=sc.sensor.half_width / 100.0, count=10000)
+    select = scenario_from_settings(parse_config("grid.count = 1024\n"))
+    tiny = scenario_from_settings(parse_config(
+        "sensor.half_width = 1e8\nnoise.snr_db = 300\ngrid.count = 8\ngrid.spacing = 0.05\n"))
+    # the log FWHM sweep from 0.004 to 400: s from 500 to 0.005, so every rule
+    fwhm = [replace(sc.sensor, half_width=w / 2.0) for w in np.geomspace(0.004, 400.0, 41)]
+    cases = [("wideband", [sc.sensor], wide.as_array(), sc.prior),
+             ("select", [select.sensor], select.grid.as_array(), select.prior),
+             ("fwhm-sweep", fwhm, sc.grid.as_array(), sc.prior),
+             ("near-one", [tiny.sensor], tiny.grid.as_array(), tiny.prior),
+             ("scalar", [sc.sensor, fwhm[0]], center + 0.3 * sc.sensor.half_width, sc.prior)]
+    return [pytest.param(*case, id=case[0]) for case in cases]
+
+
+@pytest.mark.parametrize("name, sensors, f, prior", _row_path_cases())
+def test_single_moments_are_bitwise_the_full_tables(name, sensors, f, prior):
+    for sensor in sensors:
+        sp, _, rp = prior_moments(sensor, f, prior)
+        for got, want in ((slope_power(sensor, f, prior), sp), (reflection_power(sensor, f, prior), rp)):
+            assert type(got) is type(want)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), (name, sensor.half_width)
+    if name == "near-one":  # the far rule's table sends these tones to _near_means
+        x0, s = detuning_stats(sensors[0], f, prior)
+        assert np.min((x0[:, None] + s * _far_nodes()[0]) ** 2) < 2.0**-53
+
+
+def test_kernel_means_leave_rows_not_asked_for_nan():
+    # s = 1 on the 1024-tone grid: Gauss-Hermite near the dip, the far rule beyond
+    sc = scenario_from_settings(parse_config("grid.count = 1024\n"))
+    freqs = sc.grid.as_array()
+    x0, s = detuning_stats(sc.sensor, freqs, sc.prior)
+    far = np.abs((1j - x0) / (math.sqrt(2.0) * s)) >= FAR_ZMIN
+    assert s == 1.0 and 0 < far.sum() < far.size
+    full = kernel_means(sc.sensor, freqs, sc.prior)
+    for rows in ((0,), (1,), (0, 2)):
+        km = kernel_means(sc.sensor, freqs, sc.prior, rows=rows)
+        skipped = [row for row in range(3) if row not in rows]
+        assert np.isnan(km[skipped]).all()
+        assert km[list(rows)].tobytes() == full[list(rows)].tobytes()
 
 
 def test_kernel_means_of_no_tones_is_empty():
