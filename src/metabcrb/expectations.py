@@ -30,7 +30,7 @@ vectorised rules, chosen by s and by |z|, z = (j - x0)/(s sqrt 2):
   in t with x = sinh t, over a window that always holds the dip's spike.
 
 slope_power and reflection_power ask `kernel_means` for the one row they read
-(m2, m1): the far and Gauss-Hermite rules skip the others, which come back NaN.
+(m2, m1); the others come back NaN, and the far and Gauss-Hermite rules skip them.
 On a tone with a node where x^2 < 2^-53, so that 1 + x^2 rounds to 1, the
 kernels at x^2 < 1 are written 1 - e with e to its last digit, and the
 weighted e is summed apart and subtracted once. No rule imports scipy, nor do
@@ -170,16 +170,11 @@ def _chunk_states(seed: int, keys) -> np.ndarray:
     return np.stack([a, b, c, np.full(keys.shape, 13, dtype=np.uint64)], axis=-1)
 
 
-@functools.cache  # hashed once per process, and numpy.random imported only on first use
-def _zero_seed() -> np.random.SeedSequence:
-    return np.random.SeedSequence(0)
-
-
 def _chunk_streams(states: np.ndarray):
     """One new SFC64 Generator, re-set to each SFC64 state of states (K, 4) in turn and
     yielded, so each stream starts as a fresh SFC64 would: draw from it before taking the
     next."""
-    rng = np.random.Generator(np.random.SFC64(_zero_seed()))  # the state is set per chunk
+    rng = np.random.Generator(np.random.SFC64(0))
     for state in states:
         rng.bit_generator.state = {"bit_generator": "SFC64", "state": {"state": state},
                                    "has_uint32": 0, "uinteger": 0}
@@ -353,8 +348,8 @@ def detuning_stats(sensor: SensorModel, f, prior: SensingPrior) -> tuple[np.ndar
 def _kernel_table(x0: np.ndarray, dx: np.ndarray, wn: np.ndarray, rows=(0, 1, 2)) -> np.ndarray:
     """Stack [E k_sq, E k_lor, E k_odd] over tones from nodes x = x0 + dx, weights wn.
 
-    Only the rows in `rows` are formed, bitwise as in the full table; the others
-    are NaN, and t^2 = (1 + x^2)^2 is skipped when row 1 alone is asked for.
+    Only the rows in `rows` are divided, weighted and summed, bitwise as in the full
+    table; the others are NaN.
     Blocks of tones (_BLOCK at 800 nodes) share one set of (block x nodes) buffers,
     since per-block temporaries, once freed, go back to the kernel and fault in again
     on the next call. The table is bitwise that of the whole (tones x nodes) array.
@@ -375,8 +370,7 @@ def _kernel_table(x0: np.ndarray, dx: np.ndarray, wn: np.ndarray, rows=(0, 1, 2)
             if t.min() < _TINY_SQ:  # 1 + x^2 rounds to 1 at some node
                 near = np.flatnonzero(np.min(t, axis=1) < _TINY_SQ)
             t += 1.0
-            if rows != [1]:
-                np.square(t, out=t2)
+            np.square(t, out=t2)
         for row, num, den in ((0, 1.0, t2), (1, 1.0, t), (2, x, t2)):
             if row in rows:
                 np.divide(num, den, out=k)
@@ -547,8 +541,8 @@ def kernel_means(sensor: SensorModel, f, prior: SensingPrior, rows=(0, 1, 2)) ->
     trapezoid rule if |z| >= FAR_ZMIN; else Gauss-Hermite at KERNEL_ORDER nodes
     if s <= 1; else the Faddeeva closed form if |z| <= FADDEEVA_ZMAX; else the
     sinh trapezoid rule. Each rule runs only on a zone that holds a tone.
-    `rows` (0 m2, 1 m1, 2 mx) are those the caller reads: the far and Gauss-Hermite rules form
-    only them, bitwise as in the full table, and leave the rest NaN; Faddeeva and sinh form all.
+    `rows` (0 m2, 1 m1, 2 mx) are those the caller reads, bitwise as in the full table; the
+    rest come back NaN. The far and Gauss-Hermite rules form only the rows asked for.
     """
     x0, s = detuning_stats(sensor, f, prior)
     x0 = np.ravel(x0)
@@ -571,6 +565,7 @@ def kernel_means(sensor: SensorModel, f, prior: SensingPrior, rows=(0, 1, 2)) ->
         out[:, rest[near]] = _kernel_means_faddeeva(z[near], s)
     if not near.all():
         out[:, rest[~near]] = _kernel_means_sinh(x0[rest[~near]], s)
+    out[[row for row in range(3) if row not in rows]] = np.nan  # Faddeeva and sinh form all three
     return out
 
 

@@ -423,16 +423,28 @@ def test_single_moments_are_bitwise_the_full_tables(name, sensors, f, prior):
         assert np.min((x0[:, None] + s * _far_nodes()[0]) ** 2) < 2.0**-53
 
 
-def test_kernel_means_leave_rows_not_asked_for_nan():
-    # s = 1 on the 1024-tone grid: Gauss-Hermite near the dip, the far rule beyond
+def _rows_grids():
+    """(sensor, frequencies, prior, rules): the 1024-tone select grid at s = 1 (Gauss-Hermite
+    near the dip, the far rule beyond), and x0 = f over [-60, 60] at s = 3 (Faddeeva, sinh
+    and far tones)."""
     sc = scenario_from_settings(parse_config("grid.count = 1024\n"))
-    freqs = sc.grid.as_array()
-    x0, s = detuning_stats(sc.sensor, freqs, sc.prior)
-    far = np.abs((1j - x0) / (math.sqrt(2.0) * s)) >= FAR_ZMIN
-    assert s == 1.0 and 0 < far.sum() < far.size
-    full = kernel_means(sc.sensor, freqs, sc.prior)
-    for rows in ((0,), (1,), (0, 2)):
-        km = kernel_means(sc.sensor, freqs, sc.prior, rows=rows)
+    unit = SensorModel(absorption_depth=0.9, half_width=1.0, shift_rate=1.0)
+    return [pytest.param(sc.sensor, sc.grid.as_array(), sc.prior, ("gh", "far"), id="s1"),
+            pytest.param(unit, np.linspace(-60.0, 60.0, 241), SensingPrior(mean=0.0, std=3.0),
+                         ("faddeeva", "sinh", "far"), id="s3")]
+
+
+@pytest.mark.parametrize("sensor, freqs, prior, rules", _rows_grids())
+def test_kernel_means_leave_rows_not_asked_for_nan(sensor, freqs, prior, rules):
+    x0, s = detuning_stats(sensor, freqs, prior)
+    z = np.abs((1j - x0) / (math.sqrt(2.0) * s))
+    zones = {"far": z >= FAR_ZMIN, "gh": (z < FAR_ZMIN) & (s <= 1.0),
+             "faddeeva": (z <= FADDEEVA_ZMAX) & (s > 1.0),
+             "sinh": (z > FADDEEVA_ZMAX) & (z < FAR_ZMIN) & (s > 1.0)}
+    assert {name for name, zone in zones.items() if zone.any()} == set(rules)
+    full = kernel_means(sensor, freqs, prior)
+    for rows in ((0,), (1,), (0, 2), (0, 1, 2)):
+        km = kernel_means(sensor, freqs, prior, rows=rows)
         skipped = [row for row in range(3) if row not in rows]
         assert np.isnan(km[skipped]).all()
         assert km[list(rows)].tobytes() == full[list(rows)].tobytes()
