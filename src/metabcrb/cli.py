@@ -8,9 +8,12 @@
 All numeric CSV fields use 17 significant digits so reruns are byte-identical.
 METABCRB_THREADS sets the threads that run Monte Carlo chunks (unset or 0:
 the CPUs the process may use, at most 8). Each chunk draws from its own
-generator and results are reduced in chunk order, so the output bytes are
-the same at any thread count. A value that is not a non-negative integer
-is a config error.
+generator and results are folded in chunk order, in blocks that do not depend
+on the thread count, so the output bytes are the same at any thread count,
+and at any OPENBLAS_NUM_THREADS too: the bootstrap's BLAS matrix products
+split no sum among BLAS threads. The fold holds one block of chunk means at a
+time, so validate's memory does not grow with --samples times tones.
+A value that is not a non-negative integer is a config error.
 
 Exit codes: 0 ok, 1 usage or config error, 2 validation failure, 3 numerical failure.
 When validate exits 2 or asymptotics exits 3, stderr names each failed check
@@ -38,7 +41,8 @@ from .bcrb import (_assemble, _check_dense, _closed_form, _closed_forms, _greedy
                    select_subcarriers)  # noqa: F401
 from .config import (ConfigError, apply_override, parse_config,
                      scenario_from_settings)
-from .expectations import McEstimate, corr_magsq, slope_power
+# corr_magsq is unused here but stays a name of this module: benchmarks/spans.py traces it here
+from .expectations import McEstimate, corr_magsq, prior_moments, slope_power  # noqa: F401
 from .mc import _mc_bounds, mc_bound  # noqa: F401 (benchmarks/spans.py traces mc_bound here)
 from .scenario import SubcarrierGrid, snr_to_noise, whole_number
 from .svg import write_line_chart
@@ -264,8 +268,8 @@ def cmd_asymptotics(args) -> int:
         offsets = (0.0, 0.5 * (s.half_width if tag == "wide" else sweep))
         for delta in offsets:
             f = center + delta
-            sp = slope_power(s, f, prior)
-            cm = corr_magsq(s, f, prior)
+            sp, corr, _ = prior_moments(s, f, prior)  # one kernel table per tone
+            cm = np.abs(corr) ** 2
             if tag == "wide":
                 sp_lim = slope_power_wide_limit(s, delta)
                 cm_lim = corr_magsq_wide_limit(s, delta)

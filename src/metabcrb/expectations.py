@@ -42,7 +42,9 @@ E[x/(1+x^2)^2] loses digits in proportion to s (5e-11 at s = 1e9).
 
 from __future__ import annotations
 
+import collections
 import functools
+import itertools
 import math
 import os
 import warnings
@@ -125,8 +127,9 @@ class McEstimate:
 
 MC_CHUNK = 512  # small enough that chunk means make a usable bootstrap population
 # Elements (draws x width) per run of chunks: 128 chunks at one tone, 8 at 16, one from 65
-# tones on. Multi-chunk runs loop on the calling thread, single-chunk runs go to the pool
-# (BENCH_24.json: run_layout_ms, run_layout_warm_ms, run_layout_fresh_ms); no byte moves.
+# tones on. Multi-chunk runs loop on the calling thread, blocks of single-chunk runs go to
+# the pool (BENCH_24.json: run_layout_ms, run_layout_warm_ms, run_layout_fresh_ms); no byte
+# moves. The Monte Carlo bounds size their fold blocks by the same budget (mc._shared_chunk_means).
 _RUN_ELEMENTS = 1 << 16
 
 # numpy's SeedSequence (O'Neill's seed_seq, pcg-random.org 2015) and SFC64 seeding
@@ -203,40 +206,56 @@ def _worker_count() -> int:
     return min(usable, 8)
 
 
-def _map_chunks(fn, seed: int, samples: int, width: int = 1):
-    """fn's arrays over the MC_CHUNK-draw chunks of `samples` draws, and the chunk sizes.
+def _pool_map(fn, items, workers: int):
+    """fn over items on a pool of `workers` threads, yielded in order, with at most
+    2 * workers items submitted past the one yielded, so results wait for the caller's fold
+    and never pile up."""
+    from concurrent.futures import ThreadPoolExecutor  # deferred: serial runs never need it
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        pending = collections.deque()
+        for item in items:
+            pending.append(pool.submit(fn, item))
+            if len(pending) > 2 * workers:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
+
+
+def _map_chunks(fn, seed: int, samples: int, width: int = 1, block: int = 1):
+    """fn's arrays over the MC_CHUNK-draw chunks of `samples` draws, with their float chunk
+    sizes, yielded in chunk order one fold block at a time.
 
     The one owner of the chunk layout. `width` counts the array elements per draw (tones,
     grid points). A run holds as many consecutive full chunks as fit in _RUN_ELEMENTS
-    elements, at least one; a partial last chunk runs alone. Chunk i < 2^32 draws from
-    SFC64(SeedSequence(seed, spawn_key=(i,))), its state from one _chunk_states pass per
-    call. fn(rngs, count, size) gets a run's count chunks as _chunk_streams, one generator
-    per run, and their size, and returns arrays whose leading axis runs over those chunks.
-    Multi-chunk runs loop on this thread, single-chunk runs go to a pool of _worker_count()
-    threads. Returns fn's arrays joined in chunk order and the float sizes (n_chunks,):
-    neither depends on the thread count."""
+    elements, at least one; a partial last chunk runs alone. Fold block j holds the runs
+    of chunks j * span to (j + 1) * span - 1, span being `block` chunks rounded down to
+    whole runs (one run at least), so a caller that folds the blocks in turn holds one
+    block. Chunk i < 2^32 draws from SFC64(SeedSequence(seed, spawn_key=(i,))), its state
+    from one _chunk_states pass per call. fn(rngs, count, size) gets a run's count chunks
+    as _chunk_streams, one generator per run, and their size, and returns arrays whose
+    leading axis runs over those chunks; a block joins them. Blocks of multi-chunk runs
+    are formed on this thread as the caller asks for them, blocks of single-chunk runs on
+    a pool of _worker_count() threads (_pool_map). Neither the blocks nor the sizes depend
+    on the thread count. The draw count is checked here, before anything is drawn."""
     if samples >= 2**32 * MC_CHUNK:  # chunk keys are one 32-bit word
         raise ValueError(f"Monte Carlo draws must number fewer than 2**32 * {MC_CHUNK}, got {samples}")
     run = max(1, _RUN_ELEMENTS // (MC_CHUNK * width))
+    span = run * max(1, block // run)
     n_full, rest = divmod(samples, MC_CHUNK)
     runs = [(range(lo, min(lo + run, n_full)), MC_CHUNK) for lo in range(0, n_full, run)]
     if rest:
         runs.append((range(n_full, n_full + 1), rest))
+    blocks = [list(group) for _, group in itertools.groupby(runs, key=lambda item: item[0].start // span)]
     states = _chunk_states(seed, np.arange(n_full + (rest > 0)))
 
-    def one_run(chunks_and_size):
-        chunks, size = chunks_and_size
-        return fn(_chunk_streams(states[chunks.start:chunks.stop]), len(chunks), size)
+    def one_block(block_runs):
+        results = [fn(_chunk_streams(states[chunks.start:chunks.stop]), len(chunks), size)
+                   for chunks, size in block_runs]
+        return ([np.concatenate(parts) for parts in zip(*results)],
+                np.array([size for chunks, size in block_runs for _ in chunks], dtype=float))
 
-    workers = min(_worker_count(), len(runs))
-    if run > 1 or workers <= 1:
-        results = list(map(one_run, runs))
-    else:
-        from concurrent.futures import ThreadPoolExecutor  # deferred: serial runs never need it
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one_run, runs))
-    sizes = np.array([size for chunks, size in runs for _ in chunks], dtype=float)
-    return [np.concatenate(parts) for parts in zip(*results)], sizes
+    workers = min(_worker_count(), len(blocks))
+    return map(one_block, blocks) if run > 1 or workers <= 1 else _pool_map(one_block, blocks, workers)
 
 
 def _hermite_rule(order: int) -> np.ndarray:
@@ -307,11 +326,14 @@ def expect_over_prior(fn, prior: SensingPrior, method=Quadrature()):
 def _chunk_mean_and_se(chunk_sums, seed: int, n: int, width: int = 1):
     """Mean of n draws and its standard error, from chunk_sums(rng, size) of each chunk of
     _map_chunks: that chunk's sum and sum of squares (2, ...), reduced componentwise; with a
-    single draw the error is inf. The builtin sum folds chunks in chunk order, where numpy's
-    would pair them."""
-    (per_chunk,), _ = _map_chunks(lambda rngs, count, size: [np.array([chunk_sums(r, size) for r in rngs])],
-                                  seed, n, width)
-    sums, sums_sq = sum(per_chunk)
+    single draw the error is inf. The chunks are added one by one in chunk order, as the
+    builtin sum would, where numpy's sum would pair them."""
+    total = 0
+    for (per_chunk,), _ in _map_chunks(lambda rngs, count, size: [np.array([chunk_sums(r, size) for r in rngs])],
+                                       seed, n, width):
+        for chunk in per_chunk:
+            total = total + chunk
+    sums, sums_sq = total
     mean = sums / n
     if n < 2:
         return mean, math.inf

@@ -24,16 +24,24 @@ mean z_mean and one chi^2(n - 1) sum of squares about it (Cochran's theorem;
 twice a standard_gamma((n - 1) / 2)): mean(z^2) = z_mean^2 + chi^2 / n. A run
 of chunks draws into (K, n) and (K, 4, L) buffers, scales them at once and
 takes the sensor means. The channel enters only through the map mean + sigma z,
-so the channel moments and the block means run once per scenario after all
-runs, and one draw per chunk serves every scenario that differs only in its
+so the channel moments and the block means run once per scenario and fold
+block, and one draw per chunk serves every scenario that differs only in its
 channel, such as validate's configured and Rayleigh variants.
 
-Blocks are weighted averages of the chunk means, one BLAS product of the
-weight rows with each block's (n_chunks, ...) chunk means: by chunk size for
-mc_blocks and the bound, plus BOOTSTRAP_RESAMPLES resampled weightings,
-drawn once per call, whose spread gives the bound's standard error. The
-bound of each row reads only the four distinct entries of each channel
-block (bcrb._arrow_coupling), so no (R, L, 4, 4) blocks are built or solved.
+The chunk means are folded as their blocks come (_map_chunks' fold blocks,
+sized by _RUN_ELEMENTS), so no chunk mean outlives its block and memory does
+not grow with draws times tones. The value of mc_blocks and of the bound is
+the size-weighted sum of each block's chunk means by numpy's own loop
+(_value_mean), added block by block. The BOOTSTRAP_RESAMPLES resamples,
+whose spread gives the bound's standard error, weigh a chunk by its size
+times its pick count over the draws they picked, and take one BLAS matrix
+product per block into fixed (R, 1 + 8 L) sums; the pick counts, drawn once
+per call in row blocks, are the one array that grows with the draws. OpenBLAS
+splits a matrix-matrix product among its threads by rows and columns, not
+along the summed chunk axis, so no bound or error depends on
+OPENBLAS_NUM_THREADS. The bound of each row reads only the four distinct
+entries of each channel block (bcrb._arrow_coupling), so no (R, L, 4, 4)
+blocks are built or solved.
 
 posterior_mean_mse's log posterior is one real product of the trials
 [Re y, Im y, 1] with the grid's [(2 / v) [Re g; Im g]; bias], taken with its
@@ -49,7 +57,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bcrb import _arrow_blocks, _arrow_coupling, _arrow_d, bcrb_closed_form
-from .expectations import _TINY_SQ, MC_CHUNK, McEstimate, _chunk_mean_and_se, _map_chunks, _near_means
+from .expectations import (_RUN_ELEMENTS, _TINY_SQ, MC_CHUNK, McEstimate, _chunk_mean_and_se, _map_chunks,
+                           _near_means)
 from .scenario import Scenario, whole_number
 
 BOOTSTRAP_RESAMPLES = 200
@@ -222,12 +231,18 @@ def _chunk_block_means(sensor_means, means: np.ndarray, squares: np.ndarray):
 
 
 def _shared_chunk_means(scenarios, samples: int, seed: int):
-    """Chunk means (a, b, d_parts) of each scenario from one set of draws, and the chunk sizes.
+    """Chunk means of each scenario from one set of draws, one fold block at a time.
 
-    The scenarios must share prior, sensor and grid and have random channels. The
-    channel moments and the block means are elementwise or reduce over tones alone, so
-    every scenario gets bitwise the chunk means that a call with it alone, or one chunk
-    at a time, gives.
+    The scenarios must share prior, sensor and grid and have random channels; both
+    are checked, and the draw count, before anything is drawn. Yields (sizes, means)
+    per fold block of _map_chunks, in chunk order: the block's float chunk sizes and
+    an iterator that forms each scenario's chunk means (a, b, d_parts) in turn, to be
+    folded before the next. A block holds as many chunks as keep the shared statistics
+    (four sensor means, z_mean and spread: 12 per tone), one scenario's 1 + 8 L block
+    means and a weight for the value and each bootstrap row within _RUN_ELEMENTS,
+    whatever the scenario count. The channel moments and the block means are
+    elementwise or reduce over tones alone, so every scenario gets bitwise the chunk
+    means that a call with it alone, or one chunk at a time, gives.
     """
     first = scenarios[0]
     for sc in scenarios:
@@ -253,26 +268,43 @@ def _shared_chunk_means(scenarios, samples: int, seed: int):
         spread /= size
         return [*_sensor_means(first.sensor, freqs, c), z_mean, spread]
 
-    (*sensor_means, z_mean, spread), sizes = _map_chunks(run_means, seed, samples, freqs.size)
-    z_mean, spread = np.moveaxis(z_mean, 1, 0), np.moveaxis(spread, 1, 0)  # (4, n_chunks, L)
-    return [_chunk_block_means(sensor_means, *_channel_moments(sc.channel, z_mean, spread))
-            for sc in scenarios], sizes
+    def scenario_means(sensor_means, z_mean, spread):
+        z_mean, spread = np.moveaxis(z_mean, 1, 0), np.moveaxis(spread, 1, 0)  # (4, chunks, L)
+        for sc in scenarios:
+            yield _chunk_block_means(sensor_means, *_channel_moments(sc.channel, z_mean, spread))
+
+    # per chunk: 12 L shared statistics, 1 + 8 L block means, 1 + BOOTSTRAP_RESAMPLES weights
+    block = _RUN_ELEMENTS // (12 * freqs.size + 1 + 8 * freqs.size + 1 + BOOTSTRAP_RESAMPLES)
+    blocks = _map_chunks(run_means, seed, samples, freqs.size, block)
+    return ((sizes, scenario_means(sensor_means, z_mean, spread))
+            for (*sensor_means, z_mean, spread), sizes in blocks)
 
 
-def _weighted_means(weights: np.ndarray, chunk: np.ndarray) -> np.ndarray:
-    """Averages (R, ...) of per-chunk values (n_chunks, ...) under each row of weights
-    (R, n_chunks): one BLAS product over the chunk axis."""
-    flat = weights @ chunk.reshape(chunk.shape[0], -1)
-    return flat.reshape(weights.shape[:1] + chunk.shape[1:])
+def _flat(means) -> np.ndarray:
+    """Chunk means (a (K,), b (K, L, 4), d_parts (K, L, 4)) as one array (K, 1 + 8 L)."""
+    a, b, d_parts = means
+    return np.concatenate([a[:, None], b.reshape(a.size, -1), d_parts.reshape(a.size, -1)], axis=1)
 
 
-def _bounds(scenario: Scenario, chunk_means, weights: np.ndarray) -> np.ndarray:
-    """Bounds (R,) of the chunk means averaged with each row of weights (R, n_chunks),
-    prior terms included. For the same rows, a, b and the channel entries are bitwise
-    those of mc_blocks' a, b and d; the coupling reads d's four distinct entries per tone
-    (_arrow_coupling)."""
-    two_over = 2.0 / scenario.noise.variance
-    a, b, d_parts = (two_over * _weighted_means(weights, m) for m in chunk_means)
+def _split(flat: np.ndarray):
+    """a (...), b (..., L, 4) and d_parts (..., L, 4) of averaged _flat rows (..., 1 + 8 L)."""
+    tones = (flat.shape[-1] - 1) // 8
+    parts = flat[..., 1:].reshape(flat.shape[:-1] + (2, tones, 4))
+    return flat[..., 0], parts[..., 0, :, :], parts[..., 1, :, :]
+
+
+def _value_mean(sizes: np.ndarray, samples: int, flat: np.ndarray) -> np.ndarray:
+    """A fold block's share (1 + 8 L,) of the mean over all draws: its chunk means weighted
+    by chunk size, summed by numpy's own loop, which no BLAS thread count moves. mc_blocks
+    and the bound both fold their value through this, over the same blocks."""
+    return np.einsum("k,ke->e", sizes / samples, flat)
+
+
+def _bounds(scenario: Scenario, means: np.ndarray) -> np.ndarray:
+    """Bounds (R,) of averaged chunk means (R, 1 + 8 L) (_flat's rows), prior terms included.
+    For the value row, a, b and the channel entries are bitwise those of mc_blocks' a, b and
+    d; the coupling reads d's four distinct entries per tone (_arrow_coupling)."""
+    a, b, d_parts = _split((2.0 / scenario.noise.variance) * means)
     coupling = _arrow_coupling(b, d_parts, scenario.channel.prior_info_per_coordinate())
     return 1.0 / (a + scenario.prior.curvature() - coupling)
 
@@ -284,14 +316,18 @@ def mc_blocks(scenario: Scenario, samples: int, seed: int = 0) -> McBlocks:
     must fill at least two chunks of MC_CHUNK.
     """
     samples = whole_number("samples", samples)
-    means, sizes = _shared_chunk_means((scenario,), samples, seed)
-    chunk_a, chunk_b, d_parts = means[0]
-    weights = (sizes / samples)[None]
-    a_mean, b_mean, d_mean = (_weighted_means(weights, m)[0] for m in means[0])
-
+    value, chunks, sizes = 0.0, [], []
+    for block_sizes, (means,) in _shared_chunk_means((scenario,), samples, seed):
+        flat = _flat(means)
+        value = value + _value_mean(block_sizes, samples, flat)
+        chunks.append(flat)
+        sizes.append(block_sizes)
+    chunk_means, sizes = np.concatenate(chunks), np.concatenate(sizes)
+    chunk_a, chunk_b, d_parts = _split(chunk_means)
+    a_mean, b_mean, d_mean = _split(value)
     # spread of chunk means gives the standard error of the weighted mean
-    n_chunks = sizes.size
-    a_se, b_se = (np.sqrt(_weighted_means(weights**2, (m - mean) ** 2)[0] * n_chunks / (n_chunks - 1))
+    n_chunks, weights_sq = sizes.size, (sizes / samples) ** 2
+    a_se, b_se = (np.sqrt(np.einsum("k,k...->...", weights_sq, (m - mean) ** 2) * n_chunks / (n_chunks - 1))
                   for m, mean in ((chunk_a, a_mean), (chunk_b, b_mean)))
     a, b, d = _arrow_blocks(scenario, a_mean, b_mean, d_mean)
     two_over = 2.0 / scenario.noise.variance
@@ -300,34 +336,61 @@ def mc_blocks(scenario: Scenario, samples: int, seed: int = 0) -> McBlocks:
                     chunk_d_parts=d_parts, chunk_sizes=sizes)
 
 
+def _bootstrap_counts(seed: int, n_chunks: int) -> np.ndarray:
+    """How often each of BOOTSTRAP_RESAMPLES resamples picks each chunk (R, n_chunks), in the
+    smallest unsigned type that holds n_chunks. The picks are numpy's stream of
+    SeedSequence(seed, spawn_key=(_BOOT_KEY,)), drawn in row blocks of at most _RUN_ELEMENTS,
+    bitwise one (R, n_chunks) integers call: numpy's bounded 32-bit draws carry no buffer
+    from one call to the next."""
+    rng = np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed, spawn_key=(_BOOT_KEY,))))
+    counts = np.empty((BOOTSTRAP_RESAMPLES, n_chunks), dtype=np.min_scalar_type(n_chunks))
+    rows = max(1, _RUN_ELEMENTS // n_chunks)
+    for lo in range(0, BOOTSTRAP_RESAMPLES, rows):
+        picks = rng.integers(0, n_chunks, size=(min(rows, BOOTSTRAP_RESAMPLES - lo), n_chunks))
+        picks += np.arange(picks.shape[0])[:, None] * n_chunks  # each row counts in bins of its own
+        counts[lo:lo + picks.shape[0]] = np.bincount(picks.ravel(), minlength=picks.size).reshape(picks.shape)
+    return counts
+
+
 def _mc_bounds(scenarios, samples: int, seed: int) -> list:
     """mc_bound of each random-channel scenario, all from one set of draws.
 
-    The bound's standard error comes from a block bootstrap over chunk means;
-    every scenario uses the same BOOTSTRAP_RESAMPLES picks of chunks. The value
-    takes its own one-row average, as mc_blocks does: a row of a many-row BLAS
-    product need not round as a one-row product does.
+    The bound's standard error comes from a block bootstrap over chunk means; every
+    scenario uses the same BOOTSTRAP_RESAMPLES picks of chunks, and a resample weighs a
+    chunk by its size times how often it was picked, over the draws it picked. Each fold
+    block's chunk means go into the scenario's value row (_value_mean, as in mc_blocks)
+    and, by one BLAS product into a buffer reused for every block, into its bootstrap
+    rows; no chunk mean outlives its block, and only the pick counts grow with the draws.
     """
     seed = whole_number("seed", seed, 0)
     if samples > _BOOT_KEY * MC_CHUNK:
         raise ValueError(f"Monte Carlo bounds take at most {_BOOT_KEY * MC_CHUNK} draws, got "
                          f"{samples}: chunk {_BOOT_KEY} would draw the bootstrap's stream")
-    rng = np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed, spawn_key=(_BOOT_KEY,))))
-    means, sizes = _shared_chunk_means(scenarios, samples, seed)
-    picks = rng.integers(0, sizes.size, size=(BOOTSTRAP_RESAMPLES, sizes.size))
-    # each resample weighs a chunk by its size times how often it was picked;
-    # offset by row, every resample counts its picks in bins of its own
-    picks += np.arange(BOOTSTRAP_RESAMPLES)[:, None] * sizes.size
-    resampled = np.bincount(picks.ravel(), minlength=picks.size).reshape(picks.shape) * sizes
-    del picks  # as large as the weights: freed before the blocks are averaged
-    resampled /= np.sum(resampled, axis=1, keepdims=True)
+    blocks = _shared_chunk_means(scenarios, samples, seed)
+    n_chunks = -(-samples // MC_CHUNK)
+    counts = _bootstrap_counts(seed, n_chunks)
+    # each resample picks n_chunks chunks, all of MC_CHUNK draws but the last
+    picked = (n_chunks * MC_CHUNK - (n_chunks * MC_CHUNK - samples) * counts[:, -1].astype(np.int64)).astype(float)
+    width = 1 + 8 * scenarios[0].grid.count
+    values, rows = np.zeros((len(scenarios), width)), np.empty((len(scenarios), BOOTSTRAP_RESAMPLES, width))
+    product, lo = np.empty((BOOTSTRAP_RESAMPLES, width)), 0
+    for sizes, means in blocks:
+        weights = counts[:, lo:lo + sizes.size] * sizes / picked[:, None]
+        for k, chunk_means in enumerate(means):
+            flat = _flat(chunk_means)
+            values[k] += _value_mean(sizes, samples, flat)
+            if lo == 0:
+                np.matmul(weights, flat, out=rows[k])
+            else:
+                rows[k] += np.matmul(weights, flat, out=product)
+        lo += sizes.size
+        del weights, chunk_means, flat  # freed before the next block's draws
     estimates = []
-    for sc, chunk_means in zip(scenarios, means):
-        (value,) = _bounds(sc, chunk_means, (sizes / samples)[None])
-        bounds = _bounds(sc, chunk_means, resampled)
+    for sc, value, resampled in zip(scenarios, values, rows):
+        (bound,) = _bounds(sc, value[None])
         with np.errstate(over="ignore"):  # bounds near the float limit spread to inf
-            std_err = float(np.std(bounds, ddof=1))
-        estimates.append(McEstimate(value=float(value), std_err=std_err, samples=samples))
+            std_err = float(np.std(_bounds(sc, resampled), ddof=1))
+        estimates.append(McEstimate(value=float(bound), std_err=std_err, samples=samples))
     return estimates
 
 

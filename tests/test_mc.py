@@ -2,8 +2,12 @@
 averaged blocks against the analytic assembly, bound against the closed form."""
 
 import math
+import os
 import re
+import subprocess
+import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -414,12 +418,33 @@ def _serial_chunk_means(sc, samples, seed):
     return [np.array(parts) for parts in zip(*means)]
 
 
-def _one_chunk_at_a_time(fn, seed, samples, width=1):
+def _one_chunk_at_a_time(fn, seed, samples, width=1, block=1):
     """_map_chunks without runs, threads or the state pass: every chunk alone, in order,
-    on numpy's own generator for it."""
+    on numpy's own generator for it, joined into the same fold blocks, of `block` chunks
+    rounded down to whole runs of _RUN_ELEMENTS // (MC_CHUNK * width) chunks."""
+    run = max(1, expectations._RUN_ELEMENTS // (MC_CHUNK * width))
+    span = run * max(1, block // run)
     sizes = [min(MC_CHUNK, samples - start) for start in range(0, samples, MC_CHUNK)]
-    results = [fn(iter([chunk_rng(seed, i)]), 1, size) for i, size in enumerate(sizes)]
-    return [np.concatenate(parts) for parts in zip(*results)], np.array(sizes, dtype=float)
+    for lo in range(0, len(sizes), span):
+        results = [fn(iter([chunk_rng(seed, i)]), 1, sizes[i]) for i in range(lo, min(lo + span, len(sizes)))]
+        yield [np.concatenate(parts) for parts in zip(*results)], np.array(sizes[lo:lo + span], dtype=float)
+
+
+def _joined(blocks):
+    """_map_chunks' fold blocks joined over all chunks: fn's arrays and the sizes."""
+    arrays, sizes = zip(*blocks)
+    return [np.concatenate(parts) for parts in zip(*arrays)], np.concatenate(sizes)
+
+
+def _joined_chunk_means(scenarios, samples, seed):
+    """_shared_chunk_means' fold blocks joined: each scenario's chunk means (a, b, d_parts)
+    over all chunks, and the sizes."""
+    blocks, sizes = [], []
+    for block_sizes, means in mc._shared_chunk_means(scenarios, samples, seed):
+        blocks.append(list(means))
+        sizes.append(block_sizes)
+    return ([[np.concatenate(parts) for parts in zip(*per_block)] for per_block in zip(*blocks)],
+            np.concatenate(sizes))
 
 
 THREAD_SETTINGS = ("1", "2", "0")
@@ -435,30 +460,60 @@ def test_map_chunks_runs_and_threads(monkeypatch):
     # narrow draws: runs of _RUN_ELEMENTS // MC_CHUNK chunks on this thread,
     # the partial last chunk alone
     assert expectations._RUN_ELEMENTS // MC_CHUNK == 128
-    (narrow,), sizes = expectations._map_chunks(layout, 0, 300 * MC_CHUNK + 7)
+    (narrow,), sizes = _joined(expectations._map_chunks(layout, 0, 300 * MC_CHUNK + 7))
     assert [n for n, _, _ in narrow] == [128] * 256 + [44] * 44 + [1]
     assert [s for _, s, _ in narrow] == [MC_CHUNK] * 300 + [7]
     assert sizes.tolist() == [MC_CHUNK] * 300 + [7]
     assert {t for _, _, t in narrow} == {main}
     # 16 tones: runs of 8 chunks, still on this thread
-    (tones16,), _ = expectations._map_chunks(layout, 0, 20 * MC_CHUNK + 7, width=16)
+    (tones16,), _ = _joined(expectations._map_chunks(layout, 0, 20 * MC_CHUNK + 7, width=16))
     assert [(n, s) for n, s, _ in tones16] == [(8, MC_CHUNK)] * 16 + [(4, MC_CHUNK)] * 4 + [(1, 7)]
     assert {t for _, _, t in tones16} == {main}
     # 64 tones, the widest on this thread: runs of 2 chunks
-    (tones64,), _ = expectations._map_chunks(layout, 0, 5 * MC_CHUNK, width=64)
+    (tones64,), _ = _joined(expectations._map_chunks(layout, 0, 5 * MC_CHUNK, width=64))
     assert [(n, s) for n, s, _ in tones64] == [(2, MC_CHUNK)] * 4 + [(1, MC_CHUNK)]
     assert {t for _, _, t in tones64} == {main}
     # 65 tones, the narrowest on the pool: one chunk per run
-    (tones65,), _ = expectations._map_chunks(layout, 0, 5 * MC_CHUNK, width=65)
+    (tones65,), _ = _joined(expectations._map_chunks(layout, 0, 5 * MC_CHUNK, width=65))
     assert [(n, s) for n, s, _ in tones65] == [(1, MC_CHUNK)] * 5
     assert main not in {t for _, _, t in tones65}
     # wide draws: one chunk per run, on the pool
-    (wide,), _ = expectations._map_chunks(layout, 0, 9 * MC_CHUNK, width=128)
+    (wide,), _ = _joined(expectations._map_chunks(layout, 0, 9 * MC_CHUNK, width=128))
     assert [(n, s) for n, s, _ in wide] == [(1, MC_CHUNK)] * 9
     assert main not in {t for _, _, t in wide}
     monkeypatch.setenv("METABCRB_THREADS", "1")
-    (serial,), _ = expectations._map_chunks(layout, 0, 9 * MC_CHUNK, width=128)
+    (serial,), _ = _joined(expectations._map_chunks(layout, 0, 9 * MC_CHUNK, width=128))
     assert {t for _, _, t in serial} == {main}
+
+
+def test_map_chunks_fold_blocks_hold_whole_runs(monkeypatch):
+    # a fold block spans `block` chunks rounded down to whole runs, one run at least; the
+    # partial last chunk joins the block its index falls in, and no chunk is drawn before
+    # the caller asks for its block
+    calls = []
+
+    def sizes_of(rngs, count, size):
+        calls.append(count)
+        return [np.full(count, size)]
+
+    monkeypatch.setenv("METABCRB_THREADS", "2")
+    for width, samples, block, want in ((1, 300 * MC_CHUNK + 7, 300, [256, 45]),
+                                        (1, 300 * MC_CHUNK + 7, 100, [128, 128, 45]),
+                                        (16, 250 * MC_CHUNK + 7, 125, [120, 120, 11]),
+                                        (128, 50 * MC_CHUNK, 23, [23, 23, 4]),
+                                        (128, 50 * MC_CHUNK, 1, [1] * 50)):
+        calls.clear()
+        blocks = expectations._map_chunks(sizes_of, 0, samples, width, block)
+        assert calls == []
+        got = [(arrays[0].tolist(), sizes.tolist()) for arrays, sizes in blocks]
+        assert [len(s) for _, s in got] == want
+        assert [a for a, _ in got] == [s for _, s in got]
+        assert sum((s for _, s in got), []) == [MC_CHUNK] * (samples // MC_CHUNK) + [7] * (samples % MC_CHUNK > 0)
+    monkeypatch.setenv("METABCRB_THREADS", "1")
+    calls.clear()
+    blocks = expectations._map_chunks(sizes_of, 0, 300 * MC_CHUNK + 7, 1, 100)
+    next(blocks)
+    assert calls == [128]
 
 
 def test_monte_carlo_expectation_calls_fn_on_the_calling_thread(monkeypatch):
@@ -823,6 +878,85 @@ def test_mc_bound_bitwise_with_a_short_last_chunk(count, rest, monkeypatch):
                                          monkeypatch)
 
 
+@pytest.mark.parametrize("count, samples", [(1, 1025), (16, 1025), (128, 1025), (1, 600 * MC_CHUNK + 3),
+                                           (16, 250 * MC_CHUNK + 1), (128, 50 * MC_CHUNK + 9)])
+def test_mc_bounds_bitwise_across_threads_and_fold_edges(count, samples, monkeypatch):
+    # 1025 draws are two chunks and a one-draw chunk; the other counts end on a short
+    # fold block. Two scenarios share the draws, as validate's configured and Rayleigh do
+    base = _scenario(count=count, kappa=2.0)
+    scenarios = (base, base.with_channel(RicianSpec(kappa=0.0)))
+    blocks = [sizes.size for sizes, _ in mc._shared_chunk_means(scenarios, samples, 5)]
+    assert samples == 1025 or (len(blocks) > 1 and blocks[-1] < blocks[0])
+    got = {}
+    for threads in ("1", "2"):
+        monkeypatch.setenv("METABCRB_THREADS", threads)
+        got[threads] = [(e.value, e.std_err) for e in mc._mc_bounds(scenarios, samples, 5)]
+    assert got["1"] == got["2"]
+    for sc, est in zip(scenarios, got["1"]):
+        ref = mc_bound(sc, samples, 5)
+        assert est == (ref.value, ref.std_err)
+
+
+@pytest.mark.parametrize("n_chunks", [3, 5, 197, 1955])
+def test_bootstrap_picks_in_row_blocks_are_one_call(n_chunks, monkeypatch):
+    # numpy's bounded 32-bit integers keep no buffer between calls, so picks drawn a row
+    # block at a time are the stream of one (R, n_chunks) call, and so are their counts
+    whole = chunk_rng(4, _BOOT_KEY).integers(0, n_chunks, size=(BOOTSTRAP_RESAMPLES, n_chunks))
+    want = np.array([np.bincount(row, minlength=n_chunks) for row in whole])
+    for rows in (7, 25):
+        rng = chunk_rng(4, _BOOT_KEY)
+        blocks = [rng.integers(0, n_chunks, size=(min(rows, BOOTSTRAP_RESAMPLES - lo), n_chunks))
+                  for lo in range(0, BOOTSTRAP_RESAMPLES, rows)]
+        assert np.array_equal(np.concatenate(blocks), whole)
+        monkeypatch.setattr(mc, "_RUN_ELEMENTS", rows * n_chunks)
+        counts = mc._bootstrap_counts(4, n_chunks)
+        assert counts.dtype == np.min_scalar_type(n_chunks)
+        assert np.array_equal(counts, want)
+
+
+@pytest.mark.parametrize("count", [1, 16])
+def test_mc_bound_memory_does_not_grow_with_draws(count):
+    # chunk means live one fold block at a time; only the pick counts (BOOTSTRAP_RESAMPLES
+    # small integers per chunk) grow with the draws. Ten times the draws once took 4.5
+    # (one tone) and 5.9 (16 tones) times the peak, in the (R, n_chunks) bootstrap weights
+    # and the joined chunk means
+    sc = _scenario(count=count, kappa=2.0)
+    mc_bound(sc, 100_000, 3)  # first-call allocations are not the oracle's
+    peaks = []
+    for samples in (100_000, 1_000_000):
+        tracemalloc.start()
+        try:
+            mc_bound(sc, samples, 3)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.5 * peaks[0], peaks
+
+
+def test_mc_bound_bytes_do_not_depend_on_blas_threads():
+    # the bootstrap folds each block by a BLAS matrix product, which splits no sum across
+    # threads, and the value row by numpy's own loop; one (R, n_chunks) product of all the
+    # weights once moved std_err's last digit between one and two OpenBLAS threads.
+    # Criterion 01's narrow scenario at 1e6 draws, as the benchmark's mc-narrow job runs it
+    import metabcrb
+    script = (
+        "from metabcrb import RicianSpec, Scenario, SensingPrior, SensorModel, SubcarrierGrid, mc_bound, snr_to_noise\n"
+        "sc = Scenario(sensor=SensorModel(absorption_depth=0.9, half_width=0.01, shift_rate=1.0),\n"
+        "              prior=SensingPrior(mean=0.0, std=1.0), channel=RicianSpec(kappa=1.0),\n"
+        "              noise=snr_to_noise(20.0), grid=SubcarrierGrid.uniform(center=0.0, spacing=1.0, count=1))\n"
+        "est = mc_bound(sc, 1_000_000, 1)\n"
+        "print(repr((est.value, est.std_err)))\n")
+    src = os.path.dirname(os.path.dirname(metabcrb.__file__))
+    outputs = []
+    for blas in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""),
+                   OPENBLAS_NUM_THREADS=blas, METABCRB_THREADS="1")
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
+
+
 @pytest.mark.parametrize("count", [1, 16])
 def test_shared_draws_equal_separate_calls(count):
     # one pass over the chunks for three channels gives each channel bitwise
@@ -830,7 +964,7 @@ def test_shared_draws_equal_separate_calls(count):
     base = _scenario(count=count, kappa=2.0)
     scenarios = tuple(base.with_channel(RicianSpec(kappa=k)) for k in (2.0, 0.0, 1e6))
     samples, seed = 20_001, 8
-    means, sizes = mc._shared_chunk_means(scenarios, samples, seed)
+    means, sizes = _joined_chunk_means(scenarios, samples, seed)
     bounds = mc._mc_bounds(scenarios, samples, seed)
     for sc, (chunk_a, chunk_b, d_parts), est in zip(scenarios, means, bounds):
         alone = mc_blocks(sc, samples, seed)
