@@ -110,6 +110,6 @@ def fit_loglog_slope(x, y) -> float:
     y = np.asarray(y, dtype=float)
     if x.size != y.size or x.size < 2:
         raise ValueError("need at least two matching points")
-    if np.any(x <= 0.0) or np.any(y <= 0.0):
-        raise ValueError("log-log fit needs strictly positive data")
+    if not (np.all(np.isfinite(x) & (x > 0.0)) and np.all(np.isfinite(y) & (y > 0.0))):
+        raise ValueError("log-log fit needs finite, strictly positive data")
     return float(np.polyfit(np.log(x), np.log(y), 1)[0])

@@ -258,9 +258,11 @@ def bcrb_closed_form(scenario: Scenario) -> BcrbResult:
 def subcarrier_contribution(scenario: Scenario, k: int) -> float:
     """Information contribution of subcarrier k of the scenario grid."""
     freqs = scenario.grid.as_array()
+    if not float(k).is_integer():  # numpy integers and 2.0 index a tone, 1.5 none
+        raise ValueError(f"subcarrier index k must be a whole number, got {k!r}")
     if not 0 <= k < freqs.size:
         raise IndexError(f"subcarrier index {k} out of range for {freqs.size} tones")
-    moments = prior_moments(scenario.sensor, freqs[k:k + 1], scenario.prior)
+    moments = prior_moments(scenario.sensor, freqs[int(k):int(k) + 1], scenario.prior)
     return float(_contributions(scenario, *moments)[0])
 
 

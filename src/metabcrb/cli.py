@@ -6,14 +6,13 @@
     metabcrb asymptotics regime report: closed-form limits and scaling slopes
 
 All numeric CSV fields use 17 significant digits so reruns are byte-identical.
-METABCRB_THREADS sets the threads that run Monte Carlo chunks (unset or 0:
-the CPUs the process may use, at most 8). Each chunk draws from its own
-generator and results are folded in chunk order, in blocks that do not depend
-on the thread count, so the output bytes are the same at any thread count,
-and at any OPENBLAS_NUM_THREADS too: the bootstrap's BLAS matrix products
-split no sum among BLAS threads. The fold holds one block of chunk means at a
+Monte Carlo chunks run on one thread per CPU the process may use, at most 8
+(taskset or a cpuset narrows them). Each chunk draws from its own generator
+and results are folded in chunk order, in blocks that do not depend on the
+thread count, so the output bytes are the same at any thread count, and at
+any OPENBLAS_NUM_THREADS too: the bootstrap's BLAS matrix products split no
+sum among BLAS threads. The fold holds one block of chunk means at a
 time, so validate's memory does not grow with --samples times tones.
-A value that is not a non-negative integer is a config error.
 
 Exit codes: 0 ok, 1 usage or config error, 2 validation failure, 3 numerical failure.
 When validate exits 2 or asymptotics exits 3, stderr names each failed check
@@ -30,7 +29,6 @@ from dataclasses import replace
 
 import numpy as np
 
-from . import expectations
 from .asymptotics import (corr_magsq_narrow_limit, corr_magsq_wide_limit,
                           fit_loglog_slope, slope_power_narrow_limit,
                           slope_power_wide_limit, wideband_slope_power_sum)
@@ -381,11 +379,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    try:
-        expectations._worker_count()  # a bad METABCRB_THREADS fails every subcommand alike
-    except ValueError as exc:
-        sys.stderr.write(f"config error: {exc}\n")
-        return 1
     try:
         return args.func(args)
     except ConfigError as exc:

@@ -185,20 +185,7 @@ def _chunk_streams(states: np.ndarray):
 
 
 def _worker_count() -> int:
-    """Threads for Monte Carlo chunk work, from METABCRB_THREADS.
-
-    Unset or 0 means the CPUs this process may run on, at most 8. Anything
-    but a non-negative integer raises ValueError naming the variable.
-    """
-    raw = os.environ.get("METABCRB_THREADS", "0")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ValueError(f"METABCRB_THREADS must be an integer, got {raw!r}") from None
-    if n < 0:
-        raise ValueError(f"METABCRB_THREADS must be >= 0, got {n}")
-    if n > 0:
-        return n
+    """Threads for Monte Carlo chunk work: the CPUs this process may run on, at most 8."""
     try:
         usable = len(os.sched_getaffinity(0))
     except AttributeError:  # platforms without CPU affinity

@@ -99,6 +99,7 @@ def draw_samples(scenario: Scenario, size: int, rng: np.random.Generator):
     scatter_variance) per tone, so exactly 1 in deterministic LoS mode, where
     scatter_variance is 0. The conditions come first from rng, bitwise those of
     an oracle chunk on the same generator, which then draws only statistics."""
+    size = whole_number("size", size)
     c = scenario.prior.mean + scenario.prior.std * rng.standard_normal(size)
     z = rng.standard_normal((4, scenario.grid.count, size))
     parts = np.swapaxes(_channel_map(scenario.channel, z), 1, 2)

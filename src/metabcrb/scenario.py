@@ -23,6 +23,12 @@ def whole_number(name: str, value, minimum: int = 1) -> int:
     return int(value)
 
 
+def _check_spacing(spacing) -> None:
+    """ValueError naming a spacing that is not positive and finite: inf has no bandwidth."""
+    if not 0.0 < spacing < math.inf:
+        raise ValueError(f"spacing must be {'finite' if spacing > 0.0 else 'positive'}, got {spacing}")
+
+
 @dataclass(frozen=True)
 class SensingPrior:
     """Gaussian prior N(mean, std^2) on the environmental condition."""
@@ -146,15 +152,14 @@ class SubcarrierGrid:
         object.__setattr__(self, "frequencies", tuple(freqs.tolist()))
         freqs.setflags(write=False)
         object.__setattr__(self, "_array", freqs)
-        if self.spacing is not None and not self.spacing > 0.0:
-            raise ValueError(f"spacing must be positive, got {self.spacing}")
+        if self.spacing is not None:
+            _check_spacing(self.spacing)
 
     @classmethod
     def uniform(cls, center: float, spacing: float, count: int) -> "SubcarrierGrid":
         """Uniform grid of `count` tones straddling `center` symmetrically."""
         count = whole_number("count", count)  # 2.5 tones would sit off centre
-        if not spacing > 0.0:  # before the tones, whose checks would not name the spacing
-            raise ValueError(f"spacing must be positive, got {spacing}")
+        _check_spacing(spacing)  # before the tones, whose checks would not name the spacing
         offsets = (np.arange(count) - (count - 1) / 2.0) * spacing
         return cls(frequencies=center + offsets, spacing=spacing)
 

@@ -25,6 +25,7 @@ from metabcrb import (ParameterSample, RicianSpec, Scenario, SensingPrior,
                       default_scenario, draw_samples, fit_loglog_slope,
                       mc_bound, posterior_mean_mse, select_subcarriers,
                       slope_power, slope_power_narrow_limit, snr_to_noise)
+import metabcrb.expectations as expectations
 from metabcrb.cli import main
 from test_mc import _fd_fim
 from test_streams import chunk_rng
@@ -349,8 +350,8 @@ def test_criterion_12_csv_reproducibility(tmp_path, monkeypatch):
     cfg.write_text("grid.count = 16\ngrid.spacing = 0.4\n")
 
     outputs = {}
-    for tag, threads in (("run1-t1", "1"), ("run2-t1", "1"), ("run3-t4", "4")):
-        monkeypatch.setenv("METABCRB_THREADS", threads)
+    for tag, threads in (("run1-t1", 1), ("run2-t1", 1), ("run3-t4", 4)):
+        monkeypatch.setattr(expectations, "_worker_count", lambda: threads)
         sweep_out = tmp_path / f"sweep-{tag}.csv"
         rc = main(["sweep", "--config", str(cfg), "--out", str(sweep_out),
                    "--axis", "snr_db", "--start", "-10", "--stop", "30",

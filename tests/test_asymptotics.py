@@ -103,3 +103,9 @@ def test_fit_loglog_slope():
         fit_loglog_slope([1.0, 2.0], [1.0, -1.0])
     with pytest.raises(ValueError):
         fit_loglog_slope([0.0, 2.0], [1.0, 1.0])
+    # NaN once passed the sign test and reached LAPACK, which printed DLASCL errors
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite, strictly positive"):
+            fit_loglog_slope([1.0, bad, 3.0], [1.0, 2.0, 3.0])
+        with pytest.raises(ValueError, match="finite, strictly positive"):
+            fit_loglog_slope([1.0, 2.0, 3.0], [1.0, bad, 3.0])

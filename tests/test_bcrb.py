@@ -389,6 +389,11 @@ def test_subcarrier_contribution_indexing():
         subcarrier_contribution(sc, 4)
     with pytest.raises(IndexError):
         subcarrier_contribution(sc, -1)
+    assert subcarrier_contribution(sc, np.int64(2)) == subcarrier_contribution(sc, 2)
+    assert subcarrier_contribution(sc, 2.0) == subcarrier_contribution(sc, 2)
+    for bad in (1.5, math.nan, math.inf):
+        with pytest.raises(ValueError, match=f"subcarrier index k must be a whole number, got {bad}"):
+            subcarrier_contribution(sc, bad)
 
 
 def test_greedy_selection_matches_exhaustive_search():

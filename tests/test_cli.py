@@ -15,6 +15,7 @@ import pytest
 
 from metabcrb import (McEstimate, SubcarrierGrid, bcrb_closed_form,
                       default_scenario, load_scenario, select_subcarriers)
+import metabcrb.expectations as expectations
 from metabcrb.cli import _apply_axis, _fmt, _sweep_values, build_parser, main
 from metabcrb.config import apply_override, parse_config, scenario_from_settings
 
@@ -155,28 +156,13 @@ def test_sweep_is_deterministic_across_thread_counts(cfg, tmp_path, monkeypatch)
             "--start", "-5", "--stop", "25", "--points", "7",
             "--curve", "channel.kappa=0.0", "--curve", "channel.kappa=4.0"]
     outputs = []
-    for threads in ("1", "4"):
+    for threads in (1, 4):
         out = str(tmp_path / f"sweep_{threads}.csv")
         args[4] = out
-        monkeypatch.setenv("METABCRB_THREADS", threads)
+        monkeypatch.setattr(expectations, "_worker_count", lambda: threads)
         assert main(args) == 0
         outputs.append(open(out, "rb").read())
     assert outputs[0] == outputs[1]
-
-
-def test_bad_thread_env_exits_1(cfg, tmp_path, monkeypatch, capsys):
-    # every subcommand rejects the variable before it does any work
-    out = tmp_path / "x.csv"
-    for value in ("lots", "-1"):
-        monkeypatch.setenv("METABCRB_THREADS", value)
-        for extra in (["sweep", "--axis", "depth", "--values", "0.5"],
-                      ["validate", "--samples", "2000"],
-                      ["select", "--budget", "2"],
-                      ["asymptotics"]):
-            assert main(extra + ["--config", cfg, "--out", str(out)]) == 1, (value, extra[0])
-            err = capsys.readouterr().err
-            assert err.startswith("config error:") and "METABCRB_THREADS" in err, (value, extra[0])
-            assert not out.exists()
 
 
 def _per_point_csv(argv):

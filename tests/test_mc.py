@@ -20,7 +20,7 @@ from metabcrb import (MonteCarlo, ParameterSample, RicianSpec, Scenario,
                       mc_blocks, mc_bound, posterior_mean_mse,
                       reflection_power, snr_to_noise)
 from metabcrb.bcrb import _arrow_coupling
-from metabcrb.expectations import MC_CHUNK
+from metabcrb.expectations import MC_CHUNK, _worker_count
 from metabcrb.mc import _BOOT_KEY, BOOTSTRAP_RESAMPLES
 from test_streams import chunk_rng
 
@@ -170,6 +170,17 @@ def test_draw_samples_los_returns_unit_gains():
     assert c.shape == (10,)
     # the conditions are drawn before the channel normals, as with a random channel
     assert np.array_equal(c, draw_samples(_scenario(count=3), 10, chunk_rng(0, 0))[0])
+
+
+def test_draw_samples_size_is_a_named_whole_number():
+    # numpy once raised its own TypeError on 2.5 and "negative dimensions" on -1
+    sc = _scenario(count=3)
+    for bad in (2.5, -1, 0, math.nan):
+        with pytest.raises(ValueError, match=f"size must be a whole number >= 1, got {bad!r}"):
+            draw_samples(sc, bad, chunk_rng(0, 0))
+    for size in (np.int64(4), 4.0):
+        c, h_r, _ = draw_samples(sc, size, chunk_rng(0, 0))
+        assert c.shape == (4,) and h_r.shape == (4, 3)
 
 
 # ------------------------------------------------- averaged blocks
@@ -447,7 +458,13 @@ def _joined_chunk_means(scenarios, samples, seed):
             np.concatenate(sizes))
 
 
-THREAD_SETTINGS = ("1", "2", "0")
+# the chunk driver's worker counts under test: serial, the pool, and the process's own
+THREAD_SETTINGS = (1, 2, None)
+
+
+def _set_workers(monkeypatch, workers):
+    """Run Monte Carlo chunks on `workers` threads, or on the default count at None."""
+    monkeypatch.setattr(expectations, "_worker_count", _worker_count if workers is None else lambda: workers)
 
 
 def test_map_chunks_runs_and_threads(monkeypatch):
@@ -456,7 +473,7 @@ def test_map_chunks_runs_and_threads(monkeypatch):
         return [np.array([(count, size, threading.get_ident())] * count, dtype=object)]
 
     main = threading.get_ident()
-    monkeypatch.setenv("METABCRB_THREADS", "2")
+    _set_workers(monkeypatch, 2)
     # narrow draws: runs of _RUN_ELEMENTS // MC_CHUNK chunks on this thread,
     # the partial last chunk alone
     assert expectations._RUN_ELEMENTS // MC_CHUNK == 128
@@ -481,7 +498,7 @@ def test_map_chunks_runs_and_threads(monkeypatch):
     (wide,), _ = _joined(expectations._map_chunks(layout, 0, 9 * MC_CHUNK, width=128))
     assert [(n, s) for n, s, _ in wide] == [(1, MC_CHUNK)] * 9
     assert main not in {t for _, _, t in wide}
-    monkeypatch.setenv("METABCRB_THREADS", "1")
+    _set_workers(monkeypatch, 1)
     (serial,), _ = _joined(expectations._map_chunks(layout, 0, 9 * MC_CHUNK, width=128))
     assert {t for _, _, t in serial} == {main}
 
@@ -496,7 +513,7 @@ def test_map_chunks_fold_blocks_hold_whole_runs(monkeypatch):
         calls.append(count)
         return [np.full(count, size)]
 
-    monkeypatch.setenv("METABCRB_THREADS", "2")
+    _set_workers(monkeypatch, 2)
     for width, samples, block, want in ((1, 300 * MC_CHUNK + 7, 300, [256, 45]),
                                         (1, 300 * MC_CHUNK + 7, 100, [128, 128, 45]),
                                         (16, 250 * MC_CHUNK + 7, 125, [120, 120, 11]),
@@ -509,7 +526,7 @@ def test_map_chunks_fold_blocks_hold_whole_runs(monkeypatch):
         assert [len(s) for _, s in got] == want
         assert [a for a, _ in got] == [s for _, s in got]
         assert sum((s for _, s in got), []) == [MC_CHUNK] * (samples // MC_CHUNK) + [7] * (samples % MC_CHUNK > 0)
-    monkeypatch.setenv("METABCRB_THREADS", "1")
+    _set_workers(monkeypatch, 1)
     calls.clear()
     blocks = expectations._map_chunks(sizes_of, 0, 300 * MC_CHUNK + 7, 1, 100)
     next(blocks)
@@ -524,7 +541,7 @@ def test_monte_carlo_expectation_calls_fn_on_the_calling_thread(monkeypatch):
         seen.add(threading.get_ident())
         return c * c
 
-    monkeypatch.setenv("METABCRB_THREADS", "2")
+    _set_workers(monkeypatch, 2)
     est = expectations.expect_over_prior(fn, SensingPrior(mean=0.0, std=1.0),
                                          MonteCarlo(samples=40 * MC_CHUNK + 3, seed=4))
     assert est.samples == 40 * MC_CHUNK + 3
@@ -622,7 +639,7 @@ def test_chunk_conditions_are_those_of_draw_samples(count, monkeypatch):
         return sensor_means(sensor, freqs, c)
 
     monkeypatch.setattr(mc, "_sensor_means", recorded)
-    monkeypatch.setenv("METABCRB_THREADS", "1")
+    _set_workers(monkeypatch, 1)
     mc_blocks(sc, samples, seed)
     sizes = [MC_CHUNK] * 20 + [3]
     assert [c.size for c in seen] == sizes
@@ -849,11 +866,8 @@ def _assert_bitwise_across_thread_counts(sc, samples, seed, monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(mc, "_map_chunks", _one_chunk_at_a_time)
         ref = mc_bound(sc, samples, seed)
-    for threads in THREAD_SETTINGS + (None,):
-        if threads is None:
-            monkeypatch.delenv("METABCRB_THREADS", raising=False)
-        else:
-            monkeypatch.setenv("METABCRB_THREADS", threads)
+    for threads in THREAD_SETTINGS:
+        _set_workers(monkeypatch, threads)
         blocks = mc_blocks(sc, samples, seed)
         assert np.array_equal(blocks.chunk_a, ref_a)
         assert np.array_equal(blocks.chunk_b, ref_b)
@@ -888,11 +902,11 @@ def test_mc_bounds_bitwise_across_threads_and_fold_edges(count, samples, monkeyp
     blocks = [sizes.size for sizes, _ in mc._shared_chunk_means(scenarios, samples, 5)]
     assert samples == 1025 or (len(blocks) > 1 and blocks[-1] < blocks[0])
     got = {}
-    for threads in ("1", "2"):
-        monkeypatch.setenv("METABCRB_THREADS", threads)
+    for threads in (1, 2):
+        _set_workers(monkeypatch, threads)
         got[threads] = [(e.value, e.std_err) for e in mc._mc_bounds(scenarios, samples, 5)]
-    assert got["1"] == got["2"]
-    for sc, est in zip(scenarios, got["1"]):
+    assert got[1] == got[2]
+    for sc, est in zip(scenarios, got[1]):
         ref = mc_bound(sc, samples, 5)
         assert est == (ref.value, ref.std_err)
 
@@ -950,7 +964,7 @@ def test_mc_bound_bytes_do_not_depend_on_blas_threads():
     outputs = []
     for blas in ("1", "2"):
         env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""),
-                   OPENBLAS_NUM_THREADS=blas, METABCRB_THREADS="1")
+                   OPENBLAS_NUM_THREADS=blas)
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr
         outputs.append(proc.stdout)
@@ -1039,7 +1053,7 @@ def test_posterior_mean_mse_bitwise_across_thread_counts(grid_points, monkeypatc
             m.setattr(expectations, "_map_chunks", _one_chunk_at_a_time)
             ref = posterior_mean_mse(sc, trials, grid_points=grid_points, seed=seed)
         for threads in THREAD_SETTINGS:
-            monkeypatch.setenv("METABCRB_THREADS", threads)
+            _set_workers(monkeypatch, threads)
             est = posterior_mean_mse(sc, trials, grid_points=grid_points, seed=seed)
             assert (est.value, est.std_err) == (ref.value, ref.std_err), (threads, seed)
 
@@ -1069,42 +1083,20 @@ def test_monte_carlo_expectation_bitwise_across_thread_counts(monkeypatch):
     se = float(np.max(np.sqrt(np.maximum(sums_sq - method.samples * mean**2, 0.0)
                               / (method.samples - 1) / method.samples)))
     for threads in THREAD_SETTINGS:
-        monkeypatch.setenv("METABCRB_THREADS", threads)
+        _set_workers(monkeypatch, threads)
         est = reflection_power(sc.sensor, 0.3, sc.prior, method)
         assert (est.value, est.std_err) == (mean[0], se), threads
 
 
 def test_worker_count_reads_the_environment(monkeypatch):
-    monkeypatch.setattr(expectations.os, "sched_getaffinity", lambda pid: set(range(3)))
-    monkeypatch.delenv("METABCRB_THREADS", raising=False)
-    assert expectations._worker_count() == 3
-    monkeypatch.setenv("METABCRB_THREADS", "0")
-    assert expectations._worker_count() == 3
-    monkeypatch.setenv("METABCRB_THREADS", "5")
-    assert expectations._worker_count() == 5
-    # usable CPUs, not host CPUs, capped at 8
-    monkeypatch.setenv("METABCRB_THREADS", "0")
+    # the CPUs this process may run on, not the host's, capped at 8
     monkeypatch.setattr(expectations.os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(expectations.os, "sched_getaffinity", lambda pid: set(range(3)))
     assert expectations._worker_count() == 3
     monkeypatch.setattr(expectations.os, "sched_getaffinity", lambda pid: set(range(20)))
     assert expectations._worker_count() == 8
     monkeypatch.delattr(expectations.os, "sched_getaffinity")
     assert expectations._worker_count() == 8
-
-
-@pytest.mark.parametrize("value", ["lots", "-1", "2.5"])
-def test_bad_thread_env_raises_in_library(value, monkeypatch):
-    monkeypatch.setenv("METABCRB_THREADS", value)
-    los = _scenario(los=True)
-    calls = [
-        lambda: mc_bound(_scenario(count=2), 2_000),
-        lambda: mc_blocks(_scenario(count=2), 2_000),
-        lambda: posterior_mean_mse(los, trials=100, grid_points=50),
-        lambda: reflection_power(los.sensor, 0.3, los.prior, MonteCarlo(samples=100)),
-    ]
-    for call in calls:
-        with pytest.raises(ValueError, match="METABCRB_THREADS"):
-            call()
 
 
 # ------------------------------------------------- posterior-mean simulator

@@ -127,6 +127,12 @@ def test_grid_rejects_a_nonpositive_spacing():
                 SubcarrierGrid.uniform(center=0.0, spacing=spacing, count=count)
     with pytest.raises(ValueError, match="spacing must be positive, got -1.0"):
         SubcarrierGrid(frequencies=(0.0,), spacing=-1.0)
+    # an infinite spacing once made an infinite bandwidth
+    for count in (1, 2, 128):
+        with pytest.raises(ValueError, match="spacing must be finite, got inf"):
+            SubcarrierGrid.uniform(center=0.0, spacing=math.inf, count=count)
+    with pytest.raises(ValueError, match="spacing must be finite, got inf"):
+        SubcarrierGrid(frequencies=(0.0,), spacing=math.inf)
 
 
 def test_grid_validation_messages():
