@@ -310,36 +310,41 @@ def expect_over_prior(fn, prior: SensingPrior, method=Quadrature()):
     return est
 
 
-def _chunk_mean_and_se(chunk_sums, seed: int, n: int, width: int = 1):
-    """Mean of n draws and its standard error, from chunk_sums(rng, size) of each chunk of
-    _map_chunks: that chunk's sum and sum of squares (2, ...), reduced componentwise; with a
-    single draw the error is inf. The chunks are added one by one in chunk order, as the
-    builtin sum would, where numpy's sum would pair them."""
-    total = 0
-    for (per_chunk,), _ in _map_chunks(lambda rngs, count, size: [np.array([chunk_sums(r, size) for r in rngs])],
-                                       seed, n, width):
-        for chunk in per_chunk:
-            total = total + chunk
-    sums, sums_sq = total
+def _chunk_mean_and_se(chunk_values, seed: int, n: int, width: int = 1):
+    """Mean of n draws and its standard error, from chunk_values(rng, size), each chunk's values
+    (..., size) over the chunks of _map_chunks. Each chunk's sum and squared deviations about its
+    mean merge in chunk order (Chan, Golub & LeVeque, Am. Stat. 37, 1983): the sums add as the
+    builtin sum would, not pairwise as numpy's, and each merge adds its between-means term, so no
+    digits cancel far from zero. With a single draw the error is inf."""
+    def run_stats(rngs, count, size):  # each chunk's sum and squared deviations (2, ...)
+        values = (chunk_values(rng, size) for rng in rngs)
+        return [np.array([(np.sum(v, axis=-1), np.sum((v - np.mean(v, axis=-1, keepdims=True)) ** 2, axis=-1))
+                          for v in values])]
+
+    sums = devs = seen = 0
+    for (per_chunk,), sizes in _map_chunks(run_stats, seed, n, width):
+        for (chunk_sum, chunk_dev), size in zip(per_chunk, sizes):
+            if seen:
+                chunk_dev = chunk_dev + (chunk_sum / size - sums / seen) ** 2 * (seen * size / (seen + size))
+            sums, devs, seen = sums + chunk_sum, devs + chunk_dev, seen + size
     mean = sums / n
     if n < 2:
         return mean, math.inf
-    return mean, np.sqrt(np.maximum(sums_sq - n * mean**2, 0.0) / (n - 1) / n)
+    return mean, np.sqrt(devs / (n - 1) / n)
 
 
 def _mc_expect(fn, prior: SensingPrior, method: MonteCarlo) -> McEstimate:
     if not isinstance(method, MonteCarlo):
         raise TypeError(f"unsupported expectation method {method!r}")
 
-    def chunk_sums(rng, size):
+    def chunk_values(rng, size):
         c = prior.mean + prior.std * rng.standard_normal(size)
         vals = np.asarray(fn(c), dtype=complex)
         if vals.shape != c.shape:
             raise ValueError(f"integrand must give one value per draw, got shape {vals.shape}")
-        return ([np.sum(vals.real), np.sum(vals.imag)],
-                [np.sum(vals.real**2), np.sum(vals.imag**2)])
+        return np.stack([vals.real, vals.imag])
 
-    mean, se = _chunk_mean_and_se(chunk_sums, method.seed, method.samples)
+    mean, se = _chunk_mean_and_se(chunk_values, method.seed, method.samples)
     value = complex(mean[0], mean[1])
     if value.imag == 0.0:
         value = value.real
@@ -578,6 +583,17 @@ def kernel_means(sensor: SensorModel, f, prior: SensingPrior, rows=(0, 1, 2)) ->
     return out
 
 
+def _slope_scale(sensor: SensorModel) -> float:
+    """depth * shift_rate / half_width, which the closed form and the oracle's sensor means square."""
+    scale = sensor.absorption_depth * sensor.shift_rate / sensor.half_width
+    if not math.isfinite(scale * scale):
+        raise ArithmeticError(
+            f"slope scale depth * shift_rate / half_width = {scale!r} overflows when squared; "
+            f"sensor.half_width = {sensor.half_width!r} or sensor.shift_rate = {sensor.shift_rate!r} "
+            "is out of range")
+    return scale
+
+
 def _moments_from_kernels(sensor: SensorModel, km: np.ndarray):
     """Map kernel means to (slope_power, corr, reflection_power) arrays.
 
@@ -588,16 +604,9 @@ def _moments_from_kernels(sensor: SensorModel, km: np.ndarray):
         reflection_power = 1 - d (2 - d) * m1
         corr             = (d a / w) * ( -(2 - d) mx + j ((2 - d) m2 - m1) )
     """
-    d = sensor.absorption_depth
-    scale = d * sensor.shift_rate / sensor.half_width
-    scale_sq = scale * scale
-    if not math.isfinite(scale_sq):
-        raise ArithmeticError(
-            f"slope scale depth * shift_rate / half_width = {scale!r} overflows when squared; "
-            f"sensor.half_width = {sensor.half_width!r} or sensor.shift_rate = {sensor.shift_rate!r} "
-            "is out of range")
+    d, scale = sensor.absorption_depth, _slope_scale(sensor)
     m2, m1, mx = km
-    slope_power = scale_sq * m2
+    slope_power = scale * scale * m2
     refl_power = 1.0 - d * (2.0 - d) * m1
     corr = scale * (-(2.0 - d) * mx + 1j * ((2.0 - d) * m2 - m1))
     return slope_power, corr, refl_power

@@ -28,9 +28,11 @@ so the channel moments and the block means run once per scenario and fold
 block, and one draw per chunk serves every scenario that differs only in its
 channel, such as validate's configured and Rayleigh variants.
 
-The chunk means are folded as their blocks come (_map_chunks' fold blocks,
-sized by _RUN_ELEMENTS), so no chunk mean outlives its block and memory does
-not grow with draws times tones. The value of mc_blocks and of the bound is
+Each block's chunk means are formed once per scenario as rows (K, 1 + 8 L) of
+a, b and d_parts (_split's views), the one layout the value, the bootstrap and
+mc_blocks read, and folded as their blocks come (_map_chunks' fold blocks, sized
+by _RUN_ELEMENTS), so no chunk mean outlives its block and memory does not grow
+with draws times tones. The value of mc_blocks and of the bound is
 the size-weighted sum of each block's chunk means by numpy's own loop
 (_value_mean), added block by block. The BOOTSTRAP_RESAMPLES resamples,
 whose spread gives the bound's standard error, weigh a chunk by its size
@@ -58,7 +60,7 @@ import numpy as np
 
 from .bcrb import _arrow_blocks, _arrow_coupling, _arrow_d, bcrb_closed_form
 from .expectations import (_RUN_ELEMENTS, _TINY_SQ, MC_CHUNK, McEstimate, _chunk_mean_and_se, _map_chunks,
-                           _near_means)
+                           _near_means, _slope_scale)
 from .scenario import Scenario, whole_number
 
 BOOTSTRAP_RESAMPLES = 200
@@ -181,6 +183,7 @@ def _sensor_means(sensor, freqs: np.ndarray, c: np.ndarray):
     weights, q = 1 / (1 + 1 / x^2) and r = 1 / (1 + x^2), whose limits where x^2
     overflows are q = 1 and r = 0.
     """
+    scale, d = _slope_scale(sensor), sensor.absorption_depth
     x = sensor.detuning(freqs[:, None], c[..., None, :])
     with np.errstate(over="ignore", invalid="ignore"):  # x^2 is inf once |x| passes 1.3e154
         q = x * x
@@ -202,14 +205,20 @@ def _sensor_means(sensor, freqs: np.ndarray, c: np.ndarray):
             q = 1.0 / (1.0 + 1.0 / x2)
         mean_r_sq[special], mean_r[special], mean_x_r_sq[special] = _near_means(x, 1.0 / n)
         mean_q[special], mean_q_r[special] = np.mean(q, axis=-1), np.mean(q / (1.0 + x2), axis=-1)
-    d = sensor.absorption_depth
-    scale = d * sensor.shift_rate / sensor.half_width
     return (scale * scale * mean_r_sq, (-(2.0 - d) * scale) * mean_x_r_sq,
             scale * ((1.0 - d) * mean_r_sq - mean_q_r), (1.0 - d) ** 2 * mean_r + mean_q)
 
 
-def _chunk_block_means(sensor_means, means: np.ndarray, squares: np.ndarray):
-    """Chunk means (a (K,), b (K, L, 4), d_parts (K, L, 4)) as products of independent means.
+def _split(flat: np.ndarray):
+    """a (...), b (..., L, 4) and d_parts (..., L, 4): views of chunk-mean rows (..., 1 + 8 L),
+    the one layout that _chunk_block_means writes and every fold, sum and bound reads."""
+    tones = (flat.shape[-1] - 1) // 8
+    parts = flat[..., 1:].reshape(flat.shape[:-1] + (2, tones, 4))
+    return flat[..., 0], parts[..., 0, :, :], parts[..., 1, :, :]
+
+
+def _chunk_block_means(sensor_means, means: np.ndarray, squares: np.ndarray) -> np.ndarray:
+    """Chunk-mean rows (K, 1 + 8 L), written through _split's a, b and d_parts, as products of means.
 
     `sensor_means` are the four sensor chunk means (K, L) of _sensor_means, and
     `means` and `squares` (4, K, L) those of Re h_r, Im h_r, Re h_t, Im h_t
@@ -221,14 +230,16 @@ def _chunk_block_means(sensor_means, means: np.ndarray, squares: np.ndarray):
     slope_sq, core_re, core_im, power = sensor_means
     p, q, u, v = means
     mag_r, mag_t = squares[0] + squares[1], squares[2] + squares[3]
-    a = np.sum(slope_sq * mag_r * mag_t, axis=-1)
+    flat = np.empty(slope_sq.shape[:-1] + (1 + 8 * slope_sq.shape[-1],))
+    a, b, d_parts = _split(flat)
+    np.sum(slope_sq * mag_r * mag_t, axis=-1, out=a)
     # conj(h_r) |h_t|^2 core and |h_r|^2 conj(h_t) core, split into parts
-    b = np.stack([mag_t * (p * core_re + q * core_im), mag_t * (q * core_re - p * core_im),
-                  mag_r * (u * core_re + v * core_im), mag_r * (v * core_re - u * core_im)],
-                 axis=-1)
+    np.stack([mag_t * (p * core_re + q * core_im), mag_t * (q * core_re - p * core_im),
+              mag_r * (u * core_re + v * core_im), mag_r * (v * core_re - u * core_im)], axis=-1, out=b)
     # |gamma|^2 times |h_t|^2, |h_r|^2 and h_r conj(h_t)
-    d_parts = power[..., None] * np.stack([mag_t, mag_r, p * u + q * v, q * u - p * v], axis=-1)
-    return a, b, d_parts
+    np.stack([mag_t, mag_r, p * u + q * v, q * u - p * v], axis=-1, out=d_parts)
+    np.multiply(power[..., None], d_parts, out=d_parts)
+    return flat
 
 
 def _shared_chunk_means(scenarios, samples: int, seed: int):
@@ -237,13 +248,13 @@ def _shared_chunk_means(scenarios, samples: int, seed: int):
     The scenarios must share prior, sensor and grid and have random channels; both
     are checked, and the draw count, before anything is drawn. Yields (sizes, means)
     per fold block of _map_chunks, in chunk order: the block's float chunk sizes and
-    an iterator that forms each scenario's chunk means (a, b, d_parts) in turn, to be
-    folded before the next. A block holds as many chunks as keep the shared statistics
-    (four sensor means, z_mean and spread: 12 per tone), one scenario's 1 + 8 L block
-    means and a weight for the value and each bootstrap row within _RUN_ELEMENTS,
-    whatever the scenario count. The channel moments and the block means are
-    elementwise or reduce over tones alone, so every scenario gets bitwise the chunk
-    means that a call with it alone, or one chunk at a time, gives.
+    an iterator that forms each scenario's chunk-mean rows (K, 1 + 8 L) in turn
+    (_chunk_block_means), to be folded before the next. A block holds as many chunks
+    as keep the shared statistics (four sensor means, z_mean and spread: 12 per tone),
+    one scenario's 1 + 8 L block means and a weight for the value and each bootstrap
+    row within _RUN_ELEMENTS, whatever the scenario count. The channel moments and the
+    block means are elementwise or reduce over tones alone, so every scenario gets
+    bitwise the chunk means that a call with it alone, or one chunk at a time, gives.
     """
     first = scenarios[0]
     for sc in scenarios:
@@ -281,19 +292,6 @@ def _shared_chunk_means(scenarios, samples: int, seed: int):
             for (*sensor_means, z_mean, spread), sizes in blocks)
 
 
-def _flat(means) -> np.ndarray:
-    """Chunk means (a (K,), b (K, L, 4), d_parts (K, L, 4)) as one array (K, 1 + 8 L)."""
-    a, b, d_parts = means
-    return np.concatenate([a[:, None], b.reshape(a.size, -1), d_parts.reshape(a.size, -1)], axis=1)
-
-
-def _split(flat: np.ndarray):
-    """a (...), b (..., L, 4) and d_parts (..., L, 4) of averaged _flat rows (..., 1 + 8 L)."""
-    tones = (flat.shape[-1] - 1) // 8
-    parts = flat[..., 1:].reshape(flat.shape[:-1] + (2, tones, 4))
-    return flat[..., 0], parts[..., 0, :, :], parts[..., 1, :, :]
-
-
 def _value_mean(sizes: np.ndarray, samples: int, flat: np.ndarray) -> np.ndarray:
     """A fold block's share (1 + 8 L,) of the mean over all draws: its chunk means weighted
     by chunk size, summed by numpy's own loop, which no BLAS thread count moves. mc_blocks
@@ -302,7 +300,7 @@ def _value_mean(sizes: np.ndarray, samples: int, flat: np.ndarray) -> np.ndarray
 
 
 def _bounds(scenario: Scenario, means: np.ndarray) -> np.ndarray:
-    """Bounds (R,) of averaged chunk means (R, 1 + 8 L) (_flat's rows), prior terms included.
+    """Bounds (R,) of averaged chunk-mean rows (R, 1 + 8 L), prior terms included.
     For the value row, a, b and the channel entries are bitwise those of mc_blocks' a, b and
     d; the coupling reads d's four distinct entries per tone (_arrow_coupling)."""
     a, b, d_parts = _split((2.0 / scenario.noise.variance) * means)
@@ -318,13 +316,11 @@ def mc_blocks(scenario: Scenario, samples: int, seed: int = 0) -> McBlocks:
     """
     samples = whole_number("samples", samples)
     value, chunks, sizes = 0.0, [], []
-    for block_sizes, (means,) in _shared_chunk_means((scenario,), samples, seed):
-        flat = _flat(means)
+    for block_sizes, (flat,) in _shared_chunk_means((scenario,), samples, seed):
         value = value + _value_mean(block_sizes, samples, flat)
         chunks.append(flat)
         sizes.append(block_sizes)
-    chunk_means, sizes = np.concatenate(chunks), np.concatenate(sizes)
-    chunk_a, chunk_b, d_parts = _split(chunk_means)
+    (chunk_a, chunk_b, d_parts), sizes = _split(np.concatenate(chunks)), np.concatenate(sizes)
     a_mean, b_mean, d_mean = _split(value)
     # spread of chunk means gives the standard error of the weighted mean
     n_chunks, weights_sq = sizes.size, (sizes / samples) ** 2
@@ -373,19 +369,15 @@ def _mc_bounds(scenarios, samples: int, seed: int) -> list:
     # each resample picks n_chunks chunks, all of MC_CHUNK draws but the last
     picked = (n_chunks * MC_CHUNK - (n_chunks * MC_CHUNK - samples) * counts[:, -1].astype(np.int64)).astype(float)
     width = 1 + 8 * scenarios[0].grid.count
-    values, rows = np.zeros((len(scenarios), width)), np.empty((len(scenarios), BOOTSTRAP_RESAMPLES, width))
+    values, rows = np.zeros((len(scenarios), width)), np.zeros((len(scenarios), BOOTSTRAP_RESAMPLES, width))
     product, lo = np.empty((BOOTSTRAP_RESAMPLES, width)), 0
     for sizes, means in blocks:
         weights = counts[:, lo:lo + sizes.size] * sizes / picked[:, None]
-        for k, chunk_means in enumerate(means):
-            flat = _flat(chunk_means)
+        for k, flat in enumerate(means):
             values[k] += _value_mean(sizes, samples, flat)
-            if lo == 0:
-                np.matmul(weights, flat, out=rows[k])
-            else:
-                rows[k] += np.matmul(weights, flat, out=product)
+            rows[k] += np.matmul(weights, flat, out=product)
         lo += sizes.size
-        del weights, chunk_means, flat  # freed before the next block's draws
+        del weights, flat  # freed before the next block's draws
     estimates = []
     for sc, value, resampled in zip(scenarios, values, rows):
         (bound,) = _bounds(sc, value[None])
@@ -433,7 +425,7 @@ def posterior_mean_mse(scenario: Scenario, trials: int, grid_points: int = 2000,
     powers = np.stack([np.ones_like(c_grid), c_grid], axis=1)  # (P, 2): c^0 and c^1
     noise_std, count = math.sqrt(noise_var / 2.0), freqs.size
 
-    def trial_sums(rng, size):
+    def trial_errors(rng, size):
         c_true = prior.mean + prior.std * rng.standard_normal(size)
         clean = scenario.sensor.reflection(freqs[None, :], c_true[:, None])
         y = np.ones((size, 2 * count + 1))
@@ -448,8 +440,7 @@ def posterior_mean_mse(scenario: Scenario, trials: int, grid_points: int = 2000,
             np.exp(w, out=w)
             np.matmul(w, powers, out=moments[lo:hi])
         norm, first = moments.T
-        sq = (first / norm - c_true) ** 2
-        return np.sum(sq), np.sum(sq**2)
+        return (first / norm - c_true) ** 2
 
-    mse, se = _chunk_mean_and_se(trial_sums, seed, trials, grid_points)
+    mse, se = _chunk_mean_and_se(trial_errors, seed, trials, grid_points)
     return McEstimate(value=float(mse), std_err=float(se), samples=trials)

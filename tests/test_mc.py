@@ -8,6 +8,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -229,6 +230,21 @@ def test_mc_blocks_validation():
     np.testing.assert_array_equal(blocks.d, int_blocks.d)
 
 
+def test_oracle_raises_where_the_closed_form_raises_on_slope_scale_overflow():
+    # depth * shift_rate / half_width squares to inf: the oracle's sensor means read the
+    # closed form's checked scale, so both raise its error, and no RuntimeWarning comes first
+    sensor = SensorModel(0.9, half_width=1e-160, shift_rate=1e160)
+    sc = Scenario(sensor=sensor, prior=SensingPrior(0.0, 1e-150), channel=RicianSpec(kappa=1.0),
+                  noise=snr_to_noise(20.0),
+                  grid=SubcarrierGrid.uniform(center=sensor.resonance(0.0), spacing=1e-162, count=4))
+    message = re.escape("slope scale depth * shift_rate / half_width = inf overflows when squared")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (bcrb_closed_form, lambda s: mc_bound(s, 2000, 1), lambda s: mc_blocks(s, 2000, 1)):
+            with pytest.raises(ArithmeticError, match=message):
+                call(sc)
+
+
 def test_seeds_are_whole_numbers_from_zero():
     # a bad seed raises ValueError naming it, a MonteCarlo at construction and
     # the oracle functions before any draw; a whole float is the int seed, bit for bit
@@ -389,7 +405,7 @@ def _kernel(sc, c, h_r, h_t):
     """The chunk kernel on draws stacked by chunk: c (K, n), h_r and h_t (K, n, L),
     with its channel blocks expanded to (K, L, 4, 4)."""
     sensor_means = mc._sensor_means(sc.sensor, sc.grid.as_array(), c)
-    a, b, d_parts = mc._chunk_block_means(sensor_means, *_channel_moments(h_r, h_t))
+    a, b, d_parts = mc._split(mc._chunk_block_means(sensor_means, *_channel_moments(h_r, h_t)))
     return a, b, mc._arrow_d(d_parts)
 
 
@@ -423,8 +439,8 @@ def _serial_chunk_means(sc, samples, seed):
         c, z_mean, spread = _draw_statistics(sc.prior, chunk_rng(seed, i), count, n)
         mean = math.sqrt(variance) * z_mean + shift
         square = mean * mean + variance * spread
-        a, b, d_parts = mc._chunk_block_means(mc._sensor_means(sc.sensor, freqs, c[None]),
-                                              mean[:, None], square[:, None])
+        a, b, d_parts = mc._split(mc._chunk_block_means(mc._sensor_means(sc.sensor, freqs, c[None]),
+                                                        mean[:, None], square[:, None]))
         means.append((a[0], b[0], mc._arrow_d(d_parts[0])))
     return [np.array(parts) for parts in zip(*means)]
 
@@ -454,8 +470,7 @@ def _joined_chunk_means(scenarios, samples, seed):
     for block_sizes, means in mc._shared_chunk_means(scenarios, samples, seed):
         blocks.append(list(means))
         sizes.append(block_sizes)
-    return ([[np.concatenate(parts) for parts in zip(*per_block)] for per_block in zip(*blocks)],
-            np.concatenate(sizes))
+    return [mc._split(np.concatenate(per_block)) for per_block in zip(*blocks)], np.concatenate(sizes)
 
 
 # the chunk driver's worker counts under test: serial, the pool, and the process's own
@@ -1070,22 +1085,52 @@ def test_posterior_mean_mse_matches_the_complex_expression_chain(grid_points):
 
 
 def test_monte_carlo_expectation_bitwise_across_thread_counts(monkeypatch):
+    # the reference merges each chunk's sum and squared deviations about its own mean in
+    # chunk order (Chan, Golub & LeVeque), as _chunk_mean_and_se does
     sc = _scenario()
     method = MonteCarlo(samples=10_001, seed=3)
-    sums, sums_sq = np.zeros(2), np.zeros(2)
+    total = dev = seen = 0.0
     for i, start in enumerate(range(0, method.samples, MC_CHUNK)):
-        rng = chunk_rng(method.seed, i)
-        c = sc.prior.mean + sc.prior.std * rng.standard_normal(min(MC_CHUNK, method.samples - start))
+        rng, size = chunk_rng(method.seed, i), min(MC_CHUNK, method.samples - start)
+        c = sc.prior.mean + sc.prior.std * rng.standard_normal(size)
         vals = np.abs(sc.sensor.reflection(0.3, c)) ** 2
-        sums += [np.sum(vals), 0.0]
-        sums_sq += [np.sum(vals**2), 0.0]
-    mean = sums / method.samples
-    se = float(np.max(np.sqrt(np.maximum(sums_sq - method.samples * mean**2, 0.0)
-                              / (method.samples - 1) / method.samples)))
+        chunk_sum, chunk_dev = np.sum(vals), np.sum((vals - np.mean(vals)) ** 2)
+        if seen:
+            chunk_dev = chunk_dev + (chunk_sum / size - total / seen) ** 2 * (seen * size / (seen + size))
+        total, dev, seen = total + chunk_sum, dev + chunk_dev, seen + size
+    mean, se = total / method.samples, math.sqrt(dev / (method.samples - 1) / method.samples)
     for threads in THREAD_SETTINGS:
         _set_workers(monkeypatch, threads)
         est = reflection_power(sc.sensor, 0.3, sc.prior, method)
-        assert (est.value, est.std_err) == (mean[0], se), threads
+        assert (est.value, est.std_err) == (mean, se), threads
+
+
+def _two_pass_se(fn, prior, method):
+    """The standard error of fn's mean over method's chunk_rng draws, by the deviations of
+    all draws about their mean."""
+    vals = np.concatenate([fn(prior.mean + prior.std * chunk_rng(method.seed, i).standard_normal(
+                              min(MC_CHUNK, method.samples - start)))
+                           for i, start in enumerate(range(0, method.samples, MC_CHUNK))])
+    return math.sqrt(np.sum((vals - np.mean(vals)) ** 2) / (vals.size - 1) / vals.size)
+
+
+@pytest.mark.parametrize("case", ["width 1e5", "width 1e6", "width 1e7", "shift 0", "shift 1e8"])
+def test_monte_carlo_standard_error_keeps_its_digits_far_from_zero(case):
+    # far from zero the spread is a few ulps of the mean (|gamma|^2 near 0.01 on a wide dip)
+    # or small beside it (c + 1e8): a sum of squares minus n mean^2 cancels to 0 there, or to
+    # more than twice the error, where merged chunk deviations keep every digit that matters
+    kind, size = case.split()
+    prior = SensingPrior(0.0, 1.0)
+    if kind == "width":
+        sensor = SensorModel(0.9, float(size), 1.0)
+        method = MonteCarlo(100_000, seed=1)
+        fn = lambda c: np.abs(sensor.reflection(0.0, c)) ** 2  # noqa: E731
+        est = reflection_power(sensor, 0.0, prior, method)
+    else:
+        method = MonteCarlo(100_000, seed=3)
+        fn = lambda c: c + float(size)  # noqa: E731
+        est = expectations.expect_over_prior(fn, prior, method)
+    assert est.std_err == pytest.approx(_two_pass_se(fn, prior, method), rel=1e-6, abs=0.0)
 
 
 def test_worker_count_reads_the_environment(monkeypatch):
