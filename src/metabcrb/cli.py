@@ -14,7 +14,8 @@ any OPENBLAS_NUM_THREADS too: the bootstrap's BLAS matrix products split no
 sum among BLAS threads. The fold holds one block of chunk means at a
 time, so validate's memory does not grow with --samples times tones.
 
-Exit codes: 0 ok, 1 usage or config error, 2 validation failure, 3 numerical failure.
+Exit codes: 0 ok, 1 usage or config error or an output that cannot be written,
+2 validation failure, 3 numerical failure.
 When validate exits 2 or asymptotics exits 3, stderr names each failed check
 with its deviation and tolerance.
 """
@@ -22,6 +23,7 @@ with its deviation and tolerance.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import os
 import sys
@@ -33,7 +35,7 @@ from .asymptotics import (corr_magsq_narrow_limit, corr_magsq_wide_limit,
                           fit_loglog_slope, slope_power_narrow_limit,
                           slope_power_wide_limit, wideband_slope_power_sum)
 # assemble_bfim and select_subcarriers are unused here but stay names of this module:
-# benchmarks/spans.py traces them here (validate assembles through _assemble; see ROADMAP item 4)
+# benchmarks/spans.py traces them here (validate assembles through _assemble; see ROADMAP item 1)
 from .bcrb import (_assemble, _check_dense, _closed_form, _closed_forms, _greedy, _shared_moments,
                    assemble_bfim, bcrb_closed_form, bcrb_from_blocks, bcrb_from_dense,
                    select_subcarriers)  # noqa: F401
@@ -64,8 +66,17 @@ def _fmt(value) -> str:
     return f"{value:.16e}"
 
 
+@contextlib.contextmanager
+def _writing(path: str):
+    """An OSError while writing path becomes the ValueError that main reports with exit 1."""
+    try:
+        yield
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
 def _write_csv(path: str, header: list[str], rows: list[list[str]]) -> None:
-    with open(path, "w", newline="\n") as fh:
+    with _writing(path), open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(row) + "\n")
@@ -87,9 +98,11 @@ def _report_failures(command: str, failures) -> None:
                          f"exceeds tolerance {tolerance:g}\n")
 
 
-def _svg_path(out: str) -> str:
-    root, _ = os.path.splitext(out)
-    return root + ".svg"
+def _write_svg(out: str, series, **chart) -> None:
+    """The chart of the CSV at out, written next to it with the .svg suffix."""
+    path = os.path.splitext(out)[0] + ".svg"
+    with _writing(path):
+        write_line_chart(path, series, **chart)
 
 
 # ---------------------------------------------------------------- sweep
@@ -154,9 +167,9 @@ def cmd_sweep(args) -> int:
         for label, _ in curves:
             pts = [(float(r[2]), float(r[3])) for r in rows if r[1] == label]
             series.append((label, [p[0] for p in pts], [p[1] for p in pts]))
-        write_line_chart(_svg_path(args.out), series, title=f"bound vs {args.axis}",
-                         xlabel=args.axis, ylabel="bcrb",
-                         xlog=args.axis == "fwhm", ylog=True)
+        _write_svg(args.out, series, title=f"bound vs {args.axis}",
+                   xlabel=args.axis, ylabel="bcrb",
+                   xlog=args.axis == "fwhm", ylog=True)
     return 0
 
 
@@ -221,7 +234,7 @@ def cmd_validate(args) -> int:
     _write_csv(args.out, header, rows)
     if args.svg:
         idx = list(range(len(rows)))
-        write_line_chart(_svg_path(args.out), [
+        _write_svg(args.out, [
             ("closed_form", idx, [float(r[1]) for r in rows]),
             ("mc_estimate", idx, [float(r[4]) for r in rows]),
         ], title="bound cross-checks", xlabel="scenario index", ylabel="bound")
@@ -239,10 +252,8 @@ def cmd_select(args) -> int:
             for rank, (f, c, b) in enumerate(zip(chosen, contrib, bounds), start=1)]
     _write_csv(args.out, header, rows)
     if args.svg:
-        write_line_chart(_svg_path(args.out),
-                         [("greedy", list(range(1, len(bounds) + 1)), bounds.tolist())],
-                         title="bound vs selected tones", xlabel="tones", ylabel="bcrb",
-                         ylog=True)
+        _write_svg(args.out, [("greedy", list(range(1, len(bounds) + 1)), bounds.tolist())],
+                   title="bound vs selected tones", xlabel="tones", ylabel="bcrb", ylog=True)
     return 0
 
 
@@ -320,7 +331,7 @@ def cmd_asymptotics(args) -> int:
     _write_csv(args.out, header, rows)
     if args.svg:
         idx = list(range(len(checks)))
-        write_line_chart(_svg_path(args.out), [
+        _write_svg(args.out, [
             ("deviation", idx, [max(c[3], 1e-18) for c in checks]),
             ("tolerance", idx, [c[4] for c in checks]),
         ], title="asymptotic checks", xlabel="check index", ylabel="deviation", ylog=True)

@@ -21,7 +21,9 @@ vectorised rules, chosen by s and by |z|, z = (j - x0)/(s sqrt 2):
 * s <= 1 and |z| < 10: Gauss-Hermite at KERNEL_ORDER = 800 nodes (the kernels
   are smooth on the prior's scale). The nodes ship with the package in
   _gh800.npy, scipy.special.roots_hermite(800), whose bits set the order of
-  select's mirror ties on the s = 1 grids.
+  select's mirror ties on the s = 1 grids. The table sums only nodes 200-599
+  (|z| <= 16.11), bitwise the 800-node sum: the 400 outer weights are below
+  5.8e-116 and numpy's pairwise sum adds their two blocks last (_kernel_means_gh).
 * s > 1 and |z| <= FADDEEVA_ZMAX = 2.5: closed forms in the Faddeeva function
   w(z) (Voigt integrals), with w from Weideman's N = 40 rational
   approximation in numpy (SIAM J. Numer. Anal. 31, 1994), its polynomial
@@ -71,9 +73,10 @@ _SINH_SPAN = 13.0  # trapezoid window x0 +- _SINH_SPAN * s
 # the Lorentzian's mass and 4e-7 of its square. Against mpmath, the tails left
 # out cost under 1e-12 relative up to s = 1e9 (6e-10 at s = 1e10).
 _SPIKE_SPAN = 100.0
-# Tones per block at 800 nodes (order-800 Gauss-Hermite, the sinh rule), so that each
-# (block x nodes) buffer takes 200 kB at any node count: _kernel_table takes 200 tones at
-# the far rule's 128. Blocks keep every bit, and with them the order-800 table's ties.
+# Tones per block at 800 nodes (the sinh rule), so that each (block x nodes) buffer takes
+# 200 kB at any node count: _kernel_table takes 64 tones at order-800 Gauss-Hermite's 400
+# central nodes and 200 at the far rule's 128. Blocks keep every bit, and with them the
+# order-800 table's ties.
 _BLOCK = 32
 _TINY_SQ = 2.0**-53  # x^2 below which 1 + x^2 rounds to 1
 
@@ -352,10 +355,19 @@ def _mc_expect(fn, prior: SensingPrior, method: MonteCarlo) -> McEstimate:
 
 
 def detuning_stats(sensor: SensorModel, f, prior: SensingPrior) -> tuple[np.ndarray, float]:
-    """Center x0 and spread s of the detuning x ~ N(x0, s^2) induced by the prior."""
+    """Center x0 and spread s of the detuning x ~ N(x0, s^2) induced by the prior.
+
+    ArithmeticError, before any rule runs, where x0 or s is not finite.
+    """
     f = np.asarray(f, dtype=float)
-    x0 = (f - sensor.resonance(prior.mean)) / sensor.half_width
+    with np.errstate(over="ignore"):  # an overflow is the ArithmeticError below
+        x0 = (f - sensor.resonance(prior.mean)) / sensor.half_width
     s = abs(sensor.shift_rate) * prior.std / sensor.half_width
+    if not (math.isfinite(s) and np.all(np.isfinite(x0))):
+        raise ArithmeticError(
+            f"detuning (f - resonance) / half_width or its spread |shift_rate| * std / half_width "
+            f"is not finite; sensor.half_width = {sensor.half_width!r}, sensor.shift_rate = "
+            f"{sensor.shift_rate!r} or prior.std = {prior.std!r} is out of range")
     return x0, s
 
 
@@ -418,10 +430,30 @@ def _near_means(x: np.ndarray, wn) -> np.ndarray:
                      np.sum(x * k_sq, axis=1) - np.sum(x * e, axis=1)])
 
 
-def _kernel_means_gh(x0: np.ndarray, s: float, order: int, rows=(0, 1, 2)) -> np.ndarray:
-    """Kernel means by Gauss-Hermite at one order: x = x0 + sqrt(2) s z, weights w / sqrt(pi)."""
-    z, w = _gh_nodes(order)
-    return _kernel_table(x0, (math.sqrt(2.0) * s) * z, w * _INV_SQRT_PI, rows)
+@functools.cache
+def _kernel_nodes() -> tuple[np.ndarray, np.ndarray]:
+    """Nodes 200-599 of the order-800 rule (|z| <= 16.11), views of the read-only stored
+    rule, and their weights / sqrt(pi), read-only too."""
+    z, w = _gh_nodes(KERNEL_ORDER)
+    wn = w[200:600] * _INV_SQRT_PI
+    wn.flags.writeable = False  # a cached rule serves every later table in the process
+    return z[200:600], wn
+
+
+def _kernel_means_gh(x0: np.ndarray, s: float, rows=(0, 1, 2)) -> np.ndarray:
+    """Kernel means by order-800 Gauss-Hermite, x = x0 + sqrt(2) s z, on its 400 central nodes.
+
+    The table is bitwise that of all 800 nodes. numpy sums a row of 800 values pairwise as
+    (S[0,200) + S[200,400)) + (S[400,600) + S[600,800)), and a row of 400 as S[200,400) +
+    S[400,600), with the same inner splits. The outer weights are at most 5.8e-116, so
+    each outer S is absorbed unless both central sums fall below about 1e-83. A tone is
+    near (_near_means) through a dropped node only when a kept node is near too:
+    |x0| < 14.14 s at |z| < FAR_ZMIN puts every dropped node at |x| >= 8.7 s, near only
+    for s < 1.2e-9, and then the kept node nearest x = 0 lies within 0.07 s of x = 0.
+    tests/test_kernel_nodes.py pins these premises and the bits.
+    """
+    z, wn = _kernel_nodes()
+    return _kernel_table(x0, (math.sqrt(2.0) * s) * z, wn, rows)
 
 
 @functools.cache
@@ -571,7 +603,7 @@ def kernel_means(sensor: SensorModel, f, prior: SensingPrior, rows=(0, 1, 2)) ->
     # grids keep the order-800 table bit for bit, and with it select's mirror-tie order
     if s <= 1.0:
         if rest.size:
-            out[:, rest] = _kernel_means_gh(x0[rest], s, KERNEL_ORDER, rows)
+            out[:, rest] = _kernel_means_gh(x0[rest], s, rows)
         return out
     z = (1j - x0[rest]) / (math.sqrt(2.0) * s)
     near = np.abs(z) <= FADDEEVA_ZMAX

@@ -476,6 +476,22 @@ def test_select_raises_where_the_bound_denominator_is_not_positive():
         select_subcarriers(sc.grid, sc, 3)
 
 
+@pytest.mark.parametrize("width,center", [(1e-310, 0.0), (1e-10, 1e300)], ids=["s_inf", "x0_inf"])
+def test_non_finite_detuning_raises_before_any_rule_runs(width, center):
+    # half-width 1e-310 puts s = std / half_width at inf, and half-width 1e-10 a tone at
+    # f = 1e300 at x0 = inf: detuning_stats raises ArithmeticError naming the three
+    # settings, with no overflow RuntimeWarning first (Tier-1 makes one an error)
+    sc = _scenario(width=width, center=center, count=1)
+    named = r"sensor.half_width = .*sensor.shift_rate = .*prior.std = "
+    freqs = sc.grid.as_array()
+    for moment in (expectations_mod.detuning_stats, expectations_mod.kernel_means,
+                   expectations_mod.reflection_power, expectations_mod.slope_power):
+        with pytest.raises(ArithmeticError, match=named):
+            moment(sc.sensor, freqs, sc.prior)
+    with pytest.raises(ArithmeticError, match=named):
+        bcrb_closed_form(sc)
+
+
 @pytest.mark.parametrize("spacing", ["half_width", "fixed"])
 def test_closed_form_over_extreme_values(spacing):
     # 8 tones 0.5 half-widths apart (always inside the dip) or 0.05 apart

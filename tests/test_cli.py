@@ -307,6 +307,49 @@ def test_sweep_slope_scale_overflow_exits_3(tmp_path, capsys, key, value):
     assert "sensor.half_width" in err and "sensor.shift_rate" in err
 
 
+def test_sweep_with_a_non_finite_detuning_spread_exits_3_with_one_line(tmp_path, capsys):
+    # half-width 1e-320: s = std / half_width is inf; one message, no RuntimeWarning
+    path = tmp_path / "tiny.cfg"
+    path.write_text("sensor.half_width = 1e-320\n")
+    rc = main(["sweep", "--config", str(path), "--out", str(tmp_path / "x.csv"),
+               "--axis", "depth", "--values", "0.5"])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: detuning") and err.count("\n") == 1, err
+    assert "sensor.half_width = 1e-320" in err
+
+
+def _cli_process(*argv):
+    """Exit code and stderr of the metabcrb CLI in a fresh interpreter."""
+    import metabcrb
+    src = os.path.dirname(os.path.dirname(metabcrb.__file__))
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run([sys.executable, "-m", "metabcrb.cli", *argv],
+                          capture_output=True, text=True, env=env)
+    return proc.returncode, proc.stderr
+
+
+def test_unwritable_csv_path_exits_1_with_a_message(cfg, tmp_path):
+    out = tmp_path / "missing" / "o.csv"
+    rc, err = _cli_process("sweep", "--config", cfg, "--out", str(out),
+                           "--axis", "snr_db", "--values", "0")
+    assert rc == 1
+    assert err.startswith(f"error: cannot write {out}: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", [["sweep", "--axis", "snr_db", "--values", "0,10"],
+                                     ["select", "--budget", "2"]], ids=["sweep", "select"])
+def test_unwritable_svg_path_exits_1_with_a_message(cfg, tmp_path, command):
+    # the CSV is written; the chart's path, o.svg, is a directory
+    (tmp_path / "o.svg").mkdir()
+    rc, err = _cli_process(*command, "--config", cfg, "--out", str(tmp_path / "o.csv"), "--svg")
+    assert rc == 1
+    assert err.startswith(f"error: cannot write {tmp_path / 'o.svg'}: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err
+    assert (tmp_path / "o.csv").exists()
+
+
 @pytest.mark.parametrize("std", ["1e154", "1e155", "1e200"])
 def test_huge_prior_std_is_a_named_config_error(tmp_path, capsys, std):
     # std^2 overflows a float above sqrt(max float) = 1.3407807929942596e154

@@ -24,6 +24,7 @@ from metabcrb.expectations import (_BLOCK, _FAR_NODES, _SINH_NODES,
                                    _faddeeva, _far_nodes, _gh_nodes,
                                    _hermite_rule, _kernel_means_far,
                                    _kernel_means_gh, _kernel_means_sinh,
+                                   _kernel_nodes, _kernel_table,
                                    detuning_stats,
                                    kernel_means, prior_moments)
 
@@ -332,11 +333,27 @@ def test_cached_quadrature_nodes_are_read_only(order):
     assert expect_over_prior(fn, prior, Quadrature(order)) == expectation
 
 
-def _kernel_means_gh_single_shot(x0, s, order):
-    """The Gauss-Hermite table on the whole (tones x order) array at once."""
+def _gh_rule(order):
+    """Nodes z and weights w / sqrt(pi) of the Gauss-Hermite table at `order`: kernel_means'
+    400 central nodes of the stored rule at KERNEL_ORDER, all of _gh_nodes(order) otherwise."""
+    if order == KERNEL_ORDER:
+        return _kernel_nodes()
     z, w = _gh_nodes(order)
+    return z, w * (1.0 / math.sqrt(math.pi))
+
+
+def _gh_table(x0, s, order):
+    """The blocked Gauss-Hermite table at `order`: _kernel_means_gh at KERNEL_ORDER."""
+    if order == KERNEL_ORDER:
+        return _kernel_means_gh(x0, s)
+    z, wn = _gh_rule(order)
+    return _kernel_table(x0, (math.sqrt(2.0) * s) * z, wn)
+
+
+def _kernel_means_gh_single_shot(x0, s, order):
+    """The Gauss-Hermite table at `order` on the whole (tones x nodes) array at once."""
+    z, wn = _gh_rule(order)
     x = x0[:, None] + (math.sqrt(2.0) * s) * z[None, :]
-    wn = w * (1.0 / math.sqrt(math.pi))
     return np.stack([
         np.sum(1.0 / (1.0 + x * x) ** 2 * wn, axis=1),
         np.sum(1.0 / (1.0 + x * x) * wn, axis=1),
@@ -348,30 +365,33 @@ def _kernel_means_gh_single_shot(x0, s, order):
 def test_blocked_gauss_hermite_is_bitwise_single_shot(tones):
     x0 = np.linspace(-40.0, 37.0, tones)
     for order in (200, 400, 800):
-        assert np.array_equal(_kernel_means_gh(x0, 1.3, order),
+        assert np.array_equal(_gh_table(x0, 1.3, order),
                               _kernel_means_gh_single_shot(x0, 1.3, order))
 
 
-@pytest.mark.parametrize("tones", [0, 1, _BLOCK - 1, _BLOCK + 1, 1000, 10_000])
+@pytest.mark.parametrize("tones", [0, 1, _BLOCK - 1, _BLOCK + 1, 2 * _BLOCK - 1, 2 * _BLOCK + 1,
+                                   1000, 10_000])
 @pytest.mark.parametrize("order", [16, 200, 800])
 def test_buffered_gauss_hermite_is_bitwise_single_shot_at_block_edges(tones, order):
     # blocking must not change an element's arithmetic or a row's pairwise
-    # sum, whether the last block is full, partial or absent
+    # sum, whether the last block is full, partial or absent; kernel_means'
+    # 400 nodes at order 800 take blocks of 2 * _BLOCK tones
     x0 = np.sort(np.random.default_rng(tones).uniform(-60.0, 60.0, tones))
-    assert np.array_equal(_kernel_means_gh(x0, 0.7, order),
+    assert np.array_equal(_gh_table(x0, 0.7, order),
                           _kernel_means_gh_single_shot(x0, 0.7, order))
 
 
 def test_buffered_gauss_hermite_far_tail_block_is_silent():
     # t = 1 + x^2 overflows to inf in the middle of a block and in a block of
     # its own; the test run turns the overflow RuntimeWarning into an error
-    x0 = np.concatenate([np.linspace(-3.0, 3.0, _BLOCK - 2), [1e160, -1e200],
-                         np.full(_BLOCK, 1e170), [5.0]])
-    km = _kernel_means_gh(x0, 1.0, 800)
+    block = _BLOCK * KERNEL_ORDER // _kernel_nodes()[0].size
+    x0 = np.concatenate([np.linspace(-3.0, 3.0, block - 2), [1e160, -1e200],
+                         np.full(block, 1e170), [5.0]])
+    km = _kernel_means_gh(x0, 1.0)
     with np.errstate(over="ignore"):
-        ref = _kernel_means_gh_single_shot(x0, 1.0, 800)
+        ref = _kernel_means_gh_single_shot(x0, 1.0, KERNEL_ORDER)
     assert np.array_equal(km, ref)
-    assert np.all(km[:, _BLOCK - 2:-1] == 0.0)
+    assert np.all(km[:, block - 2:-1] == 0.0)
 
 
 @pytest.mark.parametrize("tones", [0, 1, _BLOCK * KERNEL_ORDER // _FAR_NODES + 1, 10_000])
@@ -523,15 +543,18 @@ def test_unit_spread_default_grids_keep_the_order_800_table(count):
     # At s = 1 every tone with |z| < FAR_ZMIN takes Gauss-Hermite at order 800.
     # `select` orders exactly tied +-f tones by the last bit of this table, and
     # the benchmark's stored `select` output pins that tie order, so the table
-    # must not move there; no pick of the 1024-tone grid's 256 is a far tone.
+    # must not move there: it must be the sum over all 800 stored nodes, bit for
+    # bit, although kernel_means sums only the 400 central ones (see
+    # test_kernel_nodes.py). No pick of the 1024-tone grid's 256 is a far tone.
     from metabcrb.bcrb import _greedy
     sc = scenario_from_settings(parse_config(f"grid.count = {count}\n"))
     freqs = sc.grid.as_array()
     x0, s = detuning_stats(sc.sensor, freqs, sc.prior)
     assert s == 1.0
     near = np.abs((1j - x0) / math.sqrt(2.0)) < FAR_ZMIN
-    assert np.array_equal(kernel_means(sc.sensor, freqs, sc.prior)[:, near],
-                          _kernel_means_gh(x0[near], 1.0, 800))
+    z, w = _gh_nodes(KERNEL_ORDER)
+    full = _kernel_table(x0[near], math.sqrt(2.0) * z, w * (1.0 / math.sqrt(math.pi)))
+    assert kernel_means(sc.sensor, freqs, sc.prior)[:, near].tobytes() == full.tobytes()
     picks, _, _ = _greedy(sc, min(256, count))
     assert np.all(np.isin(picks, freqs[near]))
 
@@ -581,13 +604,13 @@ def test_kernel_means_are_continuous_across_the_far_edge_up_to_unit_spread(s):
     if math.sqrt(2.0) * FAR_ZMIN * s > 1.0:
         x0 = np.array([_x0_at(FAR_ZMIN * (1.0 - 1e-13), s), _x0_at(FAR_ZMIN * (1.0 + 1e-13), s)])
         below, above = kernel_means(sensor, x0, SensingPrior(mean=0.0, std=s)).T
-        assert np.array_equal(below, _kernel_means_gh(x0[:1], s, KERNEL_ORDER)[:, 0])
+        assert np.array_equal(below, _kernel_means_gh(x0[:1], s)[:, 0])
         assert np.array_equal(above, _kernel_means_far(x0[1:], s)[:, 0])
         # the two tones' x0 differ by 2e-13 relative, and their means by up to 1e-12
         np.testing.assert_allclose(above, below, rtol=1e-11, atol=0.0)
     else:
         x0 = np.array([0.5 * s, 3.0 * s, 0.5])
-    np.testing.assert_allclose(_kernel_means_far(x0, s), _kernel_means_gh(x0, s, KERNEL_ORDER),
+    np.testing.assert_allclose(_kernel_means_far(x0, s), _kernel_means_gh(x0, s),
                                rtol=1e-14, atol=0.0)
 
 
