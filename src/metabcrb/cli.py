@@ -10,9 +10,10 @@ Monte Carlo chunks run on one thread per CPU the process may use, at most 8
 (taskset or a cpuset narrows them). Each chunk draws from its own generator
 and results are folded in chunk order, in blocks that do not depend on the
 thread count, so the output bytes are the same at any thread count, and at
-any OPENBLAS_NUM_THREADS too: the bootstrap's BLAS matrix products split no
-sum among BLAS threads. The fold holds one block of chunk means at a
-time, so validate's memory does not grow with --samples times tones.
+any OPENBLAS_NUM_THREADS too: no sum of the fold goes through BLAS. The fold
+holds one block of chunk means at a time, so validate's memory does not grow
+with --samples times tones. Its standard error is a 32-group jackknife, so a
+random channel needs at least 16,384 draws.
 
 Exit codes: 0 ok, 1 usage or config error or an output that cannot be written,
 2 validation failure, 3 numerical failure.
@@ -26,6 +27,7 @@ import argparse
 import contextlib
 import math
 import os
+import re
 import sys
 from dataclasses import replace
 
@@ -352,9 +354,11 @@ def build_parser() -> _Parser:
         p.add_argument("--svg", action="store_true", help="also write a chart next to the CSV")
 
     p = sub.add_parser("sweep", help="bound along one scenario axis")
+    # a word that starts "-digit" or "-.digit" is a value, so "--values -10,0,10" is a list
+    p._negative_number_matcher = re.compile(r"-\.?\d")
     common(p)
     p.add_argument("--axis", required=True, choices=SWEEP_AXES)
-    p.add_argument("--values", help="comma-separated axis values")
+    p.add_argument("--values", help="comma-separated axis values; the first may be negative")
     p.add_argument("--start", type=float)
     p.add_argument("--stop", type=float)
     p.add_argument("--points", type=int)
@@ -367,7 +371,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("validate", help="cross-check the bound computations")
     common(p)
-    p.add_argument("--samples", type=int, default=100_000, help="Monte Carlo draws")
+    p.add_argument("--samples", type=int, default=100_000, help="Monte Carlo draws, at least 16,384")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--dense-check", action="store_true",
                    help="also invert the dense information matrix (grids up to 64 tones)")

@@ -128,7 +128,7 @@ class McEstimate:
     samples: int
 
 
-MC_CHUNK = 512  # small enough that chunk means make a usable bootstrap population
+MC_CHUNK = 512  # draws per chunk; the Monte Carlo bounds need a full chunk per jackknife group
 # Elements (draws x width) per run of chunks: 128 chunks at one tone, 8 at 16, one from 65
 # tones on. Multi-chunk runs loop on the calling thread, blocks of single-chunk runs go to
 # the pool (BENCH_24.json: run_layout_ms, run_layout_warm_ms, run_layout_fresh_ms); no byte

@@ -14,36 +14,31 @@ summed pairwise, the rest by a BLAS dot per row. Rows with a draw where
 1 + x^2 rounds to 1 or x^2 overflows redo their means per draw, r, r^2 and
 x r^2 by expectations._near_means, as the closed form's kernel table does.
 
-Draws come in chunks from expectations._map_chunks, which alone knows their
-sizes. Chunk i draws from SFC64(SeedSequence(seed, spawn_key=(i,))), the
-bootstrap from numpy's own stream of chunk _BOOT_KEY, which _mc_bounds never
-reaches. A chunk's channel means read its draws only through the mean and the
-mean square of each channel part's n standard normals z at each tone. So a
-chunk draws, in this order, its n conditions, one N(0, 1/n) normal for each
-mean z_mean and one chi^2(n - 1) sum of squares about it (Cochran's theorem;
-twice a standard_gamma((n - 1) / 2)): mean(z^2) = z_mean^2 + chi^2 / n. A run
-of chunks draws into (K, n) and (K, 4, L) buffers, scales them at once and
-takes the sensor means. The channel enters only through the map mean + sigma z,
-so the channel moments and the block means run once per scenario and fold
-block, and one draw per chunk serves every scenario that differs only in its
-channel, such as validate's configured and Rayleigh variants.
+Draws come in chunks from expectations._map_chunks, which alone knows their sizes.
+Chunk i draws from the SFC64 stream of numpy's seed sequence for seed and spawn
+key (i,); nothing else draws. A chunk's channel means read its draws only through
+the mean and the mean square of each channel part's n standard normals z at each
+tone. So a chunk draws, in this order, its n conditions, one N(0, 1/n) normal for
+each mean z_mean and one chi^2(n - 1) sum of squares about it (Cochran's theorem;
+twice a standard_gamma((n - 1) / 2)): mean(z^2) = z_mean^2 + chi^2 / n. A run of
+chunks draws into (K, n) and (K, 4, L) buffers, scales them at once and takes the
+sensor means. The channel enters only through the map mean + sigma z, so the
+channel moments and the block means run once per scenario and fold block, and one
+draw per chunk serves every scenario that differs only in its channel, such as
+validate's configured and Rayleigh variants.
 
 Each block's chunk means are formed once per scenario as rows (K, 1 + 8 L) of
-a, b and d_parts (_split's views), the one layout the value, the bootstrap and
+a, b and d_parts (_split's views), the one layout the value, the jackknife and
 mc_blocks read, and folded as their blocks come (_map_chunks' fold blocks, sized
 by _RUN_ELEMENTS), so no chunk mean outlives its block and memory does not grow
 with draws times tones. The value of mc_blocks and of the bound is
 the size-weighted sum of each block's chunk means by numpy's own loop
-(_value_mean), added block by block. The BOOTSTRAP_RESAMPLES resamples,
-whose spread gives the bound's standard error, weigh a chunk by its size
-times its pick count over the draws they picked, and take one BLAS matrix
-product per block into fixed (R, 1 + 8 L) sums; the pick counts, drawn once
-per call in row blocks, are the one array that grows with the draws. OpenBLAS
-splits a matrix-matrix product among its threads by rows and columns, not
-along the summed chunk axis, so no bound or error depends on
-OPENBLAS_NUM_THREADS. The bound of each row reads only the four distinct
-entries of each channel block (bcrb._arrow_coupling), so no (R, L, 4, 4)
-blocks are built or solved.
+(_value_mean), added block by block. The bound's standard error is a
+delete-a-group jackknife over JACKKNIFE_GROUPS fixed groups of chunks, whose
+sums are folded the same way (_mc_bounds). No fold sum reaches BLAS, so no
+bound or error depends on OPENBLAS_NUM_THREADS. The bound of each row reads
+only the four distinct entries of each channel block (bcrb._arrow_coupling),
+so no (G, L, 4, 4) blocks are built or solved.
 
 posterior_mean_mse's log posterior is one real product of the trials
 [Re y, Im y, 1] with the grid's [(2 / v) [Re g; Im g]; bias], taken with its
@@ -63,9 +58,8 @@ from .expectations import (_RUN_ELEMENTS, _TINY_SQ, MC_CHUNK, McEstimate, _chunk
                            _near_means, _slope_scale)
 from .scenario import Scenario, whole_number
 
-BOOTSTRAP_RESAMPLES = 200
+JACKKNIFE_GROUPS = 32  # groups of the bound's delete-a-group jackknife; each holds a full chunk
 _POSTERIOR_ROWS = 64  # trials per block of posterior_mean_mse: (64, 2000) floats are 1 MB
-_BOOT_KEY = 0x626F6F74  # the bootstrap's spawn key, past every chunk index _mc_bounds allows
 
 
 @dataclass(frozen=True)
@@ -251,10 +245,10 @@ def _shared_chunk_means(scenarios, samples: int, seed: int):
     an iterator that forms each scenario's chunk-mean rows (K, 1 + 8 L) in turn
     (_chunk_block_means), to be folded before the next. A block holds as many chunks
     as keep the shared statistics (four sensor means, z_mean and spread: 12 per tone),
-    one scenario's 1 + 8 L block means and a weight for the value and each bootstrap
-    row within _RUN_ELEMENTS, whatever the scenario count. The channel moments and the
-    block means are elementwise or reduce over tones alone, so every scenario gets
-    bitwise the chunk means that a call with it alone, or one chunk at a time, gives.
+    one scenario's 1 + 8 L block means and their size within _RUN_ELEMENTS, whatever the
+    scenario count. The channel moments and the block means are elementwise or reduce over
+    tones alone, so every scenario gets bitwise the chunk means that a call with it alone,
+    or one chunk at a time, gives.
     """
     first = scenarios[0]
     for sc in scenarios:
@@ -262,9 +256,9 @@ def _shared_chunk_means(scenarios, samples: int, seed: int):
             raise ValueError("scenarios sharing draws must have the same prior, sensor and grid")
         if sc.channel.deterministic_los:
             raise ValueError("deterministic LoS has no channel blocks to estimate")
-    if samples <= MC_CHUNK:
-        raise ValueError(f"need at least {MC_CHUNK + 1} samples (two chunks of {MC_CHUNK}) "
-                         f"to estimate the Monte Carlo error, got {samples}")
+    if samples < JACKKNIFE_GROUPS * MC_CHUNK:
+        raise ValueError(f"need at least {JACKKNIFE_GROUPS * MC_CHUNK} samples ({JACKKNIFE_GROUPS} chunks of "
+                         f"{MC_CHUNK}) to estimate the Monte Carlo error, got {samples}")
     freqs = first.grid.as_array()
 
     def run_means(rngs, count, size):  # spread = chi^2 / size, see the module docstring
@@ -285,8 +279,7 @@ def _shared_chunk_means(scenarios, samples: int, seed: int):
         for sc in scenarios:
             yield _chunk_block_means(sensor_means, *_channel_moments(sc.channel, z_mean, spread))
 
-    # per chunk: 12 L shared statistics, 1 + 8 L block means, 1 + BOOTSTRAP_RESAMPLES weights
-    block = _RUN_ELEMENTS // (12 * freqs.size + 1 + 8 * freqs.size + 1 + BOOTSTRAP_RESAMPLES)
+    block = _RUN_ELEMENTS // (20 * freqs.size + 2)  # per chunk: 12 L statistics, 1 + 8 L means, a size
     blocks = _map_chunks(run_means, seed, samples, freqs.size, block)
     return ((sizes, scenario_means(sensor_means, z_mean, spread))
             for (*sensor_means, z_mean, spread), sizes in blocks)
@@ -299,20 +292,21 @@ def _value_mean(sizes: np.ndarray, samples: int, flat: np.ndarray) -> np.ndarray
     return np.einsum("k,ke->e", sizes / samples, flat)
 
 
-def _bounds(scenario: Scenario, means: np.ndarray) -> np.ndarray:
-    """Bounds (R,) of averaged chunk-mean rows (R, 1 + 8 L), prior terms included.
-    For the value row, a, b and the channel entries are bitwise those of mc_blocks' a, b and
-    d; the coupling reads d's four distinct entries per tone (_arrow_coupling)."""
+def _bounds(scenario: Scenario, means: np.ndarray):
+    """Bounds (R,) of averaged chunk-mean rows (R, 1 + 8 L), prior terms included, and the
+    scale a + coupling (R,) of the information terms whose rounding they carry. For the value
+    row, a, b and the channel entries are bitwise those of mc_blocks' a, b and d; the
+    coupling reads d's four distinct entries per tone (_arrow_coupling)."""
     a, b, d_parts = _split((2.0 / scenario.noise.variance) * means)
     coupling = _arrow_coupling(b, d_parts, scenario.channel.prior_info_per_coordinate())
-    return 1.0 / (a + scenario.prior.curvature() - coupling)
+    return 1.0 / (a + scenario.prior.curvature() - coupling), a + coupling
 
 
 def mc_blocks(scenario: Scenario, samples: int, seed: int = 0) -> McBlocks:
     """Monte Carlo estimate of the information blocks, prior terms included.
 
-    The standard errors come from the spread of chunk means, so the draws
-    must fill at least two chunks of MC_CHUNK.
+    The standard errors come from the spread of chunk means; the draws must number at
+    least JACKKNIFE_GROUPS * MC_CHUNK = 16,384, as for every random-channel bound.
     """
     samples = whole_number("samples", samples)
     value, chunks, sizes = 0.0, [], []
@@ -333,56 +327,38 @@ def mc_blocks(scenario: Scenario, samples: int, seed: int = 0) -> McBlocks:
                     chunk_d_parts=d_parts, chunk_sizes=sizes)
 
 
-def _bootstrap_counts(seed: int, n_chunks: int) -> np.ndarray:
-    """How often each of BOOTSTRAP_RESAMPLES resamples picks each chunk (R, n_chunks), in the
-    smallest unsigned type that holds n_chunks. The picks are numpy's stream of
-    SeedSequence(seed, spawn_key=(_BOOT_KEY,)), drawn in row blocks of at most _RUN_ELEMENTS,
-    bitwise one (R, n_chunks) integers call: numpy's bounded 32-bit draws carry no buffer
-    from one call to the next."""
-    rng = np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed, spawn_key=(_BOOT_KEY,))))
-    counts = np.empty((BOOTSTRAP_RESAMPLES, n_chunks), dtype=np.min_scalar_type(n_chunks))
-    rows = max(1, _RUN_ELEMENTS // n_chunks)
-    for lo in range(0, BOOTSTRAP_RESAMPLES, rows):
-        picks = rng.integers(0, n_chunks, size=(min(rows, BOOTSTRAP_RESAMPLES - lo), n_chunks))
-        picks += np.arange(picks.shape[0])[:, None] * n_chunks  # each row counts in bins of its own
-        counts[lo:lo + picks.shape[0]] = np.bincount(picks.ravel(), minlength=picks.size).reshape(picks.shape)
-    return counts
-
-
 def _mc_bounds(scenarios, samples: int, seed: int) -> list:
     """mc_bound of each random-channel scenario, all from one set of draws.
 
-    The bound's standard error comes from a block bootstrap over chunk means; every
-    scenario uses the same BOOTSTRAP_RESAMPLES picks of chunks, and a resample weighs a
-    chunk by its size times how often it was picked, over the draws it picked. Each fold
-    block's chunk means go into the scenario's value row (_value_mean, as in mc_blocks)
-    and, by one BLAS product into a buffer reused for every block, into its bootstrap
-    rows; no chunk mean outlives its block, and only the pick counts grow with the draws.
+    The standard error is a delete-a-group jackknife (Kott, J. Official Statistics 17, 2001):
+    chunk i joins group i mod G = JACKKNIFE_GROUPS, theta_(g) is the bound of the mean over
+    the draws outside group g, and the error is sqrt((G - 1) / G sum_g (theta_(g) - mean
+    theta)^2), with the value's own rounding added in quadrature. Each fold block's
+    size-weighted chunk means go into fixed (G, 1 + 8 L) group sums by numpy's own strided
+    sums, beside the value row (_value_mean, as in mc_blocks); no chunk mean outlives its
+    block, and nothing grows with the draws.
     """
-    seed = whole_number("seed", seed, 0)
-    if samples > _BOOT_KEY * MC_CHUNK:
-        raise ValueError(f"Monte Carlo bounds take at most {_BOOT_KEY * MC_CHUNK} draws, got "
-                         f"{samples}: chunk {_BOOT_KEY} would draw the bootstrap's stream")
-    blocks = _shared_chunk_means(scenarios, samples, seed)
-    n_chunks = -(-samples // MC_CHUNK)
-    counts = _bootstrap_counts(seed, n_chunks)
-    # each resample picks n_chunks chunks, all of MC_CHUNK draws but the last
-    picked = (n_chunks * MC_CHUNK - (n_chunks * MC_CHUNK - samples) * counts[:, -1].astype(np.int64)).astype(float)
-    width = 1 + 8 * scenarios[0].grid.count
-    values, rows = np.zeros((len(scenarios), width)), np.zeros((len(scenarios), BOOTSTRAP_RESAMPLES, width))
-    product, lo = np.empty((BOOTSTRAP_RESAMPLES, width)), 0
-    for sizes, means in blocks:
-        weights = counts[:, lo:lo + sizes.size] * sizes / picked[:, None]
+    groups, width = JACKKNIFE_GROUPS, 1 + 8 * scenarios[0].grid.count
+    values, sums = np.zeros((len(scenarios), width)), np.zeros((len(scenarios), groups, width))
+    drawn, lo = np.zeros(groups), 0
+    for sizes, means in _shared_chunk_means(scenarios, samples, seed):
         for k, flat in enumerate(means):
             values[k] += _value_mean(sizes, samples, flat)
-            rows[k] += np.matmul(weights, flat, out=product)
+            flat *= sizes[:, None]
+            for j in range(min(groups, sizes.size)):
+                sums[k, (lo + j) % groups] += flat[j::groups].sum(axis=0)
+        np.add.at(drawn, np.arange(lo, lo + sizes.size) % groups, sizes)
         lo += sizes.size
-        del weights, flat  # freed before the next block's draws
+        del flat  # freed before the next block's draws
+    left_out = (sums.sum(axis=1, keepdims=True) - sums) / (samples - drawn)[:, None]
     estimates = []
-    for sc, value, resampled in zip(scenarios, values, rows):
-        (bound,) = _bounds(sc, value[None])
+    for sc, value, rows in zip(scenarios, values, left_out):
+        (bound,), (scale,) = _bounds(sc, value[None])
         with np.errstate(over="ignore"):  # bounds near the float limit spread to inf
-            std_err = float(np.std(_bounds(sc, resampled), ddof=1))
+            spread = float(np.std(_bounds(sc, rows)[0]) * math.sqrt(groups - 1))
+            # where the replicates round to one double they spread by nothing, yet the value rounds:
+            # an ulp, and half an ulp of the information terms per chunk summed, times bound^2
+            std_err = math.hypot(spread, math.ulp(bound) + math.sqrt(lo) * 2.0**-53 * scale * bound * bound)
         estimates.append(McEstimate(value=float(bound), std_err=std_err, samples=samples))
     return estimates
 
@@ -390,10 +366,10 @@ def _mc_bounds(scenarios, samples: int, seed: int) -> list:
 def mc_bound(scenario: Scenario, samples: int, seed: int = 0) -> McEstimate:
     """Bound from Monte Carlo averaged conditional information.
 
-    Standard error comes from a block bootstrap over chunk means (the bound is
-    nonlinear in the averaged entries); random channels therefore need the
-    two-chunk minimum of mc_blocks, and the value is the bound of mc_blocks'
-    a, b and d, bit for bit. Under deterministic LoS only the condition average
+    Standard error comes from a delete-a-group jackknife over JACKKNIFE_GROUPS groups of
+    chunks (the bound is nonlinear in the averaged entries), so random channels need
+    mc_blocks' floor of 16,384 draws; the value is the bound of mc_blocks' a, b and d, bit
+    for bit, with no bias correction. Under deterministic LoS only the condition average
     is left, done by quadrature: the estimate is exact, its error zero.
     """
     samples = whole_number("samples", samples)

@@ -79,7 +79,7 @@ def test_structured_block_reduction_equals_generic_solve():
 def _arrow_parts(rng, count, rho, prior_info):
     """count random arrow blocks whose receive and transmit entries A', B' (prior_info
     included) have 1 - |z|^2 / (A' B') = rho, with random b (count, 4): d_parts (count, 4)
-    without the prior, as the Monte Carlo bootstrap hands them to _arrow_coupling."""
+    without the prior, as the Monte Carlo jackknife hands them to _arrow_coupling."""
     recv, trans = np.exp(rng.uniform(-2.0, 2.0, (2, count)))
     mag, angle = np.sqrt((1.0 - rho) * recv * trans), rng.uniform(0.0, 2.0 * np.pi, count)
     parts = np.stack([recv - prior_info, trans - prior_info,

@@ -143,6 +143,22 @@ def test_sweep_usage_errors_exit_1(cfg, tmp_path):
                  "--axis", "subcarrier_count", "--values", "2.5"]) == 1
 
 
+def test_sweep_values_list_may_start_negative(cfg, tmp_path, capsys):
+    # "--values -10,0,10" is the list, as "--values=-10,0,10" is; a word after --values
+    # that starts with "-" and no digit is still an option, so the list is missing
+    spaced, joined = tmp_path / "spaced.csv", tmp_path / "joined.csv"
+    base = ["sweep", "--config", cfg, "--axis", "snr_db"]
+    assert main(base + ["--out", str(spaced), "--values", "-10,0,10"]) == 0
+    assert main(base + ["--out", str(joined), "--values=-10,0,10"]) == 0
+    assert spaced.read_bytes() == joined.read_bytes()
+    assert [float(r["axis_value"]) for r in _rows(spaced)] == [-10.0, 0.0, 10.0]
+    assert main(base + ["--out", str(spaced), "--values", "-.5,1e1"]) == 0
+    assert [float(r["axis_value"]) for r in _rows(spaced)] == [-0.5, 10.0]
+    capsys.readouterr()
+    assert main(base + ["--out", str(spaced), "--values", "--log"]) == 1
+    assert "argument --values: expected one argument" in capsys.readouterr().err
+
+
 def test_sweep_empty_values_list_exits_1(cfg, tmp_path, capsys):
     out = tmp_path / "x.csv"
     assert main(["sweep", "--config", cfg, "--out", str(out), "--axis", "depth",
@@ -268,7 +284,7 @@ def test_validate_builds_one_kernel_table(cfg, tmp_path, monkeypatch):
     assert main(["validate", "--config", cfg, "--out", str(tmp_path / "val.csv")]) == 0
     assert len(tables) == 1
     assert main(["validate", "--config", cfg, "--out", str(tmp_path / "dense.csv"),
-                 "--samples", "2000", "--dense-check"]) == 0
+                 "--samples", "16384", "--dense-check"]) == 0
     assert len(tables) == 2
 
 
@@ -380,10 +396,10 @@ def test_cli_over_extreme_values(tmp_path, capsys):
     # 1e8 half-width, 300 dB, full-depth cells fail only at prior std 0.5, see
     # KNOWN_NONPOSITIVE in test_bcrb.py). Pinned exit 2 on a dip
     # 1e-8 wide: at -200 dB no Monte Carlo draw carries information above
-    # rounding, so every bootstrap bound is the prior variance, the standard
-    # error is 0 and |z| = inf; at 20 and 300 dB the rare draws that land in
-    # the dip leave a standard error 1e10 times the bound, which validate
-    # reports as unresolved.
+    # rounding, so every jackknife bound is the prior variance, the standard
+    # error is the value's rounding alone, and the closed form lies some 2,000
+    # of them away; at 20 and 300 dB the rare draws that land in the dip leave a
+    # standard error 1e10 times the bound, which validate reports as unresolved.
     path = tmp_path / "extreme.cfg"
     out = str(tmp_path / "out.csv")
     for cell in itertools.product(*(values for _, _, values in EXTREME_SWEEPS.values())):
@@ -392,7 +408,7 @@ def test_cli_over_extreme_values(tmp_path, capsys):
                         f"sensor.depth = {depth!r}\nchannel.kappa = {kappa!r}\n"
                         "grid.count = 8\ngrid.spacing = 0.05\n")
         commands = [(["select", "--budget", "2"], [cell]),
-                    (["validate", "--samples", "4000"], [cell, cell[:3] + (0.0,)])]
+                    (["validate", "--samples", "16384"], [cell, cell[:3] + (0.0,)])]
         for axis, (values, index, cell_values) in EXTREME_SWEEPS.items():
             points = [cell[:index] + (v,) + cell[index + 1:] for v in cell_values]
             commands.append((["sweep", "--axis", axis, f"--values={values}"], points))
@@ -401,8 +417,11 @@ def test_cli_over_extreme_values(tmp_path, capsys):
             err = capsys.readouterr().err
             if argv[0] == "validate" and width == 1e-8 and depth > 0.0:
                 assert rc == 2, (cell, argv)
-                check = "z_score failed: deviation inf" if snr_db == -200.0 else "mc_std_err failed"
-                assert err.startswith(f"validate: check configured.{check}"), (cell, err)
+                name, deviation, _ = _failure_lines(err, "validate")[0]
+                if snr_db == -200.0:
+                    assert name == "configured.z_score" and deviation > 1e3, (cell, err)
+                else:
+                    assert name == "configured.mc_std_err", (cell, err)
             else:
                 assert rc == 0 and err == "", (cell, argv, err)
 
@@ -417,7 +436,7 @@ def test_huge_kappa_exits_0_at_the_los_bound(tmp_path, kappa):
     los = tmp_path / "los.cfg"
     los.write_text(BASE_CFG + "channel.los = true\n")
     sweep = ["sweep", "--axis", "snr_db", "--values", "0,20"]
-    for cmd in (sweep, ["select", "--budget", "4"], ["validate", "--samples", "2000"]):
+    for cmd in (sweep, ["select", "--budget", "4"], ["validate", "--samples", "16384"]):
         assert main([*cmd, "--config", str(path), "--out", str(tmp_path / f"{cmd[0]}.csv")]) == 0, cmd
     assert main([*sweep, "--config", str(los), "--out", str(tmp_path / "los.csv")]) == 0
     for got, want in zip(_rows(tmp_path / "sweep.csv"), _rows(tmp_path / "los.csv"), strict=True):
@@ -466,7 +485,7 @@ def test_import_loads_no_scipy(code):
 @pytest.mark.parametrize("command", [
     ["sweep", "--axis", "snr_db", "--values", "0,10,20"],
     ["select", "--budget", "8"],
-    ["validate", "--samples", "4096"],
+    ["validate", "--samples", "16384"],
 ])
 def test_default_config_commands_load_no_scipy(tmp_path, command):
     # package defaults put every tone at s = 1, on the stored Gauss-Hermite nodes
@@ -618,10 +637,14 @@ def test_validate_dense_check_over_64_tones_exits_1(tmp_path, capsys, monkeypatc
 
 
 def test_validate_single_chunk_oracle_exits_1(cfg, tmp_path, capsys):
-    rc = main(["validate", "--config", cfg, "--out", str(tmp_path / "val.csv"),
-               "--samples", "500"])
-    assert rc == 1
-    assert "at least 513 samples" in capsys.readouterr().err
+    # the jackknife needs a full chunk in each of its 32 groups: at least 16,384 draws
+    out = tmp_path / "val.csv"
+    for samples in ("500", "16383"):
+        assert main(["validate", "--config", cfg, "--out", str(out), "--samples", samples]) == 1
+        assert capsys.readouterr().err == (f"error: need at least 16384 samples (32 chunks of 512) to "
+                                           f"estimate the Monte Carlo error, got {samples}\n")
+        assert not out.exists()
+    assert main(["validate", "--config", cfg, "--out", str(out), "--samples", "16384"]) == 0
 
 
 def test_validate_negative_seed_exits_1_naming_the_seed(cfg, tmp_path, capsys):
@@ -654,24 +677,24 @@ def test_validate_det_los_estimate_is_its_closed_form(tmp_path, monkeypatch, los
     path = tmp_path / "scenario.cfg"
     path.write_text(BASE_CFG + ("channel.los = true\n" if los else ""))
     out = str(tmp_path / "val.csv")
-    assert main(["validate", "--config", str(path), "--out", out, "--samples", "2000"]) == 0
+    assert main(["validate", "--config", str(path), "--out", out, "--samples", "16384"]) == 0
     row = _rows(out)[-1]
     assert row["scenario_label"] == "det_los"
     assert row["mc_estimate"] == row["closed_form"]
     assert float(row["mc_std_err"]) == 0.0 and float(row["z_score"]) == 0.0
 
 
-@pytest.mark.parametrize("entries, samples", [
-    ("sensor.half_width = 1e-8\nsensor.depth = 0.5\ngrid.count = 8\ngrid.spacing = 0.05\n", "4000"),
-    ("prior.std = 1e154\ngrid.count = 4\n", "2000"),
+@pytest.mark.parametrize("entries", [
+    "sensor.half_width = 1e-8\nsensor.depth = 0.5\ngrid.count = 8\ngrid.spacing = 0.05\n",
+    "prior.std = 1e154\ngrid.count = 4\n",
 ], ids=["narrow_dip", "huge_prior_std"])
-def test_validate_unresolved_oracle_exits_2(tmp_path, capsys, entries, samples):
+def test_validate_unresolved_oracle_exits_2(tmp_path, capsys, entries):
     # |z| is small in both, but the standard error is about 1e10 times the
     # bound on a 1e-8-wide dip and inf at a prior std of 1e154
     path = tmp_path / "unresolved.cfg"
     path.write_text(entries)
     rc = main(["validate", "--config", str(path), "--out", str(tmp_path / "val.csv"),
-               "--samples", samples])
+               "--samples", "16384"])
     assert rc == 2
     failures = _failure_lines(capsys.readouterr().err, "validate")
     assert [f[0] for f in failures] == ["configured.mc_std_err", "rayleigh.mc_std_err"]

@@ -22,7 +22,7 @@ from metabcrb import (MonteCarlo, ParameterSample, RicianSpec, Scenario,
                       reflection_power, snr_to_noise)
 from metabcrb.bcrb import _arrow_coupling
 from metabcrb.expectations import MC_CHUNK, _worker_count
-from metabcrb.mc import _BOOT_KEY, BOOTSTRAP_RESAMPLES
+from metabcrb.mc import JACKKNIFE_GROUPS
 from test_streams import chunk_rng
 
 
@@ -212,21 +212,25 @@ def test_mc_blocks_validation():
         mc_blocks(_scenario(los=True), 100)
     with pytest.raises(ValueError):
         mc_blocks(_scenario(), 1)
-    # one chunk leaves no spread of chunk means to take an error from
-    with pytest.raises(ValueError, match="at least 513 samples"):
-        mc_blocks(_scenario(), 512)
-    with pytest.raises(ValueError, match="at least 513 samples"):
-        mc_bound(_scenario(), 500)
+    # the jackknife needs a full chunk in each of its 32 groups; the check comes before
+    # any draw, and the chunk keys' 2^32 limit is the only cap above it
+    assert JACKKNIFE_GROUPS * MC_CHUNK == 16_384
+    for fn in (mc_blocks, mc_bound):
+        with pytest.raises(ValueError, match="at least 16384 samples"):
+            fn(_scenario(), 16_383)
+        assert fn(_scenario(count=2), 16_384).samples == 16_384
+        with pytest.raises(ValueError, match=r"fewer than 2\*\*32 \* 512"):
+            fn(_scenario(count=2), 2**32 * MC_CHUNK)
     # SubcarrierGrid.uniform's whole-number rule: a whole float is the int call, bit for bit
     sc = _scenario(count=2)
     for bad in (2.5, math.nan, math.inf):
         for fn in (mc_blocks, mc_bound):
             with pytest.raises(ValueError, match=f"samples must be a whole number >= 1, got {bad}"):
                 fn(sc, bad)
-    assert mc_bound(sc, 1e4, seed=1) == mc_bound(sc, 10_000, seed=1)
+    assert mc_bound(sc, 2e4, seed=1) == mc_bound(sc, 20_000, seed=1)
     assert mc_bound(_scenario(los=True), 1e4).samples == 10_000
-    blocks, int_blocks = mc_blocks(sc, 1e4, seed=1), mc_blocks(sc, np.int64(10_000), seed=1)
-    assert blocks.samples == 10_000 and blocks.a == int_blocks.a
+    blocks, int_blocks = mc_blocks(sc, 2e4, seed=1), mc_blocks(sc, np.int64(20_000), seed=1)
+    assert blocks.samples == 20_000 and blocks.a == int_blocks.a
     np.testing.assert_array_equal(blocks.d, int_blocks.d)
 
 
@@ -240,7 +244,7 @@ def test_oracle_raises_where_the_closed_form_raises_on_slope_scale_overflow():
     message = re.escape("slope scale depth * shift_rate / half_width = inf overflows when squared")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for call in (bcrb_closed_form, lambda s: mc_bound(s, 2000, 1), lambda s: mc_blocks(s, 2000, 1)):
+        for call in (bcrb_closed_form, lambda s: mc_bound(s, 16_384, 1), lambda s: mc_blocks(s, 16_384, 1)):
             with pytest.raises(ArithmeticError, match=message):
                 call(sc)
 
@@ -253,30 +257,14 @@ def test_seeds_are_whole_numbers_from_zero():
         message = re.escape(f"seed must be a whole number >= 0, got {bad}")
         with pytest.raises(ValueError, match=message):
             MonteCarlo(1000, seed=bad)
-        for call in (lambda: mc_bound(sc, 2_000, bad), lambda: mc_blocks(sc, 2_000, bad),
+        for call in (lambda: mc_bound(sc, 16_384, bad), lambda: mc_blocks(sc, 16_384, bad),
                      lambda: posterior_mean_mse(los, 100, grid_points=8, seed=bad)):
             with pytest.raises(ValueError, match=message):
                 call()
     assert MonteCarlo(1000, seed=2.0) == MonteCarlo(1000, seed=2)
-    assert mc_bound(sc, 2_000, 2.0) == mc_bound(sc, 2_000, 2)
+    assert mc_bound(sc, 16_384, 2.0) == mc_bound(sc, 16_384, 2)
     assert (posterior_mean_mse(los, 100, grid_points=8, seed=2.0)
             == posterior_mean_mse(los, 100, grid_points=8, seed=2))
-
-
-def test_mc_bounds_stop_short_of_the_bootstrap_stream(monkeypatch):
-    # the bootstrap draws the stream of chunk _BOOT_KEY, so a call may fill chunks 0 to
-    # _BOOT_KEY - 1 and no more; the check comes before any draw
-    def no_draws(scenarios, samples, seed):
-        raise LookupError(samples)
-
-    monkeypatch.setattr(mc, "_shared_chunk_means", no_draws)
-    sc, limit = _scenario(count=2), _BOOT_KEY * MC_CHUNK
-    assert limit == 845_552_740_352
-    for samples in (limit + 1, 2**32 * MC_CHUNK):
-        with pytest.raises(ValueError, match=f"at most {limit} draws, got {samples}: chunk {_BOOT_KEY}"):
-            mc_bound(sc, samples)
-    with pytest.raises(LookupError, match=str(limit)):
-        mc_bound(sc, limit)
 
 
 # ------------------------------------------------- the bound
@@ -304,7 +292,7 @@ def test_mc_bound_los_is_exact():
 def test_mc_bound_error_shrinks_as_root_n():
     sc = _scenario(count=4)
     closed = bcrb_closed_form(sc).bound
-    sizes = [10_000, 40_000, 160_000, 640_000]
+    sizes = [16_384, 65_536, 262_144, 1_048_576]
     ses = []
     for n in sizes:
         est = mc_bound(sc, n, seed=100)
@@ -314,27 +302,44 @@ def test_mc_bound_error_shrinks_as_root_n():
     assert slope == pytest.approx(-0.5, abs=0.15)
 
 
-def test_mc_bound_bootstrap_matches_plain_loop():
-    # reference: one resample at a time, one 4x4 solve per tone
+def test_mc_bound_jackknife_matches_plain_loop():
+    # reference: each group left out in turn from mc_blocks' chunk arrays, one 4x4 solve per
+    # tone. 40 chunks, the last of 32 draws: groups 0-7 hold two chunks, group 7 the short one
     sc = _scenario(count=4, kappa=2.0)
     samples, seed = 20_000, 7
     est = mc_bound(sc, samples, seed=seed)
     blocks = mc_blocks(sc, samples, seed=seed)
-    n_chunks = blocks.chunk_sizes.size
-    rng = chunk_rng(seed, _BOOT_KEY)
+    group = np.arange(blocks.chunk_sizes.size) % JACKKNIFE_GROUPS
     two_over = 2.0 / sc.noise.variance
     info = sc.channel.prior_info_per_coordinate() * np.eye(4)
     bounds = []
-    for _ in range(BOOTSTRAP_RESAMPLES):
-        pick = rng.integers(0, n_chunks, size=n_chunks)
-        w = blocks.chunk_sizes[pick] / np.sum(blocks.chunk_sizes[pick])
-        a = two_over * np.sum(w * blocks.chunk_a[pick]) + sc.prior.curvature()
-        b = two_over * np.einsum("i,ikj->kj", w, blocks.chunk_b[pick])
-        d = two_over * np.einsum("i,iklm->klm", w, blocks.chunk_d[pick])
+    for g in range(JACKKNIFE_GROUPS):
+        keep = group != g
+        w = blocks.chunk_sizes[keep] / np.sum(blocks.chunk_sizes[keep])
+        a = two_over * np.sum(w * blocks.chunk_a[keep]) + sc.prior.curvature()
+        b = two_over * np.einsum("i,ikj->kj", w, blocks.chunk_b[keep])
+        d = two_over * np.einsum("i,iklm->klm", w, blocks.chunk_d[keep])
         coupling = sum(float(b[k] @ np.linalg.solve(d[k] + info, b[k]))
                        for k in range(sc.grid.count))
         bounds.append(1.0 / (a - coupling))
-    assert est.std_err == pytest.approx(np.std(bounds, ddof=1), rel=1e-12)
+    spread = np.sum((np.array(bounds) - np.mean(bounds)) ** 2)
+    assert est.std_err == pytest.approx(math.sqrt((JACKKNIFE_GROUPS - 1) / JACKKNIFE_GROUPS * spread), rel=1e-12)
+
+
+def test_mc_bound_jackknife_keeps_the_value_rounding_where_the_replicates_agree():
+    # at half width 1e8, 300 dB and kappa 1e300 every chunk's a entry is the same double and
+    # the coupling vanishes, so the 32 jackknife replicates agree; the error is the value's
+    # rounding alone, an ulp of the bound and half an ulp of a + coupling per chunk carried
+    # to the bound, and the value's 3-ulp gap to the closed form lies within it
+    sc = _scenario(depth=0.5, width=1e8, snr_db=300.0, kappa=1e300, spacing=0.05, count=8)
+    blocks = mc_blocks(sc, 16_384, 0)
+    assert np.all(blocks.chunk_a == blocks.chunk_a[0])
+    coupling = _arrow_coupling(blocks.b, blocks.d[:, [0, 2, 0, 1], [0, 2, 2, 2]], 0.0)
+    scale = blocks.a - sc.prior.curvature() + coupling
+    est, closed = mc_bound(sc, 16_384, 0), bcrb_closed_form(sc).bound
+    want = math.ulp(est.value) + math.sqrt(32) * 2.0**-53 * scale * est.value**2
+    assert est.std_err == pytest.approx(want, rel=1e-12)
+    assert 0.0 < abs(est.value - closed) <= 4 * est.std_err
 
 
 @pytest.mark.parametrize("count", [1, 16, 128])
@@ -342,7 +347,7 @@ def test_mc_bound_is_the_bound_of_mc_blocks(count):
     # one averaging path: the point estimate is the bound of mc_blocks' a, b and d, with
     # the coupling from the four distinct entries (A', B', zr, zi) of each d block
     sc = _scenario(count=count, spacing=0.05, kappa=2.0)
-    samples, seed = 3_001, 11
+    samples, seed = 16_801, 11
     blocks = mc_blocks(sc, samples, seed)
     parts = blocks.d[:, [0, 2, 0, 1], [0, 2, 2, 2]]
     assert np.array_equal(mc._arrow_d(parts), blocks.d)
@@ -645,7 +650,7 @@ def test_chunk_conditions_are_those_of_draw_samples(count, monkeypatch):
     # each chunk's generator gives its conditions first, bitwise draw_samples' on it;
     # one tone runs chunks 128 at a time, 128 tones one at a time
     sc = _scenario(count=count, spacing=0.05)
-    samples, seed = 20 * MC_CHUNK + 3, 13
+    samples, seed = 33 * MC_CHUNK + 3, 13
     seen = []
     sensor_means = mc._sensor_means
 
@@ -656,7 +661,7 @@ def test_chunk_conditions_are_those_of_draw_samples(count, monkeypatch):
     monkeypatch.setattr(mc, "_sensor_means", recorded)
     _set_workers(monkeypatch, 1)
     mc_blocks(sc, samples, seed)
-    sizes = [MC_CHUNK] * 20 + [3]
+    sizes = [MC_CHUNK] * 33 + [3]
     assert [c.size for c in seen] == sizes
     for i, (c, size) in enumerate(zip(seen, sizes)):
         assert np.array_equal(c, draw_samples(sc, size, chunk_rng(seed, i))[0])
@@ -668,13 +673,13 @@ def test_one_draw_last_chunk_has_no_spread(count):
     # is z_mean^2 exactly, and the chunk's blocks are conditional_fim at one draw
     # with the channel that z_mean gives
     sc = _scenario(count=count, spacing=0.05, kappa=2.0)
-    samples, seed = 3 * MC_CHUNK + 1, 19
-    c, z_mean, spread = _draw_statistics(sc.prior, chunk_rng(seed, 3), count, 1)
+    samples, seed = 32 * MC_CHUNK + 1, 19
+    c, z_mean, spread = _draw_statistics(sc.prior, chunk_rng(seed, 32), count, 1)
     assert np.array_equal(z_mean * z_mean + spread, z_mean * z_mean)
     means, squares = mc._channel_moments(sc.channel, z_mean, spread)
     assert np.array_equal(squares, means * means)
     blocks = mc_blocks(sc, samples, seed)
-    assert blocks.chunk_sizes.tolist() == [MC_CHUNK] * 3 + [1]
+    assert blocks.chunk_sizes.tolist() == [MC_CHUNK] * 32 + [1]
     fim = conditional_fim(sc, ParameterSample(condition=c[0], receive=means[0] + 1j * means[1],
                                               transmit=means[2] + 1j * means[3]))
     _assert_kernel_matches_fim(sc, (blocks.chunk_a[-1], blocks.chunk_b[-1], blocks.chunk_d[-1]),
@@ -794,7 +799,7 @@ def test_sensor_means_match_extended_precision_at_any_detuning(depth):
 
 def test_sensor_terms_keep_a_square_detuning_that_vanishes_beside_one():
     # for 5.6e-17 < x^2 < 1.1e-16, 1 + x^2 rounds to 1, so r = 1 / (1 + x^2)
-    # would be 1 at every such draw, a bias of -x^2 that no bootstrap spread
+    # would be 1 at every such draw, a bias of -x^2 that no Monte Carlo spread
     # shows; the nearest double to the true r is 1 - 2^-53
     sensor = SensorModel(absorption_depth=1.0, half_width=1.0, shift_rate=1.0)
     c = np.array([8e-9, 9e-9, 1e-8, 1.05e-8])
@@ -901,21 +906,21 @@ def test_mc_bound_bitwise_across_thread_counts(count, monkeypatch):
 @pytest.mark.parametrize("rest", [1, 7])
 @pytest.mark.parametrize("count", [1, 16, 128])
 def test_mc_bound_bitwise_with_a_short_last_chunk(count, rest, monkeypatch):
-    # 16 full chunks, in two runs of 8 at 16 tones, one of 16 at one tone and one chunk
+    # 32 full chunks, in four runs of 8 at 16 tones, one of 32 at one tone and one chunk
     # a run at 128, then a last chunk of 1 or 7 draws
-    _assert_bitwise_across_thread_counts(_scenario(count=count, kappa=2.0), 16 * MC_CHUNK + rest, 29,
+    _assert_bitwise_across_thread_counts(_scenario(count=count, kappa=2.0), 32 * MC_CHUNK + rest, 29,
                                          monkeypatch)
 
 
-@pytest.mark.parametrize("count, samples", [(1, 1025), (16, 1025), (128, 1025), (1, 600 * MC_CHUNK + 3),
+@pytest.mark.parametrize("count, samples", [(1, 16_385), (16, 16_385), (128, 16_385), (1, 3000 * MC_CHUNK + 3),
                                            (16, 250 * MC_CHUNK + 1), (128, 50 * MC_CHUNK + 9)])
 def test_mc_bounds_bitwise_across_threads_and_fold_edges(count, samples, monkeypatch):
-    # 1025 draws are two chunks and a one-draw chunk; the other counts end on a short
+    # 16,385 draws are 32 chunks and a one-draw chunk; the other counts end on a short
     # fold block. Two scenarios share the draws, as validate's configured and Rayleigh do
     base = _scenario(count=count, kappa=2.0)
     scenarios = (base, base.with_channel(RicianSpec(kappa=0.0)))
     blocks = [sizes.size for sizes, _ in mc._shared_chunk_means(scenarios, samples, 5)]
-    assert samples == 1025 or (len(blocks) > 1 and blocks[-1] < blocks[0])
+    assert samples == 16_385 or (len(blocks) > 1 and blocks[-1] < blocks[0])
     got = {}
     for threads in (1, 2):
         _set_workers(monkeypatch, threads)
@@ -926,29 +931,12 @@ def test_mc_bounds_bitwise_across_threads_and_fold_edges(count, samples, monkeyp
         assert est == (ref.value, ref.std_err)
 
 
-@pytest.mark.parametrize("n_chunks", [3, 5, 197, 1955])
-def test_bootstrap_picks_in_row_blocks_are_one_call(n_chunks, monkeypatch):
-    # numpy's bounded 32-bit integers keep no buffer between calls, so picks drawn a row
-    # block at a time are the stream of one (R, n_chunks) call, and so are their counts
-    whole = chunk_rng(4, _BOOT_KEY).integers(0, n_chunks, size=(BOOTSTRAP_RESAMPLES, n_chunks))
-    want = np.array([np.bincount(row, minlength=n_chunks) for row in whole])
-    for rows in (7, 25):
-        rng = chunk_rng(4, _BOOT_KEY)
-        blocks = [rng.integers(0, n_chunks, size=(min(rows, BOOTSTRAP_RESAMPLES - lo), n_chunks))
-                  for lo in range(0, BOOTSTRAP_RESAMPLES, rows)]
-        assert np.array_equal(np.concatenate(blocks), whole)
-        monkeypatch.setattr(mc, "_RUN_ELEMENTS", rows * n_chunks)
-        counts = mc._bootstrap_counts(4, n_chunks)
-        assert counts.dtype == np.min_scalar_type(n_chunks)
-        assert np.array_equal(counts, want)
-
-
 @pytest.mark.parametrize("count", [1, 16])
 def test_mc_bound_memory_does_not_grow_with_draws(count):
-    # chunk means live one fold block at a time; only the pick counts (BOOTSTRAP_RESAMPLES
-    # small integers per chunk) grow with the draws. Ten times the draws once took 4.5
-    # (one tone) and 5.9 (16 tones) times the peak, in the (R, n_chunks) bootstrap weights
-    # and the joined chunk means
+    # chunk means live one fold block at a time and the jackknife's group sums are fixed,
+    # so nothing grows with the draws. Ten times the draws once took 4.5 (one tone) and
+    # 5.9 (16 tones) times the peak, in a bootstrap's (R, n_chunks) weights and the joined
+    # chunk means
     sc = _scenario(count=count, kappa=2.0)
     mc_bound(sc, 100_000, 3)  # first-call allocations are not the oracle's
     peaks = []
@@ -963,9 +951,9 @@ def test_mc_bound_memory_does_not_grow_with_draws(count):
 
 
 def test_mc_bound_bytes_do_not_depend_on_blas_threads():
-    # the bootstrap folds each block by a BLAS matrix product, which splits no sum across
-    # threads, and the value row by numpy's own loop; one (R, n_chunks) product of all the
-    # weights once moved std_err's last digit between one and two OpenBLAS threads.
+    # the value row and the jackknife's group sums fold each block by numpy's own loops;
+    # a bootstrap's (R, n_chunks) BLAS product of all its weights once moved std_err's last
+    # digit between one and two OpenBLAS threads.
     # Criterion 01's narrow scenario at 1e6 draws, as the benchmark's mc-narrow job runs it
     import metabcrb
     script = (
@@ -1008,7 +996,7 @@ def test_shared_draws_equal_separate_calls(count):
 def test_mc_blocks_store_four_channel_entries_per_tone():
     # the (chunks, L, 4, 4) channel blocks hold 4 distinct entries per tone;
     # only those are stored, and chunk_d expands them on access
-    blocks = mc_blocks(_scenario(count=16), 2_000, 3)
+    blocks = mc_blocks(_scenario(count=16), 16_384, 3)
     assert blocks.chunk_d_parts.shape == (blocks.chunk_sizes.size, 16, 4)
     assert blocks.chunk_d.shape == (blocks.chunk_sizes.size, 16, 4, 4)
     assert np.array_equal(blocks.chunk_d, mc._arrow_d(blocks.chunk_d_parts))
