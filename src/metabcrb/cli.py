@@ -15,8 +15,8 @@ holds one block of chunk means at a time, so validate's memory does not grow
 with --samples times tones. Its standard error is a 32-group jackknife, so a
 random channel needs at least 16,384 draws.
 
-Exit codes: 0 ok, 1 usage or config error or an output that cannot be written,
-2 validation failure, 3 numerical failure.
+Exit codes: 0 ok, 1 usage or config error, an output that cannot be written or a
+grid too large for memory, 2 validation failure, 3 numerical failure.
 When validate exits 2 or asymptotics exits 3, stderr names each failed check
 with its deviation and tolerance.
 """
@@ -287,8 +287,9 @@ def cmd_asymptotics(args) -> int:
             else:
                 sp_lim = slope_power_narrow_limit(s, prior, delta)
                 cm_lim = corr_magsq_narrow_limit(s, prior, delta)
-            checks.append((f"slope_power_{tag}_offset={delta:g}", sp_lim, sp,
-                           abs(sp - sp_lim) / sp_lim, tol_sp))
+            if sp_lim > 0:  # a limit of 0 (no dip, or one that underflows) has no relative deviation
+                checks.append((f"slope_power_{tag}_offset={delta:g}", sp_lim, sp,
+                               abs(sp - sp_lim) / sp_lim, tol_sp))
             if cm_lim > 0:
                 checks.append((f"corr_magsq_{tag}_offset={delta:g}", cm_lim, cm,
                                abs(cm - cm_lim) / cm_lim, tol_corr))
@@ -296,8 +297,9 @@ def cmd_asymptotics(args) -> int:
     grid = SubcarrierGrid.uniform(center=center, spacing=sensor.half_width / 100.0, count=10000)
     total = float(np.sum(slope_power(sensor, grid.as_array(), prior)))
     predicted = wideband_slope_power_sum(sensor, grid, prior)
-    checks.append(("wideband_slope_power_sum", predicted, total,
-                   abs(total - predicted) / predicted, 5e-2))
+    if predicted > 0:
+        checks.append(("wideband_slope_power_sum", predicted, total,
+                       abs(total - predicted) / predicted, 5e-2))
 
     def bound_at(sensor_v, depth=None, snr_db=70.0):
         s = sensor_v if depth is None else replace(sensor_v, absorption_depth=depth)
@@ -399,7 +401,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return 1
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:  # MemoryError: a grid too large to allocate
         sys.stderr.write(f"error: {exc}\n")
         return 1
     except ArithmeticError as exc:

@@ -8,7 +8,7 @@ expectation:
     slope_reflection_corr  E_c [conj(gamma') gamma] (complex)
     reflection_power       E_c |gamma|^2           (real, in [0, 1])
 
-The quadrature path reduces all three to Gaussian expectations of the scalar
+All three reduce to Gaussian expectations of the scalar
 detuning kernels 1/(1+x^2)^2, 1/(1+x^2) and x/(1+x^2)^2 with x ~ N(x0, s^2),
 x0 = (f - resonance(prior mean)) / half_width and s = |shift_rate| * prior
 std / half_width.  `kernel_means` sends each tone to one of four fixed,
@@ -85,15 +85,8 @@ _INV_SQRT_PI = 1.0 / math.sqrt(math.pi)
 
 @dataclass(frozen=True)
 class Quadrature:
-    """Gauss-Hermite evaluation starting at `order` nodes, refined by doubling.
-
-    Only `expect_over_prior` reads `order`, which lies in [2, GH_MAX_ORDER] =
-    [2, 1600]. Given to slope_power, slope_reflection_corr, reflection_power or
-    corr_magsq, it selects the deterministic moments of `kernel_means`, whose
-    fixed rules (the far trapezoid rule, Gauss-Hermite at KERNEL_ORDER, the
-    Faddeeva closed form and the sinh trapezoid rule) take no order and import
-    no scipy.
-    """
+    """expect_over_prior's Gauss-Hermite rule: `order` nodes in [2, GH_MAX_ORDER] = [2, 1600]
+    to start, refined by doubling."""
 
     order: int = 200
 
@@ -105,11 +98,7 @@ class Quadrature:
 
 @dataclass(frozen=True)
 class MonteCarlo:
-    """Plain Monte Carlo over the prior with a splittable, chunk-keyed generator.
-
-    Its integrands give one value per draw, so slope_power, reflection_power,
-    slope_reflection_corr and corr_magsq take one frequency (else ValueError).
-    """
+    """expect_over_prior's plain Monte Carlo over the prior, on a splittable, chunk-keyed generator."""
 
     samples: int
     seed: int = 0
@@ -657,34 +646,28 @@ def prior_moments(sensor: SensorModel, f, prior: SensingPrior):
     return slope_power.reshape(shape), corr.reshape(shape), refl_power.reshape(shape)
 
 
-def _moment(index: int, integrand, sensor: SensorModel, f, prior: SensingPrior, method):
-    """Moment `index` of prior_moments from the kernel rows it reads; under MonteCarlo, E_c integrand(c)."""
-    if isinstance(method, Quadrature):
-        km = kernel_means(sensor, f, prior, rows=((0,), (0, 1, 2), (1,))[index])
-        value = _moments_from_kernels(sensor, km)[index]
-        return value.reshape(np.shape(f)) if np.ndim(f) else value[0].item()
-    if np.size(f) > 1:
-        raise ValueError(f"MonteCarlo moments take one frequency, got {np.size(f)}")
-    return _mc_expect(integrand, prior, method)
+def _moment(index: int, sensor: SensorModel, f, prior: SensingPrior):
+    """Moment `index` of prior_moments from the kernel rows it reads."""
+    km = kernel_means(sensor, f, prior, rows=((0,), (0, 1, 2), (1,))[index])
+    value = _moments_from_kernels(sensor, km)[index]
+    return value.reshape(np.shape(f)) if np.ndim(f) else value[0].item()
 
 
-def slope_power(sensor: SensorModel, f, prior: SensingPrior, method=Quadrature()):
-    """E_c |d gamma / d c|^2 at frequency f (McEstimate under MonteCarlo)."""
-    return _moment(0, lambda c: np.abs(sensor.reflection_dc(f, c)) ** 2, sensor, f, prior, method)
+def slope_power(sensor: SensorModel, f, prior: SensingPrior):
+    """E_c |d gamma / d c|^2 at frequency f."""
+    return _moment(0, sensor, f, prior)
 
 
-def slope_reflection_corr(sensor: SensorModel, f, prior: SensingPrior, method=Quadrature()):
+def slope_reflection_corr(sensor: SensorModel, f, prior: SensingPrior):
     """E_c [conj(d gamma / d c) * gamma], the complex slope/reflection coupling."""
-    return _moment(1, lambda c: np.conj(sensor.reflection_dc(f, c)) * sensor.reflection(f, c),
-                   sensor, f, prior, method)
+    return _moment(1, sensor, f, prior)
 
 
-def corr_magsq(sensor: SensorModel, f, prior: SensingPrior, method=Quadrature()):
+def corr_magsq(sensor: SensorModel, f, prior: SensingPrior):
     """|E_c [conj(gamma') gamma]|^2, the squared modulus of the coupling moment."""
-    val = slope_reflection_corr(sensor, f, prior, method)
-    return np.abs(val.value if isinstance(val, McEstimate) else val) ** 2
+    return np.abs(slope_reflection_corr(sensor, f, prior)) ** 2
 
 
-def reflection_power(sensor: SensorModel, f, prior: SensingPrior, method=Quadrature()):
-    """E_c |gamma|^2 at frequency f, in [0, 1] (McEstimate under MonteCarlo)."""
-    return _moment(2, lambda c: np.abs(sensor.reflection(f, c)) ** 2, sensor, f, prior, method)
+def reflection_power(sensor: SensorModel, f, prior: SensingPrior):
+    """E_c |gamma|^2 at frequency f, in [0, 1]."""
+    return _moment(2, sensor, f, prior)

@@ -50,10 +50,6 @@ class SensingPrior:
         """Prior Fisher information 1 / std^2 (negative expected log-prior curvature)."""
         return 1.0 / self.std**2
 
-    def pdf(self, c):
-        z = (np.asarray(c, dtype=float) - self.mean) / self.std
-        return np.exp(-0.5 * z * z) / (self.std * math.sqrt(2.0 * math.pi))
-
 
 @dataclass(frozen=True)
 class RicianSpec:
@@ -80,10 +76,6 @@ class RicianSpec:
         if self.deterministic_los:
             return 0.0
         return 1.0 / (self.kappa + 1.0)
-
-    def second_moment(self) -> float:
-        """E|h|^2 = 1 under the unit-power normalization."""
-        return 1.0
 
     def prior_info_per_coordinate(self) -> float:
         """Prior Fisher information of each real channel coordinate, 2 (kappa + 1).
@@ -162,10 +154,6 @@ class SubcarrierGrid:
         _check_spacing(spacing)  # before the tones, whose checks would not name the spacing
         offsets = (np.arange(count) - (count - 1) / 2.0) * spacing
         return cls(frequencies=center + offsets, spacing=spacing)
-
-    @classmethod
-    def from_frequencies(cls, frequencies) -> "SubcarrierGrid":
-        return cls(frequencies=tuple(frequencies), spacing=None)
 
     @property
     def count(self) -> int:

@@ -263,7 +263,7 @@ def test_criterion_09_contribution_positivity_and_greedy_descent():
             spacing=1.0,
         )
         f = rng.uniform(-10.0, 10.0) * sc.sensor.half_width
-        grid = SubcarrierGrid.from_frequencies([f])
+        grid = SubcarrierGrid(frequencies=[f])
         res = bcrb_closed_form(sc.with_grid(grid))
         min_contrib = min(min_contrib, float(res.contributions[0]))
     positive_ok = min_contrib > 0.0
@@ -273,7 +273,7 @@ def test_criterion_09_contribution_positivity_and_greedy_descent():
     picked = select_subcarriers(candidates, sc, 41)
     bounds = []
     for k in range(1, 42):
-        grid = SubcarrierGrid.from_frequencies(sorted(picked[:k]))
+        grid = SubcarrierGrid(frequencies=sorted(picked[:k]))
         bounds.append(bcrb_closed_form(sc.with_grid(grid)).bound)
     descent_ok = all(b2 < b1 for b1, b2 in zip(bounds, bounds[1:]))
     last_step = (bounds[-2] - bounds[-1]) / bounds[-2]

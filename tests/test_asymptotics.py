@@ -88,7 +88,7 @@ def test_wideband_sum_formula_and_convergence():
 
 def test_wideband_sum_rejects_irregular_grid():
     sensor = SensorModel(absorption_depth=0.9, half_width=1.0, shift_rate=1.0)
-    grid = SubcarrierGrid.from_frequencies([0.0, 0.5, 2.0])
+    grid = SubcarrierGrid(frequencies=[0.0, 0.5, 2.0])
     with pytest.raises(ValueError):
         wideband_slope_power_sum(sensor, grid, PRIOR)
 

@@ -402,7 +402,7 @@ def test_greedy_selection_matches_exhaustive_search():
     freqs = candidates.as_array()
 
     def bound_for(subset):
-        grid = SubcarrierGrid.from_frequencies(sorted(subset))
+        grid = SubcarrierGrid(frequencies=sorted(subset))
         return bcrb_closed_form(sc.with_grid(grid)).bound
 
     for budget in (1, 2, 3):

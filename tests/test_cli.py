@@ -106,6 +106,23 @@ def test_sweep_non_whole_subcarrier_count_is_a_config_error(cfg, tmp_path, capsy
     assert not out.exists()
 
 
+@pytest.mark.parametrize("count, command", [
+    ("16", ["sweep", "--axis", "subcarrier_count", "--values", "1e14"]),
+    ("1e14", ["sweep", "--axis", "snr_db", "--values", "10"]),
+    ("1e14", ["select", "--budget", "2"]),
+    ("1e14", ["validate"]),
+], ids=["sweep-axis", "sweep-config", "select", "validate"])
+def test_grid_too_large_for_memory_exits_1_with_one_line(tmp_path, capsys, count, command):
+    # 1e14 tones ask for 728 TiB, past any user address space, so numpy's allocation
+    # fails at once; it once ended each command in a traceback
+    path, out = tmp_path / "big.cfg", tmp_path / "big.csv"
+    path.write_text(BASE_CFG.replace("grid.count = 16", f"grid.count = {count}"))
+    assert main([command[0], "--config", str(path), "--out", str(out), *command[1:]]) == 1
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"error: Unable to allocate .+\n", err), err
+    assert not out.exists()
+
+
 def test_sweep_set_override(cfg, tmp_path):
     out = str(tmp_path / "sweep.csv")
     assert main(["sweep", "--config", cfg, "--out", out, "--axis", "depth",
@@ -758,7 +775,7 @@ def test_select_trajectory_matches_prefix_grids(tmp_path):
     assert [r["contribution"] for r in rows] == [f"{by_freq[f]:.16e}" for f in chosen]
     # the reference: one closed form on each prefix of the picks
     for rank, row in enumerate(rows, start=1):
-        grid = SubcarrierGrid.from_frequencies(sorted(chosen[:rank]))
+        grid = SubcarrierGrid(frequencies=sorted(chosen[:rank]))
         want = bcrb_closed_form(sc.with_grid(grid)).bound
         assert float(row["bcrb"]) == pytest.approx(want, rel=1e-12, abs=0.0)
 
@@ -802,6 +819,23 @@ def test_asymptotics_names_failed_checks_on_stderr(cfg, tmp_path, monkeypatch, c
     for (_, deviation, tolerance), row in zip(failures, failed_rows):
         assert deviation == pytest.approx(float(row["deviation"]), rel=1e-5)
         assert tolerance == float(row["tolerance"])
+
+
+@pytest.mark.parametrize("depth", ["0", "1e-170", "1e-200"])
+def test_asymptotics_at_a_zero_limit_writes_the_csv_and_names_the_failed_checks(tmp_path, capsys, depth):
+    # a limit that is 0 (no dip) or underflows to 0 has no relative deviation: its check
+    # is left out, as corr_magsq's is, where dividing by it once ended the command with
+    # "float division by zero", no CSV and no check named
+    path = tmp_path / "flat.cfg"
+    path.write_text(BASE_CFG.replace("sensor.depth = 0.9", f"sensor.depth = {depth}"))
+    out = str(tmp_path / "asym.csv")
+    assert main(["asymptotics", "--config", str(path), "--out", out]) == 3
+    rows = _rows(out)
+    assert [r["check"] for r in rows] == ["bound_halfwidth_slope_wide", "bound_halfwidth_slope_narrow",
+                                          "bound_depth_slope_wide"]
+    failures = _failure_lines(capsys.readouterr().err, "asymptotics")
+    assert [f[0] for f in failures] == ["bound_halfwidth_slope_wide", "bound_halfwidth_slope_narrow"]
+    assert [r["status"] for r in rows] == ["fail", "fail", "ok"]
 
 
 # --------------------------------------------------------------- misc

@@ -134,7 +134,7 @@ def test_uniform_grid_memo_keys_on_bits():
 
 def test_settings_from_scenario_rejects_irregular_grid():
     from metabcrb import SubcarrierGrid
-    sc = default_scenario().with_grid(SubcarrierGrid.from_frequencies([0.0, 0.3, 1.0]))
+    sc = default_scenario().with_grid(SubcarrierGrid(frequencies=[0.0, 0.3, 1.0]))
     with pytest.raises(ConfigError):
         settings_from_scenario(sc)
 

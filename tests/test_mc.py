@@ -18,8 +18,7 @@ import metabcrb.mc as mc
 from metabcrb import (MonteCarlo, ParameterSample, RicianSpec, Scenario,
                       SensingPrior, SensorModel, SubcarrierGrid, assemble_bfim,
                       bcrb_closed_form, conditional_fim, draw_samples,
-                      mc_blocks, mc_bound, posterior_mean_mse,
-                      reflection_power, snr_to_noise)
+                      mc_blocks, mc_bound, posterior_mean_mse, snr_to_noise)
 from metabcrb.bcrb import _arrow_coupling
 from metabcrb.expectations import MC_CHUNK, _worker_count
 from metabcrb.mc import JACKKNIFE_GROUPS
@@ -1077,11 +1076,12 @@ def test_monte_carlo_expectation_bitwise_across_thread_counts(monkeypatch):
     # chunk order (Chan, Golub & LeVeque), as _chunk_mean_and_se does
     sc = _scenario()
     method = MonteCarlo(samples=10_001, seed=3)
+    fn = lambda c: np.abs(sc.sensor.reflection(0.3, c)) ** 2  # noqa: E731
     total = dev = seen = 0.0
     for i, start in enumerate(range(0, method.samples, MC_CHUNK)):
         rng, size = chunk_rng(method.seed, i), min(MC_CHUNK, method.samples - start)
         c = sc.prior.mean + sc.prior.std * rng.standard_normal(size)
-        vals = np.abs(sc.sensor.reflection(0.3, c)) ** 2
+        vals = fn(c)
         chunk_sum, chunk_dev = np.sum(vals), np.sum((vals - np.mean(vals)) ** 2)
         if seen:
             chunk_dev = chunk_dev + (chunk_sum / size - total / seen) ** 2 * (seen * size / (seen + size))
@@ -1089,7 +1089,7 @@ def test_monte_carlo_expectation_bitwise_across_thread_counts(monkeypatch):
     mean, se = total / method.samples, math.sqrt(dev / (method.samples - 1) / method.samples)
     for threads in THREAD_SETTINGS:
         _set_workers(monkeypatch, threads)
-        est = reflection_power(sc.sensor, 0.3, sc.prior, method)
+        est = expectations.expect_over_prior(fn, sc.prior, method)
         assert (est.value, est.std_err) == (mean, se), threads
 
 
@@ -1113,11 +1113,10 @@ def test_monte_carlo_standard_error_keeps_its_digits_far_from_zero(case):
         sensor = SensorModel(0.9, float(size), 1.0)
         method = MonteCarlo(100_000, seed=1)
         fn = lambda c: np.abs(sensor.reflection(0.0, c)) ** 2  # noqa: E731
-        est = reflection_power(sensor, 0.0, prior, method)
     else:
         method = MonteCarlo(100_000, seed=3)
         fn = lambda c: c + float(size)  # noqa: E731
-        est = expectations.expect_over_prior(fn, prior, method)
+    est = expectations.expect_over_prior(fn, prior, method)
     assert est.std_err == pytest.approx(_two_pass_se(fn, prior, method), rel=1e-6, abs=0.0)
 
 

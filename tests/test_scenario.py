@@ -13,10 +13,6 @@ from metabcrb import (NoiseSpec, RicianSpec, Scenario, SensingPrior,
 def test_prior_curvature_and_pdf():
     p = SensingPrior(mean=1.5, std=0.5)
     assert p.curvature() == pytest.approx(4.0)
-    # pdf integrates to ~1 on a wide grid
-    c = np.linspace(-4, 7, 20001)
-    assert np.trapezoid(p.pdf(c), c) == pytest.approx(1.0, abs=1e-10)
-    assert p.pdf(1.5) == pytest.approx(1.0 / (0.5 * math.sqrt(2 * math.pi)))
     with pytest.raises(ValueError):
         SensingPrior(mean=0.0, std=0.0)
     for bad in (math.nan, math.inf, -math.inf):
@@ -44,7 +40,6 @@ def test_rician_spec_moments():
     ch = RicianSpec(kappa=3.0)
     assert ch.mean() == pytest.approx(math.sqrt(0.75))
     assert ch.scatter_variance() == pytest.approx(0.25)
-    assert ch.second_moment() == pytest.approx(1.0)
     assert ch.mean() ** 2 + ch.scatter_variance() == pytest.approx(1.0)
     assert ch.prior_info_per_coordinate() == pytest.approx(8.0)
 
@@ -95,9 +90,9 @@ def test_uniform_grid_layout():
 
 def test_grid_validation():
     with pytest.raises(ValueError):
-        SubcarrierGrid.from_frequencies([1.0, 1.0, 2.0])
+        SubcarrierGrid(frequencies=[1.0, 1.0, 2.0])
     with pytest.raises(ValueError):
-        SubcarrierGrid.from_frequencies([2.0, 1.0])
+        SubcarrierGrid(frequencies=[2.0, 1.0])
     with pytest.raises(ValueError):
         SubcarrierGrid.uniform(center=0.0, spacing=-1.0, count=4)
     with pytest.raises(ValueError):
@@ -110,10 +105,10 @@ def test_grid_validation():
         assert SubcarrierGrid.uniform(center=0.0, spacing=1.0, count=whole).frequencies == (-1.0, 0.0, 1.0)
     for bad in ([math.nan], [0.0, math.inf], [-math.inf, 0.0]):
         with pytest.raises(ValueError, match="must be finite"):
-            SubcarrierGrid.from_frequencies(bad)
+            SubcarrierGrid(frequencies=bad)
     with pytest.raises(ValueError, match="must be finite"):
         SubcarrierGrid.uniform(center=math.nan, spacing=1.0, count=4)
-    irregular = SubcarrierGrid.from_frequencies([0.0, 1.0, 3.0])
+    irregular = SubcarrierGrid(frequencies=[0.0, 1.0, 3.0])
     with pytest.raises(ValueError):
         _ = irregular.bandwidth
 
@@ -166,7 +161,7 @@ def test_grid_stores_a_tuple_of_python_floats():
     assert [f.hex() for f in g.frequencies] == [f.hex() for f in expected]
     # float32, integer and string inputs convert as float() converts each element
     for raw in (np.array([0.1, 0.2], dtype=np.float32), [1, 2**53 + 1], ["0.1", 2]):
-        g = SubcarrierGrid.from_frequencies(raw)
+        g = SubcarrierGrid(frequencies=raw)
         assert [f.hex() for f in g.frequencies] == [float(f).hex() for f in raw]
         assert all(type(f) is float for f in g.frequencies)
 
