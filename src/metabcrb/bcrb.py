@@ -13,6 +13,7 @@ the inverse Schur complement
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -189,8 +190,9 @@ def bcrb_from_dense(blocks: BfimBlocks) -> float:
     return float(np.linalg.solve(m, e0)[0])
 
 
-def _contributions(scenario: Scenario, sp, corr, rp) -> np.ndarray:
-    """Per-subcarrier information after fading loss.
+def _contributions(scenario: Scenario, sp, corr_sq, rp) -> np.ndarray:
+    """Per-subcarrier information after fading loss, from slope power, |corr|^2 and
+    reflection power.
 
     With u = 1 / (kappa + 1) the diffuse power of the fading (0 in
     deterministic LoS mode, the kappa -> inf limit),
@@ -204,33 +206,50 @@ def _contributions(scenario: Scenario, sp, corr, rp) -> np.ndarray:
     """
     u = scenario.channel.scatter_variance()
     denom = (2.0 - u) * u * rp + scenario.noise.variance
-    return sp - 2.0 * (1.0 - u) * u * np.abs(corr) ** 2 / denom
+    return sp - 2.0 * (1.0 - u) * u * corr_sq / denom
+
+
+class _Moments(NamedTuple):
+    """A scenario's prior moments (slope power, coupling, reflection power), with the sum of
+    slope power and |corr|^2, which every closed form on them reads."""
+
+    sp: np.ndarray
+    corr: np.ndarray
+    rp: np.ndarray
+    sp_sum: float
+    corr_sq: np.ndarray
 
 
 def _shared_moments(scenarios):
-    """Yield (scenario, (sp, corr, rp)), its prior moments, for each scenario. Kernel means
-    depend only on the detuning stats (x0, s) and moments on the table and the sensor, which
-    noise and kappa leave alone: scenarios share one table per (x0, s), consecutive ones on
-    the same table and sensor one moment set, and nothing outlives the call."""
+    """Yield (scenario, _Moments) for each scenario. Kernel means depend only on the
+    detuning stats (x0, s), and those only on the half-width, shift rate, offset, prior
+    and grid; moments depend on the table and the sensor, which noise and kappa leave
+    alone. So a run of consecutive scenarios with the same stats inputs takes the stats
+    once, scenarios share one table per (x0, s), consecutive ones on the same table and
+    sensor one moment set, and nothing outlives the call."""
     tables = {}
-    moments_key = moments = None
+    stats_key = moments_key = moments = None
     for scenario in scenarios:
-        sensor, freqs = scenario.sensor, scenario.grid.as_array()
-        x0, s = detuning_stats(sensor, freqs, scenario.prior)
-        key = (x0.tobytes(), s)
-        if key not in tables:  # through the module, so a replaced kernel_means sees every table
-            tables[key] = expectations.kernel_means(sensor, freqs, scenario.prior)
-        if moments_key != (key, sensor):
-            moments_key, moments = (key, sensor), _moments_from_kernels(sensor, tables[key])
+        sensor, prior, freqs = scenario.sensor, scenario.prior, scenario.grid.as_array()
+        key = (sensor.half_width, sensor.shift_rate, sensor.center_offset, prior, freqs.tobytes())
+        if stats_key != key:
+            x0, s = detuning_stats(sensor, freqs, prior)
+            stats_key, table_key = key, (x0.tobytes(), s)
+            if table_key not in tables:  # through the module: a replaced kernel_means sees every table
+                tables[table_key] = expectations.kernel_means(sensor, freqs, prior)
+        if moments_key != (table_key, sensor):
+            sp, corr, rp = _moments_from_kernels(sensor, tables[table_key])
+            moments_key, moments = (table_key, sensor), _Moments(sp, corr, rp, float(np.sum(sp)),
+                                                                 np.abs(corr) ** 2)
         yield scenario, moments
 
 
-def _closed_form(scenario: Scenario, sp, corr, rp) -> BcrbResult:
-    """bcrb_closed_form from the scenario's prior moments."""
+def _closed_form(scenario: Scenario, moments: _Moments) -> BcrbResult:
+    """bcrb_closed_form from the scenario's moment set (_shared_moments)."""
     two_over = 2.0 / scenario.noise.variance
-    first = two_over * float(np.sum(sp))
+    first = two_over * moments.sp_sum
     prior_term = scenario.prior.curvature()
-    contrib = _contributions(scenario, sp, corr, rp)
+    contrib = _contributions(scenario, moments.sp, moments.corr_sq, moments.rp)
     coupling = first - two_over * float(np.sum(contrib))
     denom = first + prior_term - coupling
     if not denom > 0.0:
@@ -242,7 +261,7 @@ def _closed_form(scenario: Scenario, sp, corr, rp) -> BcrbResult:
 def _closed_forms(scenarios):
     """Yield bcrb_closed_form(scenario) for each scenario, on _shared_moments' tables."""
     for scenario, moments in _shared_moments(scenarios):
-        yield _closed_form(scenario, *moments)
+        yield _closed_form(scenario, moments)
 
 
 def bcrb_closed_form(scenario: Scenario) -> BcrbResult:
@@ -262,8 +281,8 @@ def subcarrier_contribution(scenario: Scenario, k: int) -> float:
         raise ValueError(f"subcarrier index k must be a whole number, got {k!r}")
     if not 0 <= k < freqs.size:
         raise IndexError(f"subcarrier index {k} out of range for {freqs.size} tones")
-    moments = prior_moments(scenario.sensor, freqs[int(k):int(k) + 1], scenario.prior)
-    return float(_contributions(scenario, *moments)[0])
+    sp, corr, rp = prior_moments(scenario.sensor, freqs[int(k):int(k) + 1], scenario.prior)
+    return float(_contributions(scenario, sp, np.abs(corr) ** 2, rp)[0])
 
 
 def _greedy(scenario: Scenario, budget: int):

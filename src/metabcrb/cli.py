@@ -36,8 +36,9 @@ import numpy as np
 from .asymptotics import (corr_magsq_narrow_limit, corr_magsq_wide_limit,
                           fit_loglog_slope, slope_power_narrow_limit,
                           slope_power_wide_limit, wideband_slope_power_sum)
-# assemble_bfim and select_subcarriers are unused here but stay names of this module:
-# benchmarks/spans.py traces them here (validate assembles through _assemble; see ROADMAP item 1)
+# assemble_bfim, bcrb_closed_form and select_subcarriers are unused here but stay names of this
+# module: benchmarks/spans.py traces them here (validate assembles through _assemble, and
+# asymptotics takes its bounds from _closed_forms; see ROADMAP item 1)
 from .bcrb import (_assemble, _check_dense, _closed_form, _closed_forms, _greedy, _shared_moments,
                    assemble_bfim, bcrb_closed_form, bcrb_from_blocks, bcrb_from_dense,
                    select_subcarriers)  # noqa: F401
@@ -181,8 +182,8 @@ def cmd_validate(args) -> int:
     """Closed form against the Schur blocks, the dense inverse and Monte Carlo.
 
     The variants (configured, Rayleigh, det_los) share prior, sensor and grid,
-    so their closed forms and the random-channel ones' blocks share one kernel
-    table, and one Monte Carlo pass serves the random-channel ones: each chunk
+    so their closed forms and the random-channel ones' blocks share one moment
+    set, and one Monte Carlo pass serves the random-channel ones: each chunk
     draws its conditions and channel statistics once.
     det_los's estimate is its exact closed form; --samples, --seed and the dense grid come first.
     """
@@ -207,12 +208,12 @@ def cmd_validate(args) -> int:
     moments = [m for _, m in _shared_moments([sc for _, sc in variants])]
     shared = dict(zip(random, _mc_bounds(list(random.values()), samples, seed))) if random else {}
     for (label, scenario), moment in zip(variants, moments):
-        closed = _closed_form(scenario, *moment).bound
+        closed = _closed_form(scenario, moment).bound
         schur = dense = None
         if scenario.channel.deterministic_los:
             est = McEstimate(value=closed, std_err=0.0, samples=samples)
         else:
-            blocks = _assemble(scenario, *moment)
+            blocks = _assemble(scenario, moment.sp, moment.corr, moment.rp)
             schur = bcrb_from_blocks(blocks)
             if args.dense_check:
                 dense = bcrb_from_dense(blocks)
@@ -301,27 +302,31 @@ def cmd_asymptotics(args) -> int:
         checks.append(("wideband_slope_power_sum", predicted, total,
                        abs(total - predicted) / predicted, 5e-2))
 
-    def bound_at(sensor_v, depth=None, snr_db=70.0):
-        s = sensor_v if depth is None else replace(sensor_v, absorption_depth=depth)
-        sc = base.with_channel(type(base.channel)(kappa=0.0)).with_noise(snr_to_noise(snr_db))
-        sc = sc.with_grid(SubcarrierGrid.uniform(center=center, spacing=1.0, count=1))
-        return bcrb_closed_form(replace(sc, sensor=s)).bound
+    # one Rayleigh tone at the prior-mean resonance
+    tone = base.with_channel(type(base.channel)(kappa=0.0)).with_grid(
+        SubcarrierGrid.uniform(center=center, spacing=1.0, count=1))
 
-    # quadratic growth with the half-width once the dip dwarfs the prior sweep;
-    # needs the likelihood term dominant, hence the high reference SNR
-    ratios = np.geomspace(10.0, 100.0, 9)
-    slope_wide = fit_loglog_slope(ratios, [bound_at(_regime_sensor(sensor, prior, r)) for r in ratios])
-    checks.append(("bound_halfwidth_slope_wide", 2.0, slope_wide, abs(slope_wide - 2.0), 0.1))
+    def point(sensor_v, snr_db=70.0):
+        return replace(tone, sensor=sensor_v, noise=snr_to_noise(snr_db))
 
-    ratios = np.geomspace(1e-3, 1e-2, 9)
-    slope_narrow = fit_loglog_slope(ratios, [bound_at(_regime_sensor(sensor, prior, r), snr_db=30.0)
-                                             for r in ratios])
-    checks.append(("bound_halfwidth_slope_narrow", 1.0, slope_narrow, abs(slope_narrow - 1.0), 0.1))
-
+    # The bound grows quadratically with the half-width once the dip dwarfs the prior
+    # sweep, which needs the likelihood term dominant, hence the high reference SNR;
+    # linearly once the dip is much narrower than the sweep; and as depth^-2 on a wide dip.
+    ratios_wide, ratios_narrow = np.geomspace(10.0, 100.0, 9), np.geomspace(1e-3, 1e-2, 9)
     depths = np.linspace(0.2, 1.0, 9)
     wide_sensor = _regime_sensor(sensor, prior, 10.0)
-    slope_depth = fit_loglog_slope(depths, [bound_at(wide_sensor, depth=d) for d in depths])
-    checks.append(("bound_depth_slope_wide", -2.0, slope_depth, abs(slope_depth + 2.0), 0.15))
+    points = ([point(_regime_sensor(sensor, prior, r)) for r in ratios_wide]
+              + [point(_regime_sensor(sensor, prior, r), snr_db=30.0) for r in ratios_narrow]
+              + [point(replace(wide_sensor, absorption_depth=d)) for d in depths])
+    # the 27 bounds in one closed-form pass, so the depth points share the kernel table
+    # of the ratio-10 wide point
+    bounds = np.reshape([res.bound for res in _closed_forms(points)], (3, 9))
+    fits = (("bound_halfwidth_slope_wide", ratios_wide, 2.0, 0.1),
+            ("bound_halfwidth_slope_narrow", ratios_narrow, 1.0, 0.1),
+            ("bound_depth_slope_wide", depths, -2.0, 0.15))
+    for (name, x, predicted, tol), y in zip(fits, bounds):
+        slope = fit_loglog_slope(x, y)
+        checks.append((name, predicted, slope, abs(slope - predicted), tol))
 
     header = ["check", "predicted", "computed", "deviation", "tolerance", "status"]
     rows = []

@@ -304,22 +304,22 @@ def test_fading_term_in_u_keeps_the_kappa_form_bits_that_order_select():
     # form's bits at kappa = 0 and 1 (at 1 it is that form divided through by 4)
     sc = load_scenario("grid.count = 1024\n")
     sp, corr, rp = prior_moments(sc.sensor, sc.grid.as_array(), sc.prior)
-    var = sc.noise.variance
+    corr_sq, var = np.abs(corr) ** 2, sc.noise.variance
 
     def kappa_form(kappa):
         denom = (2.0 * kappa + 1.0) * rp + var * (kappa + 1.0) ** 2
         return sp - 2.0 * kappa * np.abs(corr) ** 2 / denom
 
     for kappa in (0.0, 1.0):
-        got = _contributions(sc.with_channel(RicianSpec(kappa=kappa)), sp, corr, rp)
+        got = _contributions(sc.with_channel(RicianSpec(kappa=kappa)), sp, corr_sq, rp)
         assert np.array_equal(got, kappa_form(kappa)), kappa
-    los = _contributions(sc.with_channel(RicianSpec(deterministic_los=True)), sp, corr, rp)
+    los = _contributions(sc.with_channel(RicianSpec(deterministic_los=True)), sp, corr_sq, rp)
     assert np.array_equal(los, sp)
     # elsewhere the two forms round apart, by under 1e-15 of slope_power: measured
     # against the contribution the gap grows where the fading term takes most of
     # slope_power (2.8e-15 relative at kappa = 5, where it takes 87%)
     for kappa in (0.5, 2.0, 5.0, 1e10):
-        got = _contributions(sc.with_channel(RicianSpec(kappa=kappa)), sp, corr, rp)
+        got = _contributions(sc.with_channel(RicianSpec(kappa=kappa)), sp, corr_sq, rp)
         assert np.all(np.abs(got - kappa_form(kappa)) <= 1e-15 * sp), kappa
 
 

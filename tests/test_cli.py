@@ -285,6 +285,22 @@ def test_sweep_shares_a_moment_set_while_table_and_sensor_repeat(cfg, tmp_path, 
     assert (len(tables), len(moments)) == (1, 7)
 
 
+def test_sweep_takes_the_detuning_stats_once_while_sensor_prior_and_grid_repeat(cfg, tmp_path,
+                                                                                  monkeypatch):
+    import metabcrb.bcrb as bcrb_mod
+    stats = _count_calls(monkeypatch, bcrb_mod, "detuning_stats")
+    out = str(tmp_path / "sweep.csv")
+    # noise, kappa and depth leave half-width, shift rate, offset, prior and grid alone
+    assert main(["sweep", "--config", cfg, "--out", out, "--axis", "snr_db",
+                 "--start", "-10", "--stop", "30", "--points", "5",
+                 "--curve", "channel.kappa=0.0", "--curve", "channel.kappa=1.0",
+                 "--curve", "channel.kappa=5.0"]) == 0
+    assert len(stats) == 1
+    assert main(["sweep", "--config", cfg, "--out", out, "--axis", "depth",
+                 "--start", "0.1", "--stop", "1.0", "--points", "7"]) == 0
+    assert len(stats) == 2
+
+
 def test_select_builds_one_kernel_table(cfg, tmp_path, monkeypatch):
     import metabcrb.expectations as expectations_mod
     tables = _count_calls(monkeypatch, expectations_mod, "kernel_means")
@@ -819,6 +835,39 @@ def test_asymptotics_names_failed_checks_on_stderr(cfg, tmp_path, monkeypatch, c
     for (_, deviation, tolerance), row in zip(failures, failed_rows):
         assert deviation == pytest.approx(float(row["deviation"]), rel=1e-5)
         assert tolerance == float(row["tolerance"])
+
+
+# The predicted and computed columns of asymptotics on BASE_CFG as a 128-node far rule
+# and one closed form per slope-fit point wrote them
+ASYMPTOTICS_COLUMNS = {
+    "slope_power_wide_offset=0": (8.100000000000002e-05, 8.098380728514427e-05),
+    "corr_magsq_wide_offset=0": (8.099999999999919e-07, 8.080582820345826e-07),
+    "slope_power_wide_offset=50": (5.184000000000001e-05, 5.1841655497630046e-05),
+    "corr_magsq_wide_offset=50": (1.078272e-05, 1.0776392028516969e-05),
+    "slope_power_narrow_offset=0": (507.5922256127777, 507.59197208647436),
+    "corr_magsq_narrow_offset=0": (0.25764986750253294, 0.25673789674625785),
+    "slope_power_narrow_offset=0.5": (447.94856687929746, 447.94839904929586),
+    "corr_magsq_narrow_offset=0.5": (0.20065791856921641, 0.20003827264727317),
+    "wideband_slope_power_sum": (127.23450247038663, 127.23406963899461),
+    "bound_halfwidth_slope_wide": (2.0, 1.9926959581382193),
+    "bound_halfwidth_slope_narrow": (1.0, 1.0000143700560542),
+    "bound_depth_slope_wide": (-2.0, -1.9999326210058292),
+}
+
+
+def test_asymptotics_builds_23_kernel_tables_and_keeps_its_values(cfg, tmp_path, monkeypatch):
+    import metabcrb.expectations as expectations_mod
+    tables = _count_calls(monkeypatch, expectations_mod, "kernel_means")
+    out = str(tmp_path / "asym.csv")
+    assert main(["asymptotics", "--config", cfg, "--out", out]) == 0
+    # four limit tones, the wideband grid, and 27 slope-fit points in one closed-form
+    # pass, where the nine depth points share the ratio-10 wide point's table
+    assert len(tables) == 4 + 1 + 18
+    rows = _rows(out)
+    assert [r["check"] for r in rows] == list(ASYMPTOTICS_COLUMNS)
+    for r in rows:
+        got = [float(r["predicted"]), float(r["computed"])]
+        assert got == pytest.approx(ASYMPTOTICS_COLUMNS[r["check"]], rel=1e-14, abs=0.0), r["check"]
 
 
 @pytest.mark.parametrize("depth", ["0", "1e-170", "1e-200"])

@@ -245,6 +245,22 @@ def test_far_kernel_means_match_high_precision_table(x0, s, m2, m1, mx):
     assert km[:, 1] == pytest.approx([m2, m1, -mx], rel=1e-14, abs=0.0)
 
 
+def test_far_rule_node_count_holds_the_means_of_four_times_as_many_nodes():
+    # The far rule's nodes resolve only the smooth part of the integrand, whose trapezoid
+    # error falls as exp(-2 pi^2 / h^2); against the same rule on 128 nodes its means must
+    # agree to roundoff. Tones run from |Re z| = FAR_ZMIN, the far edge, to 1e4 times it,
+    # on both sides of the dip, at spreads from 1e-8 to 1e8. 24 nodes miss by 2.6e-14.
+    u = np.linspace(-9.0, 9.0, 128)
+    w = np.exp(-0.5 * u * u) * ((u[1] - u[0]) / math.sqrt(2.0 * math.pi))
+    w[[0, -1]] *= 0.5
+    w /= math.fsum(w)
+    zeta = np.geomspace(FAR_ZMIN, 1e4 * FAR_ZMIN, 41)
+    for s in np.geomspace(1e-8, 1e8, 33):
+        x0 = np.concatenate([-zeta[::-1], zeta]) * (math.sqrt(2.0) * s)
+        ref = _kernel_table(x0, s * u, w)
+        np.testing.assert_allclose(_kernel_means_far(x0, s), ref, rtol=2e-15, atol=0.0)
+
+
 # The 8 tones of the half-width 1e8, 300 dB extreme-value cells: tones 0.05 apart
 # on a dip 1e8 half-widths wide, so x0 = +-(0.25, 0.75, 1.25, 1.75) 1e-9 and s = 1e-8.
 # Every node has x^2 below 1e-14, most of the weight below 2^-53. mpmath 1.3.0 at 60
@@ -396,7 +412,7 @@ def test_buffered_gauss_hermite_far_tail_block_is_silent():
 
 @pytest.mark.parametrize("tones", [0, 1, _BLOCK * KERNEL_ORDER // _FAR_NODES + 1, 10_000])
 def test_far_rule_is_bitwise_single_shot(tones):
-    # the far rule's 128-node blocks hold more tones than order 800's; blocking
+    # the far rule's 32-node blocks hold more tones than order 800's; blocking
     # must not change a tone's bits there either, and the cached nodes are read-only
     u, w = _far_nodes()
     assert math.fsum(w) == pytest.approx(1.0, rel=0.0, abs=2.3e-16)
